@@ -15,7 +15,7 @@ from threshcov import (EstimatorKind, ScalingFactor, atom_mass, reference_setup,
 
 def sketch(kind, setup, theta, alpha, lo=-3.5, hi=3.5, width=58):
     xs = np.linspace(lo, hi, width)
-    dens = np.array([tilde_density(kind, x, setup, theta, alpha) for x in xs])
+    dens = tilde_density(kind, xs, setup, theta, alpha)   # one batched call
     top = dens.max()
     print(f"  density of the scaled error, {kind.value}, theta = {theta}:")
     for level in (0.9, 0.6, 0.3, 0.08):

@@ -17,8 +17,7 @@ from threshcov import (IntervalSpec, SimulationPlan, VarianceMode,
 
 def trace(kind, spec, setup, thetas):
     print(f"  theta    coverage   ({kind}, a = {spec.a:.3f})")
-    for theta in thetas:
-        c = unknown_coverage(kind, theta, 1.0, spec, setup)
+    for theta, c in zip(thetas, unknown_coverage(kind, thetas, 1.0, spec, setup)):
         bar = "#" * int(round(50 * (c - 0.94) / 0.06)) if c > 0.94 else ""
         print(f"  {theta:5.2f}   {c:.6f}  {bar}")
 

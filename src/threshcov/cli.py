@@ -211,7 +211,7 @@ def _coverage_curve_rows(kind: EstimatorKind, config: RunConfig):
         length = solve_unknown_half_length(kind, config.alpha, setup)
     spec = IntervalSpec(length, length, VarianceMode.ESTIMATED)
     thetas = np.linspace(0.0, 3.0, 301)
-    rows = [(t, unknown_coverage(kind, float(t), 1.0, spec, setup)) for t in thetas]
+    rows = list(zip(thetas, unknown_coverage(kind, thetas, 1.0, spec, setup)))
     return rows, length
 
 

@@ -28,6 +28,8 @@ from .special import (
     BracketError,
     DomainError,
     QuadratureConfig,
+    _clamp_unit,
+    _per_node,
     find_root,
     integrate_halfline,
     rho_density,
@@ -232,22 +234,16 @@ def solve_known_half_length(kind, alpha: float, setup: ProblemSetup,
     return root
 
 
-def _unknown_switch_points(kind: EstimatorKind, q_abs: float, a: float,
-                           xi: float, eta: float):
-    pts = []
-
-    def add(den: float):
-        if den > 0.0:
-            s = q_abs / den
-            if s > 0.0 and math.isfinite(s):
-                pts.append(s)
-
-    if q_abs > 0.0:
-        add(a)
-        if kind is EstimatorKind.HARD:
-            add(a + xi * eta)
-            add(abs(a - xi * eta))
-    return tuple(pts)
+def _unknown_switch_points(kind: EstimatorKind, q_abs: np.ndarray, a: float,
+                           xi: float, eta: float) -> np.ndarray:
+    """s-values where the interval ends cross the threshold, one row per
+    |theta| / sigma; candidates that are not positive and finite are left
+    for the quadrature to drop."""
+    dens = [a]
+    if kind is EstimatorKind.HARD:
+        dens += [a + xi * eta, abs(a - xi * eta)]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return q_abs[:, None] / np.array(dens)
 
 
 def unknown_coverage(kind, theta_i: float, sigma: float, spec: IntervalSpec,
@@ -256,7 +252,8 @@ def unknown_coverage(kind, theta_i: float, sigma: float, spec: IntervalSpec,
     """Exact coverage at theta_i with estimated variance.
 
     Averages the known-variance coverage over s = sigma_hat / sigma, with
-    both the interval arms and the threshold scaled by s.
+    both the interval arms and the threshold scaled by s.  theta_i may be an
+    array, integrated as one batch; a scalar theta_i gives a float.
     """
     kind = EstimatorKind(kind)
     if spec.mode is not VarianceMode.ESTIMATED:
@@ -264,19 +261,23 @@ def unknown_coverage(kind, theta_i: float, sigma: float, spec: IntervalSpec,
     if not (sigma > 0.0 and math.isfinite(sigma)):
         raise DomainError("sigma must be positive and finite")
     m = setup.require_estimated_variance()
-    mu = theta_i / (sigma * setup.xi)
+    theta = np.asarray(theta_i, dtype=float)
+    thetas = theta.ravel()
+    mus = thetas / (sigma * setup.xi)
     a = spec.a
     reach = a / setup.xi
 
-    def f(s):
+    def f(nodes):
+        s, mu = _per_node(nodes, mus)
         return (_coverage_core(kind, mu, reach * s, reach * s, setup.eta * s,
                                setup.root_n)
                 * rho_density(s, m))
 
     upper = rho_upper_limit(m, cfg.tail_mass_tol)
-    pts = _unknown_switch_points(kind, abs(theta_i / sigma), a, setup.xi, setup.eta)
-    value = integrate_halfline(f, pts, upper=upper, cfg=cfg)
-    return min(1.0, max(0.0, value))
+    pts = _unknown_switch_points(kind, np.abs(thetas / sigma), a, setup.xi, setup.eta)
+    value, bound = integrate_halfline(f, pts, upper=upper, cfg=cfg, with_bound=True)
+    return _clamp_unit(value.reshape(theta.shape), bound.reshape(theta.shape),
+                       "unknown_coverage")
 
 
 def lower_bound_unknown(kind, spec: IntervalSpec, setup: ProblemSetup) -> float:
@@ -382,7 +383,7 @@ def min_coverage_search(kind, spec: IntervalSpec, setup: ProblemSetup,
         search = SearchConfig()
     theta_max = spec.a + setup.xi * setup.eta + 10.0 * setup.xi / setup.root_n
     grid = np.linspace(0.0, theta_max, search.grid_points)
-    values = np.array([cov(t) for t in grid])
+    values = unknown_coverage(kind, grid, 1.0, spec, setup, cfg)
     best = int(np.argmin(values))
     lo = grid[max(best - 1, 0)]
     hi = grid[min(best + 1, len(grid) - 1)]

@@ -28,6 +28,8 @@ from .special import (
     DEFAULT_QUADRATURE,
     DomainError,
     QuadratureConfig,
+    _clamp_unit,
+    _per_node,
     integrate_halfline,
     rho_density,
     rho_upper_limit,
@@ -106,23 +108,16 @@ def _shrink_fraction(u, v, q, a, xi):
     return frac
 
 
-def _switch_points(kind: EstimatorKind, x: float, q: float, a: float,
-                   xi: float, eta: float):
-    """s-values where the conditional-branch indicators switch."""
-    pts = []
-
-    def add(num: float, den: float):
-        if den != 0.0:
-            s = num / den
-            if s > 0.0 and math.isfinite(s):
-                pts.append(s)
-
+def _switch_points(kind: EstimatorKind, x: np.ndarray, q: float, a: float,
+                   xi: float, eta: float) -> np.ndarray:
+    """s-values where the conditional-branch indicators switch, one row per
+    x; candidates that are not positive and finite are left for the
+    quadrature to drop."""
+    pairs = [(-q * a, x)]
     if kind is EstimatorKind.HARD:
-        add(-q, x / a - xi * eta)
-        add(-q, x / a + xi * eta)
-    if x != 0.0:
-        add(-q * a, x)
-    return tuple(pts)
+        pairs += [(-q, x / a - xi * eta), (-q, x / a + xi * eta)]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return np.stack([num / den for num, den in pairs], axis=-1)
 
 
 def atom_mass(setup: ProblemSetup) -> float:
@@ -137,14 +132,15 @@ def atom_mass(setup: ProblemSetup) -> float:
     return float(t_cdf(arg, m) - t_cdf(-arg, m))
 
 
-def _cdf_integrand(kind: EstimatorKind, x: float, q: float,
+def _cdf_integrand(kind: EstimatorKind, xs: np.ndarray, q: float,
                    setup: ProblemSetup, a: float) -> Callable:
     xi = setup.xi
     eta = setup.eta
     rn = setup.root_n
     m = setup.residual_dof
 
-    def f(s):
+    def f(nodes):
+        s, x = _per_node(nodes, xs)
         rho = rho_density(s, m)
         c = x * s / a + q
         if kind is EstimatorKind.HARD:
@@ -168,33 +164,42 @@ def _cdf_integrand(kind: EstimatorKind, x: float, q: float,
 
 
 def tilde_cdf(kind, x, setup: ProblemSetup, theta_i: float, alpha,
-              cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
-    """CDF of alpha (estimate_i - theta_i) / sigma_hat at x."""
+              cfg: QuadratureConfig = DEFAULT_QUADRATURE):
+    """CDF of alpha (estimate_i - theta_i) / sigma_hat at x.
+
+    x may be an array: every finite element is one problem of a single
+    batched quadrature, and the result has x's shape.  A scalar x gives a
+    float.
+    """
     kind = EstimatorKind(kind)
     a = _as_scaling(alpha)
     setup.require_estimated_variance()
-    x = float(x)
-    if math.isnan(x):
+    x = np.asarray(x, dtype=float)
+    if np.isnan(x).any():
         raise DomainError("CDF argument must not be NaN")
-    if math.isinf(x):
-        return 1.0 if x > 0.0 else 0.0
-    q = theta_i / setup.sigma
-    upper = rho_upper_limit(setup.residual_dof, cfg.tail_mass_tol)
-    value = integrate_halfline(
-        _cdf_integrand(kind, x, q, setup, a),
-        _switch_points(kind, x, q, a, setup.xi, setup.eta),
-        upper=upper, cfg=cfg)
-    return min(1.0, max(0.0, value))
+    out = np.where(x > 0.0, 1.0, 0.0)
+    bound = np.zeros(x.shape)
+    finite = np.isfinite(x)
+    if finite.any():
+        xs = x[finite]
+        q = theta_i / setup.sigma
+        upper = rho_upper_limit(setup.residual_dof, cfg.tail_mass_tol)
+        out[finite], bound[finite] = integrate_halfline(
+            _cdf_integrand(kind, xs, q, setup, a),
+            _switch_points(kind, xs, q, a, setup.xi, setup.eta),
+            upper=upper, cfg=cfg, with_bound=True)
+    return _clamp_unit(out, bound, "tilde_cdf")
 
 
-def _density_integrand(kind: EstimatorKind, x: float, q: float,
+def _density_integrand(kind: EstimatorKind, xs: np.ndarray, q: float,
                        setup: ProblemSetup, a: float) -> Callable:
     xi = setup.xi
     eta = setup.eta
     rn = setup.root_n
     m = setup.residual_dof
 
-    def f(s):
+    def f(nodes):
+        s, x = _per_node(nodes, xs)
         rho = rho_density(s, m)
         scale = rn * s / (a * xi)
         c = x * s / a + q
@@ -218,47 +223,63 @@ def _density_integrand(kind: EstimatorKind, x: float, q: float,
     return f
 
 
-def _kill_kernel_term(x: float, q: float, setup: ProblemSetup, a: float) -> float:
+def _kill_kernel_term(x: np.ndarray, q: float, setup: ProblemSetup,
+                      a: float) -> np.ndarray:
     """Density contribution of the thresholded-to-zero event when theta != 0.
 
     The zero estimate maps to error -a q / s, a smooth function of s, so the
     event's mass spreads into a density carried by rho_m on the half-line
     opposite in sign to the true component.  Identical for all kinds.
     """
-    if x == 0.0 or -math.copysign(1.0, q) * x < 0.0:
-        return 0.0
-    m = setup.residual_dof
+    term = np.zeros(x.shape)
+    side = (x != 0.0) & (-math.copysign(1.0, q) * x >= 0.0)
+    if not side.any():
+        return term
+    x = x[side]
     s_at_x = -a * q / x
     gamma = setup.root_n * q / setup.xi
     shift = a * setup.xi * setup.eta / x
     band = (std_normal_cdf(-gamma * (1.0 + shift))
             - std_normal_cdf(-gamma * (1.0 - shift)))
-    return float(a * abs(q) / (x * x) * rho_density(s_at_x, m) * band)
+    # as x -> 0 the Jacobian a |q| / x^2 overflows where rho has underflowed
+    # to 0; the product tends to 0 there
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        rho = rho_density(s_at_x, setup.residual_dof)
+        term[side] = np.where(rho > 0.0, a * abs(q) / (x * x) * rho * band, 0.0)
+    return term
 
 
 def tilde_density(kind, x, setup: ProblemSetup, theta_i: float, alpha,
-                  cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
-    """Density of the absolutely continuous part at x (atom reported separately)."""
+                  cfg: QuadratureConfig = DEFAULT_QUADRATURE):
+    """Density of the absolutely continuous part at x (atom reported separately).
+
+    x may be an array, integrated as one batch; a scalar x gives a float.
+    """
     kind = EstimatorKind(kind)
     a = _as_scaling(alpha)
     setup.require_estimated_variance()
-    x = float(x)
-    if not math.isfinite(x):
+    x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
         raise DomainError("density argument must be finite")
     q = theta_i / setup.sigma
+    out = np.zeros(x.shape)
+    live = np.ones(x.shape, dtype=bool)
     if q == 0.0:
-        if x == 0.0:
-            return 0.0
-        if kind is EstimatorKind.HARD and abs(x) <= a * setup.xi * setup.eta:
-            return 0.0
-    upper = rho_upper_limit(setup.residual_dof, cfg.tail_mass_tol)
-    value = integrate_halfline(
-        _density_integrand(kind, x, q, setup, a),
-        _switch_points(kind, x, q, a, setup.xi, setup.eta),
-        upper=upper, cfg=cfg)
-    if q != 0.0:
-        value += _kill_kernel_term(x, q, setup, a)
-    return max(0.0, value)
+        # at the atom, and inside the hard dead zone, there is no density
+        live = x != 0.0
+        if kind is EstimatorKind.HARD:
+            live &= np.abs(x) > a * setup.xi * setup.eta
+    if live.any():
+        xs = x[live]
+        upper = rho_upper_limit(setup.residual_dof, cfg.tail_mass_tol)
+        value = integrate_halfline(
+            _density_integrand(kind, xs, q, setup, a),
+            _switch_points(kind, xs, q, a, setup.xi, setup.eta),
+            upper=upper, cfg=cfg)
+        if q != 0.0:
+            value += _kill_kernel_term(xs, q, setup, a)
+        out[live] = np.maximum(0.0, value)
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclasses.dataclass(frozen=True)
@@ -301,12 +322,10 @@ def mirror_check(kind, setup: ProblemSetup, theta_i: float, alpha, grid,
     """
     kind = EstimatorKind(kind)
     a = _as_scaling(alpha)
-    worst = 0.0
-    for x in np.asarray(grid, dtype=float):
-        direct = tilde_cdf(kind, x, setup, theta_i, a, cfg)
-        mirrored = 1.0 - tilde_cdf(kind, -x, setup, -theta_i, a, cfg)
-        worst = max(worst, abs(direct - mirrored))
-    return worst
+    grid = np.asarray(grid, dtype=float)
+    direct = tilde_cdf(kind, grid, setup, theta_i, a, cfg)
+    mirrored = 1.0 - tilde_cdf(kind, -grid, setup, -theta_i, a, cfg)
+    return float(np.max(np.abs(direct - mirrored), initial=0.0))
 
 
 def density_grid(kind, setup: ProblemSetup, theta_i: float, alpha,
@@ -324,6 +343,6 @@ def density_grid(kind, setup: ProblemSetup, theta_i: float, alpha,
     if count < 2:
         raise DomainError("grid needs at least 2 points")
     xs = np.linspace(lo, hi, count)
-    dens = np.array([tilde_density(kind, x, setup, theta_i, a, cfg) for x in xs])
+    dens = tilde_density(kind, xs, setup, theta_i, a, cfg)
     mass = atom_mass(setup) if theta_i == 0.0 else 0.0
     return xs, dens, mass

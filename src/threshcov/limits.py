@@ -27,6 +27,8 @@ from .special import (
     DEFAULT_QUADRATURE,
     DomainError,
     QuadratureConfig,
+    _clamp_unit,
+    _per_node,
     chi_sq_cdf,
     integrate_halfline,
     rho_density,
@@ -104,8 +106,8 @@ class ConsistentRegime:
             object.__setattr__(self, "hard_aux", aux)
 
 
-def _step(x: float, location: float) -> float:
-    return 1.0 if x >= location else 0.0
+def _step(x: np.ndarray, location: float) -> np.ndarray:
+    return np.where(x >= location, 1.0, 0.0)
 
 
 def _stable_zbar_pair(u, v, nu):
@@ -120,8 +122,10 @@ def _stable_zbar_pair(u, v, nu):
     return z1, z2
 
 
-def _conservative_integrand(kind: EstimatorKind, x: float, nu: float, e: float, m: int):
-    def f(s):
+def _conservative_integrand(kind: EstimatorKind, xs: np.ndarray, nu: float, e: float,
+                            m: int):
+    def f(nodes):
+        s, x = _per_node(nodes, xs)
         rho = rho_density(s, m)
         c = x * s + nu
         if kind is EstimatorKind.HARD:
@@ -144,21 +148,13 @@ def _conservative_integrand(kind: EstimatorKind, x: float, nu: float, e: float, 
     return f
 
 
-def _conservative_switch_points(kind: EstimatorKind, x: float, nu: float, e: float):
-    pts = []
-
-    def add(num: float, den: float):
-        if den != 0.0:
-            s = num / den
-            if s > 0.0 and math.isfinite(s):
-                pts.append(s)
-
+def _conservative_switch_points(kind: EstimatorKind, x: np.ndarray, nu: float,
+                                e: float) -> np.ndarray:
+    dens = [x]
     if kind is EstimatorKind.HARD:
-        add(-nu, x - e)
-        add(-nu, x + e)
-    if x != 0.0:
-        add(-nu, x)
-    return tuple(pts)
+        dens += [x - e, x + e]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return np.stack([-nu / den for den in dens], axis=-1)
 
 
 def conservative_limit_cdf(kind, x, regime: ConservativeRegime,
@@ -167,7 +163,8 @@ def conservative_limit_cdf(kind, x, regime: ConservativeRegime,
 
     Only finite residual degrees of freedom are supported: with m = inf the
     estimated-variance limits coincide with the known-variance family and
-    are deliberately not duplicated here.
+    are deliberately not duplicated here.  x may be an array, integrated as
+    one batch; a scalar x gives a float.
     """
     kind = EstimatorKind(kind)
     if math.isinf(regime.m):
@@ -175,32 +172,36 @@ def conservative_limit_cdf(kind, x, regime: ConservativeRegime,
     m = regime.m
     nu = regime.nu
     e = regime.e
-    x = float(x)
-    if math.isnan(x):
+    x = np.asarray(x, dtype=float)
+    if np.isnan(x).any():
         raise DomainError("CDF argument must not be NaN")
-    if math.isinf(x):
-        return 1.0 if x > 0.0 else 0.0
+    out = np.where(x > 0.0, 1.0, 0.0)
+    bound = np.zeros(x.shape)
+    finite = np.isfinite(x)
+    xs = x[finite]
     if e == 0.0:
-        return float(t_cdf(x, m))
-    if math.isinf(nu):
-        if kind is EstimatorKind.SOFT:
-            return float(t_cdf(x + math.copysign(e, nu), m))
-        return float(t_cdf(x, m))
-    if nu == 0.0:
+        out[finite] = t_cdf(xs, m)
+    elif math.isinf(nu):
+        out[finite] = t_cdf(xs + math.copysign(e, nu) if kind is EstimatorKind.SOFT
+                            else xs, m)
+    elif nu == 0.0:
+        right = xs >= 0.0
         if kind is EstimatorKind.HARD:
-            if abs(x) > e:
-                return float(t_cdf(x, m))
-            return float(t_cdf(e, m) if x >= 0.0 else t_cdf(-e, m))
-        if kind is EstimatorKind.SOFT:
-            return float(t_cdf(x + e, m) if x >= 0.0 else t_cdf(x - e, m))
-        half = math.sqrt(0.25 * x * x + e * e)
-        return float(t_cdf(0.5 * x + half, m) if x >= 0.0 else t_cdf(0.5 * x - half, m))
-    upper = rho_upper_limit(m, cfg.tail_mass_tol)
-    value = integrate_halfline(
-        _conservative_integrand(kind, x, nu, e, m),
-        _conservative_switch_points(kind, x, nu, e),
-        upper=upper, cfg=cfg)
-    return min(1.0, max(0.0, value))
+            out[finite] = np.where(np.abs(xs) > e, t_cdf(xs, m),
+                                   np.where(right, t_cdf(e, m), t_cdf(-e, m)))
+        elif kind is EstimatorKind.SOFT:
+            out[finite] = np.where(right, t_cdf(xs + e, m), t_cdf(xs - e, m))
+        else:
+            half = np.sqrt(0.25 * xs * xs + e * e)
+            out[finite] = np.where(right, t_cdf(0.5 * xs + half, m),
+                                   t_cdf(0.5 * xs - half, m))
+    elif xs.size:
+        upper = rho_upper_limit(m, cfg.tail_mass_tol)
+        out[finite], bound[finite] = integrate_halfline(
+            _conservative_integrand(kind, xs, nu, e, m),
+            _conservative_switch_points(kind, xs, nu, e),
+            upper=upper, cfg=cfg, with_bound=True)
+    return _clamp_unit(out, bound, "conservative_limit_cdf")
 
 
 def hard_weight(f: float, r: float, s: float | None = None) -> float:
@@ -227,8 +228,8 @@ def hard_weight(f: float, r: float, s: float | None = None) -> float:
     return float(std_normal_cdf(r / math.sqrt(1.0 + 0.5 * f * f)))
 
 
-def _consistent_cdf_infinite_dof(kind: EstimatorKind, x: float,
-                                 regime: ConsistentRegime) -> float:
+def _consistent_cdf_infinite_dof(kind: EstimatorKind, x: np.ndarray,
+                                 regime: ConsistentRegime) -> np.ndarray:
     zeta = regime.zeta
     az = abs(zeta)
     if kind is EstimatorKind.HARD:
@@ -253,14 +254,22 @@ def _consistent_cdf_infinite_dof(kind: EstimatorKind, x: float,
     return _step(x, -1.0 / zeta)
 
 
-def consistent_limit_cdf(kind, x, regime: ConsistentRegime) -> float:
-    """CDF of the consistent-regime limit law at x; support is [-1, 1]."""
+def consistent_limit_cdf(kind, x, regime: ConsistentRegime):
+    """CDF of the consistent-regime limit law at x; support is [-1, 1].
+
+    x may be an array; a scalar x gives a float.
+    """
     kind = EstimatorKind(kind)
-    x = float(x)
-    if math.isnan(x):
+    x = np.asarray(x, dtype=float)
+    if np.isnan(x).any():
         raise DomainError("CDF argument must not be NaN")
-    if math.isinf(x):
-        return 1.0 if x > 0.0 else 0.0
+    out = _consistent_cdf(kind, x, regime)
+    out = np.where(np.isinf(x), np.where(x > 0.0, 1.0, 0.0), out)
+    return float(out) if out.ndim == 0 else out
+
+
+def _consistent_cdf(kind: EstimatorKind, x: np.ndarray,
+                    regime: ConsistentRegime) -> np.ndarray:
     if math.isinf(regime.m):
         return _consistent_cdf_infinite_dof(kind, x, regime)
     m = regime.m
@@ -273,26 +282,30 @@ def consistent_limit_cdf(kind, x, regime: ConsistentRegime) -> float:
         return _step(x, 0.0)
     mz2 = m * zeta * zeta
     if zeta > 0.0:
-        if x < -1.0:
-            return 0.0
-        if x >= 0.0:
-            return 1.0
-        upper_arg = mz2 / (x * x)
+        # the law sits on [-1, 0): 0 left of it, 1 from 0 on
+        inside = (x >= -1.0) & (x < 0.0)
+        xc = np.where(inside, x, -1.0)
+        with np.errstate(divide="ignore"):
+            upper_arg = chi_sq_cdf(mz2 / (xc * xc), m)
         if kind is EstimatorKind.HARD:
-            return float(chi_sq_cdf(upper_arg, m) - chi_sq_cdf(mz2, m))
-        if kind is EstimatorKind.SOFT:
-            return float(chi_sq_cdf(upper_arg, m))
-        return float(chi_sq_cdf(upper_arg, m) - chi_sq_cdf(mz2 * x * x, m))
-    if x < 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    inv_tail = 0.0 if x == 0.0 else 1.0 - float(chi_sq_cdf(mz2 / (x * x), m))
+            value = upper_arg - chi_sq_cdf(mz2, m)
+        elif kind is EstimatorKind.SOFT:
+            value = upper_arg
+        else:
+            value = upper_arg - chi_sq_cdf(mz2 * xc * xc, m)
+        return np.where(inside, value, _step(x, 0.0))
+    # the law sits on [0, 1]: 0 left of it, 1 from 1 on
+    inside = (x >= 0.0) & (x < 1.0)
+    xc = np.where(inside, x, 1.0)
+    with np.errstate(divide="ignore"):
+        inv_tail = 1.0 - chi_sq_cdf(mz2 / (xc * xc), m)
     if kind is EstimatorKind.HARD:
-        return float(chi_sq_cdf(mz2, m)) + inv_tail
-    if kind is EstimatorKind.SOFT:
-        return inv_tail
-    return float(chi_sq_cdf(mz2 * x * x, m)) + inv_tail
+        value = chi_sq_cdf(mz2, m) + inv_tail
+    elif kind is EstimatorKind.SOFT:
+        value = inv_tail
+    else:
+        value = chi_sq_cdf(mz2 * xc * xc, m) + inv_tail
+    return np.where(inside, value, _step(x, 1.0))
 
 
 def limit_atoms(kind, regime) -> tuple:
@@ -324,25 +337,23 @@ def weak_convergence_gaps(kind, setup_sequence: Iterable[Tuple[ProblemSetup, flo
     atom are dropped: weak convergence holds at continuity points only.
     """
     kind = EstimatorKind(kind)
-    atoms = limit_atoms(kind, regime)
-    xs = [float(x) for x in grid
-          if all(abs(float(x) - p) > exclusion_radius for p in atoms)]
-    if not xs:
+    atoms = np.array(limit_atoms(kind, regime))
+    grid = np.asarray(grid, dtype=float).ravel()
+    xs = grid[np.all(np.abs(grid[:, None] - atoms) > exclusion_radius, axis=1)]
+    if not xs.size:
         raise DomainError("no continuity points remain in the grid")
     if isinstance(regime, ConservativeRegime):
-        limit_vals = [conservative_limit_cdf(kind, x, regime, cfg) for x in xs]
+        limit_vals = conservative_limit_cdf(kind, xs, regime, cfg)
         scaling = ScalingFactor.conservative
     elif isinstance(regime, ConsistentRegime):
-        limit_vals = [consistent_limit_cdf(kind, x, regime) for x in xs]
+        limit_vals = consistent_limit_cdf(kind, xs, regime)
         scaling = ScalingFactor.consistent
     else:
         raise DomainError("regime must be ConservativeRegime or ConsistentRegime")
     gaps = []
     for setup, theta_i in setup_sequence:
-        a = scaling(setup)
-        gap = max(abs(tilde_cdf(kind, x, setup, theta_i, a, cfg) - lv)
-                  for x, lv in zip(xs, limit_vals))
-        gaps.append(float(gap))
+        finite = tilde_cdf(kind, xs, setup, theta_i, scaling(setup), cfg)
+        gaps.append(float(np.max(np.abs(finite - limit_vals))))
     return gaps
 
 

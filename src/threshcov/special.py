@@ -13,11 +13,20 @@ integrands on a truncated half-line, and a bracketed deterministic root
 finder.  Integrands declare their non-smooth points (indicator switches,
 kinks) as breakpoints; these seed the initial panel boundaries so the
 adaptive refinement never has to discover a discontinuity on its own.
+
+The integrator is batched: a 2-D array of breakpoints, one row per problem,
+integrates a whole grid (densities over x, coverages over theta) in one
+call, refining the panels of every unconverged problem together in each
+vectorized round.  Every problem keeps its own breakpoints and tolerance
+target and leaves the batch once converged, so an array result agrees with
+the per-element calls within the reported error bound, not bitwise.  A
+scalar call is a batch of one and runs exactly the rounds it always did.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import logging
 import math
 from typing import Callable, Iterable
 
@@ -50,14 +59,16 @@ class NumericsError(RuntimeError):
     """A numerical routine failed to reach its accuracy target.
 
     Carries the best available estimate and an error bound so callers can
-    decide whether a degraded result is still usable.
+    decide whether a degraded result is still usable; a batched quadrature
+    also names the failing problem's row.
     """
 
     def __init__(self, message: str, estimate: float | None = None,
-                 error_bound: float | None = None):
+                 error_bound: float | None = None, problem: int | None = None):
         super().__init__(message)
         self.estimate = estimate
         self.error_bound = error_bound
+        self.problem = problem
 
 
 class BracketError(ValueError):
@@ -92,6 +103,8 @@ class QuadratureConfig:
 
 
 DEFAULT_QUADRATURE = QuadratureConfig()
+
+logger = logging.getLogger(__name__)
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -214,15 +227,44 @@ def chi_sq_quantile(p, m):
 _GL7_X, _GL7_W = np.polynomial.legendre.leggauss(7)
 _GL15_X, _GL15_W = np.polynomial.legendre.leggauss(15)
 
+# What a batch of several problems hands its integrand: each node together
+# with the row of the problem it belongs to.
+_NODE_DTYPE = np.dtype([("s", float), ("problem", np.intp)])
 
-def _panel_rule(f, lo: np.ndarray, hi: np.ndarray):
-    """GL15 value and |GL15 - GL7| error estimate per panel, one call to f."""
+
+def _per_node(nodes, *params):
+    """Split an integrand argument into nodes and per-node parameter values.
+
+    A single problem hands its integrand the plain node array, and its
+    parameters (scalars or size-1 arrays) broadcast against it as they are.
+    A batch hands it a record array with fields ``s`` and ``problem``; each
+    parameter, one value per problem, is then gathered onto the nodes.
+    """
+    if nodes.dtype.names is None:
+        return (nodes, *params)
+    rows = nodes["problem"]
+    return (nodes["s"], *(np.asarray(p)[rows] for p in params))
+
+
+def _panel_rule(f, lo: np.ndarray, hi: np.ndarray, problem=None):
+    """GL15 value and |GL15 - GL7| error estimate per panel, one call to f.
+
+    ``problem`` holds the batch row of each panel; without it the panels
+    belong to one problem and f receives the plain node array.
+    """
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     x7 = mid[:, None] + half[:, None] * _GL7_X
     x15 = mid[:, None] + half[:, None] * _GL15_X
     xs = np.concatenate([x7.ravel(), x15.ravel()])
-    vals = np.asarray(f(xs), dtype=float)
+    if problem is None:
+        arg = xs
+    else:
+        arg = np.empty(xs.size, dtype=_NODE_DTYPE)
+        arg["s"] = xs
+        arg["problem"][:x7.size] = np.repeat(problem, 7)
+        arg["problem"][x7.size:] = np.repeat(problem, 15)
+    vals = np.asarray(f(arg), dtype=float)
     if vals.shape != xs.shape:
         raise DomainError("integrand must map an array to an array of the same shape")
     v7 = vals[:x7.size].reshape(x7.shape)
@@ -232,54 +274,141 @@ def _panel_rule(f, lo: np.ndarray, hi: np.ndarray):
     return i15, np.abs(i15 - i7)
 
 
-def _integrate_with_bound(f: Callable, breakpoints: Iterable[float], upper: float,
+def _initial_panels(breakpoints: np.ndarray, upper: float):
+    """Panel edges of a batch: (lo, hi, row of each panel).
+
+    Row r of ``breakpoints`` holds problem r's points; values outside
+    (0, upper), NaN included, are dropped and duplicates merged.
+    """
+    cuts = np.where((breakpoints > 0.0) & (breakpoints < upper), breakpoints, np.nan)
+    cuts.sort(axis=1)
+    cuts[:, 1:][cuts[:, 1:] == cuts[:, :-1]] = np.nan
+    rows = len(cuts)
+    edges = np.concatenate([np.zeros((rows, 1)), cuts, np.full((rows, 1), upper)], axis=1)
+    keep = ~np.isnan(edges)
+    flat = edges[keep]
+    row = np.nonzero(keep)[0]
+    inner = row[:-1] == row[1:]
+    return flat[:-1][inner], flat[1:][inner], row[:-1][inner]
+
+
+def _integrate_with_bound(f: Callable, breakpoints, upper: float,
                           cfg: QuadratureConfig):
     """Adaptive panel integration of f over (0, upper); returns (value, bound).
 
     The returned bound is the summed |GL15 - GL7| panel deviation, a
     conservative estimate of the remaining quadrature error.
+
+    A 2-D array of breakpoints, one row per problem (NaN-padded), makes a
+    batch: the panels of all problems are refined together, one call to f
+    per round, and value and bound come back as arrays over the rows.  Each
+    problem keeps its own breakpoints and tolerance target, is split by the
+    same rule as a lone problem and leaves the batch once it has converged.
     """
     upper = float(upper)
     if not math.isfinite(upper):
         raise DomainError("truncation point must be finite")
-    if upper <= 0.0:
-        return 0.0, 0.0
-    cuts = sorted({float(b) for b in breakpoints if 0.0 < float(b) < upper})
-    edges = np.array([0.0] + cuts + [upper])
-    lo = edges[:-1].copy()
-    hi = edges[1:].copy()
-    vals, errs = _panel_rule(f, lo, hi)
+    batch = isinstance(breakpoints, np.ndarray) and breakpoints.ndim == 2
+    count = len(breakpoints) if batch else 1
+    value = np.zeros(count)
+    bound = np.zeros(count)
+    if upper > 0.0 and count == 1:
+        points = np.ravel(breakpoints).tolist() if batch else breakpoints
+        cuts = sorted({float(b) for b in points if 0.0 < float(b) < upper})
+        edges = np.array([0.0] + cuts + [upper])
+        _refine(f, edges[:-1], edges[1:], np.zeros(len(cuts) + 1, dtype=np.intp),
+                cfg, value, bound, batch)
+    elif upper > 0.0 and count:
+        _refine(f, *_initial_panels(breakpoints.astype(float), upper),
+                cfg, value, bound, batch)
+    if batch:
+        return value, bound
+    return float(value[0]), float(bound[0])
+
+
+def _refine(f, lo, hi, row, cfg, value, bound, batch):
+    """The adaptive rounds behind :func:`_integrate_with_bound`.
+
+    Fills value and bound per problem.  ``live`` lists the batch rows still
+    refining and ``row`` maps each panel to its position in ``live``; once
+    one problem is left, its bookkeeping runs on plain floats.  Only a batch
+    of several problems tells f which row each node belongs to.
+    """
+    live = np.arange(len(value))
+    records = len(live) > 1
+    vals, errs = _panel_rule(f, lo, hi, row if records else None)
     while True:
-        if np.any(np.isnan(vals)):
-            raise NumericsError("integrand produced NaN",
-                                estimate=float(np.nansum(vals)),
-                                error_bound=math.inf)
-        total = float(vals.sum())
-        err = float(errs.sum())
-        target = max(cfg.abs_tol, cfg.rel_tol * abs(total))
-        if err <= target:
-            return total, err
-        if len(lo) >= cfg.max_subdivisions:
+        bad = np.isnan(vals)
+        if bad.any():
+            p = int(row[bad][0])
             raise NumericsError(
-                f"quadrature error {err:.3e} above target {target:.3e} after "
-                f"{len(lo)} panels", estimate=total, error_bound=err)
-        # Split every panel whose share of the error budget is exceeded (at
-        # least the single worst one), so refinement stays a bounded number
-        # of vectorized rounds.
-        split = errs > target / (2.0 * len(errs))
-        if not split.any():
-            split[int(np.argmax(errs))] = True
+                "integrand produced NaN" + (f" in problem {live[p]}" if batch else ""),
+                estimate=float(np.nansum(vals[row == p])), error_bound=math.inf,
+                problem=int(live[p]) if batch else None)
+        if len(live) == 1:
+            total = float(vals.sum())
+            err = float(errs.sum())
+            target = max(cfg.abs_tol, cfg.rel_tol * abs(total))
+            if err <= target:
+                value[live[0]] = total
+                bound[live[0]] = err
+                return
+            if len(lo) >= cfg.max_subdivisions:
+                _overrun(total, err, target, len(lo), live[0] if batch else None)
+            split = errs > target / (2.0 * len(errs))
+            if not split.any():
+                split[int(np.argmax(errs))] = True
+        else:
+            total = np.bincount(row, vals, len(live))
+            err = np.bincount(row, errs, len(live))
+            panels = np.bincount(row, minlength=len(live))
+            target = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total))
+            done = err <= target
+            if done.any():
+                value[live[done]] = total[done]
+                bound[live[done]] = err[done]
+                if done.all():
+                    return
+                stay = ~done
+                kept = stay[row]
+                lo, hi, vals, errs = lo[kept], hi[kept], vals[kept], errs[kept]
+                row = (np.cumsum(stay) - 1)[row[kept]]
+                live, total, err, target, panels = (
+                    live[stay], total[stay], err[stay], target[stay], panels[stay])
+            over = panels >= cfg.max_subdivisions
+            if over.any():
+                p = int(np.argmax(over))
+                _overrun(total[p], err[p], target[p], panels[p], live[p])
+            # Split every panel whose share of its problem's error budget is
+            # exceeded (at least the single worst one), so refinement stays a
+            # bounded number of vectorized rounds.
+            split = errs > (target / (2.0 * panels))[row]
+            for p in np.flatnonzero(np.bincount(row, split, len(live)) == 0):
+                mine = np.flatnonzero(row == p)
+                split[mine[np.argmax(errs[mine])]] = True
         mid = 0.5 * (lo[split] + hi[split])
+        child_row = np.concatenate([row[split], row[split]])
         child_vals, child_errs = _panel_rule(
-            f, np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]]))
+            f, np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]]),
+            live[child_row] if records else None)
         lo = np.concatenate([lo[~split], lo[split], mid])
         hi = np.concatenate([hi[~split], mid, hi[split]])
+        row = np.concatenate([row[~split], child_row])
         vals = np.concatenate([vals[~split], child_vals])
         errs = np.concatenate([errs[~split], child_errs])
 
 
-def integrate_halfline(f: Callable, breakpoints: Iterable[float] = (), *,
-                       upper: float, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+def _overrun(total, err, target, panels, problem):
+    where = "" if problem is None else f" in problem {problem}"
+    raise NumericsError(
+        f"quadrature error {err:.3e} above target {target:.3e} after "
+        f"{panels} panels{where}", estimate=float(total), error_bound=float(err),
+        problem=None if problem is None else int(problem))
+
+
+def integrate_halfline(f: Callable, breakpoints=(), *, upper: float,
+                       cfg: QuadratureConfig = DEFAULT_QUADRATURE,
+                       with_bound: bool = False):
     """Integrate a vectorized integrand over (0, upper) to cfg tolerances.
 
     ``breakpoints`` mark non-smooth points of f; values outside (0, upper)
@@ -288,9 +417,38 @@ def integrate_halfline(f: Callable, breakpoints: Iterable[float] = (), *,
     ``cfg.tail_mass_tol``.  Raises :class:`NumericsError` (carrying the best
     estimate and its error bound) if the tolerance cannot be met within
     ``cfg.max_subdivisions`` panels.
+
+    Batches: a 2-D array of breakpoints, one NaN-padded row per problem,
+    integrates one problem per row in the same adaptive rounds and returns
+    an array of values.  With several problems f receives a record array
+    with fields ``s`` (the nodes) and ``problem`` (each node's row), and
+    must return one value per node; a batch of one, like a lone problem,
+    passes the plain node array and runs exactly the lone problem's rounds.
+    Each problem meets its own tolerance target, so a batched value agrees
+    with the lone call of the same problem within the error bound, though
+    not necessarily bitwise.  A NumericsError raised from a batch names the
+    failing row in ``problem``.  ``with_bound=True`` returns
+    (value, error bound), the summed |GL15 - GL7| panel deviation.
     """
-    value, _ = _integrate_with_bound(f, breakpoints, upper, cfg)
-    return value
+    value, bound = _integrate_with_bound(f, breakpoints, upper, cfg)
+    return (value, bound) if with_bound else value
+
+
+def _clamp_unit(value, bound, name: str):
+    """Clip probabilities to [0, 1], logging every element (by flat index)
+    whose clip removes more than its quadrature error bound.
+
+    Scalars come back as floats, arrays as arrays.
+    """
+    value = np.asarray(value, dtype=float)
+    clipped = np.minimum(1.0, np.maximum(0.0, value))
+    if logger.isEnabledFor(logging.DEBUG):
+        removed = np.abs(value - clipped).ravel()
+        bound = np.broadcast_to(bound, value.shape).ravel()
+        for i in np.flatnonzero(removed > bound):
+            logger.debug("%s: element %d clamped by %.3e, above its error bound "
+                         "%.3e", name, i, removed[i], bound[i])
+    return float(clipped) if clipped.ndim == 0 else clipped
 
 
 def find_root(f: Callable[[float], float], lo: float, hi: float,

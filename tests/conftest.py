@@ -24,7 +24,7 @@ def analytic_cdf_interpolator(kind, setup, theta_i, alpha, core=(-5.0, 5.0),
               -np.geomspace(core[1], tail, 120),
               kinks - eps, kinks, kinks + eps]
     xs = np.unique(np.concatenate(pieces))
-    values = np.array([tilde_cdf(kind, x, setup, theta_i, a) for x in xs])
+    values = tilde_cdf(kind, xs, setup, theta_i, a)
     values = np.maximum.accumulate(values)
     interp = PchipInterpolator(xs, values, extrapolate=False)
     lo, hi = xs[0], xs[-1]

@@ -249,6 +249,117 @@ class TestIntegrator:
         assert DEFAULT_QUADRATURE.abs_tol <= 1e-8
 
 
+
+class TestBatchedIntegrator:
+    """A 2-D breakpoint array integrates one problem per row in shared rounds."""
+
+    @staticmethod
+    def indicator_tails(cuts, m=5):
+        """Mass of S above each cut: one discontinuity per problem."""
+        cuts = np.asarray(cuts, dtype=float)
+
+        def f(nodes):
+            if nodes.dtype.names is None:
+                return np.where(nodes > cuts[0], 1.0, 0.0) * rho_density(nodes, m)
+            s, cut = nodes["s"], cuts[nodes["problem"]]
+            return np.where(s > cut, 1.0, 0.0) * rho_density(s, m)
+
+        return f
+
+    def test_problems_keep_their_own_breakpoints(self):
+        cuts = np.array([0.5, 1.0, 1.7, 2.9])
+        upper = rho_upper_limit(5, 1e-14)
+        # NaN pads the rows; the last row also repeats its point
+        points = np.array([[0.5, np.nan], [1.0, np.nan], [1.7, -3.0], [2.9, 2.9]])
+        values, bounds = integrate_halfline(self.indicator_tails(cuts), points,
+                                            upper=upper, with_bound=True)
+        assert values.shape == bounds.shape == (4,)
+        exact = 1.0 - chi2_dist.cdf(5.0 * cuts ** 2, 5)
+        assert values == pytest.approx(exact, abs=1e-10)
+        for i, cut in enumerate(cuts):
+            lone, lone_bound = _integrate_with_bound(
+                self.indicator_tails([cut]), (cut,), upper, DEFAULT_QUADRATURE)
+            assert abs(values[i] - lone) <= bounds[i] + lone_bound + 1e-15
+
+    def test_converged_problems_leave_the_batch(self):
+        # a constant converges in the first round, the peaked rows do not
+        seen = []
+        widths = np.array([np.inf, 0.05, 0.2])
+
+        def f(nodes):
+            seen.append(np.unique(nodes["problem"]).tolist())
+            s, w = nodes["s"], widths[nodes["problem"]]
+            return np.exp(-0.5 * ((s - 1.0) / w) ** 2)
+
+        values = integrate_halfline(f, np.full((3, 1), np.nan), upper=2.0)
+        assert values[0] == pytest.approx(2.0, abs=1e-12)
+        exact = (widths[1:] * math.sqrt(2.0 * math.pi)
+                 * (2.0 * std_normal_cdf(1.0 / widths[1:]) - 1.0))
+        assert values[1:] == pytest.approx(exact, rel=1e-9)
+        assert seen[0] == [0, 1, 2]
+        assert all(0 not in rows for rows in seen[1:])
+        assert len(seen) > 2
+
+    def test_nan_in_one_problem(self):
+        def f(nodes):
+            return np.where(nodes["problem"] == 2, math.nan, 1.0)
+
+        with pytest.raises(NumericsError) as info:
+            integrate_halfline(f, np.zeros((4, 0)), upper=1.0)
+        assert info.value.problem == 2
+        assert info.value.error_bound == math.inf
+        assert "problem 2" in str(info.value)
+
+    def test_overrun_in_one_problem(self):
+        cfg = QuadratureConfig(abs_tol=1e-12, rel_tol=1e-12, max_subdivisions=8)
+        rate = np.array([0.0, 40.0])
+
+        def f(nodes):
+            s, r = nodes["s"], rate[nodes["problem"]]
+            return np.cos(r * s * s)
+
+        with pytest.raises(NumericsError) as batch:
+            integrate_halfline(f, np.zeros((2, 0)), upper=6.0, cfg=cfg)
+        with pytest.raises(NumericsError) as lone:
+            integrate_halfline(lambda s: np.cos(40.0 * s * s), upper=6.0, cfg=cfg)
+        assert batch.value.problem == 1
+        assert lone.value.problem is None
+        assert batch.value.estimate == pytest.approx(lone.value.estimate, abs=1e-14)
+        assert batch.value.error_bound == pytest.approx(lone.value.error_bound,
+                                                        rel=1e-12)
+
+    def test_empty_batch(self):
+        def f(nodes):
+            raise AssertionError("an empty batch must not evaluate the integrand")
+
+        values, bounds = integrate_halfline(f, np.empty((0, 3)), upper=1.0,
+                                            with_bound=True)
+        assert values.shape == bounds.shape == (0,)
+
+    def test_zero_width_batch(self):
+        values = integrate_halfline(lambda s: np.ones_like(s), np.zeros((3, 0)),
+                                    upper=0.0)
+        assert values.tolist() == [0.0, 0.0, 0.0]
+
+    def test_batch_of_one_passes_plain_nodes(self):
+        kinds = []
+
+        def f(nodes):
+            kinds.append(nodes.dtype)
+            return np.ones_like(nodes)
+
+        values = integrate_halfline(f, np.array([[0.5]]), upper=2.0)
+        assert values.shape == (1,) and values[0] == pytest.approx(2.0)
+        assert all(dtype == np.float64 for dtype in kinds)
+
+    def test_scalar_call_returns_float(self):
+        value = integrate_halfline(lambda s: np.ones_like(s), (0.5,), upper=2.0)
+        assert type(value) is float
+        value, bound = integrate_halfline(lambda s: np.ones_like(s), upper=2.0,
+                                          with_bound=True)
+        assert type(value) is float and type(bound) is float
+
+
 class TestRootFinding:
     def test_linear(self):
         assert find_root(lambda x: x - 1.0, 0.0, 2.0) == pytest.approx(1.0, abs=1e-12)
