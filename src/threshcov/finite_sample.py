@@ -236,14 +236,14 @@ def _kill_kernel_term(x: np.ndarray, q: float, setup: ProblemSetup,
     if not side.any():
         return term
     x = x[side]
-    s_at_x = -a * q / x
-    gamma = setup.root_n * q / setup.xi
-    shift = a * setup.xi * setup.eta / x
-    band = (std_normal_cdf(-gamma * (1.0 + shift))
-            - std_normal_cdf(-gamma * (1.0 - shift)))
     # as x -> 0 the Jacobian a |q| / x^2 overflows where rho has underflowed
     # to 0; the product tends to 0 there
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        s_at_x = -a * q / x
+        gamma = setup.root_n * q / setup.xi
+        shift = a * setup.xi * setup.eta / x
+        band = (std_normal_cdf(-gamma * (1.0 + shift))
+                - std_normal_cdf(-gamma * (1.0 - shift)))
         rho = rho_density(s_at_x, setup.residual_dof)
         term[side] = np.where(rho > 0.0, a * abs(q) / (x * x) * rho * band, 0.0)
     return term
