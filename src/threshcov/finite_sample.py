@@ -113,11 +113,13 @@ def _switch_points(kind: EstimatorKind, x: np.ndarray, q: float, a: float,
     """s-values where the conditional-branch indicators switch, one row per
     x; candidates that are not positive and finite are left for the
     quadrature to drop."""
-    pairs = [(-q * a, x)]
+    nums, dens = [-q * a], [x]
     if kind is EstimatorKind.HARD:
-        pairs += [(-q, x / a - xi * eta), (-q, x / a + xi * eta)]
+        xa = x / a
+        nums += [-q, -q]
+        dens += [xa - xi * eta, xa + xi * eta]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return np.stack([num / den for num, den in pairs], axis=-1)
+        return (np.array(nums)[:, None] / np.array(dens)).T
 
 
 def atom_mass(setup: ProblemSetup) -> float:
@@ -177,11 +179,11 @@ def tilde_cdf(kind, x, setup: ProblemSetup, theta_i: float, alpha,
     x = np.asarray(x, dtype=float)
     if np.isnan(x).any():
         raise DomainError("CDF argument must not be NaN")
-    out = np.where(x > 0.0, 1.0, 0.0)
+    out = np.array(x > 0.0, dtype=float)
     bound = np.zeros(x.shape)
     finite = np.isfinite(x)
-    if finite.any():
-        xs = x[finite]
+    xs = x[finite]
+    if xs.size:
         q = theta_i / setup.sigma
         upper = rho_upper_limit(setup.residual_dof, cfg.tail_mass_tol)
         out[finite], bound[finite] = integrate_halfline(
@@ -232,7 +234,7 @@ def _kill_kernel_term(x: np.ndarray, q: float, setup: ProblemSetup,
     opposite in sign to the true component.  Identical for all kinds.
     """
     term = np.zeros(x.shape)
-    side = (x != 0.0) & (-math.copysign(1.0, q) * x >= 0.0)
+    side = -math.copysign(1.0, q) * x > 0.0
     if not side.any():
         return term
     x = x[side]
@@ -269,8 +271,8 @@ def tilde_density(kind, x, setup: ProblemSetup, theta_i: float, alpha,
         live = x != 0.0
         if kind is EstimatorKind.HARD:
             live &= np.abs(x) > a * setup.xi * setup.eta
-    if live.any():
-        xs = x[live]
+    xs = x[live]
+    if xs.size:
         upper = rho_upper_limit(setup.residual_dof, cfg.tail_mass_tol)
         value = integrate_halfline(
             _density_integrand(kind, xs, q, setup, a),

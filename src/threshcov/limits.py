@@ -154,7 +154,7 @@ def _conservative_switch_points(kind: EstimatorKind, x: np.ndarray, nu: float,
     if kind is EstimatorKind.HARD:
         dens += [x - e, x + e]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return np.stack([-nu / den for den in dens], axis=-1)
+        return (-nu / np.array(dens)).T
 
 
 def conservative_limit_cdf(kind, x, regime: ConservativeRegime,
@@ -175,7 +175,7 @@ def conservative_limit_cdf(kind, x, regime: ConservativeRegime,
     x = np.asarray(x, dtype=float)
     if np.isnan(x).any():
         raise DomainError("CDF argument must not be NaN")
-    out = np.where(x > 0.0, 1.0, 0.0)
+    out = np.array(x > 0.0, dtype=float)
     bound = np.zeros(x.shape)
     finite = np.isfinite(x)
     xs = x[finite]

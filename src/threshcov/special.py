@@ -226,6 +226,7 @@ def chi_sq_quantile(p, m):
 # evaluated strictly inside a panel.
 _GL7_X, _GL7_W = np.polynomial.legendre.leggauss(7)
 _GL15_X, _GL15_W = np.polynomial.legendre.leggauss(15)
+_GL_X = np.concatenate([_GL7_X, _GL15_X])
 
 # What a batch of several problems hands its integrand: each node together
 # with the row of the problem it belongs to.
@@ -235,15 +236,16 @@ _NODE_DTYPE = np.dtype([("s", float), ("problem", np.intp)])
 def _per_node(nodes, *params):
     """Split an integrand argument into nodes and per-node parameter values.
 
-    A single problem hands its integrand the plain node array, and its
-    parameters (scalars or size-1 arrays) broadcast against it as they are.
-    A batch hands it a record array with fields ``s`` and ``problem``; each
-    parameter, one value per problem, is then gathered onto the nodes.
+    Each parameter holds one value per problem.  A single problem hands its
+    integrand the plain node array, and gets its parameters back as floats,
+    so its arithmetic is scalar as in a lone call.  A batch hands it a
+    record array with fields ``s`` and ``problem``, and each parameter is
+    gathered onto the nodes.
     """
     if nodes.dtype.names is None:
-        return (nodes, *params)
+        return (nodes, *[float(p[0]) for p in params])
     rows = nodes["problem"]
-    return (nodes["s"], *(np.asarray(p)[rows] for p in params))
+    return (nodes["s"], *[p[rows] for p in params])
 
 
 def _panel_rule(f, lo: np.ndarray, hi: np.ndarray, problem=None):
@@ -254,23 +256,20 @@ def _panel_rule(f, lo: np.ndarray, hi: np.ndarray, problem=None):
     """
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    x7 = mid[:, None] + half[:, None] * _GL7_X
-    x15 = mid[:, None] + half[:, None] * _GL15_X
-    xs = np.concatenate([x7.ravel(), x15.ravel()])
+    # one row per panel: its 7 GL7 nodes, then its 15 GL15 nodes
+    xs = (mid[:, None] + half[:, None] * _GL_X).ravel()
     if problem is None:
         arg = xs
     else:
         arg = np.empty(xs.size, dtype=_NODE_DTYPE)
         arg["s"] = xs
-        arg["problem"][:x7.size] = np.repeat(problem, 7)
-        arg["problem"][x7.size:] = np.repeat(problem, 15)
+        arg["problem"] = np.repeat(problem, _GL_X.size)
     vals = np.asarray(f(arg), dtype=float)
     if vals.shape != xs.shape:
         raise DomainError("integrand must map an array to an array of the same shape")
-    v7 = vals[:x7.size].reshape(x7.shape)
-    v15 = vals[x7.size:].reshape(x15.shape)
-    i15 = half * (v15 @ _GL15_W)
-    i7 = half * (v7 @ _GL7_W)
+    vals = vals.reshape(len(lo), _GL_X.size)
+    i15 = half * (vals[:, _GL7_X.size:] @ _GL15_W)
+    i7 = half * (vals[:, :_GL7_X.size] @ _GL7_W)
     return i15, np.abs(i15 - i7)
 
 
@@ -316,50 +315,51 @@ def _integrate_with_bound(f: Callable, breakpoints, upper: float,
         points = np.ravel(breakpoints).tolist() if batch else breakpoints
         cuts = sorted({float(b) for b in points if 0.0 < float(b) < upper})
         edges = np.array([0.0] + cuts + [upper])
-        _refine(f, edges[:-1], edges[1:], np.zeros(len(cuts) + 1, dtype=np.intp),
-                cfg, value, bound, batch)
+        _refine(f, edges[:-1], edges[1:], None, cfg, value, bound)
     elif upper > 0.0 and count:
         _refine(f, *_initial_panels(breakpoints.astype(float), upper),
-                cfg, value, bound, batch)
+                cfg, value, bound)
     if batch:
         return value, bound
     return float(value[0]), float(bound[0])
 
 
-def _refine(f, lo, hi, row, cfg, value, bound, batch):
-    """The adaptive rounds behind :func:`_integrate_with_bound`.
+def _refine(f, lo, hi, row, cfg, value, bound):
+    """The adaptive rounds behind :func:`_integrate_with_bound`; fills value
+    and bound per problem.
 
-    Fills value and bound per problem.  ``live`` lists the batch rows still
-    refining and ``row`` maps each panel to its position in ``live``; once
-    one problem is left, its bookkeeping runs on plain floats.  Only a batch
-    of several problems tells f which row each node belongs to.
+    ``row`` is None for a lone problem, whose bookkeeping runs on plain
+    floats.  In a batch of several problems ``live`` lists the rows still
+    refining and ``row`` maps each panel to its position in ``live``; f is
+    told each node's row.
     """
     live = np.arange(len(value))
-    records = len(live) > 1
-    vals, errs = _panel_rule(f, lo, hi, row if records else None)
+    vals, errs = _panel_rule(f, lo, hi, row)
     while True:
-        bad = np.isnan(vals)
-        if bad.any():
-            p = int(row[bad][0])
-            raise NumericsError(
-                "integrand produced NaN" + (f" in problem {live[p]}" if batch else ""),
-                estimate=float(np.nansum(vals[row == p])), error_bound=math.inf,
-                problem=int(live[p]) if batch else None)
-        if len(live) == 1:
+        # a NaN panel makes its problem's total NaN, so totals screen for it
+        if row is None:
             total = float(vals.sum())
+            if math.isnan(total) and np.isnan(vals).any():
+                raise NumericsError("integrand produced NaN",
+                                    estimate=float(np.nansum(vals)), error_bound=math.inf)
             err = float(errs.sum())
             target = max(cfg.abs_tol, cfg.rel_tol * abs(total))
             if err <= target:
-                value[live[0]] = total
-                bound[live[0]] = err
+                value[0] = total
+                bound[0] = err
                 return
             if len(lo) >= cfg.max_subdivisions:
-                _overrun(total, err, target, len(lo), live[0] if batch else None)
+                _overrun(total, err, target, len(lo), None)
             split = errs > target / (2.0 * len(errs))
             if not split.any():
                 split[int(np.argmax(errs))] = True
         else:
             total = np.bincount(row, vals, len(live))
+            if np.isnan(total).any() and np.isnan(vals).any():
+                p = int(row[np.isnan(vals)][0])
+                raise NumericsError(f"integrand produced NaN in problem {live[p]}",
+                                    estimate=float(np.nansum(vals[row == p])),
+                                    error_bound=math.inf, problem=int(live[p]))
             err = np.bincount(row, errs, len(live))
             panels = np.bincount(row, minlength=len(live))
             target = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total))
@@ -387,13 +387,14 @@ def _refine(f, lo, hi, row, cfg, value, bound, batch):
                 mine = np.flatnonzero(row == p)
                 split[mine[np.argmax(errs[mine])]] = True
         mid = 0.5 * (lo[split] + hi[split])
-        child_row = np.concatenate([row[split], row[split]])
+        child_row = None if row is None else np.concatenate([row[split], row[split]])
         child_vals, child_errs = _panel_rule(
             f, np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]]),
-            live[child_row] if records else None)
+            None if row is None else live[child_row])
         lo = np.concatenate([lo[~split], lo[split], mid])
         hi = np.concatenate([hi[~split], mid, hi[split]])
-        row = np.concatenate([row[~split], child_row])
+        if row is not None:
+            row = np.concatenate([row[~split], child_row])
         vals = np.concatenate([vals[~split], child_vals])
         errs = np.concatenate([errs[~split], child_errs])
 
@@ -426,8 +427,8 @@ def integrate_halfline(f: Callable, breakpoints=(), *, upper: float,
     passes the plain node array and runs exactly the lone problem's rounds.
     Each problem meets its own tolerance target, so a batched value agrees
     with the lone call of the same problem within the error bound, though
-    not necessarily bitwise.  A NumericsError raised from a batch names the
-    failing row in ``problem``.  ``with_bound=True`` returns
+    not necessarily bitwise.  A NumericsError raised from a batch of several
+    problems names the failing row in ``problem``.  ``with_bound=True`` returns
     (value, error bound), the summed |GL15 - GL7| panel deviation.
     """
     value, bound = _integrate_with_bound(f, breakpoints, upper, cfg)
