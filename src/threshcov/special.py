@@ -291,7 +291,7 @@ def _initial_panels(breakpoints: np.ndarray, upper: float):
     return flat[:-1][inner], flat[1:][inner], row[:-1][inner]
 
 
-def _integrate_with_bound(f: Callable, breakpoints, upper: float,
+def _integrate_with_bound(f: Callable, breakpoints: Iterable, upper: float,
                           cfg: QuadratureConfig):
     """Adaptive panel integration of f over (0, upper); returns (value, bound).
 
@@ -407,7 +407,7 @@ def _overrun(total, err, target, panels, problem):
         problem=None if problem is None else int(problem))
 
 
-def integrate_halfline(f: Callable, breakpoints=(), *, upper: float,
+def integrate_halfline(f: Callable, breakpoints: Iterable = (), *, upper: float,
                        cfg: QuadratureConfig = DEFAULT_QUADRATURE,
                        with_bound: bool = False):
     """Integrate a vectorized integrand over (0, upper) to cfg tolerances.

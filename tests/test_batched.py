@@ -118,6 +118,13 @@ class TestTildeDensity:
         assert values[:4].tolist() == [0.0] * 4
         assert values[4] > 0.0
 
+    def test_near_zero_x_opposite_the_component(self):
+        # the kill-kernel Jacobian overflows there while rho underflows
+        setup = setup_for(1)
+        tiny = tilde_density("hard", np.array([-1e-212, -1e-9]), setup, 1.0, 6.0)
+        assert np.isfinite(tiny).all()
+        assert tiny[0] == pytest.approx(tiny[1], rel=1e-6)
+
     def test_infinite_element_rejected(self):
         with pytest.raises(DomainError):
             tilde_density("soft", np.array([0.3, math.inf]), setup_for(5), 0.0, 2.0)
