@@ -263,6 +263,8 @@ def unknown_coverage(kind, theta_i: float, sigma: float, spec: IntervalSpec,
     m = setup.require_estimated_variance()
     theta = np.asarray(theta_i, dtype=float)
     thetas = theta.ravel()
+    if np.isnan(thetas).any():
+        raise DomainError("theta must not be NaN")
     mus = thetas / (sigma * setup.xi)
     a = spec.a
     reach = a / setup.xi

@@ -144,6 +144,15 @@ class TestUnknownCoverage:
             batched, lambda t: unknown_coverage(kind, t, 1.0, spec, setup), grid)
 
 
+    def test_nan_element_rejected(self):
+        # the NaN window would otherwise read as coverage 0
+        spec = IntervalSpec(0.5, 0.5, VarianceMode.ESTIMATED)
+        with pytest.raises(DomainError):
+            unknown_coverage("hard", np.array([0.2, math.nan]), 1.0, spec, setup_for(5))
+        with pytest.raises(DomainError):
+            unknown_coverage("hard", math.nan, 1.0, spec, setup_for(5))
+
+
 class TestLimitCdfs:
     @given(kind=st.sampled_from(KINDS),
            nu=st.sampled_from([0.0, 0.7, -1.3, math.inf]),
