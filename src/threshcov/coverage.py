@@ -167,6 +167,8 @@ def known_coverage(kind, theta_i: float, sigma: float, spec: IntervalSpec,
         raise DomainError("known_coverage needs a known-variance interval")
     if not (sigma > 0.0 and math.isfinite(sigma)):
         raise DomainError("sigma must be positive and finite")
+    if np.isnan(theta_i).any():
+        raise DomainError("theta must not be NaN")
     mu = theta_i / (sigma * setup.xi)
     value = _coverage_core(kind, mu, spec.a / setup.xi, spec.b / setup.xi,
                            setup.eta, setup.root_n)

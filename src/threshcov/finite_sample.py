@@ -239,7 +239,9 @@ def _kill_kernel_term(x: np.ndarray, q: float, setup: ProblemSetup,
         return term
     x = x[side]
     # as x -> 0 the Jacobian a |q| / x^2 overflows where rho has underflowed
-    # to 0; the product tends to 0 there
+    # to 0; the product tends to 0 there.  Where x * x itself underflows
+    # (theta tiny enough that rho is still positive), the same Jacobian is
+    # written s^2 / (a |q|), which stays finite.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         s_at_x = -a * q / x
         gamma = setup.root_n * q / setup.xi
@@ -247,7 +249,10 @@ def _kill_kernel_term(x: np.ndarray, q: float, setup: ProblemSetup,
         band = (std_normal_cdf(-gamma * (1.0 + shift))
                 - std_normal_cdf(-gamma * (1.0 - shift)))
         rho = rho_density(s_at_x, setup.residual_dof)
-        term[side] = np.where(rho > 0.0, a * abs(q) / (x * x) * rho * band, 0.0)
+        x_sq = x * x
+        jacobian = np.where(x_sq >= np.finfo(float).tiny, a * abs(q) / x_sq,
+                            s_at_x * s_at_x / (a * abs(q)))
+        term[side] = np.where(rho > 0.0, jacobian * rho * band, 0.0)
     return term
 
 

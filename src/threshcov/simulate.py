@@ -10,9 +10,13 @@ Fast path: for one watched component the LS estimate is
 N(theta_i, sigma^2 xi^2 / n) and (n - k) sigma_hat^2 / sigma^2 is an
 independent chi-square, so replications never materialize X or y.  Its
 substream layout: uniform 2j is the Gaussian draw of replication j,
-uniform 2j+1 its chi-square draw (reserved even in known-variance runs so
-layouts never depend on options).  The full-design path materializes y and
-runs the entire estimator; replication j consumes uniforms [j n, (j+1) n).
+uniform 2j+1 its chi-square draw.  Uniform 2j+1 stays reserved in
+known-variance runs, so layouts never depend on options, but it is not
+transformed there: the interval [est - sigma a, est + sigma b] never uses
+sigma_hat, so known-variance cells skip the chi-square inverse.  The
+full-design path materializes y and runs the entire estimator; replication
+j consumes uniforms [j n, (j+1) n), and known-variance cells skip the
+residual pass that estimates sigma.
 """
 
 from __future__ import annotations
@@ -62,6 +66,10 @@ def uniform_field(seed: int, start: int, count: int) -> np.ndarray:
     return ((raw >> np.uint64(11)) + 0.5) * 2.0 ** -53
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclasses.dataclass(frozen=True, eq=False)
 class SimulationPlan:
     """What to simulate: scenario, true parameter, replication count, seed.
@@ -79,11 +87,12 @@ class SimulationPlan:
     design: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.reps < 1:
-            raise DomainError("reps must be at least 1")
-        seed = int(self.seed)
-        if not 1 <= seed < 2 ** 64:
+        if not _is_integer(self.reps) or self.reps < 1:
+            raise DomainError("reps must be an integer of at least 1")
+        if not _is_integer(self.seed) or not 1 <= self.seed < 2 ** 64:
             raise DomainError("seed must be a positive 64-bit integer")
+        if not np.isfinite(np.asarray(self.theta, dtype=float)).all():
+            raise DomainError("theta must be finite")
 
     @property
     def component_theta(self) -> float:
@@ -109,22 +118,36 @@ def component_draws(plan: SimulationPlan, start: int = 0, stop: int | None = Non
     """Fast-path draws for replications [start, stop).
 
     Returns (ls_estimates, sigma_hats); sigma_hats is None when n == k.
+    Both halves come from one uniform chunk: uniform 2j for the estimate,
+    2j+1 for the chi-square draw behind the variance estimate.
     """
     setup = plan.setup
-    stop = plan.reps if stop is None else stop
+    u = _replication_uniforms(plan, start, plan.reps if stop is None else stop)
+    sigma_hat = _sigma_hat_draws(setup, u) if setup.n > setup.k else None
+    return _ls_draws(plan, u), sigma_hat
+
+
+def _replication_uniforms(plan: SimulationPlan, start: int, stop: int) -> np.ndarray:
+    """The 2 (stop - start) uniforms of replications [start, stop)."""
     if not 0 <= start <= stop <= plan.reps:
         raise DomainError("replication range out of bounds")
-    u = uniform_field(plan.seed, _UNIFORMS_PER_REP * start,
-                      _UNIFORMS_PER_REP * (stop - start))
+    return uniform_field(plan.seed, _UNIFORMS_PER_REP * start,
+                         _UNIFORMS_PER_REP * (stop - start))
+
+
+def _ls_draws(plan: SimulationPlan, u: np.ndarray) -> np.ndarray:
+    """LS estimates from the Gaussian uniforms (even indexes) of a chunk."""
+    setup = plan.setup
     z = std_normal_quantile(u[0::2])
-    ls = plan.component_theta + setup.sigma * setup.xi / setup.root_n * z
-    if setup.n > setup.k:
-        m = setup.residual_dof
-        chi = chi_sq_quantile(u[1::2], m)
-        sigma_hat = setup.sigma * np.sqrt(chi / m)
-    else:
-        sigma_hat = None
-    return ls, sigma_hat
+    return plan.component_theta + setup.sigma * setup.xi / setup.root_n * z
+
+
+def _sigma_hat_draws(setup: ProblemSetup, u: np.ndarray) -> np.ndarray:
+    """Variance estimates from the chi-square uniforms (odd indexes) of a
+    chunk; needs n > k."""
+    m = setup.residual_dof
+    chi = chi_sq_quantile(u[1::2], m)
+    return setup.sigma * np.sqrt(chi / m)
 
 
 def synthetic_design(n: int, k: int, xi: float = 1.0) -> np.ndarray:
@@ -138,12 +161,20 @@ def synthetic_design(n: int, k: int, xi: float = 1.0) -> np.ndarray:
     return X
 
 
-def _interval_scale(spec, setup: ProblemSetup, sigma_hat):
+def _interval_scale(spec, setup: ProblemSetup, estimate_sigma):
+    """sigma for a known-variance interval, else estimate_sigma().  The
+    estimate is computed only when the interval uses it."""
     if spec.mode is VarianceMode.ESTIMATED:
-        if sigma_hat is None:
-            raise DomainError("estimated-variance simulation needs n > k")
-        return sigma_hat
+        setup.require_estimated_variance()
+        return estimate_sigma()
     return setup.sigma
+
+
+def _residual_scale(X: np.ndarray, Y: np.ndarray, coefs: np.ndarray,
+                    dof: int) -> np.ndarray:
+    """Per-replication sigma_hat from the residuals of the LS fits."""
+    resid = Y.T - X @ coefs
+    return np.sqrt((resid * resid).sum(axis=0) / dof)
 
 
 def simulate_coverage(plan: SimulationPlan, kind, spec):
@@ -155,8 +186,9 @@ def simulate_coverage(plan: SimulationPlan, kind, spec):
     hits = 0
     for start in range(0, plan.reps, _CHUNK_REPS):
         stop = min(start + _CHUNK_REPS, plan.reps)
-        ls, sigma_hat = component_draws(plan, start, stop)
-        scale = _interval_scale(spec, setup, sigma_hat)
+        u = _replication_uniforms(plan, start, stop)
+        ls = _ls_draws(plan, u)
+        scale = _interval_scale(spec, setup, lambda: _sigma_hat_draws(setup, u))
         est = kernel(kind, ls, scale * setup.xi * setup.eta)
         inside = (est - scale * spec.a <= theta) & (theta <= est + scale * spec.b)
         hits += int(np.count_nonzero(inside))
@@ -196,12 +228,8 @@ def simulate_coverage_full(plan: SimulationPlan, kind, spec):
         noise = std_normal_quantile(u).reshape(stop - start, n)
         Y = mean_y + setup.sigma * noise  # rows are replications
         coefs = solve_triangular(R, Q.T @ Y.T, lower=False)
-        if n > k:
-            resid = Y.T - X @ coefs
-            sigma_hat = np.sqrt((resid * resid).sum(axis=0) / (n - k))
-        else:
-            sigma_hat = None
-        scale = _interval_scale(spec, setup, sigma_hat)
+        scale = _interval_scale(
+            spec, setup, lambda: _residual_scale(X, Y, coefs, n - k))
         est = kernel(kind, coefs[watched], scale * xi_all[watched] * setup.eta)
         inside = (est - scale * spec.a <= theta) & (theta <= est + scale * spec.b)
         hits += int(np.count_nonzero(inside))

@@ -26,6 +26,8 @@ from threshcov import (
     VarianceMode,
     conservative_limit_cdf,
     consistent_limit_cdf,
+    rho_density,
+    std_normal_cdf,
     tilde_cdf,
     tilde_density,
     unknown_coverage,
@@ -124,6 +126,20 @@ class TestTildeDensity:
         tiny = tilde_density("hard", np.array([-1e-212, -1e-9]), setup, 1.0, 6.0)
         assert np.isfinite(tiny).all()
         assert tiny[0] == pytest.approx(tiny[1], rel=1e-6)
+
+    def test_kill_kernel_where_x_squared_underflows(self):
+        # theta so small that rho at s = -a q / x is still positive; the
+        # Jacobian a |q| / x^2 would divide by an underflowed x * x
+        setup = ProblemSetup(n=36, k=35, eta=0.3)
+        x, q, a = -1e-200, 1e-200, 6.0
+        got = tilde_density("hard", np.array([x]), setup, q, a)[0]
+        s = -a * q / x
+        gamma = setup.root_n * q / setup.xi
+        shift = a * setup.xi * setup.eta / x
+        band = std_normal_cdf(-gamma * (1.0 + shift)) - std_normal_cdf(-gamma * (1.0 - shift))
+        s_form = s * s / (a * abs(q)) * rho_density(s, setup.residual_dof) * band
+        assert math.isfinite(got)
+        assert got == pytest.approx(s_form, rel=1e-12)
 
     def test_infinite_element_rejected(self):
         with pytest.raises(DomainError):

@@ -145,6 +145,12 @@ class TestKnownCoverage:
         with pytest.raises(DomainError):
             known_coverage("hard", 0.0, math.inf, spec, SETUP)
 
+    def test_nan_theta_rejected(self):
+        # the NaN window would otherwise read as coverage 0
+        setup = ProblemSetup(n=36, k=35, eta=0.3)
+        with pytest.raises(DomainError):
+            known_coverage("hard", math.nan, 1.0, IntervalSpec(0.3, 0.3), setup)
+
 
 class TestInfimalKnown:
     @pytest.mark.parametrize("kind", KINDS)

@@ -33,6 +33,8 @@ from threshcov import (
     unknown_coverage,
 )
 
+from threshcov import simulate
+
 from conftest import analytic_cdf_interpolator, ks_distance
 
 SETUP = reference_setup()
@@ -90,6 +92,32 @@ class TestPlanValidation:
     def test_reps_positive(self):
         with pytest.raises(DomainError):
             SimulationPlan(setup=SETUP, theta=0.0, reps=0, seed=1)
+
+    @pytest.mark.parametrize("reps", [10.0, True, 1e5])
+    def test_reps_integer(self, reps):
+        with pytest.raises(DomainError):
+            SimulationPlan(setup=SETUP, theta=0.0, reps=reps, seed=1)
+
+    @pytest.mark.parametrize("seed", [1.5, 2.0, math.nan, True])
+    def test_seed_integer(self, seed):
+        # a float seed used to be truncated to another seed's key
+        with pytest.raises(DomainError):
+            SimulationPlan(setup=SETUP, theta=0.0, reps=10, seed=seed)
+
+    def test_numpy_integers_accepted(self):
+        plan = SimulationPlan(setup=SETUP, theta=0.0, reps=np.int64(10),
+                              seed=np.uint64(2 ** 64 - 1))
+        assert simulate_coverage(plan, "hard", IntervalSpec(0.3, 0.3))[0] in (
+            np.arange(11) / 10)
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_theta_finite(self, theta):
+        with pytest.raises(DomainError):
+            SimulationPlan(setup=SETUP, theta=theta, reps=10, seed=1)
+        vec = np.zeros(SETUP.k)
+        vec[-1] = theta
+        with pytest.raises(DomainError):
+            SimulationPlan(setup=SETUP, theta=vec, reps=10, seed=1)
 
     def test_theta_vector_shape(self):
         plan = SimulationPlan(setup=SETUP, theta=np.zeros(3), reps=10, seed=1)
@@ -150,6 +178,77 @@ class TestComponentDraws:
         plan = SimulationPlan(setup=setup, theta=0.0, reps=10, seed=5)
         _, sigma_hat = component_draws(plan)
         assert sigma_hat is None
+
+
+def known_hits(plan, kind, spec, ranges):
+    """Known-variance hits recomputed from component_draws over the ranges."""
+    setup, theta = plan.setup, plan.component_theta
+    hits = 0
+    for start, stop in ranges:
+        ls, _ = component_draws(plan, start, stop)
+        est = kernel(kind, ls, setup.sigma * setup.xi * setup.eta)
+        inside = ((est - setup.sigma * spec.a <= theta)
+                  & (theta <= est + setup.sigma * spec.b))
+        hits += int(np.count_nonzero(inside))
+    return hits
+
+
+class TestKnownVarianceDraws:
+    """Known-variance cells transform only the Gaussian uniforms; the hits
+    must equal those of the full (estimate, sigma_hat) draws."""
+
+    @pytest.mark.parametrize("kind", ["hard", "soft", "asoft"])
+    @pytest.mark.parametrize("m", [5, 995])
+    def test_hits_match_component_draws(self, kind, m, monkeypatch):
+        setup = ProblemSetup(n=35 + m, k=35, eta=0.3)
+        plan = SimulationPlan(setup=setup, theta=0.4 / setup.root_n, reps=3001,
+                              seed=80 + m)
+        spec = IntervalSpec(0.9 / setup.root_n, 0.7 / setup.root_n)
+        # several chunks of simulate_coverage, recomputed over ranges that
+        # start elsewhere (nonzero starts, odd sizes)
+        monkeypatch.setattr(simulate, "_CHUNK_REPS", 700)
+        p, _ = simulate_coverage(plan, kind, spec)
+        ranges = [(0, 333), (333, 1500), (1500, 3001)]
+        assert round(p * plan.reps) == known_hits(plan, kind, spec, ranges)
+
+    @pytest.mark.parametrize("path, kind, setup, theta, reps, seed, a, b, hits", [
+        ("fast", "hard", SETUP, 0.2, 50_000, 61, 0.3, 0.35, 47816),
+        ("fast", "soft", ProblemSetup(n=1030, k=35, eta=0.05), 0.01, 50_000, 62,
+         0.03, 0.02, 49155),
+        ("fast", "asoft", ProblemSetup(n=5, k=5, eta=0.4), -0.3, 50_000, 63,
+         0.5, 0.4, 43495),
+        ("full", "hard", SETUP, 0.2, 4_000, 64, 0.3, 0.35, 3827),
+        ("full", "asoft", ProblemSetup(n=40, k=35, eta=0.5), 0.4, 4_000, 65,
+         0.15, 0.12, 177),
+    ])
+    def test_pinned_counts(self, path, kind, setup, theta, reps, seed, a, b, hits):
+        # counts of the code that still inverted the chi-square draw for these
+        # cells: skipping it must not change a single draw
+        plan = SimulationPlan(setup=setup, theta=theta, reps=reps, seed=seed)
+        run = simulate_coverage if path == "fast" else simulate_coverage_full
+        p, _ = run(plan, kind, IntervalSpec(a, b))
+        assert round(p * reps) == hits
+
+    def test_known_variance_never_inverts_the_chi_square(self, monkeypatch):
+        def refuse(p, m):
+            raise RuntimeError("chi-square inverse called")
+
+        monkeypatch.setattr(simulate, "chi_sq_quantile", refuse)
+        plan = SimulationPlan(setup=SETUP, theta=0.1, reps=2000, seed=90)
+        simulate_coverage(plan, "soft", IntervalSpec(0.3, 0.3))
+        simulate_coverage_full(plan, "soft", IntervalSpec(0.3, 0.3))
+        with pytest.raises(RuntimeError):
+            simulate_coverage(plan, "soft", est_spec(0.3))
+
+    def test_full_path_known_variance_skips_residuals(self, monkeypatch):
+        def refuse(*args):
+            raise RuntimeError("residual pass run")
+
+        monkeypatch.setattr(simulate, "_residual_scale", refuse)
+        plan = SimulationPlan(setup=SETUP, theta=0.1, reps=200, seed=91)
+        simulate_coverage_full(plan, "hard", IntervalSpec(0.3, 0.3))
+        with pytest.raises(RuntimeError):
+            simulate_coverage_full(plan, "hard", est_spec(0.3))
 
 
 class TestSyntheticDesign:
