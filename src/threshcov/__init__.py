@@ -3,10 +3,8 @@ finite-sample and limiting error distributions, and confidence intervals
 with guaranteed minimal coverage."""
 
 from .coverage import (
-    CoverageReport,
     IntervalSpec,
     SearchConfig,
-    coverage_report,
     infimal_known_coverage,
     known_coverage,
     lower_bound_is_exact,
@@ -20,14 +18,12 @@ from .coverage import (
 )
 from .estimators import EstimatorKind, ThresholdRule, estimate, kernel
 from .finite_sample import (
-    MixedDistribution,
     ScalingFactor,
     atom_mass,
     density_grid,
     mirror_check,
     tilde_cdf,
     tilde_density,
-    tilde_distribution,
 )
 from .limits import (
     ConservativeRegime,

@@ -406,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("limit_check", help="weak-convergence gap report as JSON")
     _add_common(p)
     p.add_argument("--fast", action="store_true",
-                   help="stop the sample-size paths at n=500")
+                   help="evaluate only the endpoint n=5000 of each sample-size path")
     return parser
 
 

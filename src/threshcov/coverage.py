@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .estimators import EstimatorKind
+from .estimators import EstimatorKind, _inverse, _switch_points
 from .model import ProblemSetup, VarianceMode
 from .special import (
     DEFAULT_QUADRATURE,
@@ -41,7 +41,6 @@ from .special import (
 __all__ = [
     "IntervalSpec",
     "SearchConfig",
-    "CoverageReport",
     "known_coverage",
     "infimal_known_coverage",
     "solve_known_half_length",
@@ -52,7 +51,6 @@ __all__ = [
     "solve_unknown_half_length",
     "min_coverage_search",
     "simple_interval_infimal",
-    "coverage_report",
 ]
 
 logger = logging.getLogger(__name__)
@@ -97,62 +95,17 @@ class SearchConfig:
             raise DomainError("refine_tol must be positive")
 
 
-@dataclasses.dataclass(frozen=True)
-class CoverageReport:
-    """Coverage at one parameter value together with its worst-case context."""
-
-    analytic: float
-    lower_bound: float | None = None
-    upper_bound: float | None = None
-    minimizer_theta: float | None = None
-    mc_estimate: float | None = None
-    mc_stderr: float | None = None
-
-
-def _interval_probability(mu, lo, hi, rn):
-    """P(N(mu, 1/n) in (lo, hi)), empty intervals contributing zero."""
-    p = std_normal_cdf(rn * (hi - mu)) - std_normal_cdf(rn * (lo - mu))
-    return np.where(hi > lo, p, 0.0)
-
-
 def _coverage_core(kind: EstimatorKind, mu, reach_a, reach_b, eta, rn):
     """Coverage with everything on the scale W = LS estimate / (sigma xi).
 
-    mu is the true component on that scale; the interval covers iff the
-    thresholded value of W lands in [mu - reach_b, mu + reach_a].  The kill
-    branch covers iff that window contains 0 and |W| is at or below eta;
-    each active branch is the thresholding map's preimage of the window
-    intersected with the keep region, a W-interval whose endpoints invert
-    the map: identity (hard), shift by eta (soft), or the root
-    r_{+-}(c) = (c +- sqrt(c^2 + 4 eta^2)) / 2 (adaptive soft).
+    W ~ N(mu, 1/rn^2), and the interval covers iff the thresholded value of
+    W lands in [mu - reach_b, mu + reach_a], that is iff W - mu lies between
+    the inverse map's open offset at the lower end and its closed offset at
+    the upper end.
     """
-    mu, reach_a, reach_b, eta = np.broadcast_arrays(
-        np.asarray(mu, dtype=float), np.asarray(reach_a, dtype=float),
-        np.asarray(reach_b, dtype=float), np.asarray(eta, dtype=float))
-    lo = mu - reach_b
-    hi = mu + reach_a
-    kill = (lo <= 0.0) & (0.0 <= hi)
-    total = np.where(kill, _interval_probability(mu, -eta, eta, rn), 0.0)
-    if kind is EstimatorKind.HARD:
-        total = total + _interval_probability(mu, np.maximum(lo, eta), hi, rn)
-        total = total + _interval_probability(mu, lo, np.minimum(hi, -eta), rn)
-    elif kind is EstimatorKind.SOFT:
-        total = total + _interval_probability(mu, np.maximum(lo + eta, eta), hi + eta, rn)
-        total = total + _interval_probability(mu, lo - eta, np.minimum(hi - eta, -eta), rn)
-    else:
-        four_eta_sq = 4.0 * eta * eta
-
-        def root_plus(c):
-            return 0.5 * (c + np.sqrt(c * c + four_eta_sq))
-
-        def root_minus(c):
-            return 0.5 * (c - np.sqrt(c * c + four_eta_sq))
-
-        total = total + _interval_probability(
-            mu, np.maximum(root_plus(lo), eta), root_plus(hi), rn)
-        total = total + _interval_probability(
-            mu, root_minus(lo), np.minimum(root_minus(hi), -eta), rn)
-    return np.clip(total, 0.0, 1.0)
+    hi, _ = _inverse(kind, mu, reach_a, eta)
+    lo, _ = _inverse(kind, mu, -reach_b, eta, closed=False)
+    return np.clip(std_normal_cdf(rn * hi) - std_normal_cdf(rn * lo), 0.0, 1.0)
 
 
 def known_coverage(kind, theta_i: float, sigma: float, spec: IntervalSpec,
@@ -167,8 +120,8 @@ def known_coverage(kind, theta_i: float, sigma: float, spec: IntervalSpec,
         raise DomainError("known_coverage needs a known-variance interval")
     if not (sigma > 0.0 and math.isfinite(sigma)):
         raise DomainError("sigma must be positive and finite")
-    if np.isnan(theta_i).any():
-        raise DomainError("theta must not be NaN")
+    if not np.isfinite(theta_i):
+        raise DomainError("theta must be finite")
     mu = theta_i / (sigma * setup.xi)
     value = _coverage_core(kind, mu, spec.a / setup.xi, spec.b / setup.xi,
                            setup.eta, setup.root_n)
@@ -236,18 +189,6 @@ def solve_known_half_length(kind, alpha: float, setup: ProblemSetup,
     return root
 
 
-def _unknown_switch_points(kind: EstimatorKind, q_abs: np.ndarray, a: float,
-                           xi: float, eta: float) -> np.ndarray:
-    """s-values where the interval ends cross the threshold, one row per
-    |theta| / sigma; candidates that are not positive and finite are left
-    for the quadrature to drop."""
-    dens = [a]
-    if kind is EstimatorKind.HARD:
-        dens += [a + xi * eta, abs(a - xi * eta)]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return q_abs[:, None] / np.array(dens)
-
-
 def unknown_coverage(kind, theta_i: float, sigma: float, spec: IntervalSpec,
                      setup: ProblemSetup,
                      cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
@@ -265,11 +206,10 @@ def unknown_coverage(kind, theta_i: float, sigma: float, spec: IntervalSpec,
     m = setup.require_estimated_variance()
     theta = np.asarray(theta_i, dtype=float)
     thetas = theta.ravel()
-    if np.isnan(thetas).any():
-        raise DomainError("theta must not be NaN")
+    if not np.isfinite(thetas).all():
+        raise DomainError("theta must be finite")
     mus = thetas / (sigma * setup.xi)
-    a = spec.a
-    reach = a / setup.xi
+    reach = spec.a / setup.xi
 
     def f(nodes):
         s, mu = _per_node(nodes, mus)
@@ -278,7 +218,8 @@ def unknown_coverage(kind, theta_i: float, sigma: float, spec: IntervalSpec,
                 * rho_density(s, m))
 
     upper = rho_upper_limit(m, cfg.tail_mass_tol)
-    pts = _unknown_switch_points(kind, np.abs(thetas / sigma), a, setup.xi, setup.eta)
+    pts = np.hstack([_switch_points(kind, mus, reach, setup.eta),
+                     _switch_points(kind, mus, -reach, setup.eta)])
     value, bound = integrate_halfline(f, pts, upper=upper, cfg=cfg, with_bound=True)
     return _clamp_unit(value.reshape(theta.shape), bound.reshape(theta.shape),
                        "unknown_coverage")
@@ -317,8 +258,10 @@ def lower_bound_is_exact(kind) -> bool:
 def upper_bound_unknown(spec: IntervalSpec, setup: ProblemSetup) -> float:
     """Upper bound on the infimal estimated-variance coverage, kind-independent.
 
-    This is the coverage in the limit of a distant parameter, where
-    thresholding never binds and the interval behaves like the t-interval.
+    This is the t-interval's coverage.  It is the distant-parameter limit of
+    hard and adaptive-soft coverage, where thresholding stops binding.  Soft
+    thresholding keeps its eta shift at any distance, so its distant limit
+    is lower: the exact infimum given by :func:`lower_bound_unknown`.
     """
     if spec.mode is not VarianceMode.ESTIMATED:
         raise DomainError("upper_bound_unknown needs an estimated-variance interval")
@@ -413,29 +356,3 @@ def simple_interval_infimal(kind, d: float, setup: ProblemSetup,
     if mode is VarianceMode.KNOWN:
         return infimal_known_coverage(kind, IntervalSpec(a, a, mode), setup)
     return lower_bound_unknown(kind, IntervalSpec(a, a, mode), setup)
-
-
-def coverage_report(kind, theta_i: float, spec: IntervalSpec, setup: ProblemSetup,
-                    mc_plan=None, search: SearchConfig = SearchConfig(),
-                    cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> CoverageReport:
-    """Coverage at theta_i with bounds, the worst case, and an optional
-    Monte Carlo cross-check (mc_plan: a SimulationPlan)."""
-    kind = EstimatorKind(kind)
-    if spec.mode is VarianceMode.ESTIMATED:
-        analytic = unknown_coverage(kind, theta_i, setup.sigma, spec, setup, cfg)
-        lower = lower_bound_unknown(kind, spec, setup)
-        upper = upper_bound_unknown(spec, setup)
-        _, minimizer = min_coverage_search(kind, spec, setup, search, cfg)
-    else:
-        analytic = known_coverage(kind, theta_i, setup.sigma, spec, setup)
-        lower = infimal_known_coverage(kind, spec, setup)
-        upper = float(std_normal_cdf(setup.root_n * spec.a / setup.xi)
-                      - std_normal_cdf(-setup.root_n * spec.b / setup.xi))
-        minimizer = None
-    mc_estimate = mc_stderr = None
-    if mc_plan is not None:
-        from .simulate import simulate_coverage  # local import avoids a cycle
-        mc_estimate, mc_stderr = simulate_coverage(mc_plan, kind, spec)
-    return CoverageReport(analytic=analytic, lower_bound=lower, upper_bound=upper,
-                          minimizer_theta=minimizer, mc_estimate=mc_estimate,
-                          mc_stderr=mc_stderr)

@@ -5,6 +5,9 @@ falls at or below a data-scaled cutoff, and otherwise keep it (hard), shrink
 it by the cutoff (soft), or shrink it by cutoff^2 / estimate (adaptive soft,
 a nonnegative-garrote type rule).  The cutoff for component i is
 ``c * xi_i * eta_i`` where c is sigma (known-variance rules) or sigma_hat.
+
+The inverse of each map (``_inverse``) is defined here once; the exact
+error laws, their conservative limits and the coverages all derive from it.
 """
 
 from __future__ import annotations
@@ -55,6 +58,53 @@ def kernel(kind, z, t):
         safe = np.where(keep, z_arr, 1.0)
         out = np.where(keep, z_arr - t_arr * t_arr / safe, 0.0)
     return out if out.ndim else float(out)
+
+
+def _inverse(kind: EstimatorKind, mu, d, t, closed: bool = True):
+    """Inverse of the thresholding map at c = mu + d, measured from mu.
+
+    g(c) = sup{w : kernel(kind, w, t) <= c}, or with closed=False
+    g(c) = inf{w : kernel(kind, w, t) >= c}; the two differ only at c = 0,
+    the kill atom, where they are t and -t.  For a continuous W,
+    P(kernel(W) <= mu + d) = P(W <= mu + offset) and
+    P(kernel(W) < mu + d) = P(W < mu + open offset).
+
+    Returns (offset, slope) = (g(mu + d) - mu, g'(mu + d)) for t > 0.  The
+    offset is formed from d, never as a difference with mu, so it keeps d's
+    digits when |mu| is huge: hard keeps d (or goes to the dead-zone edge
+    +-t - mu), soft shifts d by t, and adaptive soft takes the root A +- B
+    of w^2 - c w - t^2 = 0 shifted by mu, through the product
+    (A - B)(A + B) = -(mu d + t^2) where A and +-B would cancel.
+    """
+    c = mu + d
+    up = c >= 0.0 if closed else c > 0.0
+    if kind is EstimatorKind.HARD:
+        keep = np.abs(c) > t
+        return (np.where(keep, d, np.where(up, t - mu, -t - mu)),
+                np.where(keep, 1.0, 0.0))
+    if kind is EstimatorKind.SOFT:
+        return np.where(up, d + t, d - t), np.ones_like(c)
+    big_a = 0.5 * (d - mu)
+    big_b = np.hypot(0.5 * c, t)
+    signed_b = np.where(up, big_b, -big_b)
+    # A + signed_b does not cancel where both terms share a sign
+    with np.errstate(divide="ignore", invalid="ignore"):
+        offset = np.where((big_a >= 0.0) == up, big_a + signed_b,
+                          (mu * d + t * t) / (signed_b - big_a))
+        slope = 0.5 + 0.25 * np.abs(c) / big_b
+    return offset, slope
+
+
+def _switch_points(kind: EstimatorKind, mu, slope, t) -> np.ndarray:
+    """s-values where _inverse(kind, mu, slope * s, t * s) changes branch,
+    one row per element of mu or slope: mu + slope s crosses 0 and, for
+    hard, +-t s.  Candidates that are not positive and finite are left for
+    the quadrature to drop."""
+    mu = np.asarray(mu, dtype=float)
+    slope = np.asarray(slope, dtype=float)
+    dens = [slope, slope - t, slope + t] if kind is EstimatorKind.HARD else [slope]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return np.stack([-mu / den for den in dens], axis=-1)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)

@@ -16,13 +16,12 @@ on the half-line opposite in sign to the true component.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from typing import Callable
 
 import numpy as np
 
-from .estimators import EstimatorKind
+from .estimators import EstimatorKind, _inverse, _switch_points
 from .model import ProblemSetup
 from .special import (
     DEFAULT_QUADRATURE,
@@ -40,11 +39,9 @@ from .special import (
 
 __all__ = [
     "ScalingFactor",
-    "MixedDistribution",
     "atom_mass",
     "tilde_cdf",
     "tilde_density",
-    "tilde_distribution",
     "mirror_check",
     "density_grid",
 ]
@@ -73,55 +70,6 @@ class ScalingFactor(float):
         return cls(1.0 / (setup.xi * setup.eta))
 
 
-def _as_scaling(alpha) -> float:
-    a = float(alpha)
-    if not (a > 0.0 and math.isfinite(a)):
-        raise DomainError("scaling factor must be positive and finite")
-    return a
-
-
-def _stable_z_pair(u, v, q, a, xi, rn):
-    """Roots z1 <= z2 of the adaptive-soft inversion, cancellation-safe.
-
-    z = A -+ B with A = 0.5 rn (u/a - q) / xi and
-    B = rn hypot(0.5 (u/a + q) / xi, v).  Where A and B nearly cancel, the
-    product identity z1 z2 = -rn^2 ((u/a) q / xi^2 + v^2) supplies the
-    small-magnitude root without subtractive loss.
-    """
-    diff = 0.5 * (u / a - q) / xi
-    mean = 0.5 * (u / a + q) / xi
-    big_a = rn * diff
-    big_b = rn * np.hypot(mean, v)
-    prod = rn * rn * ((u / a) * q / (xi * xi) + v * v)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z2 = np.where(big_a >= 0.0, big_a + big_b, prod / (big_b - big_a))
-        z1 = np.where(big_a <= 0.0, big_a - big_b, -prod / (big_a + big_b))
-    return z1, z2
-
-
-def _shrink_fraction(u, v, q, a, xi):
-    """The ratio 0.5 (u/a + q) / xi over hypot of itself with v; in [-1, 1]."""
-    mean = 0.5 * (u / a + q) / xi
-    denom = np.hypot(mean, v)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        frac = np.where(denom > 0.0, mean / np.where(denom > 0.0, denom, 1.0), 0.0)
-    return frac
-
-
-def _switch_points(kind: EstimatorKind, x: np.ndarray, q: float, a: float,
-                   xi: float, eta: float) -> np.ndarray:
-    """s-values where the conditional-branch indicators switch, one row per
-    x; candidates that are not positive and finite are left for the
-    quadrature to drop."""
-    nums, dens = [-q * a], [x]
-    if kind is EstimatorKind.HARD:
-        xa = x / a
-        nums += [-q, -q]
-        dens += [xa - xi * eta, xa + xi * eta]
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return (np.array(nums)[:, None] / np.array(dens)).T
-
-
 def atom_mass(setup: ProblemSetup) -> float:
     """Mass at zero when the true component is zero.
 
@@ -134,33 +82,15 @@ def atom_mass(setup: ProblemSetup) -> float:
     return float(t_cdf(arg, m) - t_cdf(-arg, m))
 
 
-def _cdf_integrand(kind: EstimatorKind, xs: np.ndarray, q: float,
-                   setup: ProblemSetup, a: float) -> Callable:
-    xi = setup.xi
-    eta = setup.eta
-    rn = setup.root_n
-    m = setup.residual_dof
+def _cdf_integrand(kind: EstimatorKind, mu: float, slope: np.ndarray, eta: float,
+                   rn: float, m: int) -> Callable:
+    """Phi(rn offset) rho_m(s): P(kernel(W, eta s) <= mu + slope s) for
+    W ~ N(mu, 1/rn^2), mixed over s ~ rho_m; one problem per slope."""
 
     def f(nodes):
-        s, x = _per_node(nodes, xs)
-        rho = rho_density(s, m)
-        c = x * s / a + q
-        if kind is EstimatorKind.HARD:
-            lim = xi * eta * s
-            first = np.abs(c) > lim
-            second = (~first) & (c >= 0.0)
-            vals = np.where(first, std_normal_cdf(rn * x / (a * xi) * s), 0.0)
-            vals = np.where(second, std_normal_cdf(rn * (-q / xi + eta * s)), vals)
-            third = ~(first | second)
-            vals = np.where(third, std_normal_cdf(rn * (-q / xi - eta * s)), vals)
-        elif kind is EstimatorKind.SOFT:
-            vals = np.where(c >= 0.0,
-                            std_normal_cdf(rn * s * (x / (a * xi) + eta)),
-                            std_normal_cdf(rn * s * (x / (a * xi) - eta)))
-        else:
-            z1, z2 = _stable_z_pair(x * s, eta * s, q, a, xi, rn)
-            vals = np.where(c >= 0.0, std_normal_cdf(z2), std_normal_cdf(z1))
-        return vals * rho
+        s, sl = _per_node(nodes, slope)
+        offset, _ = _inverse(kind, mu, sl * s, eta * s)
+        return std_normal_cdf(rn * offset) * rho_density(s, m)
 
     return f
 
@@ -174,7 +104,7 @@ def tilde_cdf(kind, x, setup: ProblemSetup, theta_i: float, alpha,
     float.
     """
     kind = EstimatorKind(kind)
-    a = _as_scaling(alpha)
+    a = ScalingFactor(alpha)
     setup.require_estimated_variance()
     x = np.asarray(x, dtype=float)
     if np.isnan(x).any():
@@ -184,43 +114,27 @@ def tilde_cdf(kind, x, setup: ProblemSetup, theta_i: float, alpha,
     finite = np.isfinite(x)
     xs = x[finite]
     if xs.size:
-        q = theta_i / setup.sigma
+        mu = theta_i / (setup.sigma * setup.xi)
+        slope = xs / (a * setup.xi)
         upper = rho_upper_limit(setup.residual_dof, cfg.tail_mass_tol)
         out[finite], bound[finite] = integrate_halfline(
-            _cdf_integrand(kind, xs, q, setup, a),
-            _switch_points(kind, xs, q, a, setup.xi, setup.eta),
+            _cdf_integrand(kind, mu, slope, setup.eta, setup.root_n,
+                           setup.residual_dof),
+            _switch_points(kind, mu, slope, setup.eta),
             upper=upper, cfg=cfg, with_bound=True)
     return _clamp_unit(out, bound, "tilde_cdf")
 
 
-def _density_integrand(kind: EstimatorKind, xs: np.ndarray, q: float,
-                       setup: ProblemSetup, a: float) -> Callable:
-    xi = setup.xi
-    eta = setup.eta
-    rn = setup.root_n
-    m = setup.residual_dof
+def _density_integrand(kind: EstimatorKind, mu: float, slope: np.ndarray,
+                       eta: float, rn: float, m: int, dslope: float) -> Callable:
+    """x-derivative of the CDF integrand, where slope = x dslope:
+    rn s dslope g' phi(rn offset) rho_m(s)."""
 
     def f(nodes):
-        s, x = _per_node(nodes, xs)
-        rho = rho_density(s, m)
-        scale = rn * s / (a * xi)
-        c = x * s / a + q
-        if kind is EstimatorKind.HARD:
-            keep = np.abs(c) > xi * eta * s
-            vals = np.where(keep, scale * std_normal_pdf(rn * x / (a * xi) * s), 0.0)
-        elif kind is EstimatorKind.SOFT:
-            vals = scale * np.where(
-                c >= 0.0,
-                std_normal_pdf(rn * s * (x / (a * xi) + eta)),
-                std_normal_pdf(rn * s * (x / (a * xi) - eta)))
-        else:
-            z1, z2 = _stable_z_pair(x * s, eta * s, q, a, xi, rn)
-            frac = _shrink_fraction(x * s, eta * s, q, a, xi)
-            vals = 0.5 * scale * np.where(
-                c >= 0.0,
-                std_normal_pdf(z2) * (1.0 + frac),
-                std_normal_pdf(z1) * (1.0 - frac))
-        return vals * rho
+        s, sl = _per_node(nodes, slope)
+        offset, g_prime = _inverse(kind, mu, sl * s, eta * s)
+        return (rn * s * dslope * g_prime * std_normal_pdf(rn * offset)
+                * rho_density(s, m))
 
     return f
 
@@ -263,7 +177,7 @@ def tilde_density(kind, x, setup: ProblemSetup, theta_i: float, alpha,
     x may be an array, integrated as one batch; a scalar x gives a float.
     """
     kind = EstimatorKind(kind)
-    a = _as_scaling(alpha)
+    a = ScalingFactor(alpha)
     setup.require_estimated_variance()
     x = np.asarray(x, dtype=float)
     if not np.isfinite(x).all():
@@ -278,44 +192,18 @@ def tilde_density(kind, x, setup: ProblemSetup, theta_i: float, alpha,
             live &= np.abs(x) > a * setup.xi * setup.eta
     xs = x[live]
     if xs.size:
+        mu = theta_i / (setup.sigma * setup.xi)
+        slope = xs / (a * setup.xi)
         upper = rho_upper_limit(setup.residual_dof, cfg.tail_mass_tol)
         value = integrate_halfline(
-            _density_integrand(kind, xs, q, setup, a),
-            _switch_points(kind, xs, q, a, setup.xi, setup.eta),
+            _density_integrand(kind, mu, slope, setup.eta, setup.root_n,
+                               setup.residual_dof, 1.0 / (a * setup.xi)),
+            _switch_points(kind, mu, slope, setup.eta),
             upper=upper, cfg=cfg)
         if q != 0.0:
             value += _kill_kernel_term(xs, q, setup, a)
         out[live] = np.maximum(0.0, value)
     return float(out) if out.ndim == 0 else out
-
-
-@dataclasses.dataclass(frozen=True)
-class MixedDistribution:
-    """A distribution with a single possible atom at zero plus a density.
-
-    atom_mass is zero when the law is absolutely continuous.  cdf is the
-    full CDF (atom included); density describes only the continuous part.
-    """
-
-    atom_mass: float
-    cdf: Callable[[float], float]
-    density: Callable[[float], float]
-
-    def __post_init__(self):
-        if not -1e-12 <= self.atom_mass <= 1.0 + 1e-12:
-            raise DomainError("atom mass must lie in [0, 1]")
-
-
-def tilde_distribution(kind, setup: ProblemSetup, theta_i: float, alpha,
-                       cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> MixedDistribution:
-    """Bundle atom, CDF, and density of the scaled error law."""
-    kind = EstimatorKind(kind)
-    a = _as_scaling(alpha)
-    mass = atom_mass(setup) if theta_i == 0.0 else 0.0
-    return MixedDistribution(
-        atom_mass=mass,
-        cdf=lambda x: tilde_cdf(kind, x, setup, theta_i, a, cfg),
-        density=lambda x: tilde_density(kind, x, setup, theta_i, a, cfg))
 
 
 def mirror_check(kind, setup: ProblemSetup, theta_i: float, alpha, grid,
@@ -328,7 +216,7 @@ def mirror_check(kind, setup: ProblemSetup, theta_i: float, alpha, grid,
     atom when theta is zero.
     """
     kind = EstimatorKind(kind)
-    a = _as_scaling(alpha)
+    a = ScalingFactor(alpha)
     grid = np.asarray(grid, dtype=float)
     direct = tilde_cdf(kind, grid, setup, theta_i, a, cfg)
     mirrored = 1.0 - tilde_cdf(kind, -grid, setup, -theta_i, a, cfg)
@@ -344,7 +232,7 @@ def density_grid(kind, setup: ProblemSetup, theta_i: float, alpha,
     grid on [-4, 4] is the resolution used by the plotting commands.
     """
     kind = EstimatorKind(kind)
-    a = _as_scaling(alpha)
+    a = ScalingFactor(alpha)
     if not lo < hi:
         raise DomainError("grid needs lo < hi")
     if count < 2:

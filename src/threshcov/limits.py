@@ -20,18 +20,16 @@ from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
-from .estimators import EstimatorKind
-from .finite_sample import ScalingFactor, tilde_cdf
+from .estimators import EstimatorKind, _inverse, _switch_points
+from .finite_sample import ScalingFactor, _cdf_integrand, tilde_cdf
 from .model import ProblemSetup
 from .special import (
     DEFAULT_QUADRATURE,
     DomainError,
     QuadratureConfig,
     _clamp_unit,
-    _per_node,
     chi_sq_cdf,
     integrate_halfline,
-    rho_density,
     rho_upper_limit,
     std_normal_cdf,
     t_cdf,
@@ -110,53 +108,6 @@ def _step(x: np.ndarray, location: float) -> np.ndarray:
     return np.where(x >= location, 1.0, 0.0)
 
 
-def _stable_zbar_pair(u, v, nu):
-    """Roots of the adaptive-soft limit inversion; same stabilization as the
-    finite-sample pair, with product z1 z2 = -(u nu + v^2)."""
-    big_a = 0.5 * (u - nu)
-    big_b = np.hypot(0.5 * (u + nu), v)
-    prod = u * nu + v * v
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z2 = np.where(big_a >= 0.0, big_a + big_b, prod / (big_b - big_a))
-        z1 = np.where(big_a <= 0.0, big_a - big_b, -prod / (big_a + big_b))
-    return z1, z2
-
-
-def _conservative_integrand(kind: EstimatorKind, xs: np.ndarray, nu: float, e: float,
-                            m: int):
-    def f(nodes):
-        s, x = _per_node(nodes, xs)
-        rho = rho_density(s, m)
-        c = x * s + nu
-        if kind is EstimatorKind.HARD:
-            lim = e * s
-            first = np.abs(c) > lim
-            second = (~first) & (c >= 0.0)
-            vals = np.where(first, std_normal_cdf(x * s), 0.0)
-            vals = np.where(second, std_normal_cdf(-nu + e * s), vals)
-            third = ~(first | second)
-            vals = np.where(third, std_normal_cdf(-nu - e * s), vals)
-        elif kind is EstimatorKind.SOFT:
-            vals = np.where(c >= 0.0,
-                            std_normal_cdf((x + e) * s),
-                            std_normal_cdf((x - e) * s))
-        else:
-            z1, z2 = _stable_zbar_pair(x * s, e * s, nu)
-            vals = np.where(c >= 0.0, std_normal_cdf(z2), std_normal_cdf(z1))
-        return vals * rho
-
-    return f
-
-
-def _conservative_switch_points(kind: EstimatorKind, x: np.ndarray, nu: float,
-                                e: float) -> np.ndarray:
-    dens = [x]
-    if kind is EstimatorKind.HARD:
-        dens += [x - e, x + e]
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return (-nu / np.array(dens)).T
-
-
 def conservative_limit_cdf(kind, x, regime: ConservativeRegime,
                            cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
     """CDF of the conservative-regime limit law at x.
@@ -185,21 +136,14 @@ def conservative_limit_cdf(kind, x, regime: ConservativeRegime,
         out[finite] = t_cdf(xs + math.copysign(e, nu) if kind is EstimatorKind.SOFT
                             else xs, m)
     elif nu == 0.0:
-        right = xs >= 0.0
-        if kind is EstimatorKind.HARD:
-            out[finite] = np.where(np.abs(xs) > e, t_cdf(xs, m),
-                                   np.where(right, t_cdf(e, m), t_cdf(-e, m)))
-        elif kind is EstimatorKind.SOFT:
-            out[finite] = np.where(right, t_cdf(xs + e, m), t_cdf(xs - e, m))
-        else:
-            half = np.sqrt(0.25 * xs * xs + e * e)
-            out[finite] = np.where(right, t_cdf(0.5 * xs + half, m),
-                                   t_cdf(0.5 * xs - half, m))
+        # the inverse map's offset is then s times its value at s = 1, so
+        # the mixture over s is a t CDF
+        out[finite] = t_cdf(_inverse(kind, 0.0, xs, e)[0], m)
     elif xs.size:
         upper = rho_upper_limit(m, cfg.tail_mass_tol)
         out[finite], bound[finite] = integrate_halfline(
-            _conservative_integrand(kind, xs, nu, e, m),
-            _conservative_switch_points(kind, xs, nu, e),
+            _cdf_integrand(kind, nu, xs, e, 1.0, m),
+            _switch_points(kind, nu, xs, e),
             upper=upper, cfg=cfg, with_bound=True)
     return _clamp_unit(out, bound, "conservative_limit_cdf")
 

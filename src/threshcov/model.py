@@ -104,16 +104,13 @@ def reference_setup(eta: float = 0.05, **overrides) -> ProblemSetup:
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class RegressionDraw:
-    """One least-squares fit: estimates, residual variance, and the inputs.
+    """One least-squares fit: estimates and residual variance.
 
     sigma_hat_sq is None when n == k (no residual degrees of freedom).
-    theta is the true parameter when the caller knows it (simulations).
     """
 
     ls_estimate: np.ndarray
     sigma_hat_sq: float | None
-    y: np.ndarray
-    theta: np.ndarray | None = None
 
 
 def _full_rank_qr(X: np.ndarray):
@@ -149,7 +146,7 @@ def compute_xi(X, component_index: int) -> float:
     return float(compute_xi_all(X)[component_index - 1])
 
 
-def ls_fit(X, y, theta=None) -> RegressionDraw:
+def ls_fit(X, y) -> RegressionDraw:
     """Least squares via QR; unbiased sigma_hat^2 when n > k, else None."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -163,9 +160,7 @@ def ls_fit(X, y, theta=None) -> RegressionDraw:
         sigma_hat_sq = float(resid @ resid) / (n - k)
     else:
         sigma_hat_sq = None
-    theta_arr = None if theta is None else np.asarray(theta, dtype=float)
-    return RegressionDraw(ls_estimate=coef, sigma_hat_sq=sigma_hat_sq, y=y,
-                          theta=theta_arr)
+    return RegressionDraw(ls_estimate=coef, sigma_hat_sq=sigma_hat_sq)
 
 
 def standard_ls_interval(setup: ProblemSetup, mode: VarianceMode, alpha: float) -> float:

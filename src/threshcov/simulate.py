@@ -28,6 +28,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .estimators import EstimatorKind, kernel
+from .finite_sample import ScalingFactor
 from .model import ProblemSetup, VarianceMode, _full_rank_qr, compute_xi_all
 from .special import DomainError, chi_sq_quantile, std_normal_quantile
 
@@ -255,9 +256,7 @@ def simulate_scaled_error_ecdf(plan: SimulationPlan, kind, alpha, grid) -> EcdfR
     the empirical counterpart of the atom.
     """
     kind = EstimatorKind(kind)
-    a = float(alpha)
-    if not (a > 0.0 and math.isfinite(a)):
-        raise DomainError("scaling factor must be positive and finite")
+    a = float(ScalingFactor(alpha))
     setup = plan.setup
     setup.require_estimated_variance()
     grid_arr = np.asarray(grid, dtype=float)

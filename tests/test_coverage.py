@@ -12,15 +12,12 @@ import pytest
 
 from threshcov import (
     BracketError,
-    CoverageReport,
     DomainError,
     EstimatorKind,
     IntervalSpec,
     ProblemSetup,
     SearchConfig,
-    SimulationPlan,
     VarianceMode,
-    coverage_report,
     infimal_known_coverage,
     known_coverage,
     lower_bound_is_exact,
@@ -30,6 +27,7 @@ from threshcov import (
     simple_interval_infimal,
     solve_known_half_length,
     solve_unknown_half_length,
+    std_normal_cdf,
     std_normal_quantile,
     tilde_cdf,
     unknown_coverage,
@@ -219,7 +217,7 @@ class TestUnknownCoverage:
     def test_route_equality_with_error_law(self, kind, eta):
         # coverage of [estimate - a sigma_hat, estimate + a sigma_hat] is a
         # two-point difference of the scaled-error CDF; the two quadratures
-        # are coded independently
+        # share only the inverse thresholding map
         setup = reference_setup(eta=eta)
         a = ROOTS_ESTIMATED[(kind.value, eta)]
         spec = est_spec(a)
@@ -245,6 +243,55 @@ class TestUnknownCoverage:
     def test_saturated_design_rejected(self):
         with pytest.raises(DomainError):
             unknown_coverage("hard", 0.0, 1.0, est_spec(0.4), ProblemSetup(n=5, k=5))
+
+
+class TestDistantParameter:
+    """Coverage far from zero, where the window must not be formed on the
+    absolute theta scale (cancellation once |theta| / (sigma xi) swamps the
+    arms)."""
+
+    SETUP = ProblemSetup(n=36, k=35, eta=0.3)
+    FAR = (1e9, 1e16, 1e300, -1e300)
+
+    @pytest.mark.parametrize("arms", [(0.3, 0.3), (0.2, 0.45)])
+    def test_hard_known_equals_ls_interval(self, arms):
+        a, b = arms
+        rn, xi = self.SETUP.root_n, self.SETUP.xi
+        expected = float(std_normal_cdf(rn * a / xi) - std_normal_cdf(-rn * b / xi))
+        for theta in self.FAR:
+            got = known_coverage("hard", theta, 1.0, IntervalSpec(a, b), self.SETUP)
+            assert got == pytest.approx(expected, abs=1e-12), theta
+
+    def test_hard_unknown_equals_upper_bound(self):
+        spec = est_spec(0.3)
+        expected = upper_bound_unknown(spec, self.SETUP)
+        got = unknown_coverage("hard", np.array(self.FAR), 1.0, spec, self.SETUP)
+        np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-11)
+        assert unknown_coverage("hard", 1e16, 1.0, spec, self.SETUP) == pytest.approx(
+            expected, abs=1e-11)
+
+    @pytest.mark.parametrize("kind", ["soft", "asoft"])
+    def test_shrinking_kinds_settle(self, kind):
+        known_spec = IntervalSpec(0.3, 0.3)
+        spec = est_spec(0.3)
+        known_ref = known_coverage(kind, 1e9, 1.0, known_spec, self.SETUP)
+        unknown_ref = unknown_coverage(kind, 1e9, 1.0, spec, self.SETUP)
+        for theta in (1e16, 1e300, -1e16, -1e300):
+            assert known_coverage(kind, theta, 1.0, known_spec, self.SETUP) == \
+                pytest.approx(known_ref, abs=1e-9), theta
+            assert unknown_coverage(kind, theta, 1.0, spec, self.SETUP) == \
+                pytest.approx(unknown_ref, abs=1e-9), theta
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("theta", [math.inf, -math.inf])
+    def test_infinite_theta_rejected(self, kind, theta):
+        with pytest.raises(DomainError):
+            known_coverage(kind, theta, 1.0, IntervalSpec(0.3, 0.3), self.SETUP)
+        with pytest.raises(DomainError):
+            unknown_coverage(kind, theta, 1.0, est_spec(0.3), self.SETUP)
+        with pytest.raises(DomainError):
+            unknown_coverage(kind, np.array([0.1, theta]), 1.0, est_spec(0.3),
+                             self.SETUP)
 
 
 class TestBounds:
@@ -353,24 +400,3 @@ class TestSimpleInterval:
             simple_interval_infimal("soft", -0.1, SETUP, VarianceMode.KNOWN)
         with pytest.raises(DomainError):
             simple_interval_infimal("soft", math.inf, SETUP, VarianceMode.KNOWN)
-
-
-class TestReport:
-    def test_known_mode(self):
-        spec = IntervalSpec.symmetric(ROOTS_KNOWN["hard"])
-        rep = coverage_report("hard", 0.2, spec, SETUP)
-        assert isinstance(rep, CoverageReport)
-        assert rep.minimizer_theta is None and rep.mc_estimate is None
-        assert rep.lower_bound == pytest.approx(0.95, abs=1e-9)
-        assert rep.analytic == pytest.approx(
-            known_coverage("hard", 0.2, 1.0, spec, SETUP))
-        assert rep.lower_bound <= rep.analytic <= 1.0
-        assert rep.upper_bound >= rep.lower_bound
-
-    def test_estimated_mode_with_simulation(self):
-        spec = est_spec(ROOTS_ESTIMATED[("asoft", 0.05)])
-        plan = SimulationPlan(setup=SETUP, theta=0.2, reps=50_000, seed=5)
-        rep = coverage_report("asoft", 0.2, spec, SETUP, mc_plan=plan)
-        assert rep.mc_estimate is not None and rep.mc_stderr is not None
-        assert abs(rep.mc_estimate - rep.analytic) <= 4.0 * rep.mc_stderr + 1e-9
-        assert rep.minimizer_theta is not None

@@ -15,6 +15,7 @@ from threshcov import (
     estimate,
     kernel,
 )
+from threshcov.estimators import _inverse
 
 finite = st.floats(-1e6, 1e6, allow_nan=False)
 cutoffs = st.floats(0.0, 1e6, allow_nan=False)
@@ -83,6 +84,62 @@ class TestKernel:
             return
         for kind in EstimatorKind:
             assert kernel(kind, z, t) == 0.0
+
+
+class TestInverse:
+    """_inverse against the forward map: it undoes kernel off the dead zone,
+    straddles the kill atom, and its slope is the derivative of its offset."""
+
+    kinds = st.sampled_from(list(EstimatorKind))
+    moderate = st.floats(-1e6, 1e6, allow_nan=False)
+    positive = st.floats(1e-6, 1e6)
+
+    @given(kind=kinds, mu=moderate, d=moderate, t=positive)
+    @settings(deadline=None)
+    def test_undoes_kernel(self, kind, mu, d, t):
+        c = mu + d
+        reachable = abs(c) > t if kind is EstimatorKind.HARD else c != 0.0
+        if not reachable:
+            return
+        for closed in (True, False):
+            offset, _ = _inverse(kind, mu, d, t, closed)
+            assert kernel(kind, mu + offset, t) == pytest.approx(
+                c, rel=1e-12, abs=1e-12 * (abs(mu) + abs(d) + t))
+
+    @given(kind=kinds, mu=moderate, t=positive)
+    @settings(deadline=None)
+    def test_straddles_the_atom(self, kind, mu, t):
+        scale = 1e-12 * (abs(mu) + t)
+        closed, _ = _inverse(kind, mu, -mu, t)
+        open_, _ = _inverse(kind, mu, -mu, t, closed=False)
+        assert closed == pytest.approx(t - mu, rel=1e-12, abs=scale)
+        assert open_ == pytest.approx(-t - mu, rel=1e-12, abs=scale)
+
+    @given(kind=kinds, mu=st.floats(-100.0, 100.0), d=st.floats(-100.0, 100.0),
+           t=st.floats(1e-3, 100.0))
+    @settings(deadline=None)
+    def test_slope_is_derivative(self, kind, mu, d, t):
+        c = mu + d
+        h = 1e-6 * (1.0 + abs(mu) + abs(d) + t)
+        kinks = (0.0, t, -t) if kind is EstimatorKind.HARD else (0.0,)
+        if min(abs(c - k) for k in kinks) < 10.0 * h:
+            return
+        _, slope = _inverse(kind, mu, d, t)
+        up, _ = _inverse(kind, mu, d + h, t)
+        down, _ = _inverse(kind, mu, d - h, t)
+        assert slope == pytest.approx((up - down) / (2.0 * h), abs=1e-6)
+
+    @pytest.mark.parametrize("kind", list(EstimatorKind))
+    @pytest.mark.parametrize("mu", [1e16, -1e16])
+    def test_huge_mu_keeps_digits_of_d(self, kind, mu):
+        t = 0.7
+        d = np.array([0.3, -0.123456789, 2.5e-3])
+        offset, slope = _inverse(kind, mu, d, t)
+        shift = {EstimatorKind.HARD: 0.0,
+                 EstimatorKind.SOFT: math.copysign(t, mu),
+                 EstimatorKind.ADAPTIVE_SOFT: t * t / mu}[kind]
+        np.testing.assert_allclose(offset, d + shift, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(slope, 1.0, rtol=1e-14)
 
 
 class TestThresholdRule:

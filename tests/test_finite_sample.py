@@ -13,7 +13,6 @@ from scipy.integrate import quad
 from threshcov import (
     DomainError,
     EstimatorKind,
-    MixedDistribution,
     ProblemSetup,
     ScalingFactor,
     SimulationPlan,
@@ -25,7 +24,6 @@ from threshcov import (
     t_cdf,
     tilde_cdf,
     tilde_density,
-    tilde_distribution,
 )
 
 SETUP = reference_setup()
@@ -45,6 +43,18 @@ class TestScalingFactor:
 
     def test_is_a_float(self):
         assert isinstance(ScalingFactor(2.0), float)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+    def test_every_entry_point_rejects_alike(self, bad):
+        plan = SimulationPlan(setup=SETUP, theta=0.1, reps=10, seed=1)
+        calls = [lambda: tilde_cdf("hard", 0.2, SETUP, 0.1, bad),
+                 lambda: tilde_density("hard", 0.2, SETUP, 0.1, bad),
+                 lambda: mirror_check("hard", SETUP, 0.1, bad, [0.2]),
+                 lambda: density_grid("hard", SETUP, 0.1, bad),
+                 lambda: simulate_scaled_error_ecdf(plan, "hard", bad, [0.0])]
+        for call in calls:
+            with pytest.raises(DomainError, match="scaling factor must be positive"):
+                call()
 
 
 class TestAtom:
@@ -164,23 +174,6 @@ class TestMirrorSymmetry:
 
 
 class TestBundles:
-    def test_distribution_bundle(self):
-        dist = tilde_distribution("soft", SETUP, 0.0, ALPHA)
-        assert dist.atom_mass == pytest.approx(atom_mass(SETUP))
-        assert dist.cdf(0.7) == pytest.approx(
-            tilde_cdf("soft", 0.7, SETUP, 0.0, ALPHA))
-        assert dist.density(0.7) == pytest.approx(
-            tilde_density("soft", 0.7, SETUP, 0.0, ALPHA))
-        assert tilde_distribution("soft", SETUP, 0.4, ALPHA).atom_mass == 0.0
-
-    def test_mixed_distribution_validates_mass(self):
-        with pytest.raises(DomainError):
-            MixedDistribution(atom_mass=1.5, cdf=lambda x: 1.0,
-                              density=lambda x: 0.0)
-        with pytest.raises(DomainError):
-            MixedDistribution(atom_mass=-0.1, cdf=lambda x: 0.0,
-                              density=lambda x: 0.0)
-
     def test_density_grid(self):
         xs, dens, mass = density_grid("hard", SETUP, 0.0, ALPHA, count=41)
         assert xs.shape == dens.shape == (41,)
