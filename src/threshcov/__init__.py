@@ -4,7 +4,6 @@ with guaranteed minimal coverage."""
 
 from .coverage import (
     IntervalSpec,
-    SearchConfig,
     infimal_known_coverage,
     known_coverage,
     lower_bound_is_exact,
@@ -32,7 +31,6 @@ from .limits import (
     consistent_limit_cdf,
     hard_weight,
     limit_atoms,
-    weak_convergence_gap,
     weak_convergence_gaps,
 )
 from .model import (

@@ -12,7 +12,6 @@ routine could not reach its accuracy target.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -40,8 +39,7 @@ from .limits import (
 from .model import ProblemSetup, VarianceMode, standard_ls_interval
 from .special import BracketError, DomainError, NumericsError, std_normal_cdf
 
-__all__ = ["RunConfig", "main", "EXIT_OK", "EXIT_CHECK_FAILED", "EXIT_USAGE",
-           "EXIT_NUMERICS"]
+__all__ = ["main", "EXIT_OK", "EXIT_CHECK_FAILED", "EXIT_USAGE", "EXIT_NUMERICS"]
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -80,32 +78,9 @@ _FIGURE_COVERAGE = {"covH": EstimatorKind.HARD, "covAS": EstimatorKind.ADAPTIVE_
 _LIMIT_GAP_THRESHOLD = 0.02
 
 
-@dataclasses.dataclass(frozen=True)
-class RunConfig:
-    """One CLI invocation, fully resolved."""
-
-    command: str
-    n: int = 40
-    k: int = 35
-    xi: float = 1.0
-    sigma: float = 1.0
-    eta: float = 0.05
-    alpha: float = 0.05
-    kind: str = "hard"
-    mode: str = "estimated"
-    theta: float = 0.0
-    a: float | None = None
-    d: float | None = None
-    which: str | None = None
-    seed: int = 20260501
-    reps: int = 100000
-    out: str | None = None
-    check: bool = False
-    fast: bool = False
-
-    def setup(self, eta: float | None = None) -> ProblemSetup:
-        return ProblemSetup(n=self.n, k=self.k, xi=self.xi, sigma=self.sigma,
-                            eta=self.eta if eta is None else eta)
+def _setup(args: argparse.Namespace, eta: float | None = None) -> ProblemSetup:
+    return ProblemSetup(n=args.n, k=args.k, xi=args.xi, sigma=args.sigma,
+                        eta=args.eta if eta is None else eta)
 
 
 def _fmt(value) -> str:
@@ -144,9 +119,9 @@ def _json_text(payload) -> str:
     return json.dumps(_round10(payload), indent=2, sort_keys=True) + "\n"
 
 
-def _emit(config: RunConfig, text: str):
-    if config.out:
-        Path(config.out).write_text(text, encoding="utf-8", newline="")
+def _emit(args: argparse.Namespace, text: str):
+    if args.out:
+        Path(args.out).write_text(text, encoding="utf-8", newline="")
     else:
         sys.stdout.write(text)
 
@@ -158,31 +133,31 @@ def _check_cell(label, got, expected, tol, failures):
     return ok
 
 
-def cmd_table1(config: RunConfig) -> int:
+def cmd_table1(args: argparse.Namespace) -> int:
     """Interval table: length, guaranteed lower bound, actual minimal
     coverage, and upper bound per estimator and eta, plus the classical
     LS row.  --fast leaves the (slow) minimal-coverage cells empty."""
-    alpha = config.alpha
+    alpha = args.alpha
     rows = []
-    ls_len = standard_ls_interval(config.setup(_TABLE_ETAS[0]),
+    ls_len = standard_ls_interval(_setup(args, _TABLE_ETAS[0]),
                                   VarianceMode.ESTIMATED, alpha)
     rows.append(("ls", "", ls_len, "", 1.0 - alpha, ""))
     results = {}
     for kind in _TABLE_KINDS:
         for eta in _TABLE_ETAS:
-            setup = config.setup(eta)
+            setup = _setup(args, eta)
             length = solve_unknown_half_length(kind, alpha, setup)
             spec = IntervalSpec(length, length, VarianceMode.ESTIMATED)
             lower = lower_bound_unknown(kind, spec, setup)
             upper = upper_bound_unknown(spec, setup)
-            min_cov = "" if config.fast else min_coverage_search(kind, spec, setup)[0]
+            min_cov = "" if args.fast else min_coverage_search(kind, spec, setup)[0]
             rows.append((kind.value, eta, length, lower, min_cov, upper))
             results[(kind.value, eta)] = (length, lower, min_cov, upper)
     text = _csv_text(
         ("estimator", "eta", "length", "lower_bound", "min_coverage", "upper_bound"),
         rows)
-    _emit(config, text)
-    if not config.check:
+    _emit(args, text)
+    if not args.check:
         return EXIT_OK
     failures = []
     _check_cell("length ls", ls_len, *_CHECK_LENGTHS[("ls", None)], failures)
@@ -194,7 +169,7 @@ def cmd_table1(config: RunConfig) -> int:
     for key, (expected, tol) in _CHECK_UPPER.items():
         _check_cell(f"upper bound {key[0]} eta={key[1]}", results[key][3],
                     expected, tol, failures)
-    if not config.fast:
+    if not args.fast:
         for key, (expected, tol) in _CHECK_MIN.items():
             _check_cell(f"min coverage {key[0]} eta={key[1]}", results[key][2],
                         expected, tol, failures)
@@ -203,78 +178,78 @@ def cmd_table1(config: RunConfig) -> int:
     return EXIT_CHECK_FAILED if failures else EXIT_OK
 
 
-def _coverage_curve_rows(kind: EstimatorKind, config: RunConfig):
-    setup = config.setup()
-    if config.a is not None:
-        length = float(config.a)
+def _coverage_curve_rows(kind: EstimatorKind, args: argparse.Namespace):
+    setup = _setup(args)
+    if args.a is not None:
+        length = float(args.a)
     else:
-        length = solve_unknown_half_length(kind, config.alpha, setup)
+        length = solve_unknown_half_length(kind, args.alpha, setup)
     spec = IntervalSpec(length, length, VarianceMode.ESTIMATED)
     thetas = np.linspace(0.0, 3.0, 301)
     rows = list(zip(thetas, unknown_coverage(kind, thetas, 1.0, spec, setup)))
     return rows, length
 
 
-def cmd_figure(config: RunConfig) -> int:
+def cmd_figure(args: argparse.Namespace) -> int:
     """Figure data as CSV.  which selects the panel: pdfH/pdfS/pdfAS are
     densities of the scaled error at the configured theta under the
     sampling-scale scaling; covH/covAS are coverage-versus-theta curves at
     the solved (or --a supplied) half-length."""
-    which = config.which
+    which = args.which
     if which in _FIGURE_DENSITY:
         kind = _FIGURE_DENSITY[which]
-        setup = config.setup()
-        xs, dens, atom = density_grid(kind, setup, config.theta,
+        setup = _setup(args)
+        xs, dens, atom = density_grid(kind, setup, args.theta,
                                       ScalingFactor.conservative(setup))
         rows = [(x, d, atom) for x, d in zip(xs, dens)]
-        _emit(config, _csv_text(("x", "density", "atom_mass"), rows))
+        _emit(args, _csv_text(("x", "density", "atom_mass"), rows))
         return EXIT_OK
     if which in _FIGURE_COVERAGE:
-        rows, _ = _coverage_curve_rows(_FIGURE_COVERAGE[which], config)
-        _emit(config, _csv_text(("theta", "coverage"), rows))
+        rows, _ = _coverage_curve_rows(_FIGURE_COVERAGE[which], args)
+        _emit(args, _csv_text(("theta", "coverage"), rows))
         return EXIT_OK
     raise DomainError(f"unknown figure id {which!r}; use one of "
                       f"{sorted(_FIGURE_DENSITY) + sorted(_FIGURE_COVERAGE)}")
 
 
-def cmd_coverage_curve(config: RunConfig) -> int:
+def cmd_coverage_curve(args: argparse.Namespace) -> int:
     """Coverage as a function of theta for any estimator kind."""
-    kind = EstimatorKind.from_label(config.kind)
-    rows, _ = _coverage_curve_rows(kind, config)
-    _emit(config, _csv_text(("theta", "coverage"), rows))
+    kind = EstimatorKind(args.kind)
+    rows, _ = _coverage_curve_rows(kind, args)
+    _emit(args, _csv_text(("theta", "coverage"), rows))
     return EXIT_OK
 
 
-def cmd_interval(config: RunConfig) -> int:
+def cmd_interval(args: argparse.Namespace) -> int:
     """Shortest guaranteed interval as JSON: half-length plus its
     guaranteed lower and upper coverage bounds."""
-    kind = EstimatorKind.from_label(config.kind)
-    mode = VarianceMode.from_label(config.mode)
-    setup = config.setup()
+    kind = EstimatorKind(args.kind)
+    mode = VarianceMode(args.mode)
+    setup = _setup(args)
     if mode is VarianceMode.KNOWN:
-        half = solve_known_half_length(kind, config.alpha, setup)
+        half = solve_known_half_length(kind, args.alpha, setup)
         spec = IntervalSpec(half, half, VarianceMode.KNOWN)
         lower = infimal_known_coverage(kind, spec, setup)
         arg = setup.root_n * half / setup.xi
         upper = float(std_normal_cdf(arg) - std_normal_cdf(-arg))
     else:
-        half = solve_unknown_half_length(kind, config.alpha, setup)
+        half = solve_unknown_half_length(kind, args.alpha, setup)
         spec = IntervalSpec(half, half, VarianceMode.ESTIMATED)
         lower = lower_bound_unknown(kind, spec, setup)
         upper = upper_bound_unknown(spec, setup)
     payload = {
         "kind": kind.value,
         "mode": mode.value,
-        "alpha": config.alpha,
+        "alpha": args.alpha,
         "half_length": half,
         "lower_bound": lower,
         "upper_bound": upper,
     }
-    _emit(config, _json_text(payload))
+    _emit(args, _json_text(payload))
     return EXIT_OK
 
 
-def _limit_suites(config: RunConfig):
+def _limit_suites(args: argparse.Namespace):
     """Convergence-check suites: (name, kind, regime, path).
 
     Paths hold (setup, theta) pairs with residual degrees of freedom fixed
@@ -283,28 +258,28 @@ def _limit_suites(config: RunConfig):
     a vanishing-threshold path eta = n^(-3/4) (e = 0).  --fast keeps only
     the endpoint of each path, which is the value the exit code tests.
     """
-    ns = (5000,) if config.fast else (50, 500, 5000)
+    ns = (5000,) if args.fast else (50, 500, 5000)
     suites = []
     for kind in EstimatorKind:
         path = []
         for n in ns:
-            setup = ProblemSetup(n=n, k=n - 5, xi=config.xi, sigma=config.sigma,
+            setup = ProblemSetup(n=n, k=n - 5, xi=args.xi, sigma=args.sigma,
                                  eta=1.0 / math.sqrt(n))
-            path.append((setup, config.sigma * config.xi / n))
+            path.append((setup, args.sigma * args.xi / n))
         suites.append((f"conservative-{kind.value}", kind,
                        ConservativeRegime(nu=0.0, e=1.0, m=5), path))
     for kind in EstimatorKind:
         path = []
         for n in ns:
             eta = n ** -0.15
-            setup = ProblemSetup(n=n, k=n - 5, xi=config.xi, sigma=config.sigma,
+            setup = ProblemSetup(n=n, k=n - 5, xi=args.xi, sigma=args.sigma,
                                  eta=eta)
-            path.append((setup, 0.4 * config.sigma * config.xi * eta))
+            path.append((setup, 0.4 * args.sigma * args.xi * eta))
         suites.append((f"consistent-{kind.value}", kind,
                        ConsistentRegime(zeta=0.4, m=5), path))
     path = []
     for n in ns:
-        setup = ProblemSetup(n=n, k=n - 5, xi=config.xi, sigma=config.sigma,
+        setup = ProblemSetup(n=n, k=n - 5, xi=args.xi, sigma=args.sigma,
                              eta=n ** -0.75)
         path.append((setup, 0.0))
     suites.append(("conservative-hard-vanishing", EstimatorKind.HARD,
@@ -312,14 +287,14 @@ def _limit_suites(config: RunConfig):
     return suites
 
 
-def cmd_limit_check(config: RunConfig) -> int:
+def cmd_limit_check(args: argparse.Namespace) -> int:
     """Weak-convergence report: sup-norm gaps between finite-sample and
     limit CDFs along moving-parameter paths; exit 0 iff every final gap is
     below the threshold."""
     grid = np.linspace(-3.0, 3.0, 41)
     report = []
     all_pass = True
-    for name, kind, regime, path in _limit_suites(config):
+    for name, kind, regime, path in _limit_suites(args):
         gaps = weak_convergence_gaps(kind, path, regime, grid)
         final = gaps[-1]
         ok = final <= _LIMIT_GAP_THRESHOLD
@@ -334,7 +309,7 @@ def cmd_limit_check(config: RunConfig) -> int:
             "pass": ok,
         })
     payload = {"suites": report, "all_pass": all_pass}
-    _emit(config, _json_text(payload))
+    _emit(args, _json_text(payload))
     return EXIT_OK if all_pass else EXIT_CHECK_FAILED
 
 
@@ -357,10 +332,6 @@ def _add_common(parser: argparse.ArgumentParser):
                         help="threshold tuning parameter")
     parser.add_argument("--alpha", type=float, default=0.05,
                         help="nominal non-coverage level")
-    parser.add_argument("--seed", type=int, default=20260501,
-                        help="simulation seed")
-    parser.add_argument("--reps", type=int, default=100000,
-                        help="simulation replications")
     parser.add_argument("--out", type=str, default=None,
                         help="write output to this file instead of stdout")
 
@@ -410,19 +381,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_namespace(ns: argparse.Namespace) -> RunConfig:
-    fields = {f.name for f in dataclasses.fields(RunConfig)}
-    values = {key: val for key, val in vars(ns).items()
-              if key in fields and val is not None}
-    return RunConfig(**values)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
-    ns = parser.parse_args(argv)
+    args = parser.parse_args(argv)
     try:
-        config = _config_from_namespace(ns)
-        return _COMMANDS[config.command](config)
+        return _COMMANDS[args.command](args)
     except (DomainError, BracketError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -27,7 +27,6 @@ from .special import (
     DEFAULT_QUADRATURE,
     BracketError,
     DomainError,
-    QuadratureConfig,
     _clamp_unit,
     _per_node,
     find_root,
@@ -40,7 +39,6 @@ from .special import (
 
 __all__ = [
     "IntervalSpec",
-    "SearchConfig",
     "known_coverage",
     "infimal_known_coverage",
     "solve_known_half_length",
@@ -54,6 +52,11 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
+
+# The worst-case search scans this many equally spaced theta, then refines
+# around the best one to this width.
+_SEARCH_GRID_POINTS = 201
+_SEARCH_REFINE_TOL = 1e-6
 
 
 @dataclasses.dataclass(frozen=True)
@@ -79,20 +82,6 @@ class IntervalSpec:
     @classmethod
     def symmetric(cls, a: float, mode: VarianceMode = VarianceMode.KNOWN) -> "IntervalSpec":
         return cls(a, a, mode)
-
-
-@dataclasses.dataclass(frozen=True)
-class SearchConfig:
-    """Grid density and refinement tolerance of the worst-case search."""
-
-    grid_points: int = 201
-    refine_tol: float = 1e-6
-
-    def __post_init__(self):
-        if self.grid_points < 2:
-            raise DomainError("grid_points must be at least 2")
-        if not self.refine_tol > 0.0:
-            raise DomainError("refine_tol must be positive")
 
 
 def _coverage_core(kind: EstimatorKind, mu, reach_a, reach_b, eta, rn):
@@ -156,8 +145,7 @@ def infimal_known_coverage(kind, spec: IntervalSpec, setup: ProblemSetup) -> flo
     return value
 
 
-def _solve_half_length(objective, kind: EstimatorKind, setup: ProblemSetup,
-                       tol: float) -> float:
+def _solve_half_length(objective, kind: EstimatorKind, setup: ProblemSetup) -> float:
     lo = 0.5 * setup.xi * setup.eta if kind is EstimatorKind.HARD else 0.0
     hi = max(setup.xi * setup.eta, setup.xi / setup.root_n)
     for _ in range(200):
@@ -166,11 +154,10 @@ def _solve_half_length(objective, kind: EstimatorKind, setup: ProblemSetup,
         hi *= 2.0
     else:
         raise BracketError("could not bracket the half-length equation")
-    return find_root(objective, lo, hi, tol)
+    return find_root(objective, lo, hi)
 
 
-def solve_known_half_length(kind, alpha: float, setup: ProblemSetup,
-                            tol: float = 1e-10) -> float:
+def solve_known_half_length(kind, alpha: float, setup: ProblemSetup) -> float:
     """Shortest symmetric known-variance half-length a (in units of sigma)
     with infimal coverage 1 - alpha."""
     kind = EstimatorKind(kind)
@@ -182,7 +169,7 @@ def solve_known_half_length(kind, alpha: float, setup: ProblemSetup,
         return infimal_known_coverage(
             kind, IntervalSpec(a, a, VarianceMode.KNOWN), setup) - target
 
-    root = _solve_half_length(objective, kind, setup, tol)
+    root = _solve_half_length(objective, kind, setup)
     if kind is EstimatorKind.HARD:
         # below xi eta / 2 the hard infimum is identically zero
         assert root > 0.5 * setup.xi * setup.eta
@@ -190,8 +177,7 @@ def solve_known_half_length(kind, alpha: float, setup: ProblemSetup,
 
 
 def unknown_coverage(kind, theta_i: float, sigma: float, spec: IntervalSpec,
-                     setup: ProblemSetup,
-                     cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+                     setup: ProblemSetup) -> float:
     """Exact coverage at theta_i with estimated variance.
 
     Averages the known-variance coverage over s = sigma_hat / sigma, with
@@ -217,10 +203,10 @@ def unknown_coverage(kind, theta_i: float, sigma: float, spec: IntervalSpec,
                                setup.root_n)
                 * rho_density(s, m))
 
-    upper = rho_upper_limit(m, cfg.tail_mass_tol)
+    upper = rho_upper_limit(m, DEFAULT_QUADRATURE.tail_mass_tol)
     pts = np.hstack([_switch_points(kind, mus, reach, setup.eta),
                      _switch_points(kind, mus, -reach, setup.eta)])
-    value, bound = integrate_halfline(f, pts, upper=upper, cfg=cfg, with_bound=True)
+    value, bound = integrate_halfline(f, pts, upper=upper, with_bound=True)
     return _clamp_unit(value.reshape(theta.shape), bound.reshape(theta.shape),
                        "unknown_coverage")
 
@@ -270,8 +256,7 @@ def upper_bound_unknown(spec: IntervalSpec, setup: ProblemSetup) -> float:
     return float(t_cdf(arg, m) - t_cdf(-arg, m))
 
 
-def solve_unknown_half_length(kind, alpha: float, setup: ProblemSetup,
-                              tol: float = 1e-10) -> float:
+def solve_unknown_half_length(kind, alpha: float, setup: ProblemSetup) -> float:
     """Shortest symmetric estimated-variance half-length a (in units of
     sigma_hat) whose guaranteed lower bound equals 1 - alpha."""
     kind = EstimatorKind(kind)
@@ -283,7 +268,7 @@ def solve_unknown_half_length(kind, alpha: float, setup: ProblemSetup,
         return lower_bound_unknown(
             kind, IntervalSpec(a, a, VarianceMode.ESTIMATED), setup) - target
 
-    return _solve_half_length(objective, kind, setup, tol)
+    return _solve_half_length(objective, kind, setup)
 
 
 def _golden_section_min(f, lo: float, hi: float, tol: float):
@@ -306,9 +291,7 @@ def _golden_section_min(f, lo: float, hi: float, tol: float):
     return mid, f(mid)
 
 
-def min_coverage_search(kind, spec: IntervalSpec, setup: ProblemSetup,
-                        search: SearchConfig = SearchConfig(),
-                        cfg: QuadratureConfig = DEFAULT_QUADRATURE):
+def min_coverage_search(kind, spec: IntervalSpec, setup: ProblemSetup):
     """Numerical minimum over the parameter of the estimated-variance coverage.
 
     Coverage depends on (theta, sigma) only through theta / sigma and is
@@ -324,18 +307,16 @@ def min_coverage_search(kind, spec: IntervalSpec, setup: ProblemSetup,
         raise DomainError("min_coverage_search needs an estimated-variance interval")
 
     def cov(theta):
-        return unknown_coverage(kind, float(theta), 1.0, spec, setup, cfg)
+        return unknown_coverage(kind, float(theta), 1.0, spec, setup)
 
-    if search is None:
-        search = SearchConfig()
     theta_max = spec.a + setup.xi * setup.eta + 10.0 * setup.xi / setup.root_n
-    grid = np.linspace(0.0, theta_max, search.grid_points)
-    values = unknown_coverage(kind, grid, 1.0, spec, setup, cfg)
+    grid = np.linspace(0.0, theta_max, _SEARCH_GRID_POINTS)
+    values = unknown_coverage(kind, grid, 1.0, spec, setup)
     best = int(np.argmin(values))
     lo = grid[max(best - 1, 0)]
     hi = grid[min(best + 1, len(grid) - 1)]
     refined_theta, refined_value = _golden_section_min(cov, float(lo), float(hi),
-                                                       search.refine_tol)
+                                                       _SEARCH_REFINE_TOL)
     if values[best] < refined_value:
         refined_theta, refined_value = float(grid[best]), float(values[best])
     tail = upper_bound_unknown(spec, setup)

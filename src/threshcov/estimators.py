@@ -30,11 +30,8 @@ class EstimatorKind(enum.Enum):
     ADAPTIVE_SOFT = "asoft"
 
     @classmethod
-    def from_label(cls, label: str) -> "EstimatorKind":
-        for kind in cls:
-            if kind.value == label:
-                return kind
-        raise DomainError(f"unknown estimator kind {label!r}")
+    def _missing_(cls, value):
+        raise DomainError(f"unknown estimator kind {value!r}")
 
 
 def kernel(kind, z, t):

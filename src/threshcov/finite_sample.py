@@ -26,7 +26,6 @@ from .model import ProblemSetup
 from .special import (
     DEFAULT_QUADRATURE,
     DomainError,
-    QuadratureConfig,
     _clamp_unit,
     _per_node,
     integrate_halfline,
@@ -95,16 +94,17 @@ def _cdf_integrand(kind: EstimatorKind, mu: float, slope: np.ndarray, eta: float
     return f
 
 
-def tilde_cdf(kind, x, setup: ProblemSetup, theta_i: float, alpha,
-              cfg: QuadratureConfig = DEFAULT_QUADRATURE):
+def tilde_cdf(kind, x, setup: ProblemSetup, theta_i: float, alpha):
     """CDF of alpha (estimate_i - theta_i) / sigma_hat at x.
 
     x may be an array: every finite element is one problem of a single
     batched quadrature, and the result has x's shape.  A scalar x gives a
-    float.
+    float.  theta_i must be finite.
     """
     kind = EstimatorKind(kind)
     a = ScalingFactor(alpha)
+    if not math.isfinite(theta_i):
+        raise DomainError("theta must be finite")
     setup.require_estimated_variance()
     x = np.asarray(x, dtype=float)
     if np.isnan(x).any():
@@ -116,12 +116,12 @@ def tilde_cdf(kind, x, setup: ProblemSetup, theta_i: float, alpha,
     if xs.size:
         mu = theta_i / (setup.sigma * setup.xi)
         slope = xs / (a * setup.xi)
-        upper = rho_upper_limit(setup.residual_dof, cfg.tail_mass_tol)
+        upper = rho_upper_limit(setup.residual_dof, DEFAULT_QUADRATURE.tail_mass_tol)
         out[finite], bound[finite] = integrate_halfline(
             _cdf_integrand(kind, mu, slope, setup.eta, setup.root_n,
                            setup.residual_dof),
             _switch_points(kind, mu, slope, setup.eta),
-            upper=upper, cfg=cfg, with_bound=True)
+            upper=upper, with_bound=True)
     return _clamp_unit(out, bound, "tilde_cdf")
 
 
@@ -170,14 +170,16 @@ def _kill_kernel_term(x: np.ndarray, q: float, setup: ProblemSetup,
     return term
 
 
-def tilde_density(kind, x, setup: ProblemSetup, theta_i: float, alpha,
-                  cfg: QuadratureConfig = DEFAULT_QUADRATURE):
+def tilde_density(kind, x, setup: ProblemSetup, theta_i: float, alpha):
     """Density of the absolutely continuous part at x (atom reported separately).
 
     x may be an array, integrated as one batch; a scalar x gives a float.
+    theta_i must be finite.
     """
     kind = EstimatorKind(kind)
     a = ScalingFactor(alpha)
+    if not math.isfinite(theta_i):
+        raise DomainError("theta must be finite")
     setup.require_estimated_variance()
     x = np.asarray(x, dtype=float)
     if not np.isfinite(x).all():
@@ -194,20 +196,19 @@ def tilde_density(kind, x, setup: ProblemSetup, theta_i: float, alpha,
     if xs.size:
         mu = theta_i / (setup.sigma * setup.xi)
         slope = xs / (a * setup.xi)
-        upper = rho_upper_limit(setup.residual_dof, cfg.tail_mass_tol)
+        upper = rho_upper_limit(setup.residual_dof, DEFAULT_QUADRATURE.tail_mass_tol)
         value = integrate_halfline(
             _density_integrand(kind, mu, slope, setup.eta, setup.root_n,
                                setup.residual_dof, 1.0 / (a * setup.xi)),
             _switch_points(kind, mu, slope, setup.eta),
-            upper=upper, cfg=cfg)
+            upper=upper)
         if q != 0.0:
             value += _kill_kernel_term(xs, q, setup, a)
         out[live] = np.maximum(0.0, value)
     return float(out) if out.ndim == 0 else out
 
 
-def mirror_check(kind, setup: ProblemSetup, theta_i: float, alpha, grid,
-                 cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+def mirror_check(kind, setup: ProblemSetup, theta_i: float, alpha, grid) -> float:
     """Maximal deviation from the sign-flip relation over the grid.
 
     Flipping the sign of the true component mirrors the error law:
@@ -218,14 +219,13 @@ def mirror_check(kind, setup: ProblemSetup, theta_i: float, alpha, grid,
     kind = EstimatorKind(kind)
     a = ScalingFactor(alpha)
     grid = np.asarray(grid, dtype=float)
-    direct = tilde_cdf(kind, grid, setup, theta_i, a, cfg)
-    mirrored = 1.0 - tilde_cdf(kind, -grid, setup, -theta_i, a, cfg)
+    direct = tilde_cdf(kind, grid, setup, theta_i, a)
+    mirrored = 1.0 - tilde_cdf(kind, -grid, setup, -theta_i, a)
     return float(np.max(np.abs(direct - mirrored), initial=0.0))
 
 
 def density_grid(kind, setup: ProblemSetup, theta_i: float, alpha,
-                 lo: float = -4.0, hi: float = 4.0, count: int = 801,
-                 cfg: QuadratureConfig = DEFAULT_QUADRATURE):
+                 lo: float = -4.0, hi: float = 4.0, count: int = 801):
     """Equally spaced density evaluations plus the atom mass.
 
     Returns (x values, density values, atom mass); the default 801-point
@@ -238,6 +238,6 @@ def density_grid(kind, setup: ProblemSetup, theta_i: float, alpha,
     if count < 2:
         raise DomainError("grid needs at least 2 points")
     xs = np.linspace(lo, hi, count)
-    dens = tilde_density(kind, xs, setup, theta_i, a, cfg)
+    dens = tilde_density(kind, xs, setup, theta_i, a)
     mass = atom_mass(setup) if theta_i == 0.0 else 0.0
     return xs, dens, mass

@@ -26,7 +26,6 @@ from .model import ProblemSetup
 from .special import (
     DEFAULT_QUADRATURE,
     DomainError,
-    QuadratureConfig,
     _clamp_unit,
     chi_sq_cdf,
     integrate_halfline,
@@ -43,8 +42,9 @@ __all__ = [
     "hard_weight",
     "limit_atoms",
     "weak_convergence_gaps",
-    "weak_convergence_gap",
 ]
+
+_EXCLUSION_RADIUS = 0.05
 
 
 def _check_limit_dof(m):
@@ -108,8 +108,7 @@ def _step(x: np.ndarray, location: float) -> np.ndarray:
     return np.where(x >= location, 1.0, 0.0)
 
 
-def conservative_limit_cdf(kind, x, regime: ConservativeRegime,
-                           cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+def conservative_limit_cdf(kind, x, regime: ConservativeRegime) -> float:
     """CDF of the conservative-regime limit law at x.
 
     Only finite residual degrees of freedom are supported: with m = inf the
@@ -140,11 +139,11 @@ def conservative_limit_cdf(kind, x, regime: ConservativeRegime,
         # the mixture over s is a t CDF
         out[finite] = t_cdf(_inverse(kind, 0.0, xs, e)[0], m)
     elif xs.size:
-        upper = rho_upper_limit(m, cfg.tail_mass_tol)
+        upper = rho_upper_limit(m, DEFAULT_QUADRATURE.tail_mass_tol)
         out[finite], bound[finite] = integrate_halfline(
             _cdf_integrand(kind, nu, xs, e, 1.0, m),
             _switch_points(kind, nu, xs, e),
-            upper=upper, cfg=cfg, with_bound=True)
+            upper=upper, with_bound=True)
     return _clamp_unit(out, bound, "conservative_limit_cdf")
 
 
@@ -229,7 +228,7 @@ def _consistent_cdf(kind: EstimatorKind, x: np.ndarray,
         # the law sits on [-1, 0): 0 left of it, 1 from 0 on
         inside = (x >= -1.0) & (x < 0.0)
         xc = np.where(inside, x, -1.0)
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
             upper_arg = chi_sq_cdf(mz2 / (xc * xc), m)
         if kind is EstimatorKind.HARD:
             value = upper_arg - chi_sq_cdf(mz2, m)
@@ -241,7 +240,7 @@ def _consistent_cdf(kind: EstimatorKind, x: np.ndarray,
     # the law sits on [0, 1]: 0 left of it, 1 from 1 on
     inside = (x >= 0.0) & (x < 1.0)
     xc = np.where(inside, x, 1.0)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         inv_tail = 1.0 - chi_sq_cdf(mz2 / (xc * xc), m)
     if kind is EstimatorKind.HARD:
         value = chi_sq_cdf(mz2, m) + inv_tail
@@ -270,24 +269,22 @@ def limit_atoms(kind, regime) -> tuple:
 
 
 def weak_convergence_gaps(kind, setup_sequence: Iterable[Tuple[ProblemSetup, float]],
-                          regime, grid: Sequence[float],
-                          exclusion_radius: float = 0.05,
-                          cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> list:
+                          regime, grid: Sequence[float]) -> list:
     """Sup-norm gap between finite-sample and limit CDFs, one per setup.
 
     setup_sequence yields (setup, theta_i) pairs; the scaling matching the
     regime (conservative: sqrt(n)/xi, consistent: 1/(xi eta)) is applied
-    automatically.  Grid points within exclusion_radius of a potential limit
-    atom are dropped: weak convergence holds at continuity points only.
+    automatically.  Grid points within 0.05 of a potential limit atom are
+    dropped: weak convergence holds at continuity points only.
     """
     kind = EstimatorKind(kind)
     atoms = np.array(limit_atoms(kind, regime))
     grid = np.asarray(grid, dtype=float).ravel()
-    xs = grid[np.all(np.abs(grid[:, None] - atoms) > exclusion_radius, axis=1)]
+    xs = grid[np.all(np.abs(grid[:, None] - atoms) > _EXCLUSION_RADIUS, axis=1)]
     if not xs.size:
         raise DomainError("no continuity points remain in the grid")
     if isinstance(regime, ConservativeRegime):
-        limit_vals = conservative_limit_cdf(kind, xs, regime, cfg)
+        limit_vals = conservative_limit_cdf(kind, xs, regime)
         scaling = ScalingFactor.conservative
     elif isinstance(regime, ConsistentRegime):
         limit_vals = consistent_limit_cdf(kind, xs, regime)
@@ -296,17 +293,6 @@ def weak_convergence_gaps(kind, setup_sequence: Iterable[Tuple[ProblemSetup, flo
         raise DomainError("regime must be ConservativeRegime or ConsistentRegime")
     gaps = []
     for setup, theta_i in setup_sequence:
-        finite = tilde_cdf(kind, xs, setup, theta_i, scaling(setup), cfg)
+        finite = tilde_cdf(kind, xs, setup, theta_i, scaling(setup))
         gaps.append(float(np.max(np.abs(finite - limit_vals))))
     return gaps
-
-
-def weak_convergence_gap(kind, setup_sequence, regime, grid,
-                         exclusion_radius: float = 0.05,
-                         cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
-    """Gap at the largest sample size of the sequence."""
-    seq = sorted(setup_sequence, key=lambda pair: pair[0].n)
-    if not seq:
-        raise DomainError("setup_sequence must not be empty")
-    return weak_convergence_gaps(kind, seq[-1:], regime, grid,
-                                 exclusion_radius, cfg)[0]

@@ -44,11 +44,8 @@ class VarianceMode(enum.Enum):
     ESTIMATED = "estimated"
 
     @classmethod
-    def from_label(cls, label: str) -> "VarianceMode":
-        for mode in cls:
-            if mode.value == label:
-                return mode
-        raise DomainError(f"unknown variance mode {label!r}")
+    def _missing_(cls, value):
+        raise DomainError(f"unknown variance mode {value!r}")
 
 
 @dataclasses.dataclass(frozen=True)

@@ -21,6 +21,11 @@ vectorized round.  Every problem keeps its own breakpoints and tolerance
 target and leaves the batch once converged, so an array result agrees with
 the per-element calls within the reported error bound, not bitwise.  A
 scalar call is a batch of one and runs exactly the rounds it always did.
+
+The package's accuracy targets are fixed: every law and coverage integrates
+to ``DEFAULT_QUADRATURE``, and half-length roots are found to 1e-10.  Only
+``integrate_halfline`` takes a :class:`QuadratureConfig`, for integrands of
+the caller's own.
 """
 
 from __future__ import annotations

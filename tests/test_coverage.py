@@ -16,7 +16,6 @@ from threshcov import (
     EstimatorKind,
     IntervalSpec,
     ProblemSetup,
-    SearchConfig,
     VarianceMode,
     infimal_known_coverage,
     known_coverage,
@@ -86,12 +85,6 @@ class TestIntervalSpec:
             upper_bound_unknown(known, SETUP)
         with pytest.raises(DomainError):
             min_coverage_search("hard", known, SETUP)
-
-    def test_search_config_validation(self):
-        with pytest.raises(DomainError):
-            SearchConfig(grid_points=1)
-        with pytest.raises(DomainError):
-            SearchConfig(refine_tol=0.0)
 
 
 class TestKnownCoverage:
@@ -367,14 +360,6 @@ class TestMinSearch:
         for theta in np.linspace(0.0, 1.2, 25):
             assert value <= unknown_coverage("asoft", float(theta), 1.0, spec,
                                              SETUP) + 1e-9
-
-    def test_custom_search_config(self):
-        spec = est_spec(0.43)
-        coarse, _ = min_coverage_search("hard", spec, SETUP,
-                                        SearchConfig(grid_points=51,
-                                                     refine_tol=1e-4))
-        fine, _ = min_coverage_search("hard", spec, SETUP)
-        assert coarse == pytest.approx(fine, abs=1e-4)
 
 
 class TestSimpleInterval:

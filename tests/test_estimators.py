@@ -164,6 +164,12 @@ class TestThresholdRule:
         assert rule.kind is EstimatorKind.ADAPTIVE_SOFT
         assert rule.mode is VarianceMode.ESTIMATED
 
+    def test_unknown_labels_raise_domain_error(self):
+        with pytest.raises(DomainError, match="unknown estimator kind 'bogus'"):
+            kernel("bogus", 1.0, 0.5)
+        with pytest.raises(DomainError, match="unknown variance mode 'bogus'"):
+            ThresholdRule("hard", 0.1, "bogus")
+
 
 def seeded_problem(seed=11, n=40, k=35):
     rng = np.random.default_rng(seed)

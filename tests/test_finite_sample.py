@@ -57,6 +57,15 @@ class TestScalingFactor:
                 call()
 
 
+class TestThetaDomain:
+    @pytest.mark.parametrize("law", [tilde_cdf, tilde_density])
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_non_finite_theta_rejected(self, kind, theta, law):
+        with pytest.raises(DomainError, match="theta must be finite"):
+            law(kind, 0.2, SETUP, theta, ALPHA)
+
+
 class TestAtom:
     def test_matches_student_t_band(self):
         m = SETUP.residual_dof
