@@ -23,6 +23,8 @@ from .special import DomainError
 
 __all__ = ["EstimatorKind", "ThresholdRule", "kernel", "estimate"]
 
+_SMALLEST_NORMAL = float(np.finfo(float).tiny)
+
 
 class EstimatorKind(enum.Enum):
     HARD = "hard"
@@ -96,12 +98,15 @@ def _switch_points(kind: EstimatorKind, mu, slope, t) -> np.ndarray:
     """s-values where _inverse(kind, mu, slope * s, t * s) changes branch,
     one row per element of mu or slope: mu + slope s crosses 0 and, for
     hard, +-t s.  Candidates that are not positive and finite are left for
-    the quadrature to drop."""
+    the quadrature to drop.  Subnormal ones become NaN, which it drops too:
+    their panel [0, s] would put Gauss nodes at s = 0, where t s = 0 and the
+    adaptive-soft inverse is 0/0."""
     mu = np.asarray(mu, dtype=float)
     slope = np.asarray(slope, dtype=float)
     dens = [slope, slope - t, slope + t] if kind is EstimatorKind.HARD else [slope]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return np.stack([-mu / den for den in dens], axis=-1)
+        pts = np.stack([-mu / den for den in dens], axis=-1)
+    return np.where(pts >= _SMALLEST_NORMAL, pts, np.nan)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)

@@ -13,16 +13,33 @@ substream layout: uniform 2j is the Gaussian draw of replication j,
 uniform 2j+1 its chi-square draw.  Uniform 2j+1 stays reserved in
 known-variance runs, so layouts never depend on options, but it is not
 transformed there: the interval [est - sigma a, est + sigma b] never uses
-sigma_hat, so known-variance cells skip the chi-square inverse.  The
-full-design path materializes y and runs the entire estimator; replication
-j consumes uniforms [j n, (j+1) n), and known-variance cells skip the
-residual pass that estimates sigma.
+sigma_hat, so known-variance cells skip the chi-square inverse.
+
+Estimated-variance coverage and ECDF cells invert only the chi-square draws
+whose outcome is in doubt.  A chi-square uniform lies strictly inside one
+cell (i/N, (i+1)/N) of a power-of-two grid, so sigma_hat lies between the
+exact quantiles at the cell ends, tabulated once per residual dof and
+widened by a relative margin.  For a fixed Gaussian draw the thresholded
+estimate is monotone in the cutoff, and every step after it is a correctly
+rounded, monotone operation, so evaluating the same expressions at the two
+bracket ends encloses the values the exact sigma_hat would give.  A
+replication whose enclosure decides it (a hit or a miss; for the ECDF, one
+grid bin and surely zero or surely nonzero) is counted from the bracket;
+the rest, and every draw in the two edge cells, whose brackets reach 0 and
+inf, are inverted exactly as in `component_draws`.  Counts are therefore
+bit-identical to inverting every draw, and the uniform layout is unchanged.
+
+The full-design path materializes y and runs the entire estimator;
+replication j consumes uniforms [j n, (j+1) n), and known-variance cells
+skip the residual pass that estimates sigma.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -46,6 +63,9 @@ __all__ = [
 _UNIFORMS_PER_REP = 2
 _RAW_PER_BLOCK = 4  # Philox-4x64 emits four 64-bit words per counter step
 _CHUNK_REPS = 1 << 19
+_BRACKET_CELLS = 1 << 12  # cells of the chi-square uniform's grid
+_BRACKET_REPS = 1 << 16  # replications per bracketed block
+_MARGIN = 1e-12  # relative widening of brackets and decisions
 
 
 def uniform_field(seed: int, start: int, count: int) -> np.ndarray:
@@ -124,7 +144,7 @@ def component_draws(plan: SimulationPlan, start: int = 0, stop: int | None = Non
     """
     setup = plan.setup
     u = _replication_uniforms(plan, start, plan.reps if stop is None else stop)
-    sigma_hat = _sigma_hat_draws(setup, u) if setup.n > setup.k else None
+    sigma_hat = _sigma_hat_draws(setup, u[1::2]) if setup.n > setup.k else None
     return _ls_draws(plan, u), sigma_hat
 
 
@@ -143,12 +163,71 @@ def _ls_draws(plan: SimulationPlan, u: np.ndarray) -> np.ndarray:
     return plan.component_theta + setup.sigma * setup.xi / setup.root_n * z
 
 
-def _sigma_hat_draws(setup: ProblemSetup, u: np.ndarray) -> np.ndarray:
-    """Variance estimates from the chi-square uniforms (odd indexes) of a
-    chunk; needs n > k."""
+def _sigma_hat_draws(setup: ProblemSetup, u_chi: np.ndarray) -> np.ndarray:
+    """Variance estimates from chi-square uniforms (the odd indexes of a
+    chunk); needs n > k."""
     m = setup.residual_dof
-    chi = chi_sq_quantile(u[1::2], m)
+    chi = chi_sq_quantile(u_chi, m)
     return setup.sigma * np.sqrt(chi / m)
+
+
+@functools.lru_cache(maxsize=None)
+def _sigma_hat_bracket(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per grid cell i, ends (lo[i], hi[i]) that enclose sigma_hat / sigma
+    for every chi-square uniform in (i / N, (i + 1) / N).
+
+    The interior ends are the exact quantiles at the cell ends, through the
+    expression of `_sigma_hat_draws`, widened by the relative margin against
+    non-monotone rounding in the inverse; the edge cells reach 0 and inf.
+    """
+    p = np.arange(1, _BRACKET_CELLS) / _BRACKET_CELLS
+    ends = np.sqrt(chi_sq_quantile(p, m) / m)
+    lo = np.concatenate([[0.0], ends * (1.0 - _MARGIN)])
+    hi = np.concatenate([ends * (1.0 + _MARGIN), [math.inf]])
+    lo.flags.writeable = hi.flags.writeable = False
+    return lo, hi
+
+
+class _Bracketed(NamedTuple):
+    """A block of estimated-variance replications with sigma_hat bracketed:
+    sigma_hat lies in [s_lo, s_hi], so the estimate lies in [est_lo, est_hi].
+    Brackets of edge-cell replications are placeholders that stay finite;
+    those replications always take the exact path."""
+
+    ls: np.ndarray
+    u_chi: np.ndarray
+    edge: np.ndarray
+    s_lo: np.ndarray
+    s_hi: np.ndarray
+    est_lo: np.ndarray
+    est_hi: np.ndarray
+
+    def exact(self, setup: ProblemSetup, undecided: np.ndarray):
+        """Indexes and exact sigma_hats of the undecided and edge-cell
+        replications."""
+        idx = np.flatnonzero(undecided | self.edge)
+        return idx, _sigma_hat_draws(setup, self.u_chi[idx])
+
+
+def _bracketed_blocks(plan: SimulationPlan, kind):
+    """The replications of an estimated-variance cell, in blocks of
+    _BRACKET_REPS, bracketed from the grid cells of their chi-square uniforms."""
+    setup = plan.setup
+    lo, hi = _sigma_hat_bracket(setup.require_estimated_variance())
+    for start in range(0, plan.reps, _BRACKET_REPS):
+        u = _replication_uniforms(plan, start, min(start + _BRACKET_REPS, plan.reps))
+        ls = _ls_draws(plan, u)
+        u_chi = u[1::2]
+        cell = (u_chi * _BRACKET_CELLS).astype(np.intp)  # exact: N is 2^12
+        edge = (cell == 0) | (cell == _BRACKET_CELLS - 1)
+        inner = np.clip(cell, 1, _BRACKET_CELLS - 2)
+        s_lo = setup.sigma * lo[inner]
+        s_hi = setup.sigma * hi[inner]
+        # kernel is monotone in the cutoff for fixed z: the ends enclose it
+        est_a = kernel(kind, ls, s_lo * setup.xi * setup.eta)
+        est_b = kernel(kind, ls, s_hi * setup.xi * setup.eta)
+        yield _Bracketed(ls, u_chi, edge, s_lo, s_hi,
+                         np.minimum(est_a, est_b), np.maximum(est_a, est_b))
 
 
 def synthetic_design(n: int, k: int, xi: float = 1.0) -> np.ndarray:
@@ -178,24 +257,53 @@ def _residual_scale(X: np.ndarray, Y: np.ndarray, coefs: np.ndarray,
     return np.sqrt((resid * resid).sum(axis=0) / dof)
 
 
+def _coverage_estimate(hits: int, reps: int):
+    """Empirical coverage and its binomial standard error."""
+    p = hits / reps
+    return p, math.sqrt(p * (1.0 - p) / reps)
+
+
+def _covers(kind, ls, scale, spec, setup: ProblemSetup, theta: float) -> np.ndarray:
+    """Whether [est - scale a, est + scale b] holds theta, per replication."""
+    est = kernel(kind, ls, scale * setup.xi * setup.eta)
+    return (est - scale * spec.a <= theta) & (theta <= est + scale * spec.b)
+
+
+def _bracketed_hits(plan: SimulationPlan, kind, spec, theta: float) -> int:
+    """Estimated-variance hits: replications whose interval ends clear theta
+    over the whole sigma_hat bracket are decided there, the rest exactly."""
+    hits = 0
+    for blk in _bracketed_blocks(plan, kind):
+        # the arms scale * a grow with scale (a, b >= 0)
+        lower_lo = blk.est_lo - blk.s_hi * spec.a
+        lower_hi = blk.est_hi - blk.s_lo * spec.a
+        upper_lo = blk.est_lo + blk.s_lo * spec.b
+        upper_hi = blk.est_hi + blk.s_hi * spec.b
+        slack = _MARGIN * (np.maximum(np.abs(blk.est_lo), np.abs(blk.est_hi))
+                           + blk.s_hi * max(spec.a, spec.b) + abs(theta))
+        hit = (lower_hi + slack <= theta) & (theta <= upper_lo - slack)
+        miss = (lower_lo - slack > theta) | (theta > upper_hi + slack)
+        idx, sigma_hat = blk.exact(plan.setup, ~(hit | miss))
+        inside = _covers(kind, blk.ls[idx], sigma_hat, spec, plan.setup, theta)
+        hits += (int(np.count_nonzero(hit & ~blk.edge))
+                 + int(np.count_nonzero(inside)))
+    return hits
+
+
 def simulate_coverage(plan: SimulationPlan, kind, spec):
     """Empirical coverage of [estimate - c a, estimate + c b] and its
     binomial standard error, via the fast path."""
     kind = EstimatorKind(kind)
     setup = plan.setup
     theta = plan.component_theta
+    if spec.mode is VarianceMode.ESTIMATED:
+        return _coverage_estimate(_bracketed_hits(plan, kind, spec, theta), plan.reps)
     hits = 0
     for start in range(0, plan.reps, _CHUNK_REPS):
         stop = min(start + _CHUNK_REPS, plan.reps)
-        u = _replication_uniforms(plan, start, stop)
-        ls = _ls_draws(plan, u)
-        scale = _interval_scale(spec, setup, lambda: _sigma_hat_draws(setup, u))
-        est = kernel(kind, ls, scale * setup.xi * setup.eta)
-        inside = (est - scale * spec.a <= theta) & (theta <= est + scale * spec.b)
-        hits += int(np.count_nonzero(inside))
-    p = hits / plan.reps
-    se = math.sqrt(p * (1.0 - p) / plan.reps)
-    return p, se
+        ls = _ls_draws(plan, _replication_uniforms(plan, start, stop))
+        hits += int(np.count_nonzero(_covers(kind, ls, setup.sigma, spec, setup, theta)))
+    return _coverage_estimate(hits, plan.reps)
 
 
 def simulate_coverage_full(plan: SimulationPlan, kind, spec):
@@ -234,9 +342,7 @@ def simulate_coverage_full(plan: SimulationPlan, kind, spec):
         est = kernel(kind, coefs[watched], scale * xi_all[watched] * setup.eta)
         inside = (est - scale * spec.a <= theta) & (theta <= est + scale * spec.b)
         hits += int(np.count_nonzero(inside))
-    p = hits / plan.reps
-    se = math.sqrt(p * (1.0 - p) / plan.reps)
-    return p, se
+    return _coverage_estimate(hits, plan.reps)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -265,14 +371,30 @@ def simulate_scaled_error_ecdf(plan: SimulationPlan, kind, alpha, grid) -> EcdfR
     if np.any(np.diff(grid_arr) < 0.0):
         raise DomainError("grid must be nondecreasing")
     theta = plan.component_theta
-    counts = np.zeros(grid_arr.size, dtype=np.int64)
+    # bins[j] counts the replications with exactly j grid points below err;
+    # ceiling[j] is the first grid point at or above such an err
+    bins = np.zeros(grid_arr.size + 1, dtype=np.int64)
+    ceiling = np.append(grid_arr, math.inf)
     zeros = 0
-    for start in range(0, plan.reps, _CHUNK_REPS):
-        stop = min(start + _CHUNK_REPS, plan.reps)
-        ls, sigma_hat = component_draws(plan, start, stop)
-        est = kernel(kind, ls, sigma_hat * setup.xi * setup.eta)
-        zeros += int(np.count_nonzero(est == 0.0))
-        err = np.sort(a * (est - theta) / sigma_hat)
-        counts += np.searchsorted(err, grid_arr, side="right")
+    for blk in _bracketed_blocks(plan, kind):
+        # a (est - theta) / s over the bracket: x / s is monotone in s
+        num_lo = a * (blk.est_lo - theta)
+        num_hi = a * (blk.est_hi - theta)
+        err_lo = np.minimum(num_lo / blk.s_lo, num_lo / blk.s_hi)
+        err_hi = np.maximum(num_hi / blk.s_lo, num_hi / blk.s_hi)
+        # a killed estimate is exactly 0, so its slack scales with theta only
+        slack = _MARGIN * a * (np.maximum(np.abs(blk.est_lo), np.abs(blk.est_hi))
+                               + abs(theta)) / blk.s_lo
+        j = np.searchsorted(grid_arr, err_lo - slack, "left")
+        zero = (blk.est_lo == 0.0) & (blk.est_hi == 0.0)
+        decided = ((err_hi + slack <= ceiling[j])
+                   & (zero | (blk.est_lo > 0.0) | (blk.est_hi < 0.0)))
+        idx, sigma_hat = blk.exact(setup, ~decided)
+        est = kernel(kind, blk.ls[idx], sigma_hat * setup.xi * setup.eta)
+        j[idx] = np.searchsorted(grid_arr, a * (est - theta) / sigma_hat, "left")
+        zero[idx] = est == 0.0
+        zeros += int(np.count_nonzero(zero))
+        bins += np.bincount(j, minlength=bins.size)
+    counts = np.cumsum(bins)[:-1]
     return EcdfResult(grid=grid_arr, values=counts / plan.reps,
                       zero_mass=zeros / plan.reps, reps=plan.reps)

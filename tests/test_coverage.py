@@ -287,6 +287,26 @@ class TestDistantParameter:
                              self.SETUP)
 
 
+class TestTinyParameter:
+    """Coverage at subnormal and smallest-normal theta.  A subnormal switch
+    point once made a panel whose Gauss nodes round to s = 0, where the
+    adaptive-soft inverse was 0/0 ("integrand produced NaN")."""
+
+    SETUP = ProblemSetup(n=36, k=35, eta=0.3)
+    TINY = (-5e-324, 5e-324, -2.2e-308, 2.2e-308)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_scalar_and_batch_match_zero(self, kind):
+        spec = est_spec(1.0)
+        at_zero = unknown_coverage(kind, 0.0, 1.0, spec, self.SETUP)
+        for theta in self.TINY:
+            got = unknown_coverage(kind, theta, 1.0, spec, self.SETUP)
+            assert type(got) is float
+            assert got == pytest.approx(at_zero, abs=1e-10), theta
+        batch = unknown_coverage(kind, np.array(self.TINY), 1.0, spec, self.SETUP)
+        np.testing.assert_allclose(batch, at_zero, rtol=0.0, atol=1e-10)
+
+
 class TestBounds:
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("eta", [0.05, 0.5])

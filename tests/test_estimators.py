@@ -15,7 +15,7 @@ from threshcov import (
     estimate,
     kernel,
 )
-from threshcov.estimators import _inverse
+from threshcov.estimators import _inverse, _switch_points
 
 finite = st.floats(-1e6, 1e6, allow_nan=False)
 cutoffs = st.floats(0.0, 1e6, allow_nan=False)
@@ -140,6 +140,19 @@ class TestInverse:
                  EstimatorKind.ADAPTIVE_SOFT: t * t / mu}[kind]
         np.testing.assert_allclose(offset, d + shift, rtol=1e-14, atol=0.0)
         np.testing.assert_allclose(slope, 1.0, rtol=1e-14)
+
+
+class TestSwitchPoints:
+    @pytest.mark.parametrize("kind", list(EstimatorKind))
+    def test_subnormal_switch_points_dropped(self, kind):
+        # a panel [0, 5e-324] would put Gauss nodes at s = 0, where the
+        # adaptive-soft inverse is 0/0
+        mu = np.array([-5e-324, -1e-310, -2.2e-308, -0.3])
+        pts = _switch_points(kind, mu, 1.0, 0.3)
+        kept = pts[np.isfinite(pts) & (pts > 0.0)]
+        assert kept.size and np.all(kept >= np.finfo(float).tiny)
+        np.testing.assert_array_equal(np.isnan(pts[:2]), True)
+        assert pts[3, 0] == 0.3
 
 
 class TestThresholdRule:

@@ -15,6 +15,7 @@ from threshcov import (
     SimulationPlan,
     VarianceMode,
     atom_mass,
+    chi_sq_quantile,
     component_draws,
     compute_xi,
     compute_xi_all,
@@ -249,6 +250,131 @@ class TestKnownVarianceDraws:
         simulate_coverage_full(plan, "hard", IntervalSpec(0.3, 0.3))
         with pytest.raises(RuntimeError):
             simulate_coverage_full(plan, "hard", est_spec(0.3))
+
+
+def invert_every_draw(plan):
+    """LS estimates and sigma_hats of every replication, each chi-square
+    uniform inverted: the expression the bracketed path must reproduce."""
+    setup = plan.setup
+    m = setup.residual_dof
+    u = uniform_field(plan.seed, 0, 2 * plan.reps)
+    ls = (plan.component_theta
+          + setup.sigma * setup.xi / setup.root_n * std_normal_quantile(u[0::2]))
+    chi = chi_sq_quantile(u[1::2], m)
+    return ls, setup.sigma * np.sqrt(chi / m)
+
+
+def reference_hits(plan, kind, spec):
+    setup, theta = plan.setup, plan.component_theta
+    ls, sigma_hat = invert_every_draw(plan)
+    est = kernel(kind, ls, sigma_hat * setup.xi * setup.eta)
+    inside = ((est - sigma_hat * spec.a <= theta)
+              & (theta <= est + sigma_hat * spec.b))
+    return int(np.count_nonzero(inside))
+
+
+def reference_ecdf(plan, kind, alpha, grid):
+    """ECDF counts at the grid and the exact-zero count, from sorted errors."""
+    setup, theta = plan.setup, plan.component_theta
+    ls, sigma_hat = invert_every_draw(plan)
+    est = kernel(kind, ls, sigma_hat * setup.xi * setup.eta)
+    err = np.sort(alpha * (est - theta) / sigma_hat)
+    return np.searchsorted(err, grid, side="right"), int(np.count_nonzero(est == 0.0))
+
+
+BRACKET_DOFS = (1, 5, 995, 999995)
+N_CELLS = simulate._BRACKET_CELLS
+
+
+class TestBracketedDraws:
+    """Estimated-variance cells decide most replications from the grid cell
+    of their chi-square uniform; counts must equal inverting every draw."""
+
+    @pytest.mark.parametrize("kind", ["hard", "soft", "asoft"])
+    @pytest.mark.parametrize("m", BRACKET_DOFS)
+    @pytest.mark.parametrize("eta", [0.05, 0.5])
+    def test_matches_inverting_every_draw(self, kind, m, eta, monkeypatch):
+        # odd-sized blocks, so a cell spans several of them
+        monkeypatch.setattr(simulate, "_BRACKET_REPS", 7001)
+        setup = ProblemSetup(n=5 + m, k=5, eta=eta)
+        a = setup.xi * (eta + 1.5 / setup.root_n)
+        spec = est_spec(a)
+        alpha = float(ScalingFactor.conservative(setup))
+        band = alpha * setup.xi * eta
+        # 0 twice: a duplicated grid point, and the killed errors at theta = 0
+        grid = np.sort(np.concatenate([np.linspace(-4.0, 4.0, 41), [0.0],
+                                       band * np.array([-1.0, -0.5, 0.5, 1.0])]))
+        for theta in (0.0, setup.xi * eta):
+            for seed in (1, 2):
+                plan = SimulationPlan(setup=setup, theta=theta, reps=20_000, seed=seed)
+                p, _ = simulate_coverage(plan, kind, spec)
+                assert round(p * plan.reps) == reference_hits(plan, kind, spec)
+                res = simulate_scaled_error_ecdf(plan, kind, alpha, grid)
+                counts, zeros = reference_ecdf(plan, kind, alpha, grid)
+                np.testing.assert_array_equal(res.values, counts / plan.reps)
+                assert res.zero_mass == zeros / plan.reps
+
+    @pytest.mark.parametrize("m", BRACKET_DOFS)
+    def test_bracket_encloses_exact_quantiles(self, m):
+        lo, hi = simulate._sigma_hat_bracket(m)
+        assert lo[0] == 0.0 and hi[-1] == math.inf
+        assert np.all(lo[1:] < hi[:-1]) and np.all(np.diff(lo) > 0.0)
+
+        def check(u):
+            q = np.sqrt(chi_sq_quantile(u, m) / m)
+            cell = (u * N_CELLS).astype(np.intp)
+            assert np.all(lo[cell] <= q) and np.all(q <= hi[cell])
+
+        # the uniform_field values nearest each interior cell end: k + 1/2
+        # steps of 2^-53 to either side
+        steps = (np.arange(64) + 0.5) * 2.0 ** -53
+        ends = np.arange(1, N_CELLS) / N_CELLS
+        check(np.concatenate([(ends[:, None] - steps).ravel(),
+                              (ends[:, None] + steps).ravel()]))
+        # plus 1e6 Philox uniforms, in chunks
+        total, chunk = 1_000_000, 1 << 18
+        for start in range(0, total, chunk):
+            check(uniform_field(500 + m, start, min(chunk, total - start)))
+
+    def test_inverts_under_one_percent(self, monkeypatch):
+        setup = ProblemSetup(n=40, k=35, eta=0.5)
+        simulate._sigma_hat_bracket(setup.residual_dof)  # build the table first
+        inverted = []
+
+        def counting(p, m):
+            inverted.append(np.size(p))
+            return chi_sq_quantile(p, m)
+
+        monkeypatch.setattr(simulate, "chi_sq_quantile", counting)
+        plan = SimulationPlan(setup=setup, theta=1.0 / setup.root_n, reps=100_000,
+                              seed=5)
+        simulate_coverage(plan, "asoft", est_spec(0.82))
+        assert 0 < sum(inverted) < 0.01 * plan.reps
+        inverted.clear()
+        simulate_scaled_error_ecdf(plan, "hard", ScalingFactor.conservative(setup),
+                                   np.linspace(-4.0, 4.0, 41))
+        assert 0 < sum(inverted) < 0.01 * plan.reps
+
+    def test_edge_cells_take_the_exact_path(self, monkeypatch):
+        setup = ProblemSetup(n=6, k=5, eta=0.3)
+        simulate._sigma_hat_bracket(setup.residual_dof)
+        inverted = []
+
+        def recording(p, m):
+            inverted.append(np.array(p))
+            return chi_sq_quantile(p, m)
+
+        monkeypatch.setattr(simulate, "chi_sq_quantile", recording)
+        plan = SimulationPlan(setup=setup, theta=0.0, reps=50_000, seed=9)
+        u_chi = uniform_field(plan.seed, 0, 2 * plan.reps)[1::2]
+        cell = (u_chi * N_CELLS).astype(np.intp)
+        edge = u_chi[(cell == 0) | (cell == N_CELLS - 1)]
+        assert edge.size > 10
+        for run in (lambda: simulate_coverage(plan, "soft", est_spec(0.9)),
+                    lambda: simulate_scaled_error_ecdf(plan, "soft", 2.0, [0.0])):
+            inverted.clear()
+            run()
+            assert np.isin(edge, np.concatenate(inverted)).all()
 
 
 class TestSyntheticDesign:
