@@ -15,19 +15,28 @@ known-variance runs, so layouts never depend on options, but it is not
 transformed there: the interval [est - sigma a, est + sigma b] never uses
 sigma_hat, so known-variance cells skip the chi-square inverse.
 
-Estimated-variance coverage and ECDF cells invert only the chi-square draws
-whose outcome is in doubt.  A chi-square uniform lies strictly inside one
-cell (i/N, (i+1)/N) of a power-of-two grid, so sigma_hat lies between the
-exact quantiles at the cell ends, tabulated once per residual dof and
-widened by a relative margin.  For a fixed Gaussian draw the thresholded
-estimate is monotone in the cutoff, and every step after it is a correctly
-rounded, monotone operation, so evaluating the same expressions at the two
-bracket ends encloses the values the exact sigma_hat would give.  A
-replication whose enclosure decides it (a hit or a miss; for the ECDF, one
-grid bin and surely zero or surely nonzero) is counted from the bracket;
-the rest, and every draw in the two edge cells, whose brackets reach 0 and
-inf, are inverted exactly as in `component_draws`.  Counts are therefore
-bit-identical to inverting every draw, and the uniform layout is unchanged.
+Coverage and ECDF cells decide most replications without inverting their
+uniforms, in up to three levels; every count is bit-identical to inverting
+every draw, and the uniform layout is unchanged.  Both inverse transforms
+are tabulated once at the ends of the 2^12 equal cells (i/N, (i+1)/N) of
+the uniform, widened by a relative margin against non-monotone rounding in
+the inverses, so a draw's cell brackets its exact z or sigma_hat.  The
+thresholded estimate is monotone in z and in the cutoff, and every step
+after it is a correctly rounded, monotone operation, so the same
+expressions evaluated at the ends of a bracket enclose the exact values.
+
+1. Grid cell.  A coverage cell first decides whole cells of a grid from
+   their corners: a known-variance cell uses the 4096 z cells at
+   s = sigma, an estimated-variance cell a 64 x 64 grid over (z cell,
+   sigma_hat cell).  A replication in a cell whose every interval holds
+   theta, or none does, is counted from its cell index alone.
+2. Per-replication bracket.  The rest of an estimated-variance cell, and
+   every replication of an ECDF cell, get their exact z and decide from
+   their own sigma_hat bracket (for the ECDF, one grid bin and surely zero
+   or surely nonzero).
+3. Exact inversion.  What is still undecided, and every replication in an
+   edge cell of the grid or the bracket, whose ends reach +-inf (z) or 0
+   and inf (sigma_hat), is inverted exactly as in `component_draws`.
 
 The full-design path materializes y and runs the entire estimator;
 replication j consumes uniforms [j n, (j+1) n), and known-variance cells
@@ -42,7 +51,6 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .estimators import EstimatorKind, kernel
 from .finite_sample import ScalingFactor
@@ -63,9 +71,11 @@ __all__ = [
 _UNIFORMS_PER_REP = 2
 _RAW_PER_BLOCK = 4  # Philox-4x64 emits four 64-bit words per counter step
 _CHUNK_REPS = 1 << 19
-_BRACKET_CELLS = 1 << 12  # cells of the chi-square uniform's grid
-_BRACKET_REPS = 1 << 16  # replications per bracketed block
+_BRACKET_CELLS = 1 << 12  # cells of each uniform's grid
+_GRID_CELLS = 1 << 6  # cells per axis of the estimated-variance grid
+_BRACKET_REPS = 1 << 16  # replications per block of a coverage or ECDF cell
 _MARGIN = 1e-12  # relative widening of brackets and decisions
+_BELOW_ONE = 1.0 - 2.0 ** -53
 
 
 def uniform_field(seed: int, start: int, count: int) -> np.ndarray:
@@ -74,17 +84,21 @@ def uniform_field(seed: int, start: int, count: int) -> np.ndarray:
     Indexing is independent of any previous draws: the generator's counter
     is advanced to the containing block and the in-block offset discarded.
     The (raw >> 11 + 0.5) * 2^-53 mapping keeps values away from 0 and 1 so
-    inverse CDFs stay finite.
+    inverse CDFs stay finite; the one word it would round up to 1 is
+    clamped to the largest double below 1.
     """
     if start < 0 or count < 0:
         raise DomainError("uniform field needs start >= 0 and count >= 0")
     gen = np.random.Philox(key=int(seed))
     block, offset = divmod(int(start), _RAW_PER_BLOCK)
     gen.advance(block)
-    raw = gen.random_raw(offset + int(count))
-    if offset:
-        raw = raw[offset:]
-    return ((raw >> np.uint64(11)) + 0.5) * 2.0 ** -53
+    raw = gen.random_raw(offset + int(count))[offset:]
+    raw >>= np.uint64(11)
+    # below 2^53, so the signed view converts exactly, and faster
+    u = raw.view(np.int64).astype(float)
+    u += 0.5
+    u *= 2.0 ** -53
+    return np.minimum(u, _BELOW_ONE, out=u)
 
 
 def _is_integer(value) -> bool:
@@ -158,8 +172,12 @@ def _replication_uniforms(plan: SimulationPlan, start: int, stop: int) -> np.nda
 
 def _ls_draws(plan: SimulationPlan, u: np.ndarray) -> np.ndarray:
     """LS estimates from the Gaussian uniforms (even indexes) of a chunk."""
+    return _ls_values(plan, std_normal_quantile(u[0::2]))
+
+
+def _ls_values(plan: SimulationPlan, z: np.ndarray) -> np.ndarray:
+    """LS estimates at standard normal values z; monotone in z."""
     setup = plan.setup
-    z = std_normal_quantile(u[0::2])
     return plan.component_theta + setup.sigma * setup.xi / setup.root_n * z
 
 
@@ -171,26 +189,61 @@ def _sigma_hat_draws(setup: ProblemSetup, u_chi: np.ndarray) -> np.ndarray:
     return setup.sigma * np.sqrt(chi / m)
 
 
-@functools.lru_cache(maxsize=None)
-def _sigma_hat_bracket(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per grid cell i, ends (lo[i], hi[i]) that enclose sigma_hat / sigma
-    for every chi-square uniform in (i / N, (i + 1) / N).
+def _cell_index(u: np.ndarray, cells: int) -> np.ndarray:
+    """Index i of the cell (i / cells, (i + 1) / cells) that holds each
+    uniform; exact, since cells is a power of two."""
+    return (u * cells).astype(np.intp)
 
-    The interior ends are the exact quantiles at the cell ends, through the
-    expression of `_sigma_hat_draws`, widened by the relative margin against
-    non-monotone rounding in the inverse; the edge cells reach 0 and inf.
-    """
-    p = np.arange(1, _BRACKET_CELLS) / _BRACKET_CELLS
-    ends = np.sqrt(chi_sq_quantile(p, m) / m)
-    lo = np.concatenate([[0.0], ends * (1.0 - _MARGIN)])
-    hi = np.concatenate([ends * (1.0 + _MARGIN), [math.inf]])
+
+def _widened(ends: np.ndarray, below: float, above: float):
+    """Per grid cell i, ends (lo[i], hi[i]) from the increasing values at the
+    interior cell ends, widened by the relative margin against
+    non-monotone rounding in the inverse; the edge cells reach below and
+    above."""
+    widen = _MARGIN * np.abs(ends)
+    lo = np.concatenate([[below], ends - widen])
+    hi = np.concatenate([ends + widen, [above]])
     lo.flags.writeable = hi.flags.writeable = False
     return lo, hi
 
 
+@functools.lru_cache(maxsize=None)
+def _z_bracket() -> tuple[np.ndarray, np.ndarray]:
+    """Per grid cell i, ends (lo[i], hi[i]) that enclose the standard normal
+    quantile of every uniform in (i / N, (i + 1) / N)."""
+    p = np.arange(1, _BRACKET_CELLS) / _BRACKET_CELLS
+    return _widened(std_normal_quantile(p), -math.inf, math.inf)
+
+
+@functools.lru_cache(maxsize=None)
+def _sigma_hat_bracket(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per grid cell i, ends (lo[i], hi[i]) that enclose sigma_hat / sigma
+    for every chi-square uniform in (i / N, (i + 1) / N), through the
+    expression of `_sigma_hat_draws`."""
+    p = np.arange(1, _BRACKET_CELLS) / _BRACKET_CELLS
+    return _widened(np.sqrt(chi_sq_quantile(p, m) / m), 0.0, math.inf)
+
+
+def _decide(est_lo, est_hi, s_lo, s_hi, spec, theta: float):
+    """(hit, miss) flags for the intervals [est - s a, est + s b] with est in
+    [est_lo, est_hi] and s in [s_lo, s_hi]: a hit when every such interval
+    holds theta, a miss when none does, each with a relative slack.  A
+    replication that is neither is undecided."""
+    # the arms s a and s b grow with s (a, b >= 0)
+    lower_lo = est_lo - s_hi * spec.a
+    lower_hi = est_hi - s_lo * spec.a
+    upper_lo = est_lo + s_lo * spec.b
+    upper_hi = est_hi + s_hi * spec.b
+    slack = _MARGIN * (np.maximum(np.abs(est_lo), np.abs(est_hi))
+                       + s_hi * max(spec.a, spec.b) + abs(theta))
+    hit = (lower_hi + slack <= theta) & (theta <= upper_lo - slack)
+    miss = (lower_lo - slack > theta) | (theta > upper_hi + slack)
+    return hit, miss
+
+
 class _Bracketed(NamedTuple):
-    """A block of estimated-variance replications with sigma_hat bracketed:
-    sigma_hat lies in [s_lo, s_hi], so the estimate lies in [est_lo, est_hi].
+    """Estimated-variance replications with sigma_hat bracketed: sigma_hat
+    lies in [s_lo, s_hi], so the estimate lies in [est_lo, est_hi].
     Brackets of edge-cell replications are placeholders that stay finite;
     those replications always take the exact path."""
 
@@ -209,25 +262,28 @@ class _Bracketed(NamedTuple):
         return idx, _sigma_hat_draws(setup, self.u_chi[idx])
 
 
-def _bracketed_blocks(plan: SimulationPlan, kind):
-    """The replications of an estimated-variance cell, in blocks of
-    _BRACKET_REPS, bracketed from the grid cells of their chi-square uniforms."""
+def _bracketed(plan: SimulationPlan, kind, ls: np.ndarray,
+               u_chi: np.ndarray) -> _Bracketed:
+    """Replications with LS estimates ls, bracketed from the grid cells of
+    their chi-square uniforms u_chi; needs n > k."""
     setup = plan.setup
-    lo, hi = _sigma_hat_bracket(setup.require_estimated_variance())
+    lo, hi = _sigma_hat_bracket(setup.residual_dof)
+    cell = _cell_index(u_chi, _BRACKET_CELLS)
+    edge = (cell == 0) | (cell == _BRACKET_CELLS - 1)
+    inner = np.clip(cell, 1, _BRACKET_CELLS - 2)
+    s_lo = setup.sigma * lo[inner]
+    s_hi = setup.sigma * hi[inner]
+    # kernel is monotone in the cutoff for fixed z: the ends enclose it
+    est_a = kernel(kind, ls, s_lo * setup.xi * setup.eta)
+    est_b = kernel(kind, ls, s_hi * setup.xi * setup.eta)
+    return _Bracketed(ls, u_chi, edge, s_lo, s_hi,
+                      np.minimum(est_a, est_b), np.maximum(est_a, est_b))
+
+
+def _uniform_blocks(plan: SimulationPlan):
+    """The uniforms of every replication, in blocks of _BRACKET_REPS."""
     for start in range(0, plan.reps, _BRACKET_REPS):
-        u = _replication_uniforms(plan, start, min(start + _BRACKET_REPS, plan.reps))
-        ls = _ls_draws(plan, u)
-        u_chi = u[1::2]
-        cell = (u_chi * _BRACKET_CELLS).astype(np.intp)  # exact: N is 2^12
-        edge = (cell == 0) | (cell == _BRACKET_CELLS - 1)
-        inner = np.clip(cell, 1, _BRACKET_CELLS - 2)
-        s_lo = setup.sigma * lo[inner]
-        s_hi = setup.sigma * hi[inner]
-        # kernel is monotone in the cutoff for fixed z: the ends enclose it
-        est_a = kernel(kind, ls, s_lo * setup.xi * setup.eta)
-        est_b = kernel(kind, ls, s_hi * setup.xi * setup.eta)
-        yield _Bracketed(ls, u_chi, edge, s_lo, s_hi,
-                         np.minimum(est_a, est_b), np.maximum(est_a, est_b))
+        yield _replication_uniforms(plan, start, min(start + _BRACKET_REPS, plan.reps))
 
 
 def synthetic_design(n: int, k: int, xi: float = 1.0) -> np.ndarray:
@@ -269,41 +325,92 @@ def _covers(kind, ls, scale, spec, setup: ProblemSetup, theta: float) -> np.ndar
     return (est - scale * spec.a <= theta) & (theta <= est + scale * spec.b)
 
 
-def _bracketed_hits(plan: SimulationPlan, kind, spec, theta: float) -> int:
-    """Estimated-variance hits: replications whose interval ends clear theta
-    over the whole sigma_hat bracket are decided there, the rest exactly."""
+def _grid_flags(plan: SimulationPlan, kind, spec, theta: float,
+                z_lo, z_hi, s_lo, s_hi):
+    """Hit and undecided flags of the cells of a grid, rows over z in
+    [z_lo, z_hi] and columns over the interval scale s in [s_lo, s_hi]
+    (finite ends).  The estimate over a cell lies between its values at the
+    four corners, as kernel is monotone in z and in the cutoff."""
+    setup = plan.setup
+    corners = [kernel(kind, _ls_values(plan, z)[:, None],
+                      (s * setup.xi * setup.eta)[None, :])
+               for z in (z_lo, z_hi) for s in (s_lo, s_hi)]
+    hit, miss = _decide(np.minimum.reduce(corners), np.maximum.reduce(corners),
+                        s_lo[None, :], s_hi[None, :], spec, theta)
+    return hit, ~(hit | miss)
+
+
+def _grid_hits(plan: SimulationPlan, hit, undecided, cell_of, resolve) -> int:
+    """Hits over every replication: those in a decided grid cell are counted
+    from their cell index, cell_of(uniforms), and resolve(u_z, u_chi)
+    counts the hits among the rest."""
+    hit = hit.ravel()
+    undecided = undecided.ravel()
     hits = 0
-    for blk in _bracketed_blocks(plan, kind):
-        # the arms scale * a grow with scale (a, b >= 0)
-        lower_lo = blk.est_lo - blk.s_hi * spec.a
-        lower_hi = blk.est_hi - blk.s_lo * spec.a
-        upper_lo = blk.est_lo + blk.s_lo * spec.b
-        upper_hi = blk.est_hi + blk.s_hi * spec.b
-        slack = _MARGIN * (np.maximum(np.abs(blk.est_lo), np.abs(blk.est_hi))
-                           + blk.s_hi * max(spec.a, spec.b) + abs(theta))
-        hit = (lower_hi + slack <= theta) & (theta <= upper_lo - slack)
-        miss = (lower_lo - slack > theta) | (theta > upper_hi + slack)
-        idx, sigma_hat = blk.exact(plan.setup, ~(hit | miss))
-        inside = _covers(kind, blk.ls[idx], sigma_hat, spec, plan.setup, theta)
-        hits += (int(np.count_nonzero(hit & ~blk.edge))
-                 + int(np.count_nonzero(inside)))
+    for u in _uniform_blocks(plan):
+        cell = cell_of(u)
+        hits += int(np.bincount(cell, minlength=hit.size) @ hit)
+        idx = np.flatnonzero(undecided[cell])
+        hits += resolve(u[0::2][idx], u[1::2][idx])
     return hits
+
+
+def _known_hits(plan: SimulationPlan, kind, spec, theta: float) -> int:
+    """Known-variance hits: a 4096 x 1 grid of z cells at s = sigma; the edge
+    and undecided cells are inverted exactly."""
+    setup = plan.setup
+    z_lo, z_hi = _z_bracket()
+    sigma = np.array([setup.sigma])
+    hit, undecided = _grid_flags(plan, kind, spec, theta, z_lo[1:-1], z_hi[1:-1],
+                                 sigma, sigma)
+    edge_rows = ((1, 1), (0, 0))
+
+    def resolve(u_z, u_chi):
+        ls = _ls_values(plan, std_normal_quantile(u_z))
+        return int(np.count_nonzero(_covers(kind, ls, setup.sigma, spec, setup, theta)))
+
+    return _grid_hits(plan, np.pad(hit, edge_rows, constant_values=False),
+                      np.pad(undecided, edge_rows, constant_values=True),
+                      lambda u: _cell_index(u[0::2], _BRACKET_CELLS), resolve)
+
+
+def _estimated_hits(plan: SimulationPlan, kind, spec, theta: float) -> int:
+    """Estimated-variance hits: a 64 x 64 grid over (z cell, sigma_hat cell),
+    each coarse cell spanning 64 x 64 cells of the two brackets; the edge
+    rows and columns and the undecided cells go through the per-replication
+    sigma_hat bracket, whose undecided and edge cells are inverted exactly."""
+    setup = plan.setup
+    m = setup.require_estimated_variance()
+    step = _BRACKET_CELLS // _GRID_CELLS
+    z_lo, z_hi = _z_bracket()
+    s_lo, s_hi = _sigma_hat_bracket(m)
+    hit, undecided = _grid_flags(
+        plan, kind, spec, theta, z_lo[::step][1:-1], z_hi[step - 1::step][1:-1],
+        setup.sigma * s_lo[::step][1:-1], setup.sigma * s_hi[step - 1::step][1:-1])
+
+    def cell_of(u):
+        cell = _cell_index(u, _GRID_CELLS)  # both halves in one pass
+        return cell[0::2] * _GRID_CELLS + cell[1::2]
+
+    def resolve(u_z, u_chi):
+        blk = _bracketed(plan, kind, _ls_values(plan, std_normal_quantile(u_z)), u_chi)
+        hit, miss = _decide(blk.est_lo, blk.est_hi, blk.s_lo, blk.s_hi, spec, theta)
+        idx, sigma_hat = blk.exact(setup, ~(hit | miss))
+        inside = _covers(kind, blk.ls[idx], sigma_hat, spec, setup, theta)
+        return (int(np.count_nonzero(hit & ~blk.edge))
+                + int(np.count_nonzero(inside)))
+
+    return _grid_hits(plan, np.pad(hit, 1, constant_values=False),
+                      np.pad(undecided, 1, constant_values=True), cell_of, resolve)
 
 
 def simulate_coverage(plan: SimulationPlan, kind, spec):
     """Empirical coverage of [estimate - c a, estimate + c b] and its
     binomial standard error, via the fast path."""
     kind = EstimatorKind(kind)
-    setup = plan.setup
     theta = plan.component_theta
-    if spec.mode is VarianceMode.ESTIMATED:
-        return _coverage_estimate(_bracketed_hits(plan, kind, spec, theta), plan.reps)
-    hits = 0
-    for start in range(0, plan.reps, _CHUNK_REPS):
-        stop = min(start + _CHUNK_REPS, plan.reps)
-        ls = _ls_draws(plan, _replication_uniforms(plan, start, stop))
-        hits += int(np.count_nonzero(_covers(kind, ls, setup.sigma, spec, setup, theta)))
-    return _coverage_estimate(hits, plan.reps)
+    count = _estimated_hits if spec.mode is VarianceMode.ESTIMATED else _known_hits
+    return _coverage_estimate(count(plan, kind, spec, theta), plan.reps)
 
 
 def simulate_coverage_full(plan: SimulationPlan, kind, spec):
@@ -313,6 +420,8 @@ def simulate_coverage_full(plan: SimulationPlan, kind, spec):
     Slower than the fast path and on a different substream, so results agree
     statistically, not bitwise.
     """
+    from scipy.linalg import solve_triangular  # imported here: slow to load
+
     kind = EstimatorKind(kind)
     setup = plan.setup
     X = plan.design if plan.design is not None else synthetic_design(
@@ -376,7 +485,8 @@ def simulate_scaled_error_ecdf(plan: SimulationPlan, kind, alpha, grid) -> EcdfR
     bins = np.zeros(grid_arr.size + 1, dtype=np.int64)
     ceiling = np.append(grid_arr, math.inf)
     zeros = 0
-    for blk in _bracketed_blocks(plan, kind):
+    for u in _uniform_blocks(plan):
+        blk = _bracketed(plan, kind, _ls_draws(plan, u), u[1::2])
         # a (est - theta) / s over the bracket: x / s is monotone in s
         num_lo = a * (blk.est_lo - theta)
         num_hi = a * (blk.est_hi - theta)

@@ -37,7 +37,6 @@ from typing import Callable, Iterable
 
 import numpy as np
 from scipy import special as _sp
-from scipy.optimize import brentq
 
 __all__ = [
     "NumericsError",
@@ -460,6 +459,8 @@ def _clamp_unit(value, bound, name: str):
 def find_root(f: Callable[[float], float], lo: float, hi: float,
               tol: float = 1e-10) -> float:
     """Deterministic bracketed root of a scalar function via Brent's method."""
+    from scipy.optimize import brentq  # imported here: it doubles import time
+
     lo = float(lo)
     hi = float(hi)
     if not lo < hi:

@@ -1,6 +1,7 @@
 """Thresholding kernels and the end-to-end estimator."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -84,6 +85,59 @@ class TestKernel:
             return
         for kind in EstimatorKind:
             assert kernel(kind, z, t) == 0.0
+
+
+def nudged(x: float, steps: int) -> float:
+    """x moved by |steps| representable doubles, up for steps > 0, without
+    leaving the finite range."""
+    for _ in range(abs(steps)):
+        x = np.nextafter(x, math.copysign(sys.float_info.max, steps))
+    return float(x)
+
+
+class TestKernelMonotone:
+    """kernel is non-decreasing in z at a fixed cutoff and moves toward zero
+    as the cutoff grows at a fixed z, in floating point, for every kind: the
+    Monte Carlo grid and brackets enclose estimates on this alone.  Pairs
+    are adjacent doubles or far apart, around |z| = t or anywhere in the
+    finite range, subnormals and values whose square overflows included."""
+
+    kinds = st.sampled_from(list(EstimatorKind))
+    any_z = st.floats(allow_nan=False, allow_infinity=False)
+    any_t = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+    steps = st.integers(-3, 3)
+    gaps = st.integers(1, 4)
+
+    @given(kind=kinds, t=any_t, z=any_z, near=st.booleans(), negative=st.booleans(),
+           k=steps, gap=gaps, far=any_z)
+    @settings(deadline=None, max_examples=500)
+    def test_non_decreasing_in_z(self, kind, t, z, near, negative, k, gap, far):
+        lo = nudged(-t if negative else t, k) if near else z
+        for hi in (nudged(lo, gap), max(lo, far)):
+            assert kernel(kind, lo, t) <= kernel(kind, hi, t)
+
+    @given(kind=kinds, z=any_z, t=any_t, near=st.booleans(), k=steps, gap=gaps,
+           far=any_t)
+    @settings(deadline=None, max_examples=500)
+    def test_toward_zero_in_cutoff(self, kind, z, t, near, k, gap, far):
+        lo = max(nudged(abs(z), k), 0.0) if near else t
+        before = kernel(kind, z, lo)
+        assert math.isfinite(before)
+        for hi in (nudged(lo, gap), max(lo, far)):
+            after = kernel(kind, z, hi)
+            if z > 0.0:
+                assert 0.0 <= after <= before
+            elif z < 0.0:
+                assert before <= after <= 0.0
+            else:
+                assert after == before == 0.0
+
+    def test_adaptive_soft_at_extremes(self):
+        # t^2 overflowed to inf (a -inf estimate) and underflowed into the
+        # subnormals (a negative one just above the cutoff)
+        assert kernel("asoft", 1e200, 1e170) == pytest.approx(1e200)
+        t = 3e-162
+        assert 0.0 <= kernel("asoft", nudged(t, 1), t) <= kernel("asoft", nudged(t, 2), t)
 
 
 class TestInverse:

@@ -76,6 +76,24 @@ class TestUniformField:
             uniform_field(1, 0, -5)
         assert uniform_field(1, 0, 0).size == 0
 
+    @pytest.mark.parametrize("top_bits, expected", [
+        (0, 0.5 * 2.0 ** -53),
+        (2 ** 52, 0.5),
+        (2 ** 53 - 2, 1.0 - 2.0 ** -52),
+        # (2^53 - 1/2) 2^-53 rounds to 1.0: clamped to the double below it
+        (2 ** 53 - 1, 1.0 - 2.0 ** -53),
+    ])
+    def test_extreme_words(self, top_bits, expected, monkeypatch):
+        class OneWord(np.random.Philox):
+            def random_raw(self, size=None, output=True):
+                return np.full(size, (top_bits << 11) | (2 ** 11 - 1), dtype=np.uint64)
+
+        monkeypatch.setattr(simulate.np.random, "Philox", OneWord)
+        u = uniform_field(1, 3, 5)
+        assert np.all(u == expected)
+        assert np.all(np.isfinite(std_normal_quantile(u)))
+        assert np.all(np.isfinite(chi_sq_quantile(u, 5)))
+
     def test_mean_and_spread(self):
         u = uniform_field(3, 0, 200_000)
         assert abs(u.mean() - 0.5) < 4.0 * math.sqrt(1.0 / 12.0 / u.size)
@@ -375,6 +393,66 @@ class TestBracketedDraws:
             inverted.clear()
             run()
             assert np.isin(edge, np.concatenate(inverted)).all()
+
+
+class TestGridDecisions:
+    """Coverage cells decide whole cells of a grid on (z, sigma_hat) first:
+    counts must equal inverting every draw, and the z table must enclose
+    every exact quantile of its cell."""
+
+    @pytest.mark.parametrize("kind", ["hard", "soft", "asoft"])
+    @pytest.mark.parametrize("m", BRACKET_DOFS)
+    @pytest.mark.parametrize("eta", [0.05, 0.5])
+    def test_known_variance_matches_inverting_every_draw(self, kind, m, eta,
+                                                         monkeypatch):
+        monkeypatch.setattr(simulate, "_BRACKET_REPS", 7001)
+        setup = ProblemSetup(n=5 + m, k=5, eta=eta)
+        a = setup.xi * (eta + 1.5 / setup.root_n)
+        spec = IntervalSpec(a, a)
+        for theta in (0.0, setup.xi * eta):
+            for seed in (1, 2):
+                plan = SimulationPlan(setup=setup, theta=theta, reps=20_000, seed=seed)
+                ls, _ = invert_every_draw(plan)
+                est = kernel(kind, ls, setup.sigma * setup.xi * eta)
+                inside = ((est - setup.sigma * a <= theta)
+                          & (theta <= est + setup.sigma * a))
+                p, _ = simulate_coverage(plan, kind, spec)
+                assert round(p * plan.reps) == int(np.count_nonzero(inside))
+
+    def test_z_bracket_encloses_exact_quantiles(self):
+        lo, hi = simulate._z_bracket()
+        assert lo[0] == -math.inf and hi[-1] == math.inf
+        assert np.all(lo[1:] <= hi[:-1]) and np.all(np.diff(lo) > 0.0)
+
+        def check(u):
+            z = std_normal_quantile(u)
+            cell = (u * N_CELLS).astype(np.intp)
+            assert np.all(lo[cell] <= z) and np.all(z <= hi[cell])
+
+        steps = (np.arange(64) + 0.5) * 2.0 ** -53
+        ends = np.arange(1, N_CELLS) / N_CELLS
+        check(np.concatenate([(ends[:, None] - steps).ravel(),
+                              (ends[:, None] + steps).ravel()]))
+        total, chunk = 1_000_000, 1 << 18
+        for start in range(0, total, chunk):
+            check(uniform_field(700, start, min(chunk, total - start)))
+
+    @pytest.mark.parametrize("mode, share", [(VarianceMode.KNOWN, 0.01),
+                                             (VarianceMode.ESTIMATED, 0.1)])
+    def test_grid_inverts_few_gaussian_draws(self, mode, share, monkeypatch):
+        simulate._z_bracket()  # build the table first
+        inverted = []
+
+        def counting(p):
+            inverted.append(np.size(p))
+            return std_normal_quantile(p)
+
+        monkeypatch.setattr(simulate, "std_normal_quantile", counting)
+        setup = ProblemSetup(n=40, k=35, eta=0.5)
+        plan = SimulationPlan(setup=setup, theta=1.0 / setup.root_n, reps=100_000,
+                              seed=5)
+        simulate_coverage(plan, "asoft", IntervalSpec(0.82, 0.82, mode))
+        assert 0 < sum(inverted) < share * plan.reps
 
 
 class TestSyntheticDesign:
