@@ -125,7 +125,7 @@ def _full_rank_qr(X: np.ndarray):
 
 def compute_xi_all(X) -> np.ndarray:
     """xi_i for every component: row norms of R^{-T} scaled by sqrt(n)."""
-    from scipy.linalg import solve_triangular  # imported here: slow to load
+    from scipy.linalg import solve_triangular  # loaded on first use: slow to import
 
     X = np.asarray(X, dtype=float)
     _, R = _full_rank_qr(X)
@@ -146,7 +146,7 @@ def compute_xi(X, component_index: int) -> float:
 
 def ls_fit(X, y) -> RegressionDraw:
     """Least squares via QR; unbiased sigma_hat^2 when n > k, else None."""
-    from scipy.linalg import solve_triangular  # imported here: slow to load
+    from scipy.linalg import solve_triangular  # loaded on first use: slow to import
 
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)

@@ -420,7 +420,7 @@ def simulate_coverage_full(plan: SimulationPlan, kind, spec):
     Slower than the fast path and on a different substream, so results agree
     statistically, not bitwise.
     """
-    from scipy.linalg import solve_triangular  # imported here: slow to load
+    from scipy.linalg import solve_triangular  # loaded on first use: slow to import
 
     kind = EstimatorKind(kind)
     setup = plan.setup

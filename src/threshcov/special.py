@@ -459,7 +459,7 @@ def _clamp_unit(value, bound, name: str):
 def find_root(f: Callable[[float], float], lo: float, hi: float,
               tol: float = 1e-10) -> float:
     """Deterministic bracketed root of a scalar function via Brent's method."""
-    from scipy.optimize import brentq  # imported here: it doubles import time
+    from scipy.optimize import brentq  # loaded on first use: slow to import
 
     lo = float(lo)
     hi = float(hi)
