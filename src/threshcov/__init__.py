@@ -37,7 +37,6 @@ from .model import (
     ProblemSetup,
     RegressionDraw,
     VarianceMode,
-    compute_xi,
     compute_xi_all,
     load_design_csv,
     ls_fit,

@@ -1,6 +1,6 @@
 """Gaussian linear regression scaffolding: y = X theta + u, u ~ N(0, sigma^2 I).
 
-``compute_xi`` exposes the per-component standard-error scale
+``compute_xi_all`` gives every component's standard-error scale
 ``xi_i = sqrt(((X'X / n)^{-1})_{ii})`` through a QR factorization, never an
 explicit inverse.  ``ls_fit`` runs least squares with the unbiased residual
 variance estimate, and ``standard_ls_interval`` gives the classical z- and
@@ -28,7 +28,6 @@ __all__ = [
     "ProblemSetup",
     "reference_setup",
     "RegressionDraw",
-    "compute_xi",
     "compute_xi_all",
     "ls_fit",
     "standard_ls_interval",
@@ -132,16 +131,6 @@ def compute_xi_all(X) -> np.ndarray:
     n, k = X.shape
     rinv_t = solve_triangular(R, np.eye(k), trans="T", lower=False)
     return np.sqrt(n * (rinv_t ** 2).sum(axis=0))
-
-
-def compute_xi(X, component_index: int) -> float:
-    """xi of one 1-based component."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise DomainError("design matrix must be two-dimensional")
-    if not 1 <= component_index <= X.shape[1]:
-        raise DomainError("component_index must lie in 1..k")
-    return float(compute_xi_all(X)[component_index - 1])
 
 
 def ls_fit(X, y) -> RegressionDraw:

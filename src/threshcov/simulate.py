@@ -38,9 +38,14 @@ expressions evaluated at the ends of a bracket enclose the exact values.
    edge cell of the grid or the bracket, whose ends reach +-inf (z) or 0
    and inf (sigma_hat), is inverted exactly as in `component_draws`.
 
-The full-design path materializes y and runs the entire estimator;
-replication j consumes uniforms [j n, (j+1) n), and known-variance cells
-skip the residual pass that estimates sigma.
+The full-design path materializes y and runs the estimator on it;
+replication j consumes uniforms [j n, (j+1) n).  Per cell it factors
+X = Q R and solves R' r = e_w once, so the watched LS coefficient of every
+replication is y' c with c = Q r; the other k - 1 coefficients are never
+formed.  Per chunk of 2^16 uniforms (floor(2^16 / n) replications, at
+least one, so a chunk's arrays stay cache-sized) it builds Y, reads y' c
+and, for estimated variance only, sigma_hat from the residuals
+Y - (Y Q) Q'.
 """
 
 from __future__ import annotations
@@ -70,7 +75,7 @@ __all__ = [
 
 _UNIFORMS_PER_REP = 2
 _RAW_PER_BLOCK = 4  # Philox-4x64 emits four 64-bit words per counter step
-_CHUNK_REPS = 1 << 19
+_FULL_CHUNK_UNIFORMS = 1 << 16  # noise uniforms per chunk of the full-design path
 _BRACKET_CELLS = 1 << 12  # cells of each uniform's grid
 _GRID_CELLS = 1 << 6  # cells per axis of the estimated-variance grid
 _BRACKET_REPS = 1 << 16  # replications per block of a coverage or ECDF cell
@@ -306,11 +311,14 @@ def _interval_scale(spec, setup: ProblemSetup, estimate_sigma):
     return setup.sigma
 
 
-def _residual_scale(X: np.ndarray, Y: np.ndarray, coefs: np.ndarray,
-                    dof: int) -> np.ndarray:
-    """Per-replication sigma_hat from the residuals of the LS fits."""
-    resid = Y.T - X @ coefs
-    return np.sqrt((resid * resid).sum(axis=0) / dof)
+def _residual_scale(Q: np.ndarray, Y: np.ndarray, dof: int) -> np.ndarray:
+    """Per-replication sigma_hat from the residuals Y - (Y Q) Q' of the LS
+    fits (rows are replications).  The squared residuals are summed
+    directly, never as |y|^2 - |Q' y|^2, which cancels."""
+    resid = (Y @ Q) @ Q.T
+    resid -= Y  # the negated residual, in place: the squares are the same
+    resid *= resid
+    return np.sqrt(resid.sum(axis=1) / dof)
 
 
 def _coverage_estimate(hits: int, reps: int):
@@ -417,8 +425,11 @@ def simulate_coverage_full(plan: SimulationPlan, kind, spec):
     """Empirical coverage via the full-design path: materialize y, run least
     squares and the thresholding estimator end to end.
 
-    Slower than the fast path and on a different substream, so results agree
-    statistically, not bitwise.
+    Each chunk of floor(2^16 / n) replications computes only what the
+    interval reads: the watched LS coefficient y' c (c = Q r, R' r = e_w,
+    from one triangular solve per cell) and, for estimated variance, the
+    residuals Y - (Y Q) Q'.  Slower than the fast path and on a different
+    substream, so results agree statistically, not bitwise.
     """
     from scipy.linalg import solve_triangular  # loaded on first use: slow to import
 
@@ -434,21 +445,23 @@ def simulate_coverage_full(plan: SimulationPlan, kind, spec):
     if abs(xi_all[watched] - setup.xi) > 1e-8 * max(1.0, setup.xi):
         raise DomainError("design xi of the watched component does not match setup.xi")
     Q, R = _full_rank_qr(X)
+    # the watched LS coefficient is e_w' R^-1 Q' y = c' y with R' r = e_w
+    row = solve_triangular(R, np.eye(setup.k)[watched], trans="T", lower=False)
+    c = Q @ row
     theta_vec = plan.theta_vector()
     mean_y = X @ theta_vec
     theta = theta_vec[watched]
     n, k = setup.n, setup.k
     hits = 0
-    chunk = max(1, _CHUNK_REPS // max(1, n))
+    chunk = max(1, _FULL_CHUNK_UNIFORMS // n)
     for start in range(0, plan.reps, chunk):
         stop = min(start + chunk, plan.reps)
         u = uniform_field(plan.seed, start * n, (stop - start) * n)
-        noise = std_normal_quantile(u).reshape(stop - start, n)
-        Y = mean_y + setup.sigma * noise  # rows are replications
-        coefs = solve_triangular(R, Q.T @ Y.T, lower=False)
-        scale = _interval_scale(
-            spec, setup, lambda: _residual_scale(X, Y, coefs, n - k))
-        est = kernel(kind, coefs[watched], scale * xi_all[watched] * setup.eta)
+        Y = std_normal_quantile(u).reshape(stop - start, n)  # rows are replications
+        Y *= setup.sigma
+        Y += mean_y
+        scale = _interval_scale(spec, setup, lambda: _residual_scale(Q, Y, n - k))
+        est = kernel(kind, Y @ c, scale * xi_all[watched] * setup.eta)
         inside = (est - scale * spec.a <= theta) & (theta <= est + scale * spec.b)
         hits += int(np.count_nonzero(inside))
     return _coverage_estimate(hits, plan.reps)

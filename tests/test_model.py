@@ -9,7 +9,6 @@ from threshcov import (
     DomainError,
     ProblemSetup,
     VarianceMode,
-    compute_xi,
     compute_xi_all,
     load_design_csv,
     ls_fit,
@@ -59,8 +58,8 @@ class TestComputeXi:
         # X'X/n = [[1, .5], [.5, 1]] gives xi_1 = sqrt(1/(1-0.25)) = 1.1547...
         X = gram_design(12, np.array([[1.0, 0.5], [0.5, 1.0]]))
         want = math.sqrt(1.0 / 0.75)
-        assert compute_xi(X, 1) == pytest.approx(want, abs=1e-10)
-        assert compute_xi(X, 2) == pytest.approx(want, abs=1e-10)
+        assert compute_xi_all(X)[0] == pytest.approx(want, abs=1e-10)
+        assert compute_xi_all(X)[1] == pytest.approx(want, abs=1e-10)
 
     def test_orthogonal_design(self):
         X = synthetic_design(11, 4, xi=2.5)
@@ -86,13 +85,6 @@ class TestComputeXi:
         X = np.ones((6, 2))
         with pytest.raises(DomainError):
             compute_xi_all(X)
-
-    def test_index_validation(self):
-        X = np.eye(4)
-        with pytest.raises(DomainError):
-            compute_xi(X, 0)
-        with pytest.raises(DomainError):
-            compute_xi(X, 5)
 
 
 class TestLsFit:

@@ -17,7 +17,6 @@ from threshcov import (
     atom_mass,
     chi_sq_quantile,
     component_draws,
-    compute_xi,
     compute_xi_all,
     kernel,
     known_coverage,
@@ -223,9 +222,9 @@ class TestKnownVarianceDraws:
         plan = SimulationPlan(setup=setup, theta=0.4 / setup.root_n, reps=3001,
                               seed=80 + m)
         spec = IntervalSpec(0.9 / setup.root_n, 0.7 / setup.root_n)
-        # several chunks of simulate_coverage, recomputed over ranges that
+        # several blocks of simulate_coverage, recomputed over ranges that
         # start elsewhere (nonzero starts, odd sizes)
-        monkeypatch.setattr(simulate, "_CHUNK_REPS", 700)
+        monkeypatch.setattr(simulate, "_BRACKET_REPS", 700)
         p, _ = simulate_coverage(plan, kind, spec)
         ranges = [(0, 333), (333, 1500), (1500, 3001)]
         assert round(p * plan.reps) == known_hits(plan, kind, spec, ranges)
@@ -532,6 +531,14 @@ class TestCoverageSimulation:
         assert 0.0 <= p <= 1.0
 
 
+def correlated_design(n=60, k=3):
+    """A non-orthogonal design: column 2 leans on column 1."""
+    rng = np.random.default_rng(8)
+    X = rng.standard_normal((n, k))
+    X[:, 1] += 0.6 * X[:, 0]
+    return X
+
+
 class TestFullDesignPath:
     def test_agrees_with_fast_path(self):
         spec = est_spec(0.434)
@@ -545,10 +552,8 @@ class TestFullDesignPath:
         # end to end: a non-orthogonal design, a dense parameter vector, and
         # the analytic coverage at the design's own xi
         n, k = 60, 3
-        rng = np.random.default_rng(8)
-        X = rng.standard_normal((n, k))
-        X[:, 1] += 0.6 * X[:, 0]
-        xi = compute_xi(X, 1)
+        X = correlated_design(n, k)
+        xi = compute_xi_all(X)[0]
         setup = ProblemSetup(n=n, k=k, xi=xi, eta=0.2)
         theta_vec = np.array([0.25, -0.4, 0.1])
         spec = est_spec(0.45)
@@ -569,6 +574,73 @@ class TestFullDesignPath:
         plan = SimulationPlan(setup=SETUP, theta=0.0, reps=10, seed=5, design=X)
         with pytest.raises(DomainError):
             simulate_coverage_full(plan, "hard", est_spec(0.4))
+
+
+def full_design_reference_hits(plan, kind, spec):
+    """Full-design hits the long way, every replication in one block: all k
+    LS coefficients through a triangular solve, residuals through X."""
+    from scipy.linalg import solve_triangular
+
+    setup = plan.setup
+    n, k = setup.n, setup.k
+    X = plan.design if plan.design is not None else synthetic_design(n, k, setup.xi)
+    Q, R = np.linalg.qr(X)
+    watched = setup.component_index - 1
+    theta_vec = plan.theta_vector()
+    theta = theta_vec[watched]
+    u = uniform_field(plan.seed, 0, plan.reps * n)
+    Y = X @ theta_vec + setup.sigma * std_normal_quantile(u).reshape(plan.reps, n)
+    coefs = solve_triangular(R, Q.T @ Y.T, lower=False)
+    if spec.mode is VarianceMode.ESTIMATED:
+        resid = Y.T - X @ coefs
+        scale = np.sqrt((resid * resid).sum(axis=0) / (n - k))
+    else:
+        scale = setup.sigma
+    est = kernel(kind, coefs[watched], scale * compute_xi_all(X)[watched] * setup.eta)
+    inside = (est - scale * spec.a <= theta) & (theta <= est + scale * spec.b)
+    return int(np.count_nonzero(inside))
+
+
+class TestFullDesignReference:
+    """The full-design path solves only the watched coefficient and projects
+    residuals through Q, in chunks; its hits must equal the long way's."""
+
+    MODES = (VarianceMode.KNOWN, VarianceMode.ESTIMATED)
+
+    @staticmethod
+    def assert_matches(plan, kind, spec, monkeypatch):
+        # chunks of floor(12345 / n) replications, the last one ragged
+        monkeypatch.setattr(simulate, "_FULL_CHUNK_UNIFORMS", 12345)
+        assert plan.reps % (12345 // plan.setup.n) != 0
+        p, _ = simulate_coverage_full(plan, kind, spec)
+        assert round(p * plan.reps) == full_design_reference_hits(plan, kind, spec)
+
+    @pytest.mark.parametrize("kind", ["hard", "soft", "asoft"])
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("theta", [0.0, SETUP.xi * SETUP.eta])
+    def test_reference_setup(self, kind, mode, theta, monkeypatch):
+        plan = SimulationPlan(setup=SETUP, theta=theta, reps=3001, seed=101)
+        self.assert_matches(plan, kind, IntervalSpec(0.3, 0.3, mode), monkeypatch)
+
+    @pytest.mark.parametrize("kind", ["hard", "soft", "asoft"])
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("component", [1, 2])
+    def test_correlated_design(self, kind, mode, component, monkeypatch):
+        X = correlated_design()
+        setup = ProblemSetup(n=60, k=3, xi=compute_xi_all(X)[component - 1],
+                             eta=0.2, component_index=component)
+        plan = SimulationPlan(setup=setup, theta=np.array([0.25, -0.4, 0.1]),
+                              reps=3001, seed=102, design=X)
+        self.assert_matches(plan, kind, IntervalSpec(0.25, 0.25, mode), monkeypatch)
+
+    @pytest.mark.parametrize("kind", ["hard", "soft", "asoft"])
+    def test_square_design(self, kind, monkeypatch):
+        X = np.random.default_rng(9).standard_normal((5, 5))
+        setup = ProblemSetup(n=5, k=5, xi=compute_xi_all(X)[2], eta=0.3,
+                             component_index=3)
+        plan = SimulationPlan(setup=setup, theta=np.array([0.5, 0.0, -0.3, 1.0, 0.2]),
+                              reps=3001, seed=103, design=X)
+        self.assert_matches(plan, kind, IntervalSpec(0.6, 0.5), monkeypatch)
 
 
 class TestEcdf:
