@@ -25,15 +25,16 @@ thresholded estimate is monotone in z and in the cutoff, and every step
 after it is a correctly rounded, monotone operation, so the same
 expressions evaluated at the ends of a bracket enclose the exact values.
 
-1. Grid cell.  A coverage cell first decides whole cells of a grid from
-   their corners: a known-variance cell uses the 4096 z cells at
-   s = sigma, an estimated-variance cell a 64 x 64 grid over (z cell,
-   sigma_hat cell).  A replication in a cell whose every interval holds
-   theta, or none does, is counted from its cell index alone.
-2. Per-replication bracket.  The rest of an estimated-variance cell, and
-   every replication of an ECDF cell, get their exact z and decide from
-   their own sigma_hat bracket (for the ECDF, one grid bin and surely zero
-   or surely nonzero).
+1. Grid cell.  A cell first decides whole cells of a grid from their
+   corners: a known-variance coverage cell uses the 4096 z cells at
+   s = sigma, an estimated-variance coverage cell and an ECDF cell a
+   64 x 64 grid over (z cell, sigma_hat cell).  A replication in a grid
+   cell whose every interval holds theta, or none does (for the ECDF,
+   whose every error falls in one grid bin and is surely zero or surely
+   nonzero), is counted from its cell index alone.
+2. Per-replication bracket.  The rest of an estimated-variance or ECDF
+   cell get their exact z and decide from their own sigma_hat bracket,
+   with the same test as the grid.
 3. Exact inversion.  What is still undecided, and every replication in an
    edge cell of the grid or the bracket, whose ends reach +-inf (z) or 0
    and inf (sigma_hat), is inverted exactly as in `component_draws`.
@@ -164,7 +165,7 @@ def component_draws(plan: SimulationPlan, start: int = 0, stop: int | None = Non
     setup = plan.setup
     u = _replication_uniforms(plan, start, plan.reps if stop is None else stop)
     sigma_hat = _sigma_hat_draws(setup, u[1::2]) if setup.n > setup.k else None
-    return _ls_draws(plan, u), sigma_hat
+    return _ls_values(plan, std_normal_quantile(u[0::2])), sigma_hat
 
 
 def _replication_uniforms(plan: SimulationPlan, start: int, stop: int) -> np.ndarray:
@@ -173,11 +174,6 @@ def _replication_uniforms(plan: SimulationPlan, start: int, stop: int) -> np.nda
         raise DomainError("replication range out of bounds")
     return uniform_field(plan.seed, _UNIFORMS_PER_REP * start,
                          _UNIFORMS_PER_REP * (stop - start))
-
-
-def _ls_draws(plan: SimulationPlan, u: np.ndarray) -> np.ndarray:
-    """LS estimates from the Gaussian uniforms (even indexes) of a chunk."""
-    return _ls_values(plan, std_normal_quantile(u[0::2]))
 
 
 def _ls_values(plan: SimulationPlan, z: np.ndarray) -> np.ndarray:
@@ -333,34 +329,54 @@ def _covers(kind, ls, scale, spec, setup: ProblemSetup, theta: float) -> np.ndar
     return (est - scale * spec.a <= theta) & (theta <= est + scale * spec.b)
 
 
-def _grid_flags(plan: SimulationPlan, kind, spec, theta: float,
-                z_lo, z_hi, s_lo, s_hi):
-    """Hit and undecided flags of the cells of a grid, rows over z in
-    [z_lo, z_hi] and columns over the interval scale s in [s_lo, s_hi]
-    (finite ends).  The estimate over a cell lies between its values at the
-    four corners, as kernel is monotone in z and in the cutoff."""
+def _corner_estimates(plan: SimulationPlan, kind, z_lo, z_hi, s_lo, s_hi):
+    """Enclosures (est_lo, est_hi) of the thresholded estimate over the cells
+    of a grid, rows over z in [z_lo, z_hi] and columns over the interval
+    scale s in [s_lo, s_hi] (finite ends).  The estimate over a cell lies
+    between its values at the four corners, as kernel is monotone in z and
+    in the cutoff."""
     setup = plan.setup
     corners = [kernel(kind, _ls_values(plan, z)[:, None],
                       (s * setup.xi * setup.eta)[None, :])
                for z in (z_lo, z_hi) for s in (s_lo, s_hi)]
-    hit, miss = _decide(np.minimum.reduce(corners), np.maximum.reduce(corners),
-                        s_lo[None, :], s_hi[None, :], spec, theta)
-    return hit, ~(hit | miss)
+    return np.minimum.reduce(corners), np.maximum.reduce(corners)
 
 
-def _grid_hits(plan: SimulationPlan, hit, undecided, cell_of, resolve) -> int:
-    """Hits over every replication: those in a decided grid cell are counted
-    from their cell index, cell_of(uniforms), and resolve(u_z, u_chi)
-    counts the hits among the rest."""
-    hit = hit.ravel()
+def _estimated_grid(plan: SimulationPlan, kind):
+    """The interior 62 x 62 cells of the 64 x 64 grid over (z cell, sigma_hat
+    cell), each coarse cell spanning 64 x 64 cells of the two brackets:
+    estimate enclosures (est_lo, est_hi) and sigma_hat ends (s_lo, s_hi),
+    the latter as one row."""
+    setup = plan.setup
+    step = _BRACKET_CELLS // _GRID_CELLS
+    z_lo, z_hi = _z_bracket()
+    s_lo, s_hi = _sigma_hat_bracket(setup.require_estimated_variance())
+    s_lo = setup.sigma * s_lo[::step][1:-1]
+    s_hi = setup.sigma * s_hi[step - 1::step][1:-1]
+    est_lo, est_hi = _corner_estimates(plan, kind, z_lo[::step][1:-1],
+                                       z_hi[step - 1::step][1:-1], s_lo, s_hi)
+    return est_lo, est_hi, s_lo[None, :], s_hi[None, :]
+
+
+def _estimated_cell(u: np.ndarray) -> np.ndarray:
+    """Index of each replication's cell in the flattened 64 x 64 grid."""
+    cell = _cell_index(u, _GRID_CELLS)  # both halves in one pass
+    return cell[0::2] * _GRID_CELLS + cell[1::2]
+
+
+def _grid_counts(plan: SimulationPlan, undecided, cell_of, resolve):
+    """Replications per grid cell, counted from their cell index
+    cell_of(uniforms), and the sum of resolve(u_z, u_chi) over the blocks'
+    replications in undecided cells."""
     undecided = undecided.ravel()
-    hits = 0
+    counts = np.zeros(undecided.size, dtype=np.int64)
+    resolved = 0
     for u in _uniform_blocks(plan):
         cell = cell_of(u)
-        hits += int(np.bincount(cell, minlength=hit.size) @ hit)
+        counts += np.bincount(cell, minlength=undecided.size)
         idx = np.flatnonzero(undecided[cell])
-        hits += resolve(u[0::2][idx], u[1::2][idx])
-    return hits
+        resolved += resolve(u[0::2][idx], u[1::2][idx])
+    return counts, resolved
 
 
 def _known_hits(plan: SimulationPlan, kind, spec, theta: float) -> int:
@@ -369,36 +385,27 @@ def _known_hits(plan: SimulationPlan, kind, spec, theta: float) -> int:
     setup = plan.setup
     z_lo, z_hi = _z_bracket()
     sigma = np.array([setup.sigma])
-    hit, undecided = _grid_flags(plan, kind, spec, theta, z_lo[1:-1], z_hi[1:-1],
-                                 sigma, sigma)
+    est_lo, est_hi = _corner_estimates(plan, kind, z_lo[1:-1], z_hi[1:-1], sigma, sigma)
+    hit, miss = _decide(est_lo, est_hi, sigma, sigma, spec, theta)
     edge_rows = ((1, 1), (0, 0))
 
     def resolve(u_z, u_chi):
         ls = _ls_values(plan, std_normal_quantile(u_z))
         return int(np.count_nonzero(_covers(kind, ls, setup.sigma, spec, setup, theta)))
 
-    return _grid_hits(plan, np.pad(hit, edge_rows, constant_values=False),
-                      np.pad(undecided, edge_rows, constant_values=True),
-                      lambda u: _cell_index(u[0::2], _BRACKET_CELLS), resolve)
+    undecided = np.pad(~(hit | miss), edge_rows, constant_values=True)
+    counts, hits = _grid_counts(plan, undecided,
+                                lambda u: _cell_index(u[0::2], _BRACKET_CELLS), resolve)
+    return int(counts @ np.pad(hit, edge_rows).ravel()) + hits
 
 
 def _estimated_hits(plan: SimulationPlan, kind, spec, theta: float) -> int:
-    """Estimated-variance hits: a 64 x 64 grid over (z cell, sigma_hat cell),
-    each coarse cell spanning 64 x 64 cells of the two brackets; the edge
-    rows and columns and the undecided cells go through the per-replication
-    sigma_hat bracket, whose undecided and edge cells are inverted exactly."""
+    """Estimated-variance hits: the 64 x 64 (z, sigma_hat) grid decides whole
+    cells; the edge rows and columns and the undecided cells go through the
+    per-replication sigma_hat bracket, whose undecided and edge cells are
+    inverted exactly."""
     setup = plan.setup
-    m = setup.require_estimated_variance()
-    step = _BRACKET_CELLS // _GRID_CELLS
-    z_lo, z_hi = _z_bracket()
-    s_lo, s_hi = _sigma_hat_bracket(m)
-    hit, undecided = _grid_flags(
-        plan, kind, spec, theta, z_lo[::step][1:-1], z_hi[step - 1::step][1:-1],
-        setup.sigma * s_lo[::step][1:-1], setup.sigma * s_hi[step - 1::step][1:-1])
-
-    def cell_of(u):
-        cell = _cell_index(u, _GRID_CELLS)  # both halves in one pass
-        return cell[0::2] * _GRID_CELLS + cell[1::2]
+    hit, miss = _decide(*_estimated_grid(plan, kind), spec, theta)
 
     def resolve(u_z, u_chi):
         blk = _bracketed(plan, kind, _ls_values(plan, std_normal_quantile(u_z)), u_chi)
@@ -408,8 +415,9 @@ def _estimated_hits(plan: SimulationPlan, kind, spec, theta: float) -> int:
         return (int(np.count_nonzero(hit & ~blk.edge))
                 + int(np.count_nonzero(inside)))
 
-    return _grid_hits(plan, np.pad(hit, 1, constant_values=False),
-                      np.pad(undecided, 1, constant_values=True), cell_of, resolve)
+    counts, hits = _grid_counts(plan, np.pad(~(hit | miss), 1, constant_values=True),
+                                _estimated_cell, resolve)
+    return int(counts @ np.pad(hit, 1).ravel()) + hits
 
 
 def simulate_coverage(plan: SimulationPlan, kind, spec):
@@ -477,6 +485,28 @@ class EcdfResult:
     reps: int
 
 
+def _ecdf_bins(est_lo, est_hi, s_lo, s_hi, a: float, theta: float, grid):
+    """Bin j (the number of grid points below the error) and zero flag of the
+    errors a (est - theta) / s with est in [est_lo, est_hi] and s in
+    [s_lo, s_hi], and whether both are certain: the error enclosure falls
+    in one grid gap, with a relative slack, and the estimate is surely zero
+    or surely nonzero."""
+    # x / s is monotone in s
+    num_lo = a * (est_lo - theta)
+    num_hi = a * (est_hi - theta)
+    err_lo = np.minimum(num_lo / s_lo, num_lo / s_hi)
+    err_hi = np.maximum(num_hi / s_lo, num_hi / s_hi)
+    # a killed estimate is exactly 0, so its slack scales with theta only
+    slack = _MARGIN * a * (np.maximum(np.abs(est_lo), np.abs(est_hi))
+                           + abs(theta)) / s_lo
+    j = np.searchsorted(grid, err_lo - slack, "left")
+    # the first grid point at or above every error of bin j
+    ceiling = np.append(grid, math.inf)[j]
+    zero = (est_lo == 0.0) & (est_hi == 0.0)
+    decided = (err_hi + slack <= ceiling) & (zero | (est_lo > 0.0) | (est_hi < 0.0))
+    return j, zero, decided
+
+
 def simulate_scaled_error_ecdf(plan: SimulationPlan, kind, alpha, grid) -> EcdfResult:
     """Empirical CDF of alpha (estimate - theta) / sigma_hat over the grid.
 
@@ -490,34 +520,30 @@ def simulate_scaled_error_ecdf(plan: SimulationPlan, kind, alpha, grid) -> EcdfR
     grid_arr = np.asarray(grid, dtype=float)
     if grid_arr.ndim != 1 or grid_arr.size == 0:
         raise DomainError("grid must be a nonempty 1-D array")
+    if np.isnan(grid_arr).any():
+        raise DomainError("grid must not contain NaN")
     if np.any(np.diff(grid_arr) < 0.0):
         raise DomainError("grid must be nondecreasing")
     theta = plan.component_theta
-    # bins[j] counts the replications with exactly j grid points below err;
-    # ceiling[j] is the first grid point at or above such an err
-    bins = np.zeros(grid_arr.size + 1, dtype=np.int64)
-    ceiling = np.append(grid_arr, math.inf)
-    zeros = 0
-    for u in _uniform_blocks(plan):
-        blk = _bracketed(plan, kind, _ls_draws(plan, u), u[1::2])
-        # a (est - theta) / s over the bracket: x / s is monotone in s
-        num_lo = a * (blk.est_lo - theta)
-        num_hi = a * (blk.est_hi - theta)
-        err_lo = np.minimum(num_lo / blk.s_lo, num_lo / blk.s_hi)
-        err_hi = np.maximum(num_hi / blk.s_lo, num_hi / blk.s_hi)
-        # a killed estimate is exactly 0, so its slack scales with theta only
-        slack = _MARGIN * a * (np.maximum(np.abs(blk.est_lo), np.abs(blk.est_hi))
-                               + abs(theta)) / blk.s_lo
-        j = np.searchsorted(grid_arr, err_lo - slack, "left")
-        zero = (blk.est_lo == 0.0) & (blk.est_hi == 0.0)
-        decided = ((err_hi + slack <= ceiling[j])
-                   & (zero | (blk.est_lo > 0.0) | (blk.est_hi < 0.0)))
+    # slot j counts the replications with exactly j grid points below their
+    # error, slot width + j those of them thresholded exactly to zero
+    width = grid_arr.size + 1
+    j, zero, decided = _ecdf_bins(*_estimated_grid(plan, kind), a, theta, grid_arr)
+    undecided = np.pad(~decided, 1, constant_values=True).ravel()
+    slot = np.pad(j + width * zero, 1).ravel()
+
+    def resolve(u_z, u_chi):
+        blk = _bracketed(plan, kind, _ls_values(plan, std_normal_quantile(u_z)), u_chi)
+        j, zero, decided = _ecdf_bins(blk.est_lo, blk.est_hi, blk.s_lo, blk.s_hi,
+                                      a, theta, grid_arr)
         idx, sigma_hat = blk.exact(setup, ~decided)
         est = kernel(kind, blk.ls[idx], sigma_hat * setup.xi * setup.eta)
         j[idx] = np.searchsorted(grid_arr, a * (est - theta) / sigma_hat, "left")
         zero[idx] = est == 0.0
-        zeros += int(np.count_nonzero(zero))
-        bins += np.bincount(j, minlength=bins.size)
-    counts = np.cumsum(bins)[:-1]
-    return EcdfResult(grid=grid_arr, values=counts / plan.reps,
-                      zero_mass=zeros / plan.reps, reps=plan.reps)
+        return np.bincount(j + width * zero, minlength=2 * width)
+
+    counts, tally = _grid_counts(plan, undecided, _estimated_cell, resolve)
+    np.add.at(tally, slot[~undecided], counts[~undecided])
+    bins = tally[:width] + tally[width:]
+    return EcdfResult(grid=grid_arr, values=np.cumsum(bins)[:-1] / plan.reps,
+                      zero_mass=int(tally[width:].sum()) / plan.reps, reps=plan.reps)

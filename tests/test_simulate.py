@@ -331,6 +331,24 @@ class TestBracketedDraws:
                 np.testing.assert_array_equal(res.values, counts / plan.reps)
                 assert res.zero_mass == zeros / plan.reps
 
+    @pytest.mark.parametrize("kind", ["hard", "soft", "asoft"])
+    @pytest.mark.parametrize("m", BRACKET_DOFS)
+    def test_ecdf_edges_match_inverting_every_draw(self, kind, m, monkeypatch):
+        # odd-sized blocks, so the per-cell counts add up across blocks
+        monkeypatch.setattr(simulate, "_BRACKET_REPS", 7001)
+        for eta in (0.05, 0.5):
+            setup = ProblemSetup(n=5 + m, k=5, eta=eta)
+            alpha = float(ScalingFactor.conservative(setup))
+            # nu = +-40 puts theta, and the killed errors, far outside the grid
+            for nu in (-40.0, 0.0, 1.0, 40.0):
+                plan = SimulationPlan(setup=setup, theta=nu / setup.root_n,
+                                      reps=20_000, seed=3)
+                for grid in (np.linspace(-4.0, 4.0, 41), np.array([0.5])):
+                    res = simulate_scaled_error_ecdf(plan, kind, alpha, grid)
+                    counts, zeros = reference_ecdf(plan, kind, alpha, grid)
+                    np.testing.assert_array_equal(res.values, counts / plan.reps)
+                    assert res.zero_mass == zeros / plan.reps
+
     @pytest.mark.parametrize("m", BRACKET_DOFS)
     def test_bracket_encloses_exact_quantiles(self, m):
         lo, hi = simulate._sigma_hat_bracket(m)
@@ -395,9 +413,9 @@ class TestBracketedDraws:
 
 
 class TestGridDecisions:
-    """Coverage cells decide whole cells of a grid on (z, sigma_hat) first:
-    counts must equal inverting every draw, and the z table must enclose
-    every exact quantile of its cell."""
+    """Coverage and ECDF cells decide whole cells of a grid on (z, sigma_hat)
+    first: counts must equal inverting every draw, and the z table must
+    enclose every exact quantile of its cell."""
 
     @pytest.mark.parametrize("kind", ["hard", "soft", "asoft"])
     @pytest.mark.parametrize("m", BRACKET_DOFS)
@@ -436,9 +454,10 @@ class TestGridDecisions:
         for start in range(0, total, chunk):
             check(uniform_field(700, start, min(chunk, total - start)))
 
-    @pytest.mark.parametrize("mode, share", [(VarianceMode.KNOWN, 0.01),
-                                             (VarianceMode.ESTIMATED, 0.1)])
-    def test_grid_inverts_few_gaussian_draws(self, mode, share, monkeypatch):
+    @staticmethod
+    def inverted_share(run, setup, monkeypatch):
+        """Share of a 1e5-replication cell's Gaussian uniforms that reach
+        std_normal_quantile, theta = 1 / sqrt(n)."""
         simulate._z_bracket()  # build the table first
         inverted = []
 
@@ -447,11 +466,30 @@ class TestGridDecisions:
             return std_normal_quantile(p)
 
         monkeypatch.setattr(simulate, "std_normal_quantile", counting)
-        setup = ProblemSetup(n=40, k=35, eta=0.5)
         plan = SimulationPlan(setup=setup, theta=1.0 / setup.root_n, reps=100_000,
                               seed=5)
-        simulate_coverage(plan, "asoft", IntervalSpec(0.82, 0.82, mode))
-        assert 0 < sum(inverted) < share * plan.reps
+        run(plan)
+        return sum(inverted) / plan.reps
+
+    @pytest.mark.parametrize("mode, share", [(VarianceMode.KNOWN, 0.01),
+                                             (VarianceMode.ESTIMATED, 0.1)])
+    def test_grid_inverts_few_gaussian_draws(self, mode, share, monkeypatch):
+        spec = IntervalSpec(0.82, 0.82, mode)
+        got = self.inverted_share(lambda plan: simulate_coverage(plan, "asoft", spec),
+                                  ProblemSetup(n=40, k=35, eta=0.5), monkeypatch)
+        assert 0 < got < share
+
+    @pytest.mark.parametrize("kind", ["hard", "soft", "asoft"])
+    @pytest.mark.parametrize("n, k, share", [(40, 35, 0.5), (1000, 5, 0.15)])
+    def test_ecdf_grid_inverts_few_gaussian_draws(self, kind, n, k, share,
+                                                  monkeypatch):
+        setup = ProblemSetup(n=n, k=k, eta=0.5)
+        alpha = ScalingFactor.conservative(setup)
+        grid = np.linspace(-4.0, 4.0, 41)
+        got = self.inverted_share(
+            lambda plan: simulate_scaled_error_ecdf(plan, kind, alpha, grid),
+            setup, monkeypatch)
+        assert 0 < got < share
 
 
 class TestSyntheticDesign:
@@ -690,6 +728,9 @@ class TestEcdf:
             simulate_scaled_error_ecdf(plan, "hard", 2.0, [])
         with pytest.raises(DomainError):
             simulate_scaled_error_ecdf(plan, "hard", 0.0, [0.0])
+        for grid in ([-1.0, math.nan, 1.0], [math.nan]):
+            with pytest.raises(DomainError):
+                simulate_scaled_error_ecdf(plan, "hard", 2.0, grid)
 
     def test_needs_variance_estimate(self):
         setup = ProblemSetup(n=5, k=5)
