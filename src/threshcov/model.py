@@ -115,6 +115,8 @@ def _full_rank_qr(X: np.ndarray):
     n, k = X.shape
     if k < 1 or n < k:
         raise DomainError("design matrix needs n >= k >= 1")
+    if not np.isfinite(X).all():
+        raise DomainError("design matrix must be finite")
     Q, R = np.linalg.qr(X, mode="reduced")
     diag = np.abs(np.diag(R))
     if diag.min() <= max(n, k) * np.finfo(float).eps * max(diag.max(), np.finfo(float).tiny):
@@ -143,6 +145,8 @@ def ls_fit(X, y) -> RegressionDraw:
     n, k = X.shape
     if y.shape != (n,):
         raise DomainError("response length must match the number of rows of X")
+    if not np.isfinite(y).all():
+        raise DomainError("response must be finite")
     coef = solve_triangular(R, Q.T @ y, lower=False)
     if n > k:
         resid = y - X @ coef

@@ -20,7 +20,9 @@ uniforms, in up to three levels; every count is bit-identical to inverting
 every draw, and the uniform layout is unchanged.  Both inverse transforms
 are tabulated once at the ends of the 2^12 equal cells (i/N, (i+1)/N) of
 the uniform, widened by a relative margin against non-monotone rounding in
-the inverses, so a draw's cell brackets its exact z or sigma_hat.  The
+the inverses, so a draw's cell brackets its exact z or sigma_hat.  A
+draw's cell is read from the top bits of its Philox word (`_word_cells`),
+and only the words that reach an inverse become floats.  The
 thresholded estimate is monotone in z and in the cutoff, and every step
 after it is a correctly rounded, monotone operation, so the same
 expressions evaluated at the ends of a bracket enclose the exact values.
@@ -43,10 +45,30 @@ The full-design path materializes y and runs the estimator on it;
 replication j consumes uniforms [j n, (j+1) n).  Per cell it factors
 X = Q R and solves R' r = e_w once, so the watched LS coefficient of every
 replication is y' c with c = Q r; the other k - 1 coefficients are never
-formed.  Per chunk of 2^16 uniforms (floor(2^16 / n) replications, at
-least one, so a chunk's arrays stay cache-sized) it builds Y, reads y' c
-and, for estimated variance only, sigma_hat from the residuals
-Y - (Y Q) Q'.
+formed.  sigma_hat comes from the residuals Y - (Y Q) Q', or when
+n - k < k from Y N, with N an orthonormal basis of the complement of Q's
+columns (`_residual_scale`).  Per chunk of 2^16 uniforms (floor(2^16 / n)
+replications, at least one, so a chunk's arrays stay cache-sized) it
+decides replications in two levels, with counts equal to inverting every
+draw:
+
+1. Enclosure.  Each z lies in its cell's bracket, held as a midpoint and a
+   radius r; the edge cells are bounded too, since every uniform lies in
+   [2^-54, 1 - 2^-53].  A few matrix-vector passes over the midpoints
+   y_mid give y_mid' c +- (sigma |c|'r + rounding term) for the watched
+   coefficient and, for estimated variance, sigma_hat(y_mid) +-
+   (|P| sigma |r|_2 + rounding term) / sqrt(n - k), P the residual map;
+   the rounding terms (`_full_radii`) follow the gamma_n bound of a dot
+   product, scaled with n and k.  The thresholded estimate at the corners
+   of the enclosure decides each replication as in the fast path.
+2. Exact computation.  The undecided replications convert their words,
+   invert every z, build y and compute y' c and sigma_hat as written.
+
+At n = 40, k = 35 (the reference setup) level 2 takes under 0.1% of the
+known-variance replications and about 2% of the estimated-variance ones,
+mostly rows with an edge cell, and a cell of 2e4 replications takes about
+15 ms with known variance and 20 ms with estimated variance, against 31
+and 37 ms when every draw is inverted (2-core Xeon VM).
 """
 
 from __future__ import annotations
@@ -93,18 +115,43 @@ def uniform_field(seed: int, start: int, count: int) -> np.ndarray:
     inverse CDFs stay finite; the one word it would round up to 1 is
     clamped to the largest double below 1.
     """
+    return _uniforms(_raw_words(seed, start, count))
+
+
+def _raw_words(seed: int, start: int, count: int) -> np.ndarray:
+    """The Philox words behind the uniforms [start, start + count)."""
     if start < 0 or count < 0:
         raise DomainError("uniform field needs start >= 0 and count >= 0")
     gen = np.random.Philox(key=int(seed))
     block, offset = divmod(int(start), _RAW_PER_BLOCK)
     gen.advance(block)
-    raw = gen.random_raw(offset + int(count))[offset:]
+    return gen.random_raw(offset + int(count))[offset:]
+
+
+def _uniforms(raw: np.ndarray) -> np.ndarray:
+    """The uniforms of Philox words, as in `uniform_field`; shifts raw in
+    place, so callers pass words they no longer need."""
     raw >>= np.uint64(11)
     # below 2^53, so the signed view converts exactly, and faster
     u = raw.view(np.int64).astype(float)
     u += 0.5
     u *= 2.0 ** -53
     return np.minimum(u, _BELOW_ONE, out=u)
+
+
+def _word_cells(raw: np.ndarray, cells: int) -> np.ndarray:
+    """Index i of the grid cell (i / cells, (i + 1) / cells) of each word's
+    uniform, from the word's top log2(cells) bits; cells is a power of two.
+
+    The uniform (raw >> 11 + 0.5) 2^-53 rounds to nearest, so the float cell
+    floor(u cells) equals this one, or is one higher only where u rounds up
+    to a cell end exactly.  A bracket is tabulated at the cell ends
+    themselves, so both neighbouring brackets enclose the quantile of a
+    uniform at a cell end.  The all-ones word, whose uniform is clamped
+    below 1, lands in the top (edge) cell either way.
+    """
+    shift = 64 - (cells.bit_length() - 1)  # 64 - log2(cells)
+    return (raw >> np.uint64(shift)).view(np.intp)
 
 
 def _is_integer(value) -> bool:
@@ -190,12 +237,6 @@ def _sigma_hat_draws(setup: ProblemSetup, u_chi: np.ndarray) -> np.ndarray:
     return setup.sigma * np.sqrt(chi / m)
 
 
-def _cell_index(u: np.ndarray, cells: int) -> np.ndarray:
-    """Index i of the cell (i / cells, (i + 1) / cells) that holds each
-    uniform; exact, since cells is a power of two."""
-    return (u * cells).astype(np.intp)
-
-
 def _widened(ends: np.ndarray, below: float, above: float):
     """Per grid cell i, ends (lo[i], hi[i]) from the increasing values at the
     interior cell ends, widened by the relative margin against
@@ -249,7 +290,7 @@ class _Bracketed(NamedTuple):
     those replications always take the exact path."""
 
     ls: np.ndarray
-    u_chi: np.ndarray
+    w_chi: np.ndarray
     edge: np.ndarray
     s_lo: np.ndarray
     s_hi: np.ndarray
@@ -260,16 +301,16 @@ class _Bracketed(NamedTuple):
         """Indexes and exact sigma_hats of the undecided and edge-cell
         replications."""
         idx = np.flatnonzero(undecided | self.edge)
-        return idx, _sigma_hat_draws(setup, self.u_chi[idx])
+        return idx, _sigma_hat_draws(setup, _uniforms(self.w_chi[idx]))
 
 
 def _bracketed(plan: SimulationPlan, kind, ls: np.ndarray,
-               u_chi: np.ndarray) -> _Bracketed:
+               w_chi: np.ndarray) -> _Bracketed:
     """Replications with LS estimates ls, bracketed from the grid cells of
-    their chi-square uniforms u_chi; needs n > k."""
+    their chi-square words w_chi; needs n > k."""
     setup = plan.setup
     lo, hi = _sigma_hat_bracket(setup.residual_dof)
-    cell = _cell_index(u_chi, _BRACKET_CELLS)
+    cell = _word_cells(w_chi, _BRACKET_CELLS)
     edge = (cell == 0) | (cell == _BRACKET_CELLS - 1)
     inner = np.clip(cell, 1, _BRACKET_CELLS - 2)
     s_lo = setup.sigma * lo[inner]
@@ -277,14 +318,16 @@ def _bracketed(plan: SimulationPlan, kind, ls: np.ndarray,
     # kernel is monotone in the cutoff for fixed z: the ends enclose it
     est_a = kernel(kind, ls, s_lo * setup.xi * setup.eta)
     est_b = kernel(kind, ls, s_hi * setup.xi * setup.eta)
-    return _Bracketed(ls, u_chi, edge, s_lo, s_hi,
+    return _Bracketed(ls, w_chi, edge, s_lo, s_hi,
                       np.minimum(est_a, est_b), np.maximum(est_a, est_b))
 
 
-def _uniform_blocks(plan: SimulationPlan):
-    """The uniforms of every replication, in blocks of _BRACKET_REPS."""
+def _word_blocks(plan: SimulationPlan):
+    """The Philox words of every replication, in blocks of _BRACKET_REPS."""
     for start in range(0, plan.reps, _BRACKET_REPS):
-        yield _replication_uniforms(plan, start, min(start + _BRACKET_REPS, plan.reps))
+        stop = min(start + _BRACKET_REPS, plan.reps)
+        yield _raw_words(plan.seed, _UNIFORMS_PER_REP * start,
+                         _UNIFORMS_PER_REP * (stop - start))
 
 
 def synthetic_design(n: int, k: int, xi: float = 1.0) -> np.ndarray:
@@ -296,25 +339,6 @@ def synthetic_design(n: int, k: int, xi: float = 1.0) -> np.ndarray:
     X = np.zeros((n, k))
     np.fill_diagonal(X, math.sqrt(n) / xi)
     return X
-
-
-def _interval_scale(spec, setup: ProblemSetup, estimate_sigma):
-    """sigma for a known-variance interval, else estimate_sigma().  The
-    estimate is computed only when the interval uses it."""
-    if spec.mode is VarianceMode.ESTIMATED:
-        setup.require_estimated_variance()
-        return estimate_sigma()
-    return setup.sigma
-
-
-def _residual_scale(Q: np.ndarray, Y: np.ndarray, dof: int) -> np.ndarray:
-    """Per-replication sigma_hat from the residuals Y - (Y Q) Q' of the LS
-    fits (rows are replications).  The squared residuals are summed
-    directly, never as |y|^2 - |Q' y|^2, which cancels."""
-    resid = (Y @ Q) @ Q.T
-    resid -= Y  # the negated residual, in place: the squares are the same
-    resid *= resid
-    return np.sqrt(resid.sum(axis=1) / dof)
 
 
 def _coverage_estimate(hits: int, reps: int):
@@ -358,24 +382,29 @@ def _estimated_grid(plan: SimulationPlan, kind):
     return est_lo, est_hi, s_lo[None, :], s_hi[None, :]
 
 
-def _estimated_cell(u: np.ndarray) -> np.ndarray:
+def _estimated_cell(raw: np.ndarray) -> np.ndarray:
     """Index of each replication's cell in the flattened 64 x 64 grid."""
-    cell = _cell_index(u, _GRID_CELLS)  # both halves in one pass
+    cell = _word_cells(raw, _GRID_CELLS)  # both halves in one pass
     return cell[0::2] * _GRID_CELLS + cell[1::2]
+
+
+def _z_estimates(plan: SimulationPlan, w_z: np.ndarray) -> np.ndarray:
+    """LS estimates of the Gaussian words w_z, inverted exactly."""
+    return _ls_values(plan, std_normal_quantile(_uniforms(w_z)))
 
 
 def _grid_counts(plan: SimulationPlan, undecided, cell_of, resolve):
     """Replications per grid cell, counted from their cell index
-    cell_of(uniforms), and the sum of resolve(u_z, u_chi) over the blocks'
-    replications in undecided cells."""
+    cell_of(words), and the sum of resolve(w_z, w_chi) over the blocks'
+    replications in undecided cells (copies of their words)."""
     undecided = undecided.ravel()
     counts = np.zeros(undecided.size, dtype=np.int64)
     resolved = 0
-    for u in _uniform_blocks(plan):
-        cell = cell_of(u)
+    for raw in _word_blocks(plan):
+        cell = cell_of(raw)
         counts += np.bincount(cell, minlength=undecided.size)
         idx = np.flatnonzero(undecided[cell])
-        resolved += resolve(u[0::2][idx], u[1::2][idx])
+        resolved += resolve(raw[0::2][idx], raw[1::2][idx])
     return counts, resolved
 
 
@@ -389,13 +418,14 @@ def _known_hits(plan: SimulationPlan, kind, spec, theta: float) -> int:
     hit, miss = _decide(est_lo, est_hi, sigma, sigma, spec, theta)
     edge_rows = ((1, 1), (0, 0))
 
-    def resolve(u_z, u_chi):
-        ls = _ls_values(plan, std_normal_quantile(u_z))
+    def resolve(w_z, w_chi):
+        ls = _z_estimates(plan, w_z)
         return int(np.count_nonzero(_covers(kind, ls, setup.sigma, spec, setup, theta)))
 
     undecided = np.pad(~(hit | miss), edge_rows, constant_values=True)
     counts, hits = _grid_counts(plan, undecided,
-                                lambda u: _cell_index(u[0::2], _BRACKET_CELLS), resolve)
+                                lambda raw: _word_cells(raw[0::2], _BRACKET_CELLS),
+                                resolve)
     return int(counts @ np.pad(hit, edge_rows).ravel()) + hits
 
 
@@ -407,8 +437,8 @@ def _estimated_hits(plan: SimulationPlan, kind, spec, theta: float) -> int:
     setup = plan.setup
     hit, miss = _decide(*_estimated_grid(plan, kind), spec, theta)
 
-    def resolve(u_z, u_chi):
-        blk = _bracketed(plan, kind, _ls_values(plan, std_normal_quantile(u_z)), u_chi)
+    def resolve(w_z, w_chi):
+        blk = _bracketed(plan, kind, _z_estimates(plan, w_z), w_chi)
         hit, miss = _decide(blk.est_lo, blk.est_hi, blk.s_lo, blk.s_hi, spec, theta)
         idx, sigma_hat = blk.exact(setup, ~(hit | miss))
         inside = _covers(kind, blk.ls[idx], sigma_hat, spec, setup, theta)
@@ -429,15 +459,132 @@ def simulate_coverage(plan: SimulationPlan, kind, spec):
     return _coverage_estimate(count(plan, kind, spec, theta), plan.reps)
 
 
+def _residual_basis(X: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """The basis `_residual_scale` maps residuals through: Q (n x k), or when
+    n - k < k the orthonormal complement N of its columns (n x (n - k)),
+    which costs O(n (n - k)) per replication instead of O(n k)."""
+    n, k = Q.shape
+    if n - k < k:
+        return np.linalg.qr(X, mode="complete")[0][:, k:].copy()
+    return Q
+
+
+def _residual_scale(basis: np.ndarray, Y: np.ndarray, dof: int) -> np.ndarray:
+    """Per-replication sigma_hat of the LS fits of the rows of Y, from the
+    `_residual_basis`: the residual norm is |Y N| for the complement N, else
+    that of the residuals Y - (Y Q) Q'.  The squares are summed directly,
+    never as |y|^2 - |Q' y|^2, which cancels."""
+    if basis.shape[1] < Y.shape[1] - dof:  # N: n - k < k columns
+        resid = Y @ basis
+    else:
+        resid = (Y @ basis) @ basis.T
+        resid -= Y  # the negated residual, in place: the squares are the same
+    resid *= resid
+    return np.sqrt(resid.sum(axis=1) / dof)
+
+
+@functools.lru_cache(maxsize=None)
+def _z_midpoints() -> tuple[np.ndarray, np.ndarray, float]:
+    """Per cell i of the z grid, a midpoint and radius whose interval
+    [mid - rad, mid + rad] holds the z of every uniform in the cell, and
+    z_max, the largest |z| of any uniform.  Uniforms lie in
+    [2^-54, 1 - 2^-53], so the edge cells are bounded too: their outer ends
+    are the widened quantiles of those extremes."""
+    lo, hi = _z_bracket()
+    outer = std_normal_quantile(np.array([2.0 ** -54, _BELOW_ONE])) * (1.0 + _MARGIN)
+    lo = np.concatenate([outer[:1], lo[1:]])
+    hi = np.concatenate([hi[:-1], outer[1:]])
+    mid = 0.5 * (lo + hi)
+    # each difference rounds by at most half an ulp: the factor covers it
+    rad = np.maximum(hi - mid, mid - lo) * (1.0 + 2.0 ** -50)
+    mid.flags.writeable = rad.flags.writeable = False
+    return mid, rad, float(max(-lo[0], hi[-1]))
+
+
+class _FullRadii(NamedTuple):
+    """Terms of the full path's radii, for a replication with z radii r:
+    sigma |c|'r + coef_round for the watched coefficient, and
+    s_per_r |r|_2 + s_rel s(y_mid) + s_round for sigma_hat."""
+
+    coef_round: float
+    s_per_r: float = 0.0
+    s_rel: float = 0.0
+    s_round: float = 0.0
+
+
+def _full_radii(setup: ProblemSetup, c, mean_y, basis) -> _FullRadii:
+    """The rounding terms of the full path's enclosures (basis None for known
+    variance).
+
+    u = 2^-53 is the unit roundoff and gamma_m = m u / (1 - m u) the bound
+    of an m-term dot product, |fl(x'c) - x'c| <= gamma_m |x|'|c| in any
+    summation order, with or without FMA.  Each z_i lies in
+    [mid_i - r_i, mid_i + r_i] and |z_i|, |mid_i| <= z_max.  Per entry,
+    y_i = fl(fl(sigma z_i) + mu_i) and its midpoint value ym_i differ by at
+    most sigma r_i + 2 gamma_2 a_i, with a_i = sigma z_max + |mu_i|, and both
+    are at most (1 + gamma_2) a_i in size.
+
+    Watched coefficient: |fl(y'c) - fl(ym'c)| <= sigma |c|'r
+    + (2 gamma_2 + 2 gamma_n (1 + gamma_2)) |c|'a, and evaluating
+    sigma |c|'r in floating point loses at most gamma_{n+1} |c|'a more;
+    (4 n + 16) u |c|'a covers both, with room for the radius's own
+    roundings.
+
+    sigma_hat is |t| / sqrt(m) (1 + e), |e| <= rho = gamma_{n+3} (squares,
+    sum, division, root), where t is the computed residual map of y: y N,
+    or y Q Q' - y.  Its rounding is at most kappa |y|, with
+    kappa = gamma_{n+k+2} (F + 1)^2 and F the Frobenius norm of the basis
+    (the Q map rounds as gamma_n F^2 + gamma_k F^2, plus u |P| at the
+    subtraction).  The exact map P has norm at most pi = 1 + |B'B - I|_F,
+    for B = Q or N.  Hence
+        |t(y) - t(ym)| <= D = pi sigma |r| + (2 gamma_2 pi + 2 kappa (1 + gamma_2)) |a|
+    and |s(y) - s(ym)| <= 3 rho s(ym) + (1 + rho) D / sqrt(m).  Below, rho,
+    kappa and pi are taken at twice these sizes (and the rounding terms
+    doubled), which covers gamma_m <= 1.01 m u, the rounding of |r|_2 and
+    that of the radius itself.
+
+    Gradual underflow adds at most 2^-1075 per operation, which the
+    absolute terms cover: (4 n + 8)(1 + |c|_1) 2^-1074 for the coefficient,
+    and 2 sqrt((n + 2) 2^-1074 / m) for sigma_hat, whose sum of squares may
+    be subnormal.
+    """
+    u = 2.0 ** -53
+    n, k = setup.n, setup.k
+    sigma = setup.sigma
+    z_max = _z_midpoints()[2]
+    abs_c = np.abs(c)
+    tiny = 2.0 ** -1074
+    coef_round = ((4 * n + 16) * u * (sigma * z_max * abs_c.sum() + abs_c @ np.abs(mean_y))
+                  + (4 * n + 8) * (1.0 + abs_c.sum()) * tiny)
+    if basis is None:
+        return _FullRadii(coef_round)
+    m = setup.residual_dof
+    gram = basis.T @ basis
+    gram -= np.eye(basis.shape[1])
+    frob = float(np.linalg.norm(basis))
+    pi = 1.0 + 2.0 * (float(np.linalg.norm(gram)) + (n + 2) * u * frob ** 2)
+    rho = 2.0 * (n + 3) * u
+    kappa = 2.0 * (n + k + 2) * u * (frob + 1.0) ** 2
+    a_norm = sigma * z_max * math.sqrt(n) + float(np.linalg.norm(mean_y))
+    root_m = math.sqrt(m)
+    return _FullRadii(coef_round,
+                      s_per_r=(1.0 + 2.0 * rho) * pi * sigma / root_m,
+                      s_rel=2.0 * rho,
+                      s_round=(2.0 * (4.0 * u * pi + 3.0 * kappa) * a_norm / root_m
+                               + 2.0 * math.sqrt((n + 2) * tiny / m)))
+
+
 def simulate_coverage_full(plan: SimulationPlan, kind, spec):
     """Empirical coverage via the full-design path: materialize y, run least
     squares and the thresholding estimator end to end.
 
     Each chunk of floor(2^16 / n) replications computes only what the
     interval reads: the watched LS coefficient y' c (c = Q r, R' r = e_w,
-    from one triangular solve per cell) and, for estimated variance, the
-    residuals Y - (Y Q) Q'.  Slower than the fast path and on a different
-    substream, so results agree statistically, not bitwise.
+    from one triangular solve per cell) and, for estimated variance,
+    sigma_hat through `_residual_scale`.  A replication is first decided
+    from its words' z cells (see the module docstring); only the undecided
+    ones are inverted and computed exactly.  Slower than the fast path and
+    on a different substream, so results agree statistically, not bitwise.
     """
     from scipy.linalg import solve_triangular  # loaded on first use: slow to import
 
@@ -452,26 +599,61 @@ def simulate_coverage_full(plan: SimulationPlan, kind, spec):
     watched = setup.component_index - 1
     if abs(xi_all[watched] - setup.xi) > 1e-8 * max(1.0, setup.xi):
         raise DomainError("design xi of the watched component does not match setup.xi")
+    # the interval's cutoff uses the design's own xi
+    setup = dataclasses.replace(setup, xi=float(xi_all[watched]))
     Q, R = _full_rank_qr(X)
     # the watched LS coefficient is e_w' R^-1 Q' y = c' y with R' r = e_w
     row = solve_triangular(R, np.eye(setup.k)[watched], trans="T", lower=False)
     c = Q @ row
+    abs_c = np.abs(c)
     theta_vec = plan.theta_vector()
     mean_y = X @ theta_vec
     theta = theta_vec[watched]
-    n, k = setup.n, setup.k
+    n, m = setup.n, setup.residual_dof
+    estimated = spec.mode is VarianceMode.ESTIMATED
+    if estimated:
+        setup.require_estimated_variance()
+    basis = _residual_basis(X, Q) if estimated else None
+    radii = _full_radii(setup, c, mean_y, basis)
+    z_mid, z_rad, _ = _z_midpoints()
+
+    def exact(words):
+        """Hits of the replications with these words, every z inverted."""
+        Y = std_normal_quantile(_uniforms(words))
+        Y *= setup.sigma
+        Y += mean_y
+        scale = _residual_scale(basis, Y, m) if estimated else setup.sigma
+        return int(np.count_nonzero(_covers(kind, Y @ c, scale, spec, setup, theta)))
+
     hits = 0
     chunk = max(1, _FULL_CHUNK_UNIFORMS // n)
     for start in range(0, plan.reps, chunk):
         stop = min(start + chunk, plan.reps)
-        u = uniform_field(plan.seed, start * n, (stop - start) * n)
-        Y = std_normal_quantile(u).reshape(stop - start, n)  # rows are replications
-        Y *= setup.sigma
-        Y += mean_y
-        scale = _interval_scale(spec, setup, lambda: _residual_scale(Q, Y, n - k))
-        est = kernel(kind, Y @ c, scale * xi_all[watched] * setup.eta)
-        inside = (est - scale * spec.a <= theta) & (theta <= est + scale * spec.b)
-        hits += int(np.count_nonzero(inside))
+        raw = _raw_words(plan.seed, start * n, (stop - start) * n).reshape(-1, n)
+        cell = _word_cells(raw, _BRACKET_CELLS)  # rows are replications
+        y_mid = z_mid[cell]
+        y_mid *= setup.sigma
+        y_mid += mean_y
+        r = z_rad[cell]
+        coef = y_mid @ c
+        coef_rad = r @ abs_c
+        coef_rad *= setup.sigma
+        coef_rad += radii.coef_round
+        if estimated:
+            s = _residual_scale(basis, y_mid, m)
+            s_rad = np.sqrt(np.einsum("ij,ij->i", r, r))
+            s_rad *= radii.s_per_r
+            s_rad += radii.s_rel * s + radii.s_round
+            s_lo, s_hi = np.maximum(s - s_rad, 0.0), s + s_rad
+        else:
+            s_lo = s_hi = setup.sigma
+        # kernel is monotone in the coefficient and in the cutoff
+        corners = [kernel(kind, b, s * setup.xi * setup.eta)
+                   for b in (coef - coef_rad, coef + coef_rad)
+                   for s in ((s_lo, s_hi) if estimated else (s_lo,))]
+        hit, miss = _decide(np.minimum.reduce(corners), np.maximum.reduce(corners),
+                            s_lo, s_hi, spec, theta)
+        hits += int(np.count_nonzero(hit)) + exact(raw[~(hit | miss)])
     return _coverage_estimate(hits, plan.reps)
 
 
@@ -532,8 +714,8 @@ def simulate_scaled_error_ecdf(plan: SimulationPlan, kind, alpha, grid) -> EcdfR
     undecided = np.pad(~decided, 1, constant_values=True).ravel()
     slot = np.pad(j + width * zero, 1).ravel()
 
-    def resolve(u_z, u_chi):
-        blk = _bracketed(plan, kind, _ls_values(plan, std_normal_quantile(u_z)), u_chi)
+    def resolve(w_z, w_chi):
+        blk = _bracketed(plan, kind, _z_estimates(plan, w_z), w_chi)
         j, zero, decided = _ecdf_bins(blk.est_lo, blk.est_hi, blk.s_lo, blk.s_hi,
                                       a, theta, grid_arr)
         idx, sigma_hat = blk.exact(setup, ~decided)

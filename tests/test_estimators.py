@@ -304,6 +304,19 @@ class TestEstimate:
         assert np.array_equal(got == 0.0, expected == 0.0)
         assert np.allclose(got, expected, rtol=1e-9, atol=1e-12)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_data_rejected(self, bad):
+        X, y = seeded_problem(seed=5)
+        rule = ThresholdRule(EstimatorKind.SOFT, 0.1)
+        y_bad = y.copy()
+        y_bad[0] = bad
+        with pytest.raises(DomainError):
+            estimate(X, y_bad, rule)
+        X_bad = X.copy()
+        X_bad[1, 0] = bad
+        with pytest.raises(DomainError):
+            estimate(X_bad, y, rule)
+
     def test_estimated_mode_needs_slack(self):
         X = np.eye(5)
         y = np.ones(5)

@@ -86,6 +86,13 @@ class TestComputeXi:
         with pytest.raises(DomainError):
             compute_xi_all(X)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_design_rejected(self, bad):
+        X = np.random.default_rng(3).standard_normal((8, 3))
+        X[4, 1] = bad
+        with pytest.raises(DomainError):
+            compute_xi_all(X)
+
 
 class TestLsFit:
     def test_exact_fit(self):
@@ -120,6 +127,19 @@ class TestLsFit:
     def test_shape_mismatch(self):
         with pytest.raises(DomainError):
             ls_fit(np.eye(4), np.ones(5))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_data_rejected(self, bad):
+        rng = np.random.default_rng(4)
+        X = rng.standard_normal((8, 3))
+        y = rng.standard_normal(8)
+        y_bad = y.copy()
+        y_bad[2] = bad
+        with pytest.raises(DomainError):
+            ls_fit(X, y_bad)
+        X[0, 2] = bad
+        with pytest.raises(DomainError):
+            ls_fit(X, y)
 
     def test_residual_variance_is_chi_square(self):
         # (n - k) sigma_hat^2 / sigma^2 across many fits matches chi-square

@@ -479,6 +479,15 @@ class TestGridDecisions:
                                   ProblemSetup(n=40, k=35, eta=0.5), monkeypatch)
         assert 0 < got < share
 
+    @pytest.mark.parametrize("mode, share", [(VarianceMode.KNOWN, 0.005),
+                                             (VarianceMode.ESTIMATED, 0.05)])
+    def test_full_path_inverts_few_gaussian_draws(self, mode, share, monkeypatch):
+        setup = ProblemSetup(n=40, k=35, eta=0.5)
+        spec = IntervalSpec(0.3, 0.3, mode)
+        got = self.inverted_share(lambda plan: simulate_coverage_full(plan, "asoft", spec),
+                                  setup, monkeypatch)
+        assert 0 < got / setup.n < share
+
     @pytest.mark.parametrize("kind", ["hard", "soft", "asoft"])
     @pytest.mark.parametrize("n, k, share", [(40, 35, 0.5), (1000, 5, 0.15)])
     def test_ecdf_grid_inverts_few_gaussian_draws(self, kind, n, k, share,
@@ -607,6 +616,15 @@ class TestFullDesignPath:
         with pytest.raises(DomainError):
             simulate_coverage_full(plan, "hard", est_spec(0.4))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_design_rejected(self, bad):
+        X = correlated_design()
+        X[7, 2] = bad
+        setup = ProblemSetup(n=60, k=3, eta=0.2)
+        plan = SimulationPlan(setup=setup, theta=0.0, reps=10, seed=5, design=X)
+        with pytest.raises(DomainError):
+            simulate_coverage_full(plan, "hard", est_spec(0.4))
+
     def test_xi_mismatch_rejected(self):
         X = synthetic_design(40, 35, xi=2.0)
         plan = SimulationPlan(setup=SETUP, theta=0.0, reps=10, seed=5, design=X)
@@ -639,9 +657,31 @@ def full_design_reference_hits(plan, kind, spec):
     return int(np.count_nonzero(inside))
 
 
+def dense_case(n, k, seed, sigma=1.0, col_scales=None):
+    """A dense random design (columns optionally rescaled), its setup for
+    component 1 and a dense theta whose watched entry sits near the
+    threshold."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, k))
+    if col_scales is not None:
+        X *= col_scales
+    xi = compute_xi_all(X)
+    setup = ProblemSetup(n=n, k=k, xi=xi[0], sigma=sigma, eta=0.3)
+    theta = rng.standard_normal(k) * sigma * xi / math.sqrt(n)
+    theta[0] = 0.4 * sigma * xi[0]
+    return X, setup, theta
+
+
+def dense_spec(setup, mode):
+    a = 1.5 * setup.xi / setup.root_n
+    return IntervalSpec(a, a, mode)
+
+
 class TestFullDesignReference:
-    """The full-design path solves only the watched coefficient and projects
-    residuals through Q, in chunks; its hits must equal the long way's."""
+    """The full-design path decides most replications from enclosures over
+    their z cells, solves only the watched coefficient and maps residuals
+    through Q or its complement, in chunks; its hits must equal the long
+    way's."""
 
     MODES = (VarianceMode.KNOWN, VarianceMode.ESTIMATED)
 
@@ -679,6 +719,139 @@ class TestFullDesignReference:
         plan = SimulationPlan(setup=setup, theta=np.array([0.5, 0.0, -0.3, 1.0, 0.2]),
                               reps=3001, seed=103, design=X)
         self.assert_matches(plan, kind, IntervalSpec(0.6, 0.5), monkeypatch)
+
+    @pytest.mark.parametrize("kind", ["hard", "soft", "asoft"])
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("n, k, residual_cols", [
+        (60, 55, 5),  # n - k < k: residuals through the complement of Q
+        (60, 3, 3),   # through Q
+        (36, 35, 1),  # n = k + 1
+    ])
+    def test_dense_design(self, kind, mode, n, k, residual_cols, monkeypatch):
+        X, setup, theta = dense_case(n, k, seed=n + k)
+        Q, _ = np.linalg.qr(X)
+        assert simulate._residual_basis(X, Q).shape == (n, residual_cols)
+        plan = SimulationPlan(setup=setup, theta=theta, reps=3001, seed=104, design=X)
+        self.assert_matches(plan, kind, dense_spec(setup, mode), monkeypatch)
+
+    @pytest.mark.parametrize("kind", ["hard", "soft", "asoft"])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_columns_scaled_over_twelve_decades(self, kind, mode, monkeypatch):
+        X, setup, theta = dense_case(60, 10, seed=7, col_scales=np.logspace(-6, 6, 10))
+        plan = SimulationPlan(setup=setup, theta=theta, reps=3001, seed=105, design=X)
+        self.assert_matches(plan, kind, dense_spec(setup, mode), monkeypatch)
+
+    @pytest.mark.parametrize("kind", ["hard", "soft", "asoft"])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_large_theta_tiny_sigma(self, kind, mode, monkeypatch):
+        # y is about 1e6 and its noise about 1e-5: the rounding terms of the
+        # enclosures outweigh the z radii
+        X, setup, theta = dense_case(40, 35, seed=8, sigma=1e-5)
+        theta[0] = 1e6
+        plan = SimulationPlan(setup=setup, theta=theta, reps=3001, seed=106, design=X)
+        self.assert_matches(plan, kind, dense_spec(setup, mode), monkeypatch)
+
+
+def cell_end_words():
+    """Philox words whose uniforms lie at or next to every end of the 4096
+    z and sigma_hat cells (the 64-cell grid's ends among them), plus the
+    lowest, the all-ones and the next-to-top word, shuffled once.  Their
+    count is odd, so each word serves as both halves of a replication."""
+    ends = np.arange(1, N_CELLS, dtype=np.uint64) << np.uint64(52)
+    extremes = np.array([0, 2 ** 64 - 1, 2 ** 64 - 2 ** 11], dtype=np.uint64)
+    words = np.concatenate([ends - np.uint64(1), ends, extremes])
+    return np.random.default_rng(12).permutation(words)
+
+
+CELL_END_WORDS = cell_end_words()
+
+
+class CellEndPhilox(np.random.Philox):
+    """Philox whose word stream is CELL_END_WORDS repeated, addressed by its
+    counter like the real generator."""
+
+    def __init__(self, key=None):
+        super().__init__(key=key)
+        self.position = 0
+
+    def advance(self, delta):
+        self.position += 4 * delta
+        return self
+
+    def random_raw(self, size=None, output=True):
+        idx = (self.position + np.arange(size)) % CELL_END_WORDS.size
+        self.position += size
+        return CELL_END_WORDS[idx]
+
+
+class TestCellEndWords:
+    """Draws at the cell ends of both grids and at the extreme words: the
+    grid cells read from the words must count exactly as inverting every
+    draw does, on every path."""
+
+    @pytest.fixture(autouse=True)
+    def cell_end_philox(self, monkeypatch):
+        monkeypatch.setattr(simulate.np.random, "Philox", CellEndPhilox)
+        monkeypatch.setattr(simulate, "_BRACKET_REPS", 7001)
+
+    def test_stream_hits_the_cell_ends(self):
+        assert CELL_END_WORDS.size % 2 == 1
+        u = uniform_field(1, 0, CELL_END_WORDS.size)
+        assert u.max() == 1.0 - 2.0 ** -53
+        # uniforms that round onto a cell end, where the float cell is one
+        # above the word's
+        on_end = np.isin(u, np.arange(1, N_CELLS) / N_CELLS)
+        assert np.count_nonzero(on_end) >= N_CELLS // 2 - 1
+        assert np.array_equal(uniform_field(1, 5, 20), u[5:25])
+
+    @pytest.mark.parametrize("cells", [N_CELLS, simulate._GRID_CELLS])
+    def test_word_cells_match_float_cells(self, cells):
+        # the float cell floor(u cells) is the word's cell, or one higher
+        # where u rounds onto a cell end exactly
+        u = simulate._uniforms(CELL_END_WORDS.copy())
+        word_cell = simulate._word_cells(CELL_END_WORDS, cells)
+        float_cell = (u * cells).astype(np.intp)
+        one_up = float_cell == word_cell + 1
+        assert np.all(one_up | (float_cell == word_cell))
+        assert np.any(one_up) and np.all(u[one_up] * cells == float_cell[one_up])
+        assert word_cell[CELL_END_WORDS == 2 ** 64 - 1] == cells - 1
+
+    @pytest.mark.parametrize("kind", ["hard", "soft", "asoft"])
+    @pytest.mark.parametrize("m", [1, 5, 995])
+    def test_fast_path(self, kind, m):
+        setup = ProblemSetup(n=5 + m, k=5, eta=0.3)
+        a = setup.xi * (0.3 + 1.5 / setup.root_n)
+        alpha = float(ScalingFactor.conservative(setup))
+        grid = np.linspace(-4.0, 4.0, 41)
+        for theta in (0.0, 0.3 * setup.xi, 2.0 / setup.root_n):
+            plan = SimulationPlan(setup=setup, theta=theta,
+                                  reps=CELL_END_WORDS.size + 7, seed=1)
+            ls, _ = invert_every_draw(plan)
+            est = kernel(kind, ls, setup.sigma * setup.xi * setup.eta)
+            inside = (est - setup.sigma * a <= theta) & (theta <= est + setup.sigma * a)
+            p, _ = simulate_coverage(plan, kind, IntervalSpec(a, a))
+            assert round(p * plan.reps) == int(np.count_nonzero(inside))
+            p, _ = simulate_coverage(plan, kind, est_spec(a))
+            assert round(p * plan.reps) == reference_hits(plan, kind, est_spec(a))
+            res = simulate_scaled_error_ecdf(plan, kind, alpha, grid)
+            counts, zeros = reference_ecdf(plan, kind, alpha, grid)
+            np.testing.assert_array_equal(res.values, counts / plan.reps)
+            assert res.zero_mass == zeros / plan.reps
+
+    @pytest.mark.parametrize("kind", ["hard", "soft", "asoft"])
+    @pytest.mark.parametrize("mode", [VarianceMode.KNOWN, VarianceMode.ESTIMATED])
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_full_path(self, kind, mode, dense, monkeypatch):
+        monkeypatch.setattr(simulate, "_FULL_CHUNK_UNIFORMS", 12345)
+        if dense:
+            X, setup, theta = dense_case(40, 35, seed=9)
+        else:
+            X, setup, theta = None, SETUP, 0.3 * SETUP.xi * SETUP.eta
+        a = 1.5 * setup.xi / setup.root_n
+        plan = SimulationPlan(setup=setup, theta=theta, reps=2001, seed=1, design=X)
+        spec = IntervalSpec(a, a, mode)
+        p, _ = simulate_coverage_full(plan, kind, spec)
+        assert round(p * plan.reps) == full_design_reference_hits(plan, kind, spec)
 
 
 class TestEcdf:
