@@ -6,7 +6,6 @@ from .coverage import (
     IntervalSpec,
     infimal_known_coverage,
     known_coverage,
-    lower_bound_is_exact,
     lower_bound_unknown,
     min_coverage_search,
     simple_interval_infimal,
@@ -38,7 +37,6 @@ from .model import (
     RegressionDraw,
     VarianceMode,
     compute_xi_all,
-    load_design_csv,
     ls_fit,
     reference_setup,
     standard_ls_interval,

@@ -44,7 +44,6 @@ __all__ = [
     "solve_known_half_length",
     "unknown_coverage",
     "lower_bound_unknown",
-    "lower_bound_is_exact",
     "upper_bound_unknown",
     "solve_unknown_half_length",
     "min_coverage_search",
@@ -94,7 +93,8 @@ def _coverage_core(kind: EstimatorKind, mu, reach_a, reach_b, eta, rn):
     """
     hi, _ = _inverse(kind, mu, reach_a, eta)
     lo, _ = _inverse(kind, mu, -reach_b, eta, closed=False)
-    return np.clip(std_normal_cdf(rn * hi) - std_normal_cdf(rn * lo), 0.0, 1.0)
+    return np.minimum(np.maximum(std_normal_cdf(rn * hi) - std_normal_cdf(rn * lo),
+                                 0.0), 1.0)
 
 
 def known_coverage(kind, theta_i: float, sigma: float, spec: IntervalSpec,
@@ -199,13 +199,13 @@ def unknown_coverage(kind, theta_i: float, sigma: float, spec: IntervalSpec,
 
     def f(nodes):
         s, mu = _per_node(nodes, mus)
-        return (_coverage_core(kind, mu, reach * s, reach * s, setup.eta * s,
-                               setup.root_n)
+        arm = reach * s
+        return (_coverage_core(kind, mu, arm, arm, setup.eta * s, setup.root_n)
                 * rho_density(s, m))
 
     upper = rho_upper_limit(m, DEFAULT_QUADRATURE.tail_mass_tol)
-    pts = np.hstack([_switch_points(kind, mus, reach, setup.eta),
-                     _switch_points(kind, mus, -reach, setup.eta)])
+    pts = _switch_points(kind, mus[:, None], np.array([reach, -reach]),
+                         setup.eta).reshape(len(mus), -1)
     value, bound = integrate_halfline(f, pts, upper=upper, with_bound=True)
     return _clamp_unit(value.reshape(theta.shape), bound.reshape(theta.shape),
                        "unknown_coverage")
@@ -220,8 +220,11 @@ def lower_bound_unknown(kind, spec: IntervalSpec, setup: ProblemSetup) -> float:
     kind = EstimatorKind(kind)
     if spec.mode is not VarianceMode.ESTIMATED:
         raise DomainError("lower_bound_unknown needs an estimated-variance interval")
-    m = setup.require_estimated_variance()
-    a = spec.a
+    return _lower_bound(kind, spec.a, setup, setup.require_estimated_variance())
+
+
+def _lower_bound(kind: EstimatorKind, a: float, setup: ProblemSetup, m: int) -> float:
+    """:func:`lower_bound_unknown` at half-length a, its arguments checked."""
     xi, eta, rn = setup.xi, setup.eta, setup.root_n
     leading = t_cdf(rn * (a / xi - eta), m)
     if kind is EstimatorKind.SOFT:
@@ -234,11 +237,6 @@ def lower_bound_unknown(kind, spec: IntervalSpec, setup: ProblemSetup) -> float:
         logger.debug("lower bound %g clamped to 0", value)
         return 0.0
     return value
-
-
-def lower_bound_is_exact(kind) -> bool:
-    """True when lower_bound_unknown returns the exact infimal coverage."""
-    return EstimatorKind(kind) is EstimatorKind.SOFT
 
 
 def upper_bound_unknown(spec: IntervalSpec, setup: ProblemSetup) -> float:
@@ -263,10 +261,10 @@ def solve_unknown_half_length(kind, alpha: float, setup: ProblemSetup) -> float:
     if not 0.0 < alpha < 1.0:
         raise DomainError("alpha must lie in (0, 1)")
     target = 1.0 - alpha
+    m = setup.require_estimated_variance()
 
     def objective(a):
-        return lower_bound_unknown(
-            kind, IntervalSpec(a, a, VarianceMode.ESTIMATED), setup) - target
+        return _lower_bound(kind, a, setup, m) - target
 
     return _solve_half_length(objective, kind, setup)
 

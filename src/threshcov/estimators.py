@@ -74,21 +74,21 @@ def _inverse(kind: EstimatorKind, mu, d, t, closed: bool = True):
     P(kernel(W) <= mu + d) = P(W <= mu + offset) and
     P(kernel(W) < mu + d) = P(W < mu + open offset).
 
-    Returns (offset, slope) = (g(mu + d) - mu, g'(mu + d)) for t > 0.  The
-    offset is formed from d, never as a difference with mu, so it keeps d's
-    digits when |mu| is huge: hard keeps d (or goes to the dead-zone edge
-    +-t - mu), soft shifts d by t, and adaptive soft takes the root A +- B
-    of w^2 - c w - t^2 = 0 shifted by mu, through the product
-    (A - B)(A + B) = -(mu d + t^2) where A and +-B would cancel.
+    Returns (offset, slope) = (g(mu + d) - mu, g'(mu + d)) for t > 0, soft's
+    slope as the float 1.0.  The offset is formed from d, never as a
+    difference with mu, so it keeps d's digits when |mu| is huge: hard keeps d
+    (or goes to the dead-zone edge +-t - mu), soft shifts d by t, and adaptive
+    soft takes the root A +- B of w^2 - c w - t^2 = 0 shifted by mu, through
+    the product (A - B)(A + B) = -(mu d + t^2) where A and +-B would cancel.
     """
     c = mu + d
     up = c >= 0.0 if closed else c > 0.0
     if kind is EstimatorKind.HARD:
         keep = np.abs(c) > t
-        return (np.where(keep, d, np.where(up, t - mu, -t - mu)),
+        return (np.where(keep, d, np.where(up, t, -t) - mu),
                 np.where(keep, 1.0, 0.0))
     if kind is EstimatorKind.SOFT:
-        return np.where(up, d + t, d - t), np.ones_like(c)
+        return np.where(up, d + t, d - t), 1.0
     big_a = 0.5 * (d - mu)
     big_b = np.hypot(0.5 * c, t)
     signed_b = np.where(up, big_b, -big_b)
@@ -100,6 +100,7 @@ def _inverse(kind: EstimatorKind, mu, d, t, closed: bool = True):
     return offset, slope
 
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _switch_points(kind: EstimatorKind, mu, slope, t) -> np.ndarray:
     """s-values where _inverse(kind, mu, slope * s, t * s) changes branch,
     one row per element of mu or slope: mu + slope s crosses 0 and, for
@@ -107,11 +108,11 @@ def _switch_points(kind: EstimatorKind, mu, slope, t) -> np.ndarray:
     the quadrature to drop.  Subnormal ones become NaN, which it drops too:
     their panel [0, s] would put Gauss nodes at s = 0, where t s = 0 and the
     adaptive-soft inverse is 0/0."""
-    mu = np.asarray(mu, dtype=float)
+    mu = np.asarray(mu, dtype=float)[..., None]
     slope = np.asarray(slope, dtype=float)
-    dens = [slope, slope - t, slope + t] if kind is EstimatorKind.HARD else [slope]
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        pts = np.stack([-mu / den for den in dens], axis=-1)
+    dens = (np.stack([slope, slope - t, slope + t], axis=-1)
+            if kind is EstimatorKind.HARD else slope[..., None])
+    pts = -mu / dens
     return np.where(pts >= _SMALLEST_NORMAL, pts, np.nan)
 
 

@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .estimators import EstimatorKind, _inverse, _switch_points
+from .estimators import _SMALLEST_NORMAL, EstimatorKind, _inverse, _switch_points
 from .model import ProblemSetup
 from .special import (
     DEFAULT_QUADRATURE,
@@ -107,11 +107,11 @@ def tilde_cdf(kind, x, setup: ProblemSetup, theta_i: float, alpha):
         raise DomainError("theta must be finite")
     setup.require_estimated_variance()
     x = np.asarray(x, dtype=float)
-    if np.isnan(x).any():
+    finite = np.isfinite(x)
+    if not finite.all() and np.isnan(x).any():
         raise DomainError("CDF argument must not be NaN")
     out = np.array(x > 0.0, dtype=float)
     bound = np.zeros(x.shape)
-    finite = np.isfinite(x)
     xs = x[finite]
     if xs.size:
         mu = theta_i / (setup.sigma * setup.xi)
@@ -164,7 +164,7 @@ def _kill_kernel_term(x: np.ndarray, q: float, setup: ProblemSetup,
                 - std_normal_cdf(-gamma * (1.0 - shift)))
         rho = rho_density(s_at_x, setup.residual_dof)
         x_sq = x * x
-        jacobian = np.where(x_sq >= np.finfo(float).tiny, a * abs(q) / x_sq,
+        jacobian = np.where(x_sq >= _SMALLEST_NORMAL, a * abs(q) / x_sq,
                             s_at_x * s_at_x / (a * abs(q)))
         term[side] = np.where(rho > 0.0, jacobian * rho * band, 0.0)
     return term

@@ -31,7 +31,6 @@ __all__ = [
     "compute_xi_all",
     "ls_fit",
     "standard_ls_interval",
-    "load_design_csv",
 ]
 
 
@@ -172,11 +171,3 @@ def standard_ls_interval(setup: ProblemSetup, mode: VarianceMode, alpha: float) 
                      * std_normal_quantile(1.0 - 0.5 * alpha) / setup.root_n)
     m = setup.require_estimated_variance()
     return float(setup.xi * t_quantile(1.0 - 0.5 * alpha, m) / setup.root_n)
-
-
-def load_design_csv(path) -> np.ndarray:
-    """Read a design matrix from a headerless CSV of floats."""
-    X = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
-    if X.size == 0:
-        raise DomainError(f"design file {path} is empty")
-    return X

@@ -5,7 +5,8 @@ Normal, Student-t and chi-square functions are thin wrappers around
 backend can be swapped without touching callers.  ``rho_density`` is the
 density of ``sqrt(chisq_m / m)``, the law of ``sigma_hat / sigma`` in the
 Gaussian linear model; it is evaluated in log space so large degrees of
-freedom neither overflow nor underflow prematurely.
+freedom neither overflow nor underflow prematurely.  Its log normalizing
+constant is cached per m, and ``rho_upper_limit`` per (m, tail mass).
 
 ``integrate_halfline`` and ``find_root`` are the numerical workhorses: a
 vectorized adaptive Gauss-Legendre panel integrator for piecewise-smooth
@@ -31,6 +32,7 @@ the caller's own.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import logging
 import math
 from typing import Callable, Iterable
@@ -127,39 +129,47 @@ def std_normal_cdf(x):
     return _sp.ndtr(x)
 
 
+@np.errstate(under="ignore")
 def std_normal_pdf(x):
     """Standard normal density; underflows to 0 silently for huge |x|."""
     x = np.asarray(x, dtype=float)
-    with np.errstate(under="ignore"):
-        out = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
+    out = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
     return out if out.ndim else float(out)
 
 
 def std_normal_quantile(p):
     """Inverse standard normal CDF; p in [0, 1], with 0 and 1 mapping to -+inf."""
     p_arr = np.asarray(p, dtype=float)
-    if np.any((p_arr < 0.0) | (p_arr > 1.0)):
+    if not np.all((p_arr >= 0.0) & (p_arr <= 1.0)):
         raise DomainError("quantile level must lie in [0, 1]")
     out = _sp.ndtri(p_arr)
     return out if out.ndim else float(out)
 
 
+@np.errstate(under="ignore")
 def rho_density(s, m):
     """Density of sqrt(chisq_m / m) at s; zero for s <= 0.
 
     Computed in log space: the normalizing constant uses gammaln so that
-    large m stays finite.
+    large m stays finite, and it is cached per m.  Underflows to 0 silently.
     """
     m = _check_dof(m)
-    s_arr = np.asarray(s, dtype=float)
-    out = np.zeros(s_arr.shape)
-    pos = s_arr > 0.0
-    if np.any(pos):
-        sp_ = s_arr[pos]
-        log_norm = math.log(2.0) + 0.5 * m * math.log(0.5 * m) - _sp.gammaln(0.5 * m)
-        with np.errstate(under="ignore"):
-            out[pos] = np.exp(log_norm + (m - 1.0) * np.log(sp_) - 0.5 * m * sp_ * sp_)
+    s = np.asarray(s, dtype=float)
+    pos = s > 0.0
+    if pos.all():
+        out = np.exp(_rho_log_norm(m) + (m - 1.0) * np.log(s) - 0.5 * m * s * s)
+    elif np.isnan(s).any():
+        raise DomainError("rho density argument must not be NaN")
+    else:
+        out = np.zeros(s.shape)
+        out[pos] = rho_density(s[pos], m)
     return out if out.ndim else float(out)
+
+
+@functools.lru_cache(maxsize=1024)
+def _rho_log_norm(m: int) -> float:
+    """log of rho_m's normalizing constant, 2 (m / 2)^(m / 2) / Gamma(m / 2)."""
+    return math.log(2.0) + 0.5 * m * math.log(0.5 * m) - _sp.gammaln(0.5 * m)
 
 
 def rho_upper_limit(m, tail_mass_tol: float) -> float:
@@ -167,16 +177,19 @@ def rho_upper_limit(m, tail_mass_tol: float) -> float:
     m = _check_dof(m)
     if not 0.0 < tail_mass_tol < 1.0:
         raise DomainError("tail_mass_tol must lie in (0, 1)")
+    return _rho_upper(m, float(tail_mass_tol))
+
+
+@functools.lru_cache(maxsize=1024)
+def _rho_upper(m: int, tail_mass_tol: float) -> float:
     return math.sqrt(_sp.chdtri(m, tail_mass_tol) / m)
 
 
 def t_cdf(x, m):
     """CDF of Student's t with m degrees of freedom; accepts +-inf."""
-    m = _check_dof(m)
-    x_arr = np.asarray(x, dtype=float)
-    out = np.where(np.isneginf(x_arr), 0.0,
-                   np.where(np.isposinf(x_arr), 1.0,
-                            _sp.stdtr(m, np.where(np.isfinite(x_arr), x_arr, 0.0))))
+    out = _sp.stdtr(_check_dof(m), x)
+    if (np.isnan(out).any() if out.ndim else math.isnan(out)):
+        raise DomainError("t CDF argument must not be NaN")
     return out if out.ndim else float(out)
 
 
@@ -195,12 +208,10 @@ def t_quantile(p, m):
     """Inverse Student-t CDF; p in [0, 1], with 0 and 1 mapping to -+inf."""
     m = _check_dof(m)
     p_arr = np.asarray(p, dtype=float)
-    if np.any((p_arr < 0.0) | (p_arr > 1.0)):
+    if not np.all((p_arr >= 0.0) & (p_arr <= 1.0)):
         raise DomainError("quantile level must lie in [0, 1]")
-    interior = (p_arr > 0.0) & (p_arr < 1.0)
-    with np.errstate(divide="ignore"):
-        out = np.where(interior, _sp.stdtrit(m, np.where(interior, p_arr, 0.5)),
-                       np.where(p_arr <= 0.0, -np.inf, np.inf))
+    # stdtrit maps p = 1 to +inf itself, but p = 0 to +inf as well
+    out = np.where(p_arr > 0.0, _sp.stdtrit(m, p_arr), -np.inf)
     return out if out.ndim else float(out)
 
 
@@ -208,10 +219,9 @@ def chi_sq_cdf(x, m):
     """Chi-square CDF with m degrees of freedom; +inf maps to 1."""
     m = _check_dof(m)
     x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr < 0.0):
+    if not np.all(x_arr >= 0.0):
         raise DomainError("chi-square CDF argument must be nonnegative")
-    out = np.where(np.isposinf(x_arr), 1.0,
-                   _sp.gammainc(0.5 * m, 0.5 * np.where(np.isfinite(x_arr), x_arr, 0.0)))
+    out = _sp.gammainc(0.5 * m, 0.5 * x_arr)
     return out if out.ndim else float(out)
 
 
@@ -219,7 +229,7 @@ def chi_sq_quantile(p, m):
     """Inverse chi-square CDF via the regularized incomplete gamma inverse."""
     m = _check_dof(m)
     p_arr = np.asarray(p, dtype=float)
-    if np.any((p_arr < 0.0) | (p_arr >= 1.0)):
+    if not np.all((p_arr >= 0.0) & (p_arr < 1.0)):
         raise DomainError("quantile level must lie in [0, 1)")
     out = 2.0 * _sp.gammaincinv(0.5 * m, p_arr)
     return out if out.ndim else float(out)
@@ -252,12 +262,14 @@ def _per_node(nodes, *params):
     return (nodes["s"], *[p[rows] for p in params])
 
 
-def _panel_rule(f, lo: np.ndarray, hi: np.ndarray, problem=None):
-    """GL15 value and |GL15 - GL7| error estimate per panel, one call to f.
+def _panel_rule(f, panels: np.ndarray, problem=None):
+    """Fill rows 2 and 3 of a panel table (rows: lo, hi, GL15 value,
+    |GL15 - GL7| error estimate, one column per panel); one call to f.
 
     ``problem`` holds the batch row of each panel; without it the panels
     belong to one problem and f receives the plain node array.
     """
+    lo, hi = panels[0], panels[1]
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     # one row per panel: its 7 GL7 nodes, then its 15 GL15 nodes
@@ -272,9 +284,9 @@ def _panel_rule(f, lo: np.ndarray, hi: np.ndarray, problem=None):
     if vals.shape != xs.shape:
         raise DomainError("integrand must map an array to an array of the same shape")
     vals = vals.reshape(len(lo), _GL_X.size)
-    i15 = half * (vals[:, _GL7_X.size:] @ _GL15_W)
-    i7 = half * (vals[:, :_GL7_X.size] @ _GL7_W)
-    return i15, np.abs(i15 - i7)
+    i15 = np.multiply(half, vals[:, _GL7_X.size:] @ _GL15_W, out=panels[2])
+    err = np.subtract(i15, half * (vals[:, :_GL7_X.size] @ _GL7_W), out=panels[3])
+    np.abs(err, out=err)
 
 
 def _initial_panels(breakpoints: np.ndarray, upper: float):
@@ -318,8 +330,7 @@ def _integrate_with_bound(f: Callable, breakpoints: Iterable, upper: float,
     if upper > 0.0 and count == 1:
         points = np.ravel(breakpoints).tolist() if batch else breakpoints
         cuts = sorted({float(b) for b in points if 0.0 < float(b) < upper})
-        edges = np.array([0.0] + cuts + [upper])
-        _refine(f, edges[:-1], edges[1:], None, cfg, value, bound)
+        _refine(f, [0.0] + cuts, cuts + [upper], None, cfg, value, bound)
     elif upper > 0.0 and count:
         _refine(f, *_initial_panels(breakpoints.astype(float), upper),
                 cfg, value, bound)
@@ -335,25 +346,27 @@ def _refine(f, lo, hi, row, cfg, value, bound):
     ``row`` is None for a lone problem, whose bookkeeping runs on plain
     floats.  In a batch of several problems ``live`` lists the rows still
     refining and ``row`` maps each panel to its position in ``live``; f is
-    told each node's row.
+    told each node's row.  The panels sit in one table (see _panel_rule).
     """
     live = np.arange(len(value))
-    vals, errs = _panel_rule(f, lo, hi, row)
+    panels = np.empty((4, len(lo)))
+    panels[:2] = lo, hi
+    _panel_rule(f, panels, row)
     while True:
+        vals, errs = panels[2], panels[3]
         # a NaN panel makes its problem's total NaN, so totals screen for it
         if row is None:
-            total = float(vals.sum())
+            total, err = panels[2:].sum(axis=1).tolist()
             if math.isnan(total) and np.isnan(vals).any():
                 raise NumericsError("integrand produced NaN",
                                     estimate=float(np.nansum(vals)), error_bound=math.inf)
-            err = float(errs.sum())
             target = max(cfg.abs_tol, cfg.rel_tol * abs(total))
             if err <= target:
                 value[0] = total
                 bound[0] = err
                 return
-            if len(lo) >= cfg.max_subdivisions:
-                _overrun(total, err, target, len(lo), None)
+            if len(errs) >= cfg.max_subdivisions:
+                _overrun(total, err, target, len(errs), None)
             split = errs > target / (2.0 * len(errs))
             if not split.any():
                 split[int(np.argmax(errs))] = True
@@ -365,7 +378,7 @@ def _refine(f, lo, hi, row, cfg, value, bound):
                                     estimate=float(np.nansum(vals[row == p])),
                                     error_bound=math.inf, problem=int(live[p]))
             err = np.bincount(row, errs, len(live))
-            panels = np.bincount(row, minlength=len(live))
+            counts = np.bincount(row, minlength=len(live))
             target = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total))
             done = err <= target
             if done.any():
@@ -375,32 +388,31 @@ def _refine(f, lo, hi, row, cfg, value, bound):
                     return
                 stay = ~done
                 kept = stay[row]
-                lo, hi, vals, errs = lo[kept], hi[kept], vals[kept], errs[kept]
+                panels = panels[:, kept]
+                errs = panels[3]
                 row = (np.cumsum(stay) - 1)[row[kept]]
-                live, total, err, target, panels = (
-                    live[stay], total[stay], err[stay], target[stay], panels[stay])
-            over = panels >= cfg.max_subdivisions
+                live, total, err, target, counts = (
+                    live[stay], total[stay], err[stay], target[stay], counts[stay])
+            over = counts >= cfg.max_subdivisions
             if over.any():
                 p = int(np.argmax(over))
-                _overrun(total[p], err[p], target[p], panels[p], live[p])
+                _overrun(total[p], err[p], target[p], counts[p], live[p])
             # Split every panel whose share of its problem's error budget is
             # exceeded (at least the single worst one), so refinement stays a
             # bounded number of vectorized rounds.
-            split = errs > (target / (2.0 * panels))[row]
+            split = errs > (target / (2.0 * counts))[row]
             for p in np.flatnonzero(np.bincount(row, split, len(live)) == 0):
                 mine = np.flatnonzero(row == p)
                 split[mine[np.argmax(errs[mine])]] = True
-        mid = 0.5 * (lo[split] + hi[split])
-        child_row = None if row is None else np.concatenate([row[split], row[split]])
-        child_vals, child_errs = _panel_rule(
-            f, np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]]),
-            None if row is None else live[child_row])
-        lo = np.concatenate([lo[~split], lo[split], mid])
-        hi = np.concatenate([hi[~split], mid, hi[split]])
-        if row is not None:
-            row = np.concatenate([row[~split], child_row])
-        vals = np.concatenate([vals[~split], child_vals])
-        errs = np.concatenate([errs[~split], child_errs])
+        # unsplit panels, then the split ones' halves: quarter rows lo, mid | mid, hi
+        parents = panels[:2, split]
+        children = np.empty((4, 2 * parents.shape[1]))
+        quarters = children[:2].reshape(4, -1)
+        quarters[1:3] = 0.5 * (parents[0] + parents[1])
+        quarters[::3] = parents
+        row = None if row is None else np.concatenate([row[~split], row[split], row[split]])
+        _panel_rule(f, children, None if row is None else live[row[-children.shape[1]:]])
+        panels = np.concatenate([panels[:, ~split], children], axis=1)
 
 
 def _overrun(total, err, target, panels, problem):

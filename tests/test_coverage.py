@@ -19,7 +19,6 @@ from threshcov import (
     VarianceMode,
     infimal_known_coverage,
     known_coverage,
-    lower_bound_is_exact,
     lower_bound_unknown,
     min_coverage_search,
     reference_setup,
@@ -352,11 +351,6 @@ class TestBounds:
     def test_hard_lower_bound_clamps(self):
         setup = reference_setup(eta=0.5)
         assert lower_bound_unknown("hard", est_spec(0.01), setup) == 0.0
-
-    def test_exactness_flag(self):
-        assert lower_bound_is_exact("soft")
-        assert not lower_bound_is_exact("hard")
-        assert not lower_bound_is_exact(EstimatorKind.ADAPTIVE_SOFT)
 
     def test_soft_bound_attained(self):
         # the soft bound is the actual infimum: the search should land on it

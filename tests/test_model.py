@@ -10,7 +10,6 @@ from threshcov import (
     ProblemSetup,
     VarianceMode,
     compute_xi_all,
-    load_design_csv,
     ls_fit,
     standard_ls_interval,
     synthetic_design,
@@ -192,18 +191,3 @@ class TestStandardInterval:
             standard_ls_interval(reference_setup(), VarianceMode.KNOWN, 0.0)
         with pytest.raises(DomainError):
             standard_ls_interval(reference_setup(), VarianceMode.KNOWN, 1.0)
-
-
-class TestDesignIo:
-    def test_roundtrip(self, tmp_path):
-        X = np.arange(12, dtype=float).reshape(4, 3) + 0.25
-        path = tmp_path / "design.csv"
-        np.savetxt(path, X, delimiter=",")
-        got = load_design_csv(path)
-        assert np.allclose(got, X, atol=0)
-
-    def test_single_row(self, tmp_path):
-        path = tmp_path / "one.csv"
-        path.write_text("1.5,2.5\n")
-        got = load_design_csv(path)
-        assert got.shape == (1, 2)

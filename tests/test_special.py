@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special as sp
 from scipy.stats import chi2 as chi2_dist
 
 from threshcov import (
@@ -32,7 +33,7 @@ from threshcov import (
     t_pdf,
     t_quantile,
 )
-from threshcov.special import _integrate_with_bound
+from threshcov.special import _integrate_with_bound, _rho_log_norm
 
 
 def series_normal_cdf(x: float) -> float:
@@ -248,6 +249,137 @@ class TestIntegrator:
             QuadratureConfig(max_subdivisions=0)
         assert DEFAULT_QUADRATURE.abs_tol <= 1e-8
 
+
+
+class TestNanArguments:
+    """A NaN argument is a DomainError, never a finite value."""
+
+    @pytest.mark.parametrize("call", [
+        lambda x: t_cdf(x, 5),
+        lambda x: chi_sq_cdf(x, 5),
+        lambda x: t_quantile(x, 5),
+        lambda x: rho_density(x, 5),
+        lambda x: std_normal_quantile(x),
+        lambda x: chi_sq_quantile(x, 5),
+    ], ids=["t_cdf", "chi_sq_cdf", "t_quantile", "rho_density",
+            "std_normal_quantile", "chi_sq_quantile"])
+    @pytest.mark.parametrize("arg", [math.nan, np.array([0.5, math.nan])],
+                             ids=["scalar", "array"])
+    def test_nan_raises(self, call, arg):
+        with pytest.raises(DomainError):
+            call(arg)
+
+
+def _t_cdf_wrapper(x, m):
+    """Student-t CDF through the explicit +-inf handling it once had."""
+    x = np.asarray(x, dtype=float)
+    out = np.where(np.isneginf(x), 0.0,
+                   np.where(np.isposinf(x), 1.0,
+                            sp.stdtr(m, np.where(np.isfinite(x), x, 0.0))))
+    return out if out.ndim else float(out)
+
+
+class TestLoneCallBits:
+    """The lone-call paths return the bits of the plain expressions."""
+
+    DOFS = [1, 5, 995, 10 ** 6]
+
+    @pytest.mark.parametrize("m", DOFS)
+    @pytest.mark.parametrize("x", [-math.inf, -1e300, -3.7, 0.0, 3.7, 1e300, math.inf])
+    def test_t_cdf_same_bits_for_every_argument_type(self, m, x):
+        want = _t_cdf_wrapper(x, m)
+        forms = [x, np.float64(x), np.array(x)]
+        if math.isfinite(x) and x == int(x):
+            forms.append(int(x))
+        for form in forms:
+            got = t_cdf(form, m)
+            assert type(got) is float and got.hex() == want.hex()
+        got = t_cdf(np.array([x]), m)
+        assert got.shape == (1,) and got[0].hex() == want.hex()
+
+    def test_t_cdf_array_matches_wrapper(self):
+        xs = np.array([-math.inf, -1e300, -3.7, -1e-300, 0.0, 0.3, 3.7, 1e300, math.inf])
+        for m in self.DOFS:
+            assert t_cdf(xs, m).tobytes() == _t_cdf_wrapper(xs, m).tobytes()
+
+    @pytest.mark.parametrize("m", DOFS)
+    def test_cached_normaliser_is_the_expression(self, m):
+        uncached = math.log(2.0) + 0.5 * m * math.log(0.5 * m) - sp.gammaln(0.5 * m)
+        assert float(_rho_log_norm(m)).hex() == float(uncached).hex()
+        s = np.array([1e-3, 0.2, 0.9, 1.0, 1.1, 3.0])
+        with np.errstate(under="ignore"):
+            want = np.exp(uncached + (m - 1.0) * np.log(s) - 0.5 * m * s * s)
+        assert rho_density(s, m).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("m", DOFS)
+    def test_cached_upper_limit_is_the_expression(self, m):
+        for tol in (1e-12, 1e-14, 0.5):
+            want = math.sqrt(sp.chdtri(m, tol) / m)
+            assert rho_upper_limit(m, tol).hex() == want.hex()
+            assert rho_upper_limit(m, np.float64(tol)).hex() == want.hex()
+
+    @pytest.mark.parametrize("tol", [0.0, 1.0, -1e-12, 1.5, math.nan])
+    def test_upper_limit_rejects_tolerance_outside_unit_interval(self, tol):
+        with pytest.raises(DomainError):
+            rho_upper_limit(5, tol)
+
+    @pytest.mark.parametrize("m", [1, 5])
+    def test_rho_zero_at_and_below_origin_in_mixed_arrays(self, m):
+        s = np.array([-2.0, 0.0, 0.5, -0.0, 1.5, -math.inf])
+        got = rho_density(s, m)
+        assert got.shape == s.shape
+        assert got[[0, 1, 3, 5]].tolist() == [0.0, 0.0, 0.0, 0.0]
+        assert got[2] == rho_density(0.5, m) and got[4] == rho_density(1.5, m)
+        assert rho_density(np.array([[0.0, 1.0], [-1.0, 2.0]]), m).shape == (2, 2)
+
+
+def _lone_reference(f, breakpoints, upper, cfg=DEFAULT_QUADRATURE):
+    """The lone adaptive GL7/GL15 rule, written out plainly: split panels go
+    after the unsplit ones as left halves, then right halves."""
+    x7, w7 = np.polynomial.legendre.leggauss(7)
+    x15, w15 = np.polynomial.legendre.leggauss(15)
+    nodes = np.concatenate([x7, x15])
+
+    def rule(lo, hi):
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        vals = f((mid[:, None] + half[:, None] * nodes).ravel()).reshape(len(lo), -1)
+        i15 = half * (vals[:, 7:] @ w15)
+        return i15, np.abs(i15 - half * (vals[:, :7] @ w7))
+
+    edges = np.array([0.0] + sorted({b for b in breakpoints if 0.0 < b < upper}) + [upper])
+    lo, hi = edges[:-1], edges[1:]
+    vals, errs = rule(lo, hi)
+    while True:
+        total, err = float(vals.sum()), float(errs.sum())
+        target = max(cfg.abs_tol, cfg.rel_tol * abs(total))
+        if err <= target:
+            return total, err
+        split = errs > target / (2.0 * len(errs))
+        if not split.any():
+            split[int(np.argmax(errs))] = True
+        mid = 0.5 * (lo[split] + hi[split])
+        child_lo = np.concatenate([lo[split], mid])
+        child_hi = np.concatenate([mid, hi[split]])
+        child_vals, child_errs = rule(child_lo, child_hi)
+        lo = np.concatenate([lo[~split], child_lo])
+        hi = np.concatenate([hi[~split], child_hi])
+        vals = np.concatenate([vals[~split], child_vals])
+        errs = np.concatenate([errs[~split], child_errs])
+
+
+class TestLoneQuadratureBits:
+    @pytest.mark.parametrize("case", [
+        (lambda s: np.where(s > 1.0, 1.0, 0.0) * rho_density(s, 5), (1.0,), 5),
+        (lambda s: std_normal_cdf(0.7 * s - 0.2) * rho_density(s, 995), (0.2 / 0.7,), 995),
+        (lambda s: np.sin(40.0 * s * s), (), None),
+        (lambda s: s * rho_density(s, 1), (0.3, 2.0, 2.0), 1),
+    ], ids=["indicator", "normal-mixture", "oscillating", "first-moment"])
+    def test_value_and_bound_bits_match_plain_rule(self, case):
+        f, points, m = case
+        upper = 3.0 if m is None else rho_upper_limit(m, 1e-12)
+        value, bound = _integrate_with_bound(f, points, upper, DEFAULT_QUADRATURE)
+        want_value, want_bound = _lone_reference(f, points, upper)
+        assert value.hex() == want_value.hex() and bound.hex() == want_bound.hex()
 
 
 class TestBatchedIntegrator:
