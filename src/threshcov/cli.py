@@ -1,8 +1,9 @@
 """Command-line interface: tables, figure data, intervals, and limit checks.
 
-Outputs are deterministic: CSV cells use 10 significant digits with '.' as
-the decimal separator, JSON keys are sorted, and rerunning a command with
-identical arguments produces byte-identical artifacts.
+Outputs are deterministic: a numeric CSV cell is printf ``%.10g`` of its
+value ('.' as the decimal separator; ``inf``, ``-inf`` and ``nan`` as Python
+spells them), a text cell is written as it is, JSON keys are sorted, and
+rerunning a command with identical arguments gives byte-identical artifacts.
 
 Exit codes: 0 success; 1 a --check comparison or limit-gap threshold
 failed; 2 usage error (bad flags or argument domains); 3 a numerical
@@ -12,6 +13,7 @@ routine could not reach its accuracy target.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -83,22 +85,18 @@ def _setup(args: argparse.Namespace, eta: float | None = None) -> ProblemSetup:
                         eta=args.eta if eta is None else eta)
 
 
-def _fmt(value) -> str:
-    if value is None or value == "":
-        return ""
-    if isinstance(value, str):
-        return value
-    v = float(value)
-    if math.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    return f"{v:.10g}"
-
-
 def _csv_text(header, rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(cell) for cell in row))
-    return "\n".join(lines) + "\n"
+    """CSV text.  rows is a 2-D float array, written with one printf call,
+    or a sequence of mixed rows, one printf call each, whose str cells
+    (including "") are written as they are."""
+    if isinstance(rows, np.ndarray):
+        line = ",".join(["%.10g"] * rows.shape[1]) + "\n"
+        body = (line * rows.shape[0]) % tuple(rows.ravel().tolist())
+    else:
+        body = "".join(
+            ",".join("%s" if isinstance(cell, str) else "%.10g" for cell in row)
+            % tuple(row) + "\n" for row in rows)
+    return ",".join(header) + "\n" + body
 
 
 def _round10(obj):
@@ -178,7 +176,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
     return EXIT_CHECK_FAILED if failures else EXIT_OK
 
 
-def _coverage_curve_rows(kind: EstimatorKind, args: argparse.Namespace):
+def _coverage_csv(kind: EstimatorKind, args: argparse.Namespace) -> str:
     setup = _setup(args)
     if args.a is not None:
         length = float(args.a)
@@ -186,8 +184,8 @@ def _coverage_curve_rows(kind: EstimatorKind, args: argparse.Namespace):
         length = solve_unknown_half_length(kind, args.alpha, setup)
     spec = IntervalSpec(length, length, VarianceMode.ESTIMATED)
     thetas = np.linspace(0.0, 3.0, 301)
-    rows = list(zip(thetas, unknown_coverage(kind, thetas, 1.0, spec, setup)))
-    return rows, length
+    rows = np.column_stack((thetas, unknown_coverage(kind, thetas, 1.0, spec, setup)))
+    return _csv_text(("theta", "coverage"), rows)
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
@@ -201,12 +199,11 @@ def cmd_figure(args: argparse.Namespace) -> int:
         setup = _setup(args)
         xs, dens, atom = density_grid(kind, setup, args.theta,
                                       ScalingFactor.conservative(setup))
-        rows = [(x, d, atom) for x, d in zip(xs, dens)]
+        rows = np.column_stack((xs, dens, np.full(xs.shape, atom)))
         _emit(args, _csv_text(("x", "density", "atom_mass"), rows))
         return EXIT_OK
     if which in _FIGURE_COVERAGE:
-        rows, _ = _coverage_curve_rows(_FIGURE_COVERAGE[which], args)
-        _emit(args, _csv_text(("theta", "coverage"), rows))
+        _emit(args, _coverage_csv(_FIGURE_COVERAGE[which], args))
         return EXIT_OK
     raise DomainError(f"unknown figure id {which!r}; use one of "
                       f"{sorted(_FIGURE_DENSITY) + sorted(_FIGURE_COVERAGE)}")
@@ -214,9 +211,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
 
 def cmd_coverage_curve(args: argparse.Namespace) -> int:
     """Coverage as a function of theta for any estimator kind."""
-    kind = EstimatorKind(args.kind)
-    rows, _ = _coverage_curve_rows(kind, args)
-    _emit(args, _csv_text(("theta", "coverage"), rows))
+    _emit(args, _coverage_csv(EstimatorKind(args.kind), args))
     return EXIT_OK
 
 
@@ -336,6 +331,7 @@ def _add_common(parser: argparse.ArgumentParser):
                         help="write output to this file instead of stdout")
 
 
+@functools.cache  # parse_args leaves the parser as it was: main() calls share it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="threshcov",
@@ -382,8 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (DomainError, BracketError) as exc:

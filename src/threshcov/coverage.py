@@ -29,6 +29,7 @@ from .special import (
     DomainError,
     _clamp_unit,
     _per_node,
+    _std_normal_cdf,
     find_root,
     integrate_halfline,
     rho_density,
@@ -93,7 +94,7 @@ def _coverage_core(kind: EstimatorKind, mu, reach_a, reach_b, eta, rn):
     """
     hi, _ = _inverse(kind, mu, reach_a, eta)
     lo, _ = _inverse(kind, mu, -reach_b, eta, closed=False)
-    return np.minimum(np.maximum(std_normal_cdf(rn * hi) - std_normal_cdf(rn * lo),
+    return np.minimum(np.maximum(_std_normal_cdf(rn * hi) - _std_normal_cdf(rn * lo),
                                  0.0), 1.0)
 
 

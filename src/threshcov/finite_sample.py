@@ -28,11 +28,11 @@ from .special import (
     DomainError,
     _clamp_unit,
     _per_node,
+    _std_normal_cdf,
+    _std_normal_pdf,
     integrate_halfline,
     rho_density,
     rho_upper_limit,
-    std_normal_cdf,
-    std_normal_pdf,
     t_cdf,
 )
 
@@ -89,7 +89,7 @@ def _cdf_integrand(kind: EstimatorKind, mu: float, slope: np.ndarray, eta: float
     def f(nodes):
         s, sl = _per_node(nodes, slope)
         offset, _ = _inverse(kind, mu, sl * s, eta * s)
-        return std_normal_cdf(rn * offset) * rho_density(s, m)
+        return _std_normal_cdf(rn * offset) * rho_density(s, m)
 
     return f
 
@@ -133,7 +133,7 @@ def _density_integrand(kind: EstimatorKind, mu: float, slope: np.ndarray,
     def f(nodes):
         s, sl = _per_node(nodes, slope)
         offset, g_prime = _inverse(kind, mu, sl * s, eta * s)
-        return (rn * s * dslope * g_prime * std_normal_pdf(rn * offset)
+        return (rn * s * dslope * g_prime * _std_normal_pdf(rn * offset)
                 * rho_density(s, m))
 
     return f
@@ -160,8 +160,8 @@ def _kill_kernel_term(x: np.ndarray, q: float, setup: ProblemSetup,
         s_at_x = -a * q / x
         gamma = setup.root_n * q / setup.xi
         shift = a * setup.xi * setup.eta / x
-        band = (std_normal_cdf(-gamma * (1.0 + shift))
-                - std_normal_cdf(-gamma * (1.0 - shift)))
+        band = (_std_normal_cdf(-gamma * (1.0 + shift))
+                - _std_normal_cdf(-gamma * (1.0 - shift)))
         rho = rho_density(s_at_x, setup.residual_dof)
         x_sq = x * x
         jacobian = np.where(x_sq >= _SMALLEST_NORMAL, a * abs(q) / x_sq,

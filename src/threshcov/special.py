@@ -124,17 +124,32 @@ def _check_dof(m) -> int:
     return m
 
 
-def std_normal_cdf(x):
-    """Standard normal CDF; broadcasts, and accepts +-inf."""
-    return _sp.ndtr(x)
+def _nan_checked(out, what: str):
+    if math.isnan(out) if isinstance(out, float) else np.isnan(out).any():
+        raise DomainError(f"{what} argument must not be NaN")
+    return out
+
+
+# Unchecked forms for integrands, which evaluate them on every quadrature
+# round: a NaN argument gives NaN, which the integrator reports itself.
+_std_normal_cdf = _sp.ndtr
 
 
 @np.errstate(under="ignore")
-def std_normal_pdf(x):
-    """Standard normal density; underflows to 0 silently for huge |x|."""
+def _std_normal_pdf(x):
     x = np.asarray(x, dtype=float)
     out = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
     return out if out.ndim else float(out)
+
+
+def std_normal_cdf(x):
+    """Standard normal CDF; broadcasts, accepts +-inf and rejects NaN."""
+    return _nan_checked(_sp.ndtr(x), "normal CDF")
+
+
+def std_normal_pdf(x):
+    """Standard normal density, rejecting NaN; underflows to 0 silently."""
+    return _nan_checked(_std_normal_pdf(x), "normal density")
 
 
 def std_normal_quantile(p):
@@ -187,20 +202,19 @@ def _rho_upper(m: int, tail_mass_tol: float) -> float:
 
 def t_cdf(x, m):
     """CDF of Student's t with m degrees of freedom; accepts +-inf."""
-    out = _sp.stdtr(_check_dof(m), x)
-    if (np.isnan(out).any() if out.ndim else math.isnan(out)):
-        raise DomainError("t CDF argument must not be NaN")
+    out = _nan_checked(_sp.stdtr(_check_dof(m), x), "t CDF")
     return out if out.ndim else float(out)
 
 
 def t_pdf(x, m):
-    """Density of Student's t with m degrees of freedom."""
+    """Density of Student's t with m degrees of freedom; rejects NaN."""
     m = _check_dof(m)
     x_arr = np.asarray(x, dtype=float)
     log_norm = (_sp.gammaln(0.5 * (m + 1)) - _sp.gammaln(0.5 * m)
                 - 0.5 * math.log(m * math.pi))
     with np.errstate(under="ignore"):
         out = np.exp(log_norm - 0.5 * (m + 1) * np.log1p(x_arr * x_arr / m))
+    out = _nan_checked(out, "t density")
     return out if out.ndim else float(out)
 
 

@@ -5,13 +5,19 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from threshcov import unknown_coverage, IntervalSpec, VarianceMode, reference_setup
 from threshcov.cli import (
     EXIT_CHECK_FAILED,
     EXIT_OK,
     EXIT_USAGE,
+    _csv_text,
+    build_parser,
     main,
 )
 
@@ -202,3 +208,114 @@ class TestArgHandling:
         with pytest.raises(SystemExit) as exc:
             main(["interval", "--kind", "ridge"])
         assert exc.value.code == 2
+
+
+def reference_csv_text(header, rows):
+    """The per-cell CSV writer the row writer replaced, kept as its contract."""
+    def fmt(value):
+        if value is None or value == "":
+            return ""
+        if isinstance(value, str):
+            return value
+        v = float(value)
+        if math.isinf(v):
+            return "inf" if v > 0 else "-inf"
+        return f"{v:.10g}"
+
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(fmt(cell) for cell in row))
+    return "\n".join(lines) + "\n"
+
+
+SPECIAL_FLOATS = [math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, -5e-324,
+                  1.7976931348623157e308, -1.7976931348623157e308, 1e16,
+                  2.2250738585072014e-308, 0.1, 1.0 / 3.0, 12345678901.5, -4.0]
+
+
+class TestCsvFormat:
+    """_csv_text writes the bytes of the per-cell reference writer."""
+
+    @pytest.mark.parametrize("columns", [1, 3, 5])
+    def test_special_values_in_float_array(self, columns):
+        rows = np.array(SPECIAL_FLOATS).reshape(-1, columns)
+        header = [f"c{j}" for j in range(columns)]
+        want = reference_csv_text(header, [tuple(row) for row in rows])
+        assert _csv_text(header, rows) == want
+
+    def test_table_rows_with_text_blank_and_integer_cells(self):
+        header = ("estimator", "eta", "length", "lower_bound", "min_coverage",
+                  "upper_bound")
+        rows = [("ls", "", 0.406444675623367, "", 0.95, ""),
+                ("hard", 0.05, np.float64(0.43404986963978825), 0.95, "",
+                 math.inf),
+                ("asoft", 0.5, -0.0, 5e-324, math.nan, -math.inf),
+                ("int", 7, -12, 10 ** 16, 2 ** 60 + 1, 0),
+                ("big", 1.7976931348623157e308, 1e16, 0.0, "x", "")]
+        assert _csv_text(header, rows) == reference_csv_text(header, rows)
+
+    def test_empty_tables(self):
+        assert _csv_text(("a", "b"), np.empty((0, 2))) == "a,b\n"
+        assert _csv_text(("a", "b"), []) == "a,b\n"
+
+    @given(rows=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2,
+                                                        max_side=12),
+                           elements=st.floats(allow_subnormal=True)))
+    @settings(deadline=None, max_examples=200)
+    def test_random_float_arrays(self, rows):
+        header = [f"c{j}" for j in range(rows.shape[1])]
+        want = reference_csv_text(header, [tuple(row) for row in rows])
+        assert _csv_text(header, rows) == want
+
+    @given(rows=st.lists(st.lists(st.one_of(
+        st.floats(), st.integers(-10 ** 20, 10 ** 20), st.text(), st.just("")),
+        min_size=6, max_size=6), max_size=8))
+    @settings(deadline=None, max_examples=200)
+    def test_random_mixed_rows(self, rows):
+        header = ["a", "b", "c", "d", "e", "f"]
+        assert _csv_text(header, rows) == reference_csv_text(header, rows)
+
+
+def run_any(capsys, argv):
+    """Exit code, stdout and stderr of main(argv), usage errors included."""
+    try:
+        rc = main(list(argv))
+    except SystemExit as exc:
+        rc = exc.code
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
+class TestSharedParser:
+    """main() builds its parser once per process; a run never depends on the
+    runs before it."""
+
+    SEQUENCE = (("interval", "--kind", "soft", "--mode", "known"),
+                ("figure", "--which", "pdfX"),
+                ("interval", "--alpha", "1.5"),
+                ("interval", "--kind", "soft", "--mode", "known"))
+
+    def test_runs_match_fresh_parsers(self, capsys):
+        build_parser.cache_clear()
+        shared = [run_any(capsys, argv) for argv in self.SEQUENCE]
+        assert build_parser.cache_info().misses == 1
+        fresh = []
+        for argv in self.SEQUENCE:
+            build_parser.cache_clear()
+            fresh.append(run_any(capsys, argv))
+        assert [rc for rc, _, _ in shared] == [EXIT_OK, EXIT_USAGE, EXIT_USAGE,
+                                                EXIT_OK]
+        assert shared == fresh
+        assert shared[0][1] and shared[0] == shared[3]
+
+    @pytest.mark.parametrize("argv", [("--help",), ("figure", "--help"),
+                                      ("table1", "--help")])
+    def test_help_unchanged(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        for prior in self.SEQUENCE:
+            run_any(capsys, prior)
+        shared = run_any(capsys, argv)
+        build_parser.cache_clear()
+        fresh = run_any(capsys, argv)
+        assert shared == fresh
+        assert shared[0] == 0 and "usage: threshcov" in shared[1]

@@ -276,6 +276,9 @@ class TestHardWeight:
             hard_weight(-0.5, 0.0)
         with pytest.raises(DomainError):
             hard_weight(math.nan, 0.0)
+        for f in (0.0, 0.5):
+            with pytest.raises(DomainError):
+                hard_weight(f, math.nan)
         assert hard_weight(2.0, math.inf) == 1.0
         assert hard_weight(2.0, -math.inf) == 0.0
 

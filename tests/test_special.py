@@ -261,8 +261,12 @@ class TestNanArguments:
         lambda x: rho_density(x, 5),
         lambda x: std_normal_quantile(x),
         lambda x: chi_sq_quantile(x, 5),
+        lambda x: std_normal_cdf(x),
+        lambda x: std_normal_pdf(x),
+        lambda x: t_pdf(x, 5),
     ], ids=["t_cdf", "chi_sq_cdf", "t_quantile", "rho_density",
-            "std_normal_quantile", "chi_sq_quantile"])
+            "std_normal_quantile", "chi_sq_quantile", "std_normal_cdf",
+            "std_normal_pdf", "t_pdf"])
     @pytest.mark.parametrize("arg", [math.nan, np.array([0.5, math.nan])],
                              ids=["scalar", "array"])
     def test_nan_raises(self, call, arg):

@@ -1,0 +1,97 @@
+#!/usr/bin/env python3
+"""Check that every CLI artifact of the benchmark keeps its exact bytes.
+
+    python3 tools/check_cli_bytes.py            # compare with the digests
+    python3 tools/check_cli_bytes.py --record   # rewrite the digest file
+
+Runs each command of ``perfbench/workloads.artifact_tasks()`` and
+``PROBE_ARTIFACTS`` (imported, never modified), plus ``table1 --fast
+--check``, through ``threshcov.cli.main`` in this one process, in that order.
+Each command runs twice: once to stdout and once with ``--out`` to a
+temporary file.  The exit code and the sha256 of stdout, stderr and the
+``--out`` file are compared with ``tools/cli_bytes.json``.  The benchmark's
+own check compares artifacts within 1e-8 and rerun checks compare one tree
+with itself, so only this gate sees a byte change across commits.
+
+Exit status: 0 when every command matches; 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+DIGESTS = Path(__file__).resolve().parent / "cli_bytes.json"
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import workloads  # noqa: E402
+from threshcov import cli  # noqa: E402
+
+
+def commands() -> list[list[str]]:
+    argvs = workloads.artifact_tasks() + list(workloads.PROBE_ARTIFACTS)
+    argvs.append(["table1", "--fast", "--check"])
+    unique = []
+    for argv in argvs:
+        if argv not in unique:
+            unique.append(list(argv))
+    return unique
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run(argv: list[str]) -> tuple[int, bytes, bytes]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return code, out.getvalue().encode("utf-8"), err.getvalue().encode("utf-8")
+
+
+def digest(argv: list[str], tmp: Path) -> dict:
+    code, out, err = run(argv)
+    path = tmp / "artifact.out"
+    file_code, file_out, file_err = run(argv + ["--out", str(path)])
+    return {
+        "exit": code,
+        "stdout_sha256": sha256(out),
+        "stderr_sha256": sha256(err),
+        "out_exit": file_code,
+        "out_stdout_bytes": len(file_out),
+        "out_stderr_sha256": sha256(file_err),
+        "out_file_sha256": sha256(path.read_bytes()),
+    }
+
+
+def main(argv=None) -> int:
+    record = "--record" in (sys.argv[1:] if argv is None else argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        got = {" ".join(a): digest(a, Path(tmp)) for a in commands()}
+    if record:
+        DIGESTS.write_text(json.dumps(got, indent=1) + "\n", encoding="utf-8")
+        print(f"check_cli_bytes: recorded {len(got)} commands in {DIGESTS.name}")
+        return 0
+    want = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    failures = [f"{key}: missing from {DIGESTS.name}" for key in got if key not in want]
+    failures += [f"{key}: recorded but not run" for key in want if key not in got]
+    for key, entry in got.items():
+        if key in want and entry != want[key]:
+            fields = sorted(f for f in entry if entry[f] != want[key].get(f))
+            failures.append(f"{key}: {', '.join(fields)} differ")
+    for line in failures:
+        print(f"check_cli_bytes: FAIL {line}")
+    matched = sum(key in want and entry == want[key] for key, entry in got.items())
+    print(f"check_cli_bytes: {matched} of {len(got)} commands "
+          "byte-identical to the recorded digests")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
