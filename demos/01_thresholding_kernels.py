@@ -38,9 +38,9 @@ def show_estimation():
     print("  truth:         ", truth)
     rule = ThresholdRule(EstimatorKind.HARD, eta=0.3)
     est = estimate(design, y, rule)
-    fit = ls_fit(design, y)
+    coef, sigma_hat_sq = ls_fit(design, y)
     with np.printoptions(precision=3, suppress=True):
-        print("  least squares: ", fit.ls_estimate)
+        print("  least squares: ", coef)
         print("  hard threshold:", est)
     killed = [i + 1 for i, v in enumerate(est) if v == 0.0]
     print(f"  components set exactly to zero: {killed}")
@@ -49,7 +49,7 @@ def show_estimation():
     print("with poorly determined coefficients get wider kill regions.")
     with np.printoptions(precision=3, suppress=True):
         print("  per-component xi:", compute_xi_all(design))
-        print(f"  sigma_hat: {math.sqrt(fit.sigma_hat_sq):.3f}")
+        print(f"  sigma_hat: {math.sqrt(sigma_hat_sq):.3f}")
 
 
 if __name__ == "__main__":

@@ -34,7 +34,6 @@ from .limits import (
 )
 from .model import (
     ProblemSetup,
-    RegressionDraw,
     VarianceMode,
     compute_xi_all,
     ls_fit,

@@ -380,8 +380,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # fail before the computation, not after it
+        if args.out and not Path(args.out).parent.is_dir():
+            raise FileNotFoundError(f"--out directory {Path(args.out).parent} does not exist")
         return _COMMANDS[args.command](args)
-    except (DomainError, BracketError) as exc:
+    except (DomainError, BracketError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NumericsError as exc:

@@ -145,13 +145,13 @@ class ThresholdRule:
 
 def estimate(X, y, rule: ThresholdRule) -> np.ndarray:
     """Thresholded least-squares estimate of every component."""
-    fit = ls_fit(X, y)
+    coef, sigma_hat_sq = ls_fit(X, y)
     xi = compute_xi_all(X)
     eta = np.broadcast_to(np.asarray(rule.eta, dtype=float), xi.shape)
     if rule.mode is VarianceMode.ESTIMATED:
-        if fit.sigma_hat_sq is None:
+        if sigma_hat_sq is None:
             raise DomainError("estimated-variance rules need n > k")
-        scale = math.sqrt(fit.sigma_hat_sq)
+        scale = math.sqrt(sigma_hat_sq)
     else:
         scale = rule.sigma
-    return kernel(rule.kind, fit.ls_estimate, scale * xi * eta)
+    return kernel(rule.kind, coef, scale * xi * eta)

@@ -27,7 +27,6 @@ __all__ = [
     "VarianceMode",
     "ProblemSetup",
     "reference_setup",
-    "RegressionDraw",
     "compute_xi_all",
     "ls_fit",
     "standard_ls_interval",
@@ -96,17 +95,6 @@ def reference_setup(eta: float = 0.05, **overrides) -> ProblemSetup:
     return ProblemSetup(**params)
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
-class RegressionDraw:
-    """One least-squares fit: estimates and residual variance.
-
-    sigma_hat_sq is None when n == k (no residual degrees of freedom).
-    """
-
-    ls_estimate: np.ndarray
-    sigma_hat_sq: float | None
-
-
 def _full_rank_qr(X: np.ndarray):
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
@@ -134,8 +122,9 @@ def compute_xi_all(X) -> np.ndarray:
     return np.sqrt(n * (rinv_t ** 2).sum(axis=0))
 
 
-def ls_fit(X, y) -> RegressionDraw:
-    """Least squares via QR; unbiased sigma_hat^2 when n > k, else None."""
+def ls_fit(X, y) -> tuple[np.ndarray, float | None]:
+    """Least squares via QR: (coefficients, unbiased sigma_hat^2), the latter
+    None when n == k (no residual degrees of freedom)."""
     from scipy.linalg import solve_triangular  # loaded on first use: slow to import
 
     X = np.asarray(X, dtype=float)
@@ -152,7 +141,7 @@ def ls_fit(X, y) -> RegressionDraw:
         sigma_hat_sq = float(resid @ resid) / (n - k)
     else:
         sigma_hat_sq = None
-    return RegressionDraw(ls_estimate=coef, sigma_hat_sq=sigma_hat_sq)
+    return coef, sigma_hat_sq
 
 
 def standard_ls_interval(setup: ProblemSetup, mode: VarianceMode, alpha: float) -> float:

@@ -16,30 +16,32 @@ transformed there: the interval [est - sigma a, est + sigma b] never uses
 sigma_hat, so known-variance cells skip the chi-square inverse.
 
 Coverage and ECDF cells decide most replications without inverting their
-uniforms, in up to three levels; every count is bit-identical to inverting
-every draw, and the uniform layout is unchanged.  Both inverse transforms
-are tabulated once at the ends of the 2^12 equal cells (i/N, (i+1)/N) of
-the uniform, widened by a relative margin against non-monotone rounding in
-the inverses, so a draw's cell brackets its exact z or sigma_hat.  A
-draw's cell is read from the top bits of its Philox word (`_word_cells`),
-and only the words that reach an inverse become floats.  The
-thresholded estimate is monotone in z and in the cutoff, and every step
-after it is a correctly rounded, monotone operation, so the same
-expressions evaluated at the ends of a bracket enclose the exact values.
+uniforms; every count is bit-identical to inverting every draw, and the
+uniform layout is unchanged.  Both inverse transforms are tabulated once at
+the ends of the 2^12 equal cells (i/N, (i+1)/N) of the uniform, the outer
+ends at the extreme uniforms 2^-54 and 1 - 2^-53, and widened by a
+relative margin against non-monotone rounding in the inverses, so a draw's
+cell brackets its exact z or sigma_hat with finite ends.  A draw's cell is
+read from the top bits of its Philox word (`_word_cells`), and only the
+words that reach an inverse become floats.  The thresholded estimate is
+monotone in z and in the cutoff, and every step after it is a correctly
+rounded, monotone operation, so the same expressions evaluated at the ends
+of a bracket enclose the exact values.
 
-1. Grid cell.  A cell first decides whole cells of a grid from their
-   corners: a known-variance coverage cell uses the 4096 z cells at
-   s = sigma, an estimated-variance coverage cell and an ECDF cell a
-   64 x 64 grid over (z cell, sigma_hat cell).  A replication in a grid
-   cell whose every interval holds theta, or none does (for the ECDF,
-   whose every error falls in one grid bin and is surely zero or surely
-   nonzero), is counted from its cell index alone.
-2. Per-replication bracket.  The rest of an estimated-variance or ECDF
-   cell get their exact z and decide from their own sigma_hat bracket,
-   with the same test as the grid.
-3. Exact inversion.  What is still undecided, and every replication in an
-   edge cell of the grid or the bracket, whose ends reach +-inf (z) or 0
-   and inf (sigma_hat), is inverted exactly as in `component_draws`.
+A cell's event (`_Coverage`, `_Ecdf`) maps an interval or error to a slot
+(miss or hit; ECDF bin and zero flag) and says from an enclosure of the
+estimate and the interval scale whether the slot is certain.  `_tally`
+settles every replication in three levels:
+
+1. Grid cell.  The corners of a grid decide whole cells: 4096 z cells at
+   s = sigma with known variance, 64 x 64 (z cell, sigma_hat cell) with
+   estimated variance.  A replication in a certain grid cell is counted
+   from its cell index alone.
+2. Per-replication bracket.  The rest get their exact z and decide from
+   their own sigma_hat cell (s = sigma with known variance), with the same
+   test as the grid.
+3. Exact inversion.  What is still undecided is inverted exactly as in
+   `component_draws`.
 
 The full-design path materializes y and runs the estimator on it;
 replication j consumes uniforms [j n, (j+1) n).  Per cell it factors
@@ -49,26 +51,17 @@ formed.  sigma_hat comes from the residuals Y - (Y Q) Q', or when
 n - k < k from Y N, with N an orthonormal basis of the complement of Q's
 columns (`_residual_scale`).  Per chunk of 2^16 uniforms (floor(2^16 / n)
 replications, at least one, so a chunk's arrays stay cache-sized) it
-decides replications in two levels, with counts equal to inverting every
-draw:
+settles replications through the coverage event in two levels:
 
 1. Enclosure.  Each z lies in its cell's bracket, held as a midpoint and a
-   radius r; the edge cells are bounded too, since every uniform lies in
-   [2^-54, 1 - 2^-53].  A few matrix-vector passes over the midpoints
-   y_mid give y_mid' c +- (sigma |c|'r + rounding term) for the watched
-   coefficient and, for estimated variance, sigma_hat(y_mid) +-
+   radius r.  A few matrix-vector passes over the midpoints y_mid give
+   y_mid' c +- (sigma |c|'r + rounding term) for the watched coefficient
+   and, for estimated variance, sigma_hat(y_mid) +-
    (|P| sigma |r|_2 + rounding term) / sqrt(n - k), P the residual map;
    the rounding terms (`_full_radii`) follow the gamma_n bound of a dot
-   product, scaled with n and k.  The thresholded estimate at the corners
-   of the enclosure decides each replication as in the fast path.
+   product, scaled with n and k.
 2. Exact computation.  The undecided replications convert their words,
    invert every z, build y and compute y' c and sigma_hat as written.
-
-At n = 40, k = 35 (the reference setup) level 2 takes under 0.1% of the
-known-variance replications and about 2% of the estimated-variance ones,
-mostly rows with an edge cell, and a cell of 2e4 replications takes about
-15 ms with known variance and 20 ms with estimated variance, against 31
-and 37 ms when every draw is inverted (2-core Xeon VM).
 """
 
 from __future__ import annotations
@@ -148,7 +141,7 @@ def _word_cells(raw: np.ndarray, cells: int) -> np.ndarray:
     to a cell end exactly.  A bracket is tabulated at the cell ends
     themselves, so both neighbouring brackets enclose the quantile of a
     uniform at a cell end.  The all-ones word, whose uniform is clamped
-    below 1, lands in the top (edge) cell either way.
+    below 1, lands in the top cell either way.
     """
     shift = 64 - (cells.bit_length() - 1)  # 64 - log2(cells)
     return (raw >> np.uint64(shift)).view(np.intp)
@@ -237,14 +230,18 @@ def _sigma_hat_draws(setup: ProblemSetup, u_chi: np.ndarray) -> np.ndarray:
     return setup.sigma * np.sqrt(chi / m)
 
 
-def _widened(ends: np.ndarray, below: float, above: float):
-    """Per grid cell i, ends (lo[i], hi[i]) from the increasing values at the
-    interior cell ends, widened by the relative margin against
-    non-monotone rounding in the inverse; the edge cells reach below and
-    above."""
+def _widened(inverse):
+    """Per grid cell i, ends (lo[i], hi[i]) that enclose inverse(u) for every
+    uniform u in (i / N, (i + 1) / N): the increasing inverse at the cell
+    ends, the outer ones at the extreme uniforms 2^-54 and 1 - 2^-53,
+    widened by the relative margin against non-monotone rounding in the
+    inverse."""
+    p = np.concatenate([[2.0 ** -54], np.arange(1, _BRACKET_CELLS) / _BRACKET_CELLS,
+                        [_BELOW_ONE]])
+    ends = inverse(p)
     widen = _MARGIN * np.abs(ends)
-    lo = np.concatenate([[below], ends - widen])
-    hi = np.concatenate([ends + widen, [above]])
+    lo = ends[:-1] - widen[:-1]
+    hi = ends[1:] + widen[1:]
     lo.flags.writeable = hi.flags.writeable = False
     return lo, hi
 
@@ -253,8 +250,7 @@ def _widened(ends: np.ndarray, below: float, above: float):
 def _z_bracket() -> tuple[np.ndarray, np.ndarray]:
     """Per grid cell i, ends (lo[i], hi[i]) that enclose the standard normal
     quantile of every uniform in (i / N, (i + 1) / N)."""
-    p = np.arange(1, _BRACKET_CELLS) / _BRACKET_CELLS
-    return _widened(std_normal_quantile(p), -math.inf, math.inf)
+    return _widened(std_normal_quantile)
 
 
 @functools.lru_cache(maxsize=None)
@@ -262,72 +258,93 @@ def _sigma_hat_bracket(m: int) -> tuple[np.ndarray, np.ndarray]:
     """Per grid cell i, ends (lo[i], hi[i]) that enclose sigma_hat / sigma
     for every chi-square uniform in (i / N, (i + 1) / N), through the
     expression of `_sigma_hat_draws`."""
-    p = np.arange(1, _BRACKET_CELLS) / _BRACKET_CELLS
-    return _widened(np.sqrt(chi_sq_quantile(p, m) / m), 0.0, math.inf)
+    return _widened(lambda p: np.sqrt(chi_sq_quantile(p, m) / m))
 
 
-def _decide(est_lo, est_hi, s_lo, s_hi, spec, theta: float):
-    """(hit, miss) flags for the intervals [est - s a, est + s b] with est in
-    [est_lo, est_hi] and s in [s_lo, s_hi]: a hit when every such interval
-    holds theta, a miss when none does, each with a relative slack.  A
-    replication that is neither is undecided."""
-    # the arms s a and s b grow with s (a, b >= 0)
-    lower_lo = est_lo - s_hi * spec.a
-    lower_hi = est_hi - s_lo * spec.a
-    upper_lo = est_lo + s_lo * spec.b
-    upper_hi = est_hi + s_hi * spec.b
-    slack = _MARGIN * (np.maximum(np.abs(est_lo), np.abs(est_hi))
-                       + s_hi * max(spec.a, spec.b) + abs(theta))
-    hit = (lower_hi + slack <= theta) & (theta <= upper_lo - slack)
-    miss = (lower_lo - slack > theta) | (theta > upper_hi + slack)
-    return hit, miss
+def _estimate(kind, setup: ProblemSetup, coef, scale):
+    """The thresholded estimate of LS coefficients coef at interval scale
+    scale (sigma or sigma_hat)."""
+    return kernel(kind, coef, scale * setup.xi * setup.eta)
 
 
-class _Bracketed(NamedTuple):
-    """Estimated-variance replications with sigma_hat bracketed: sigma_hat
-    lies in [s_lo, s_hi], so the estimate lies in [est_lo, est_hi].
-    Brackets of edge-cell replications are placeholders that stay finite;
-    those replications always take the exact path."""
+@dataclasses.dataclass(frozen=True, eq=False)
+class _Coverage:
+    """Coverage event: slot 1 when [est - s a, est + s b] holds theta, else 0."""
 
-    ls: np.ndarray
-    w_chi: np.ndarray
-    edge: np.ndarray
-    s_lo: np.ndarray
-    s_hi: np.ndarray
-    est_lo: np.ndarray
-    est_hi: np.ndarray
+    a: float
+    b: float
+    theta: float
+    slots = 2
 
-    def exact(self, setup: ProblemSetup, undecided: np.ndarray):
-        """Indexes and exact sigma_hats of the undecided and edge-cell
-        replications."""
-        idx = np.flatnonzero(undecided | self.edge)
-        return idx, _sigma_hat_draws(setup, _uniforms(self.w_chi[idx]))
+    def bounds(self, est_lo, est_hi, s_lo, s_hi):
+        """Slot of the intervals with est in [est_lo, est_hi] and s in
+        [s_lo, s_hi], and whether it is certain: every such interval holds
+        theta, or none does, each with a relative slack."""
+        a, b, theta = self.a, self.b, self.theta
+        # the arms s a and s b grow with s (a, b >= 0)
+        lower_lo = est_lo - s_hi * a
+        lower_hi = est_hi - s_lo * a
+        upper_lo = est_lo + s_lo * b
+        upper_hi = est_hi + s_hi * b
+        slack = _MARGIN * (np.maximum(np.abs(est_lo), np.abs(est_hi))
+                           + s_hi * max(a, b) + abs(theta))
+        hit = (lower_hi + slack <= theta) & (theta <= upper_lo - slack)
+        miss = (lower_lo - slack > theta) | (theta > upper_hi + slack)
+        return hit.astype(np.intp), hit | miss
 
-
-def _bracketed(plan: SimulationPlan, kind, ls: np.ndarray,
-               w_chi: np.ndarray) -> _Bracketed:
-    """Replications with LS estimates ls, bracketed from the grid cells of
-    their chi-square words w_chi; needs n > k."""
-    setup = plan.setup
-    lo, hi = _sigma_hat_bracket(setup.residual_dof)
-    cell = _word_cells(w_chi, _BRACKET_CELLS)
-    edge = (cell == 0) | (cell == _BRACKET_CELLS - 1)
-    inner = np.clip(cell, 1, _BRACKET_CELLS - 2)
-    s_lo = setup.sigma * lo[inner]
-    s_hi = setup.sigma * hi[inner]
-    # kernel is monotone in the cutoff for fixed z: the ends enclose it
-    est_a = kernel(kind, ls, s_lo * setup.xi * setup.eta)
-    est_b = kernel(kind, ls, s_hi * setup.xi * setup.eta)
-    return _Bracketed(ls, w_chi, edge, s_lo, s_hi,
-                      np.minimum(est_a, est_b), np.maximum(est_a, est_b))
+    def exact(self, est, s):
+        inside = (est - s * self.a <= self.theta) & (self.theta <= est + s * self.b)
+        return inside.astype(np.intp)
 
 
-def _word_blocks(plan: SimulationPlan):
-    """The Philox words of every replication, in blocks of _BRACKET_REPS."""
-    for start in range(0, plan.reps, _BRACKET_REPS):
-        stop = min(start + _BRACKET_REPS, plan.reps)
-        yield _raw_words(plan.seed, _UNIFORMS_PER_REP * start,
-                         _UNIFORMS_PER_REP * (stop - start))
+class _Ecdf:
+    """ECDF event: slot j + width zero for the error a (est - theta) / s, j
+    the number of grid points below it and zero whether est is exactly 0."""
+
+    def __init__(self, a: float, theta: float, grid: np.ndarray):
+        self.a, self.theta, self.grid = a, theta, grid
+        self.width = grid.size + 1
+        self.slots = 2 * self.width
+
+    def bounds(self, est_lo, est_hi, s_lo, s_hi):
+        """Slot of the errors with est in [est_lo, est_hi] and s in
+        [s_lo, s_hi], and whether it is certain: the error enclosure falls in
+        one grid gap, with a relative slack, and the estimate is surely zero
+        or surely nonzero."""
+        a, theta, grid = self.a, self.theta, self.grid
+        # a sum or quotient that overflows to +-inf is still a bound, as is
+        # the exact error, which rounds the same way
+        with np.errstate(over="ignore"):
+            # x / s is monotone in s
+            num_lo = a * (est_lo - theta)
+            num_hi = a * (est_hi - theta)
+            err_lo = np.minimum(num_lo / s_lo, num_lo / s_hi)
+            err_hi = np.maximum(num_hi / s_lo, num_hi / s_hi)
+            # a killed estimate is exactly 0, so its slack scales with theta only
+            slack = _MARGIN * a * (np.maximum(np.abs(est_lo), np.abs(est_hi))
+                                   + abs(theta)) / s_lo
+            j = np.searchsorted(grid, err_lo - slack, "left")
+            # the first grid point at or above every error of bin j
+            ceiling = np.append(grid, math.inf)[j]
+            zero = (est_lo == 0.0) & (est_hi == 0.0)
+            certain = (err_hi + slack <= ceiling) & (zero | (est_lo > 0.0) | (est_hi < 0.0))
+        return j + self.width * zero, certain
+
+    def exact(self, est, s):
+        j = np.searchsorted(self.grid, self.a * (est - self.theta) / s, "left")
+        return j + self.width * (est == 0.0)
+
+
+def _corners(event, kind, setup: ProblemSetup, coefs, s_lo, s_hi):
+    """event.bounds over the estimates with LS coefficient between the ends
+    coefs and interval scale in [s_lo, s_hi]: kernel is monotone in the
+    coefficient and in the cutoff, so its values at the corners enclose
+    them.  Pass (ls,) for an exact coefficient, s_lo is s_hi for an exact
+    scale."""
+    scales = (s_lo,) if s_lo is s_hi else (s_lo, s_hi)
+    corners = [_estimate(kind, setup, b, s) for b in coefs for s in scales]
+    return event.bounds(np.minimum.reduce(corners), np.maximum.reduce(corners),
+                        s_lo, s_hi)
 
 
 def synthetic_design(n: int, k: int, xi: float = 1.0) -> np.ndarray:
@@ -347,116 +364,62 @@ def _coverage_estimate(hits: int, reps: int):
     return p, math.sqrt(p * (1.0 - p) / reps)
 
 
-def _covers(kind, ls, scale, spec, setup: ProblemSetup, theta: float) -> np.ndarray:
-    """Whether [est - scale a, est + scale b] holds theta, per replication."""
-    est = kernel(kind, ls, scale * setup.xi * setup.eta)
-    return (est - scale * spec.a <= theta) & (theta <= est + scale * spec.b)
-
-
-def _corner_estimates(plan: SimulationPlan, kind, z_lo, z_hi, s_lo, s_hi):
-    """Enclosures (est_lo, est_hi) of the thresholded estimate over the cells
-    of a grid, rows over z in [z_lo, z_hi] and columns over the interval
-    scale s in [s_lo, s_hi] (finite ends).  The estimate over a cell lies
-    between its values at the four corners, as kernel is monotone in z and
-    in the cutoff."""
+def _tally(plan: SimulationPlan, kind, event, estimated: bool) -> np.ndarray:
+    """Replications per slot of the event, settled in three levels (see the
+    module docstring): grid cell, per-replication sigma_hat cell (s = sigma
+    with known variance), exact inversion."""
     setup = plan.setup
-    corners = [kernel(kind, _ls_values(plan, z)[:, None],
-                      (s * setup.xi * setup.eta)[None, :])
-               for z in (z_lo, z_hi) for s in (s_lo, s_hi)]
-    return np.minimum.reduce(corners), np.maximum.reduce(corners)
-
-
-def _estimated_grid(plan: SimulationPlan, kind):
-    """The interior 62 x 62 cells of the 64 x 64 grid over (z cell, sigma_hat
-    cell), each coarse cell spanning 64 x 64 cells of the two brackets:
-    estimate enclosures (est_lo, est_hi) and sigma_hat ends (s_lo, s_hi),
-    the latter as one row."""
-    setup = plan.setup
-    step = _BRACKET_CELLS // _GRID_CELLS
     z_lo, z_hi = _z_bracket()
-    s_lo, s_hi = _sigma_hat_bracket(setup.require_estimated_variance())
-    s_lo = setup.sigma * s_lo[::step][1:-1]
-    s_hi = setup.sigma * s_hi[step - 1::step][1:-1]
-    est_lo, est_hi = _corner_estimates(plan, kind, z_lo[::step][1:-1],
-                                       z_hi[step - 1::step][1:-1], s_lo, s_hi)
-    return est_lo, est_hi, s_lo[None, :], s_hi[None, :]
-
-
-def _estimated_cell(raw: np.ndarray) -> np.ndarray:
-    """Index of each replication's cell in the flattened 64 x 64 grid."""
-    cell = _word_cells(raw, _GRID_CELLS)  # both halves in one pass
-    return cell[0::2] * _GRID_CELLS + cell[1::2]
-
-
-def _z_estimates(plan: SimulationPlan, w_z: np.ndarray) -> np.ndarray:
-    """LS estimates of the Gaussian words w_z, inverted exactly."""
-    return _ls_values(plan, std_normal_quantile(_uniforms(w_z)))
-
-
-def _grid_counts(plan: SimulationPlan, undecided, cell_of, resolve):
-    """Replications per grid cell, counted from their cell index
-    cell_of(words), and the sum of resolve(w_z, w_chi) over the blocks'
-    replications in undecided cells (copies of their words)."""
-    undecided = undecided.ravel()
-    counts = np.zeros(undecided.size, dtype=np.int64)
-    resolved = 0
-    for raw in _word_blocks(plan):
-        cell = cell_of(raw)
-        counts += np.bincount(cell, minlength=undecided.size)
+    if estimated:
+        # each coarse cell spans step x step cells of the two brackets
+        step = _BRACKET_CELLS // _GRID_CELLS
+        lo, hi = _sigma_hat_bracket(setup.require_estimated_variance())
+        z_lo, z_hi = z_lo[::step], z_hi[step - 1::step]
+        s_lo = (setup.sigma * lo[::step])[None, :]
+        s_hi = (setup.sigma * hi[step - 1::step])[None, :]
+    else:
+        s_lo = s_hi = np.full((1, 1), setup.sigma)
+    slot, certain = _corners(event, kind, setup, (_ls_values(plan, z_lo)[:, None],
+                                                  _ls_values(plan, z_hi)[:, None]),
+                             s_lo, s_hi)
+    slot, certain = slot.ravel(), certain.ravel()
+    undecided = ~certain
+    counts = np.zeros(certain.size, dtype=np.int64)
+    tally = np.zeros(event.slots, dtype=np.int64)
+    for start in range(0, plan.reps, _BRACKET_REPS):
+        stop = min(start + _BRACKET_REPS, plan.reps)
+        raw = _raw_words(plan.seed, _UNIFORMS_PER_REP * start,
+                         _UNIFORMS_PER_REP * (stop - start))
+        if estimated:
+            cell = _word_cells(raw, _GRID_CELLS)  # both halves in one pass
+            cell = cell[0::2] * _GRID_CELLS + cell[1::2]
+        else:
+            cell = _word_cells(raw[0::2], _BRACKET_CELLS)
+        counts += np.bincount(cell, minlength=counts.size)
         idx = np.flatnonzero(undecided[cell])
-        resolved += resolve(raw[0::2][idx], raw[1::2][idx])
-    return counts, resolved
-
-
-def _known_hits(plan: SimulationPlan, kind, spec, theta: float) -> int:
-    """Known-variance hits: a 4096 x 1 grid of z cells at s = sigma; the edge
-    and undecided cells are inverted exactly."""
-    setup = plan.setup
-    z_lo, z_hi = _z_bracket()
-    sigma = np.array([setup.sigma])
-    est_lo, est_hi = _corner_estimates(plan, kind, z_lo[1:-1], z_hi[1:-1], sigma, sigma)
-    hit, miss = _decide(est_lo, est_hi, sigma, sigma, spec, theta)
-    edge_rows = ((1, 1), (0, 0))
-
-    def resolve(w_z, w_chi):
-        ls = _z_estimates(plan, w_z)
-        return int(np.count_nonzero(_covers(kind, ls, setup.sigma, spec, setup, theta)))
-
-    undecided = np.pad(~(hit | miss), edge_rows, constant_values=True)
-    counts, hits = _grid_counts(plan, undecided,
-                                lambda raw: _word_cells(raw[0::2], _BRACKET_CELLS),
-                                resolve)
-    return int(counts @ np.pad(hit, edge_rows).ravel()) + hits
-
-
-def _estimated_hits(plan: SimulationPlan, kind, spec, theta: float) -> int:
-    """Estimated-variance hits: the 64 x 64 (z, sigma_hat) grid decides whole
-    cells; the edge rows and columns and the undecided cells go through the
-    per-replication sigma_hat bracket, whose undecided and edge cells are
-    inverted exactly."""
-    setup = plan.setup
-    hit, miss = _decide(*_estimated_grid(plan, kind), spec, theta)
-
-    def resolve(w_z, w_chi):
-        blk = _bracketed(plan, kind, _z_estimates(plan, w_z), w_chi)
-        hit, miss = _decide(blk.est_lo, blk.est_hi, blk.s_lo, blk.s_hi, spec, theta)
-        idx, sigma_hat = blk.exact(setup, ~(hit | miss))
-        inside = _covers(kind, blk.ls[idx], sigma_hat, spec, setup, theta)
-        return (int(np.count_nonzero(hit & ~blk.edge))
-                + int(np.count_nonzero(inside)))
-
-    counts, hits = _grid_counts(plan, np.pad(~(hit | miss), 1, constant_values=True),
-                                _estimated_cell, resolve)
-    return int(counts @ np.pad(hit, 1).ravel()) + hits
+        w_chi = raw[1::2][idx]
+        ls = _ls_values(plan, std_normal_quantile(_uniforms(raw[0::2][idx])))
+        if estimated:
+            s_cell = _word_cells(w_chi, _BRACKET_CELLS)
+            s_lo, s_hi = setup.sigma * lo[s_cell], setup.sigma * hi[s_cell]
+        else:
+            s_lo = s_hi = setup.sigma
+        rep_slot, rep_certain = _corners(event, kind, setup, (ls,), s_lo, s_hi)
+        idx = np.flatnonzero(~rep_certain)
+        s = _sigma_hat_draws(setup, _uniforms(w_chi[idx])) if estimated else setup.sigma
+        rep_slot[idx] = event.exact(_estimate(kind, setup, ls[idx], s), s)
+        tally += np.bincount(rep_slot, minlength=event.slots)
+    np.add.at(tally, slot[certain], counts[certain])
+    return tally
 
 
 def simulate_coverage(plan: SimulationPlan, kind, spec):
     """Empirical coverage of [estimate - c a, estimate + c b] and its
     binomial standard error, via the fast path."""
     kind = EstimatorKind(kind)
-    theta = plan.component_theta
-    count = _estimated_hits if spec.mode is VarianceMode.ESTIMATED else _known_hits
-    return _coverage_estimate(count(plan, kind, spec, theta), plan.reps)
+    event = _Coverage(spec.a, spec.b, plan.component_theta)
+    hits = _tally(plan, kind, event, spec.mode is VarianceMode.ESTIMATED)[1]
+    return _coverage_estimate(int(hits), plan.reps)
 
 
 def _residual_basis(X: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -486,14 +449,9 @@ def _residual_scale(basis: np.ndarray, Y: np.ndarray, dof: int) -> np.ndarray:
 @functools.lru_cache(maxsize=None)
 def _z_midpoints() -> tuple[np.ndarray, np.ndarray, float]:
     """Per cell i of the z grid, a midpoint and radius whose interval
-    [mid - rad, mid + rad] holds the z of every uniform in the cell, and
-    z_max, the largest |z| of any uniform.  Uniforms lie in
-    [2^-54, 1 - 2^-53], so the edge cells are bounded too: their outer ends
-    are the widened quantiles of those extremes."""
+    [mid - rad, mid + rad] holds the cell's `_z_bracket`, and z_max, the
+    largest |z| of any uniform."""
     lo, hi = _z_bracket()
-    outer = std_normal_quantile(np.array([2.0 ** -54, _BELOW_ONE])) * (1.0 + _MARGIN)
-    lo = np.concatenate([outer[:1], lo[1:]])
-    hi = np.concatenate([hi[:-1], outer[1:]])
     mid = 0.5 * (lo + hi)
     # each difference rounds by at most half an ulp: the factor covers it
     rad = np.maximum(hi - mid, mid - lo) * (1.0 + 2.0 ** -50)
@@ -616,15 +574,7 @@ def simulate_coverage_full(plan: SimulationPlan, kind, spec):
     basis = _residual_basis(X, Q) if estimated else None
     radii = _full_radii(setup, c, mean_y, basis)
     z_mid, z_rad, _ = _z_midpoints()
-
-    def exact(words):
-        """Hits of the replications with these words, every z inverted."""
-        Y = std_normal_quantile(_uniforms(words))
-        Y *= setup.sigma
-        Y += mean_y
-        scale = _residual_scale(basis, Y, m) if estimated else setup.sigma
-        return int(np.count_nonzero(_covers(kind, Y @ c, scale, spec, setup, theta)))
-
+    event = _Coverage(spec.a, spec.b, theta)
     hits = 0
     chunk = max(1, _FULL_CHUNK_UNIFORMS // n)
     for start in range(0, plan.reps, chunk):
@@ -647,13 +597,15 @@ def simulate_coverage_full(plan: SimulationPlan, kind, spec):
             s_lo, s_hi = np.maximum(s - s_rad, 0.0), s + s_rad
         else:
             s_lo = s_hi = setup.sigma
-        # kernel is monotone in the coefficient and in the cutoff
-        corners = [kernel(kind, b, s * setup.xi * setup.eta)
-                   for b in (coef - coef_rad, coef + coef_rad)
-                   for s in ((s_lo, s_hi) if estimated else (s_lo,))]
-        hit, miss = _decide(np.minimum.reduce(corners), np.maximum.reduce(corners),
-                            s_lo, s_hi, spec, theta)
-        hits += int(np.count_nonzero(hit)) + exact(raw[~(hit | miss)])
+        slot, certain = _corners(event, kind, setup, (coef - coef_rad, coef + coef_rad),
+                                 s_lo, s_hi)
+        idx = np.flatnonzero(~certain)
+        Y = std_normal_quantile(_uniforms(raw[idx]))
+        Y *= setup.sigma
+        Y += mean_y
+        s = _residual_scale(basis, Y, m) if estimated else setup.sigma
+        slot[idx] = event.exact(_estimate(kind, setup, Y @ c, s), s)
+        hits += int(np.count_nonzero(slot))
     return _coverage_estimate(hits, plan.reps)
 
 
@@ -665,28 +617,6 @@ class EcdfResult:
     values: np.ndarray
     zero_mass: float
     reps: int
-
-
-def _ecdf_bins(est_lo, est_hi, s_lo, s_hi, a: float, theta: float, grid):
-    """Bin j (the number of grid points below the error) and zero flag of the
-    errors a (est - theta) / s with est in [est_lo, est_hi] and s in
-    [s_lo, s_hi], and whether both are certain: the error enclosure falls
-    in one grid gap, with a relative slack, and the estimate is surely zero
-    or surely nonzero."""
-    # x / s is monotone in s
-    num_lo = a * (est_lo - theta)
-    num_hi = a * (est_hi - theta)
-    err_lo = np.minimum(num_lo / s_lo, num_lo / s_hi)
-    err_hi = np.maximum(num_hi / s_lo, num_hi / s_hi)
-    # a killed estimate is exactly 0, so its slack scales with theta only
-    slack = _MARGIN * a * (np.maximum(np.abs(est_lo), np.abs(est_hi))
-                           + abs(theta)) / s_lo
-    j = np.searchsorted(grid, err_lo - slack, "left")
-    # the first grid point at or above every error of bin j
-    ceiling = np.append(grid, math.inf)[j]
-    zero = (est_lo == 0.0) & (est_hi == 0.0)
-    decided = (err_hi + slack <= ceiling) & (zero | (est_lo > 0.0) | (est_hi < 0.0))
-    return j, zero, decided
 
 
 def simulate_scaled_error_ecdf(plan: SimulationPlan, kind, alpha, grid) -> EcdfResult:
@@ -706,26 +636,9 @@ def simulate_scaled_error_ecdf(plan: SimulationPlan, kind, alpha, grid) -> EcdfR
         raise DomainError("grid must not contain NaN")
     if np.any(np.diff(grid_arr) < 0.0):
         raise DomainError("grid must be nondecreasing")
-    theta = plan.component_theta
-    # slot j counts the replications with exactly j grid points below their
-    # error, slot width + j those of them thresholded exactly to zero
-    width = grid_arr.size + 1
-    j, zero, decided = _ecdf_bins(*_estimated_grid(plan, kind), a, theta, grid_arr)
-    undecided = np.pad(~decided, 1, constant_values=True).ravel()
-    slot = np.pad(j + width * zero, 1).ravel()
-
-    def resolve(w_z, w_chi):
-        blk = _bracketed(plan, kind, _z_estimates(plan, w_z), w_chi)
-        j, zero, decided = _ecdf_bins(blk.est_lo, blk.est_hi, blk.s_lo, blk.s_hi,
-                                      a, theta, grid_arr)
-        idx, sigma_hat = blk.exact(setup, ~decided)
-        est = kernel(kind, blk.ls[idx], sigma_hat * setup.xi * setup.eta)
-        j[idx] = np.searchsorted(grid_arr, a * (est - theta) / sigma_hat, "left")
-        zero[idx] = est == 0.0
-        return np.bincount(j + width * zero, minlength=2 * width)
-
-    counts, tally = _grid_counts(plan, undecided, _estimated_cell, resolve)
-    np.add.at(tally, slot[~undecided], counts[~undecided])
-    bins = tally[:width] + tally[width:]
+    event = _Ecdf(a, plan.component_theta, grid_arr)
+    tally = _tally(plan, kind, event, estimated=True)
+    bins = tally[:event.width] + tally[event.width:]
     return EcdfResult(grid=grid_arr, values=np.cumsum(bins)[:-1] / plan.reps,
-                      zero_mass=int(tally[width:].sum()) / plan.reps, reps=plan.reps)
+                      zero_mass=int(tally[event.width:].sum()) / plan.reps,
+                      reps=plan.reps)

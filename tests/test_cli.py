@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from threshcov import unknown_coverage, IntervalSpec, VarianceMode, reference_setup
+from threshcov import cli
 from threshcov.cli import (
     EXIT_CHECK_FAILED,
     EXIT_OK,
@@ -157,6 +158,22 @@ class TestInterval:
         assert rc == EXIT_OK and out == ""
         payload = json.loads(target.read_text())
         assert payload["mode"] == "estimated"
+
+    def test_unwritable_out_is_a_usage_error(self, capsys, tmp_path, monkeypatch):
+        ran = []
+        monkeypatch.setitem(cli._COMMANDS, "interval", ran.append)
+        missing = tmp_path / "missing" / "x.json"
+        rc, out, err = run_cli(capsys, "interval", "--kind", "soft", "--mode", "known",
+                               "--out", str(missing))
+        # refused before the command runs
+        assert rc == EXIT_USAGE and out == "" and err.startswith("error:")
+        assert not ran and not missing.parent.exists()
+
+    def test_failed_write_is_a_usage_error(self, capsys, tmp_path):
+        # the target is a directory: the write itself fails
+        rc, out, err = run_cli(capsys, "interval", "--kind", "soft", "--mode", "known",
+                               "--out", str(tmp_path))
+        assert rc == EXIT_USAGE and out == "" and err.startswith("error:")
 
 
 class TestCoverageCurve:

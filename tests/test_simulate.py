@@ -301,6 +301,15 @@ def reference_ecdf(plan, kind, alpha, grid):
 
 BRACKET_DOFS = (1, 5, 995, 999995)
 N_CELLS = simulate._BRACKET_CELLS
+# the lowest and the highest uniform of uniform_field
+EXTREME_UNIFORMS = np.array([2.0 ** -54, 1.0 - 2.0 ** -53])
+
+
+def widened_extremes(inverse):
+    """The outer ends of a bracket table: the inverse at the extreme
+    uniforms, widened outward by the relative margin 1e-12."""
+    low, high = inverse(EXTREME_UNIFORMS)
+    return low - 1e-12 * abs(low), high + 1e-12 * abs(high)
 
 
 class TestBracketedDraws:
@@ -349,23 +358,51 @@ class TestBracketedDraws:
                     np.testing.assert_array_equal(res.values, counts / plan.reps)
                     assert res.zero_mass == zeros / plan.reps
 
+    @pytest.mark.parametrize("kind", ["hard", "soft", "asoft"])
+    @pytest.mark.parametrize("m", [1, 5])
+    def test_extreme_scales_match_inverting_every_draw(self, kind, m):
+        # the lowest sigma_hat cell reaches down to about 1e-16 sigma at
+        # m = 1, and the ECDF bounds divide by that end
+        reps, seed = 4000, 9
+        u_chi = uniform_field(seed, 0, 2 * reps)[1::2]
+        cell = (u_chi * N_CELLS).astype(np.intp)
+        assert np.any(cell == 0) and np.any(cell == N_CELLS - 1)
+        grid = np.linspace(-4.0, 4.0, 41)
+        for sigma in (1e-300, 1.0, 1e300):
+            setup = ProblemSetup(n=5 + m, k=5, sigma=sigma, eta=0.3)
+            spec = est_spec(setup.xi * (0.3 + 1.5 / setup.root_n))
+            alpha = float(ScalingFactor.conservative(setup))
+            for theta in (0.0, 1e-300, -1e-300, 1e200, -1e200, 1e300, -1e300):
+                plan = SimulationPlan(setup=setup, theta=theta, reps=reps, seed=seed)
+                p, _ = simulate_coverage(plan, kind, spec)
+                assert round(p * plan.reps) == reference_hits(plan, kind, spec)
+                res = simulate_scaled_error_ecdf(plan, kind, alpha, grid)
+                counts, zeros = reference_ecdf(plan, kind, alpha, grid)
+                np.testing.assert_array_equal(res.values, counts / plan.reps)
+                assert res.zero_mass == zeros / plan.reps
+
     @pytest.mark.parametrize("m", BRACKET_DOFS)
     def test_bracket_encloses_exact_quantiles(self, m):
         lo, hi = simulate._sigma_hat_bracket(m)
-        assert lo[0] == 0.0 and hi[-1] == math.inf
+
+        def sigma_hat(u):
+            return np.sqrt(chi_sq_quantile(u, m) / m)
+
+        assert (lo[0], hi[-1]) == widened_extremes(sigma_hat)
+        assert 0.0 < lo[0] and np.isfinite(hi[-1])
         assert np.all(lo[1:] < hi[:-1]) and np.all(np.diff(lo) > 0.0)
 
         def check(u):
-            q = np.sqrt(chi_sq_quantile(u, m) / m)
+            q = sigma_hat(u)
             cell = (u * N_CELLS).astype(np.intp)
             assert np.all(lo[cell] <= q) and np.all(q <= hi[cell])
 
         # the uniform_field values nearest each interior cell end: k + 1/2
-        # steps of 2^-53 to either side
+        # steps of 2^-53 to either side, and the two extreme uniforms
         steps = (np.arange(64) + 0.5) * 2.0 ** -53
         ends = np.arange(1, N_CELLS) / N_CELLS
         check(np.concatenate([(ends[:, None] - steps).ravel(),
-                              (ends[:, None] + steps).ravel()]))
+                              (ends[:, None] + steps).ravel(), EXTREME_UNIFORMS]))
         # plus 1e6 Philox uniforms, in chunks
         total, chunk = 1_000_000, 1 << 18
         for start in range(0, total, chunk):
@@ -389,27 +426,6 @@ class TestBracketedDraws:
         simulate_scaled_error_ecdf(plan, "hard", ScalingFactor.conservative(setup),
                                    np.linspace(-4.0, 4.0, 41))
         assert 0 < sum(inverted) < 0.01 * plan.reps
-
-    def test_edge_cells_take_the_exact_path(self, monkeypatch):
-        setup = ProblemSetup(n=6, k=5, eta=0.3)
-        simulate._sigma_hat_bracket(setup.residual_dof)
-        inverted = []
-
-        def recording(p, m):
-            inverted.append(np.array(p))
-            return chi_sq_quantile(p, m)
-
-        monkeypatch.setattr(simulate, "chi_sq_quantile", recording)
-        plan = SimulationPlan(setup=setup, theta=0.0, reps=50_000, seed=9)
-        u_chi = uniform_field(plan.seed, 0, 2 * plan.reps)[1::2]
-        cell = (u_chi * N_CELLS).astype(np.intp)
-        edge = u_chi[(cell == 0) | (cell == N_CELLS - 1)]
-        assert edge.size > 10
-        for run in (lambda: simulate_coverage(plan, "soft", est_spec(0.9)),
-                    lambda: simulate_scaled_error_ecdf(plan, "soft", 2.0, [0.0])):
-            inverted.clear()
-            run()
-            assert np.isin(edge, np.concatenate(inverted)).all()
 
 
 class TestGridDecisions:
@@ -438,7 +454,7 @@ class TestGridDecisions:
 
     def test_z_bracket_encloses_exact_quantiles(self):
         lo, hi = simulate._z_bracket()
-        assert lo[0] == -math.inf and hi[-1] == math.inf
+        assert (lo[0], hi[-1]) == widened_extremes(std_normal_quantile)
         assert np.all(lo[1:] <= hi[:-1]) and np.all(np.diff(lo) > 0.0)
 
         def check(u):
@@ -449,7 +465,7 @@ class TestGridDecisions:
         steps = (np.arange(64) + 0.5) * 2.0 ** -53
         ends = np.arange(1, N_CELLS) / N_CELLS
         check(np.concatenate([(ends[:, None] - steps).ravel(),
-                              (ends[:, None] + steps).ravel()]))
+                              (ends[:, None] + steps).ravel(), EXTREME_UNIFORMS]))
         total, chunk = 1_000_000, 1 << 18
         for start in range(0, total, chunk):
             check(uniform_field(700, start, min(chunk, total - start)))
