@@ -22,6 +22,7 @@ import math
 import numpy as np
 
 from .estimators import EstimatorKind, _inverse, _switch_points
+from .finite_sample import _scale_free
 from .model import ProblemSetup, VarianceMode
 from .special import (
     DEFAULT_QUADRATURE,
@@ -92,8 +93,8 @@ def _coverage_core(kind: EstimatorKind, mu, reach_a, reach_b, eta, rn):
     the inverse map's open offset at the lower end and its closed offset at
     the upper end.
     """
-    hi, _ = _inverse(kind, mu, reach_a, eta)
-    lo, _ = _inverse(kind, mu, -reach_b, eta, closed=False)
+    hi = _inverse(kind, mu, reach_a, eta)
+    lo = _inverse(kind, mu, -reach_b, eta, closed=False)
     return np.minimum(np.maximum(_std_normal_cdf(rn * hi) - _std_normal_cdf(rn * lo),
                                  0.0), 1.0)
 
@@ -183,7 +184,10 @@ def unknown_coverage(kind, theta_i: float, sigma: float, spec: IntervalSpec,
 
     Averages the known-variance coverage over s = sigma_hat / sigma, with
     both the interval arms and the threshold scaled by s.  theta_i may be an
-    array, integrated as one batch; a scalar theta_i gives a float.
+    array, integrated as one batch; a scalar theta_i gives a float.  Rows
+    with theta_i = 0 skip the quadrature: both offsets then scale with s, so
+    the average is T_m(sqrt(n) hi) - T_m(sqrt(n) lo), hi and lo the closed
+    and open offsets at +-a / xi with s = 1.
     """
     kind = EstimatorKind(kind)
     if spec.mode is not VarianceMode.ESTIMATED:
@@ -195,7 +199,14 @@ def unknown_coverage(kind, theta_i: float, sigma: float, spec: IntervalSpec,
     thetas = theta.ravel()
     if not np.isfinite(thetas).all():
         raise DomainError("theta must be finite")
-    mus = thetas / (sigma * setup.xi)
+    zero = thetas == 0.0
+    value, bound = np.empty(thetas.shape), np.zeros(thetas.shape)
+    rn, eta = setup.root_n, setup.eta
+    if zero.any():
+        value[zero] = (_scale_free(kind, spec.a, setup.xi, eta, rn, m)
+                       - _scale_free(kind, -spec.a, setup.xi, eta, rn, m, closed=False))
+    rest = ~zero
+    mus = thetas[rest] / (sigma * setup.xi)
     reach = spec.a / setup.xi
 
     def f(nodes):
@@ -205,9 +216,10 @@ def unknown_coverage(kind, theta_i: float, sigma: float, spec: IntervalSpec,
                 * rho_density(s, m))
 
     upper = rho_upper_limit(m, DEFAULT_QUADRATURE.tail_mass_tol)
-    pts = _switch_points(kind, mus[:, None], np.array([reach, -reach]),
-                         setup.eta).reshape(len(mus), -1)
-    value, bound = integrate_halfline(f, pts, upper=upper, with_bound=True)
+    if mus.size:
+        pts = _switch_points(kind, mus[:, None], np.array([reach, -reach]),
+                             setup.eta).reshape(len(mus), -1)
+        value[rest], bound[rest] = integrate_halfline(f, pts, upper=upper, with_bound=True)
     return _clamp_unit(value.reshape(theta.shape), bound.reshape(theta.shape),
                        "unknown_coverage")
 

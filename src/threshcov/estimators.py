@@ -74,8 +74,7 @@ def _inverse(kind: EstimatorKind, mu, d, t, closed: bool = True):
     P(kernel(W) <= mu + d) = P(W <= mu + offset) and
     P(kernel(W) < mu + d) = P(W < mu + open offset).
 
-    Returns (offset, slope) = (g(mu + d) - mu, g'(mu + d)) for t > 0, soft's
-    slope as the float 1.0.  The offset is formed from d, never as a
+    Returns the offset g(mu + d) - mu for t > 0, formed from d, never as a
     difference with mu, so it keeps d's digits when |mu| is huge: hard keeps d
     (or goes to the dead-zone edge +-t - mu), soft shifts d by t, and adaptive
     soft takes the root A +- B of w^2 - c w - t^2 = 0 shifted by mu, through
@@ -84,20 +83,27 @@ def _inverse(kind: EstimatorKind, mu, d, t, closed: bool = True):
     c = mu + d
     up = c >= 0.0 if closed else c > 0.0
     if kind is EstimatorKind.HARD:
-        keep = np.abs(c) > t
-        return (np.where(keep, d, np.where(up, t, -t) - mu),
-                np.where(keep, 1.0, 0.0))
+        return np.where(np.abs(c) > t, d, np.where(up, t, -t) - mu)
     if kind is EstimatorKind.SOFT:
-        return np.where(up, d + t, d - t), 1.0
+        return np.where(up, d + t, d - t)
     big_a = 0.5 * (d - mu)
     big_b = np.hypot(0.5 * c, t)
     signed_b = np.where(up, big_b, -big_b)
     # A + signed_b does not cancel where both terms share a sign
     with np.errstate(divide="ignore", invalid="ignore"):
-        offset = np.where((big_a >= 0.0) == up, big_a + signed_b,
-                          (mu * d + t * t) / (signed_b - big_a))
-        slope = 0.5 + 0.25 * np.abs(c) / big_b
-    return offset, slope
+        return np.where((big_a >= 0.0) == up, big_a + signed_b,
+                        (mu * d + t * t) / (signed_b - big_a))
+
+
+def _inverse_slope(kind: EstimatorKind, mu, d, t):
+    """g'(mu + d), the slope of either :func:`_inverse`; soft's is 1.0."""
+    c = mu + d
+    if kind is EstimatorKind.HARD:
+        return np.where(np.abs(c) > t, 1.0, 0.0)
+    if kind is EstimatorKind.SOFT:
+        return 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return 0.5 + 0.25 * np.abs(c) / np.hypot(0.5 * c, t)
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")

@@ -5,7 +5,9 @@ watched component.  Conditionally on ``s = sigma_hat / sigma`` the error is a
 deterministic transform of a Gaussian, so CDF and density are mixtures over
 the density ``rho_m`` of s.  The mixture integrals are piecewise smooth in s
 with analytically known switch points; those are declared to the adaptive
-quadrature as panel breakpoints.
+quadrature as panel breakpoints.  At theta = 0 every offset of the inverse
+map is s times its value g1 at s = 1, so the mixture is the Student-t law
+T_m(sqrt(n) g1) and needs no quadrature (``_scale_free``).
 
 The law is mixed: when the true component is zero it has an atom at zero
 (the probability of thresholding to zero) plus an absolutely continuous
@@ -21,7 +23,8 @@ from typing import Callable
 
 import numpy as np
 
-from .estimators import _SMALLEST_NORMAL, EstimatorKind, _inverse, _switch_points
+from .estimators import (_SMALLEST_NORMAL, EstimatorKind, _inverse, _inverse_slope,
+                         _switch_points)
 from .model import ProblemSetup
 from .special import (
     DEFAULT_QUADRATURE,
@@ -34,6 +37,7 @@ from .special import (
     rho_density,
     rho_upper_limit,
     t_cdf,
+    t_pdf,
 )
 
 __all__ = [
@@ -88,10 +92,24 @@ def _cdf_integrand(kind: EstimatorKind, mu: float, slope: np.ndarray, eta: float
 
     def f(nodes):
         s, sl = _per_node(nodes, slope)
-        offset, _ = _inverse(kind, mu, sl * s, eta * s)
+        offset = _inverse(kind, mu, sl * s, eta * s)
         return _std_normal_cdf(rn * offset) * rho_density(s, m)
 
     return f
+
+
+def _scale_free(kind, x, scale, t, rn, m, closed=True, density=False):
+    """T_m(rn g1), g1 = _inverse(kind, 0, x / scale, t): the mixture over s
+    at mu = 0, where every offset is s g1.  density=True gives its
+    x-derivative rn g' t_m(rn g1) / scale, 0 where t_m underflows."""
+    with np.errstate(over="ignore"):
+        d = x / scale
+        arg = rn * _inverse(kind, 0.0, d, t, closed)
+        if not density:
+            return t_cdf(arg, m)
+        pdf = t_pdf(arg, m)
+        return np.where(pdf > 0.0, rn * _inverse_slope(kind, 0.0, d, t) * pdf / scale,
+                        0.0)
 
 
 def tilde_cdf(kind, x, setup: ProblemSetup, theta_i: float, alpha):
@@ -105,7 +123,7 @@ def tilde_cdf(kind, x, setup: ProblemSetup, theta_i: float, alpha):
     a = ScalingFactor(alpha)
     if not math.isfinite(theta_i):
         raise DomainError("theta must be finite")
-    setup.require_estimated_variance()
+    m = setup.require_estimated_variance()
     x = np.asarray(x, dtype=float)
     finite = np.isfinite(x)
     if not finite.all() and np.isnan(x).any():
@@ -113,7 +131,9 @@ def tilde_cdf(kind, x, setup: ProblemSetup, theta_i: float, alpha):
     out = np.array(x > 0.0, dtype=float)
     bound = np.zeros(x.shape)
     xs = x[finite]
-    if xs.size:
+    if xs.size and theta_i == 0.0:
+        out[finite] = _scale_free(kind, xs, a * setup.xi, setup.eta, setup.root_n, m)
+    elif xs.size:
         mu = theta_i / (setup.sigma * setup.xi)
         slope = xs / (a * setup.xi)
         upper = rho_upper_limit(setup.residual_dof, DEFAULT_QUADRATURE.tail_mass_tol)
@@ -132,9 +152,9 @@ def _density_integrand(kind: EstimatorKind, mu: float, slope: np.ndarray,
 
     def f(nodes):
         s, sl = _per_node(nodes, slope)
-        offset, g_prime = _inverse(kind, mu, sl * s, eta * s)
-        return (rn * s * dslope * g_prime * _std_normal_pdf(rn * offset)
-                * rho_density(s, m))
+        d, t = sl * s, eta * s
+        return (rn * s * dslope * _inverse_slope(kind, mu, d, t)
+                * _std_normal_pdf(rn * _inverse(kind, mu, d, t)) * rho_density(s, m))
 
     return f
 
@@ -186,14 +206,15 @@ def tilde_density(kind, x, setup: ProblemSetup, theta_i: float, alpha):
         raise DomainError("density argument must be finite")
     q = theta_i / setup.sigma
     out = np.zeros(x.shape)
-    live = np.ones(x.shape, dtype=bool)
     if q == 0.0:
         # at the atom, and inside the hard dead zone, there is no density
         live = x != 0.0
         if kind is EstimatorKind.HARD:
             live &= np.abs(x) > a * setup.xi * setup.eta
-    xs = x[live]
-    if xs.size:
+        out[live] = _scale_free(kind, x[live], a * setup.xi, setup.eta, setup.root_n,
+                                setup.residual_dof, density=True)
+    elif x.size:
+        xs = x.ravel()
         mu = theta_i / (setup.sigma * setup.xi)
         slope = xs / (a * setup.xi)
         upper = rho_upper_limit(setup.residual_dof, DEFAULT_QUADRATURE.tail_mass_tol)
@@ -202,9 +223,7 @@ def tilde_density(kind, x, setup: ProblemSetup, theta_i: float, alpha):
                                setup.residual_dof, 1.0 / (a * setup.xi)),
             _switch_points(kind, mu, slope, setup.eta),
             upper=upper)
-        if q != 0.0:
-            value += _kill_kernel_term(xs, q, setup, a)
-        out[live] = np.maximum(0.0, value)
+        out = np.maximum(0.0, value + _kill_kernel_term(xs, q, setup, a)).reshape(x.shape)
     return float(out) if out.ndim == 0 else out
 
 

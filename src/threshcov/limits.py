@@ -20,8 +20,8 @@ from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
-from .estimators import EstimatorKind, _inverse, _switch_points
-from .finite_sample import ScalingFactor, _cdf_integrand, tilde_cdf
+from .estimators import EstimatorKind, _switch_points
+from .finite_sample import ScalingFactor, _cdf_integrand, _scale_free, tilde_cdf
 from .model import ProblemSetup
 from .special import (
     DEFAULT_QUADRATURE,
@@ -135,9 +135,7 @@ def conservative_limit_cdf(kind, x, regime: ConservativeRegime) -> float:
         out[finite] = t_cdf(xs + math.copysign(e, nu) if kind is EstimatorKind.SOFT
                             else xs, m)
     elif nu == 0.0:
-        # the inverse map's offset is then s times its value at s = 1, so
-        # the mixture over s is a t CDF
-        out[finite] = t_cdf(_inverse(kind, 0.0, xs, e)[0], m)
+        out[finite] = _scale_free(kind, xs, 1.0, e, 1.0, m)
     elif xs.size:
         upper = rho_upper_limit(m, DEFAULT_QUADRATURE.tail_mass_tol)
         out[finite], bound[finite] = integrate_halfline(

@@ -314,7 +314,7 @@ class _Ecdf:
         a, theta, grid = self.a, self.theta, self.grid
         # a sum or quotient that overflows to +-inf is still a bound, as is
         # the exact error, which rounds the same way
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             # x / s is monotone in s
             num_lo = a * (est_lo - theta)
             num_hi = a * (est_hi - theta)
@@ -323,13 +323,15 @@ class _Ecdf:
             # a killed estimate is exactly 0, so its slack scales with theta only
             slack = _MARGIN * a * (np.maximum(np.abs(est_lo), np.abs(est_hi))
                                    + abs(theta)) / s_lo
-            j = np.searchsorted(grid, err_lo - slack, "left")
+            # fmin: err_lo - slack is inf - inf = NaN for an error at +inf
+            j = np.searchsorted(grid, np.fmin(err_lo - slack, err_lo), "left")
             # the first grid point at or above every error of bin j
             ceiling = np.append(grid, math.inf)[j]
             zero = (est_lo == 0.0) & (est_hi == 0.0)
             certain = (err_hi + slack <= ceiling) & (zero | (est_lo > 0.0) | (est_hi < 0.0))
         return j + self.width * zero, certain
 
+    @np.errstate(over="ignore")
     def exact(self, est, s):
         j = np.searchsorted(self.grid, self.a * (est - self.theta) / s, "left")
         return j + self.width * (est == 0.0)

@@ -210,12 +210,15 @@ def t_pdf(x, m):
     """Density of Student's t with m degrees of freedom; rejects NaN."""
     m = _check_dof(m)
     x_arr = np.asarray(x, dtype=float)
-    log_norm = (_sp.gammaln(0.5 * (m + 1)) - _sp.gammaln(0.5 * m)
-                - 0.5 * math.log(m * math.pi))
     with np.errstate(under="ignore"):
-        out = np.exp(log_norm - 0.5 * (m + 1) * np.log1p(x_arr * x_arr / m))
+        out = np.exp(_t_log_norm(m) - 0.5 * (m + 1) * np.log1p(x_arr * x_arr / m))
     out = _nan_checked(out, "t density")
     return out if out.ndim else float(out)
+
+
+@functools.lru_cache(maxsize=1024)
+def _t_log_norm(m: int) -> float:
+    return _sp.gammaln(0.5 * (m + 1)) - _sp.gammaln(0.5 * m) - 0.5 * math.log(m * math.pi)
 
 
 def t_quantile(p, m):

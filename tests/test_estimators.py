@@ -16,7 +16,7 @@ from threshcov import (
     estimate,
     kernel,
 )
-from threshcov.estimators import _inverse, _switch_points
+from threshcov.estimators import _inverse, _inverse_slope, _switch_points
 
 finite = st.floats(-1e6, 1e6, allow_nan=False)
 cutoffs = st.floats(0.0, 1e6, allow_nan=False)
@@ -142,7 +142,8 @@ class TestKernelMonotone:
 
 class TestInverse:
     """_inverse against the forward map: it undoes kernel off the dead zone,
-    straddles the kill atom, and its slope is the derivative of its offset."""
+    straddles the kill atom, and _inverse_slope is the derivative of its
+    offset."""
 
     kinds = st.sampled_from(list(EstimatorKind))
     moderate = st.floats(-1e6, 1e6, allow_nan=False)
@@ -156,7 +157,7 @@ class TestInverse:
         if not reachable:
             return
         for closed in (True, False):
-            offset, _ = _inverse(kind, mu, d, t, closed)
+            offset = _inverse(kind, mu, d, t, closed)
             assert kernel(kind, mu + offset, t) == pytest.approx(
                 c, rel=1e-12, abs=1e-12 * (abs(mu) + abs(d) + t))
 
@@ -164,8 +165,8 @@ class TestInverse:
     @settings(deadline=None)
     def test_straddles_the_atom(self, kind, mu, t):
         scale = 1e-12 * (abs(mu) + t)
-        closed, _ = _inverse(kind, mu, -mu, t)
-        open_, _ = _inverse(kind, mu, -mu, t, closed=False)
+        closed = _inverse(kind, mu, -mu, t)
+        open_ = _inverse(kind, mu, -mu, t, closed=False)
         assert closed == pytest.approx(t - mu, rel=1e-12, abs=scale)
         assert open_ == pytest.approx(-t - mu, rel=1e-12, abs=scale)
 
@@ -178,9 +179,9 @@ class TestInverse:
         kinks = (0.0, t, -t) if kind is EstimatorKind.HARD else (0.0,)
         if min(abs(c - k) for k in kinks) < 10.0 * h:
             return
-        _, slope = _inverse(kind, mu, d, t)
-        up, _ = _inverse(kind, mu, d + h, t)
-        down, _ = _inverse(kind, mu, d - h, t)
+        slope = _inverse_slope(kind, mu, d, t)
+        up = _inverse(kind, mu, d + h, t)
+        down = _inverse(kind, mu, d - h, t)
         assert slope == pytest.approx((up - down) / (2.0 * h), abs=1e-6)
 
     @pytest.mark.parametrize("kind", list(EstimatorKind))
@@ -188,7 +189,8 @@ class TestInverse:
     def test_huge_mu_keeps_digits_of_d(self, kind, mu):
         t = 0.7
         d = np.array([0.3, -0.123456789, 2.5e-3])
-        offset, slope = _inverse(kind, mu, d, t)
+        offset = _inverse(kind, mu, d, t)
+        slope = _inverse_slope(kind, mu, d, t)
         shift = {EstimatorKind.HARD: 0.0,
                  EstimatorKind.SOFT: math.copysign(t, mu),
                  EstimatorKind.ADAPTIVE_SOFT: t * t / mu}[kind]

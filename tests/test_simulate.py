@@ -381,6 +381,21 @@ class TestBracketedDraws:
                 np.testing.assert_array_equal(res.values, counts / plan.reps)
                 assert res.zero_mass == zeros / plan.reps
 
+    @pytest.mark.parametrize("kind", ["hard", "soft", "asoft"])
+    def test_overflowing_errors_at_an_infinite_grid_point(self, kind):
+        # a (est - theta) / s overflows: an error enclosure at +inf with an
+        # overflowing slack gave inf - inf = NaN, which sorted past the +inf
+        # grid point, with "invalid value" warnings
+        setup = ProblemSetup(n=6, k=5, sigma=1e300, eta=0.3)
+        plan = SimulationPlan(setup=setup, theta=0.0, reps=20_000, seed=9)
+        grid = np.array([0.0, math.inf])
+        res = simulate_scaled_error_ecdf(plan, kind, 1e100, grid)
+        with np.errstate(over="ignore"):
+            counts, zeros = reference_ecdf(plan, kind, 1e100, grid)
+        assert counts[1] == plan.reps
+        np.testing.assert_array_equal(res.values, counts / plan.reps)
+        assert res.zero_mass == zeros / plan.reps
+
     @pytest.mark.parametrize("m", BRACKET_DOFS)
     def test_bracket_encloses_exact_quantiles(self, m):
         lo, hi = simulate._sigma_hat_bracket(m)

@@ -13,12 +13,17 @@ temporary file.  The exit code and the sha256 of stdout, stderr and the
 own check compares artifacts within 1e-8 and rerun checks compare one tree
 with itself, so only this gate sees a byte change across commits.
 
+On a mismatch, when ``perfbench/ref/artifacts.json.gz`` (read, never
+modified) records the command's output, the first line of stdout that
+differs from it is printed next to the recorded line.
+
 Exit status: 0 when every command matches; 1 otherwise.
 """
 
 from __future__ import annotations
 
 import contextlib
+import gzip
 import hashlib
 import io
 import json
@@ -28,6 +33,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 DIGESTS = Path(__file__).resolve().parent / "cli_bytes.json"
+ARTIFACTS = ROOT / "perfbench" / "ref" / "artifacts.json.gz"
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import workloads  # noqa: E402
@@ -55,8 +61,20 @@ def run(argv: list[str]) -> tuple[int, bytes, bytes]:
     return code, out.getvalue().encode("utf-8"), err.getvalue().encode("utf-8")
 
 
-def digest(argv: list[str], tmp: Path) -> dict:
+def first_difference(got: str, recorded: str) -> str:
+    """The first line (1-based) where got and recorded differ, both shown."""
+    got_lines, ref_lines = got.splitlines(), recorded.splitlines()
+    for i in range(max(len(got_lines), len(ref_lines))):
+        mine = got_lines[i] if i < len(got_lines) else "<no line>"
+        theirs = ref_lines[i] if i < len(ref_lines) else "<no line>"
+        if mine != theirs:
+            return f"line {i + 1}: got {mine!r}, recorded {theirs!r}"
+    return "stdout equal to the recorded output"
+
+
+def digest(argv: list[str], tmp: Path, outputs: dict) -> dict:
     code, out, err = run(argv)
+    outputs[" ".join(argv)] = out.decode("utf-8")
     path = tmp / "artifact.out"
     file_code, file_out, file_err = run(argv + ["--out", str(path)])
     return {
@@ -72,19 +90,25 @@ def digest(argv: list[str], tmp: Path) -> dict:
 
 def main(argv=None) -> int:
     record = "--record" in (sys.argv[1:] if argv is None else argv)
+    outputs = {}
     with tempfile.TemporaryDirectory() as tmp:
-        got = {" ".join(a): digest(a, Path(tmp)) for a in commands()}
+        got = {" ".join(a): digest(a, Path(tmp), outputs) for a in commands()}
     if record:
         DIGESTS.write_text(json.dumps(got, indent=1) + "\n", encoding="utf-8")
         print(f"check_cli_bytes: recorded {len(got)} commands in {DIGESTS.name}")
         return 0
     want = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    with gzip.open(ARTIFACTS, "rt", encoding="utf-8") as fh:
+        recorded = json.load(fh)
     failures = [f"{key}: missing from {DIGESTS.name}" for key in got if key not in want]
     failures += [f"{key}: recorded but not run" for key in want if key not in got]
     for key, entry in got.items():
         if key in want and entry != want[key]:
             fields = sorted(f for f in entry if entry[f] != want[key].get(f))
             failures.append(f"{key}: {', '.join(fields)} differ")
+            if key in recorded:
+                line = first_difference(outputs[key], recorded[key]["output"])
+                failures.append(f"{key}: {line}")
     for line in failures:
         print(f"check_cli_bytes: FAIL {line}")
     matched = sum(key in want and entry == want[key] for key, entry in got.items())
