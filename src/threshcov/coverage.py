@@ -8,14 +8,15 @@ zero) plus one active branch per sign, each a Gaussian interval probability
 after inverting the thresholding map.  Estimated-variance coverage averages
 the same expression over the law of sigma_hat / sigma.
 
-Worst-case coverage over the unknown parameter is available exactly for
-known variance, and via guaranteed lower/upper bounds plus a numerical
-search for estimated variance.
+Worst-case coverage has one closed form: the known-variance infimum under
+Phi and, under the Student-t CDF T_m (m = n - k), a lower bound for estimated
+variance that a numerical search complements and that tends to it as m grows.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import logging
 import math
 
@@ -31,11 +32,11 @@ from .special import (
     _clamp_unit,
     _per_node,
     _std_normal_cdf,
+    _t_cdf,
     find_root,
     integrate_halfline,
     rho_density,
     rho_upper_limit,
-    std_normal_cdf,
     t_cdf,
 )
 
@@ -80,10 +81,6 @@ class IntervalSpec:
         if self.mode is VarianceMode.ESTIMATED and self.a != self.b:
             raise DomainError("estimated-variance intervals must be symmetric")
 
-    @classmethod
-    def symmetric(cls, a: float, mode: VarianceMode = VarianceMode.KNOWN) -> "IntervalSpec":
-        return cls(a, a, mode)
-
 
 def _coverage_core(kind: EstimatorKind, mu, reach_a, reach_b, eta, rn):
     """Coverage with everything on the scale W = LS estimate / (sigma xi).
@@ -119,63 +116,74 @@ def known_coverage(kind, theta_i: float, sigma: float, spec: IntervalSpec,
     return float(value)
 
 
+def _variance_cdf(mode: VarianceMode, setup: ProblemSetup):
+    """Law of the studentized LS error: Phi, or T_m (m = n - k) if estimated."""
+    if mode is VarianceMode.KNOWN:
+        return _std_normal_cdf
+    return functools.partial(_t_cdf, setup.require_estimated_variance())
+
+
+def _infimum(kind: EstimatorKind, a: float, b: float, setup: ProblemSetup, cdf) -> float:
+    """Infimum over the parameter of the coverage of [estimate - c a,
+    estimate + c b]: exact under cdf = Phi, a bound under T_m (a == b),
+    attained for soft.  Finite arms give cdf no NaN.  Hard coverage is 0 once
+    the dead zone outgrows the interval, where the formula turns negative."""
+    xi, eta, rn = setup.xi, setup.eta, setup.root_n
+    small, large = (a, b) if a <= b else (b, a)
+    if kind is EstimatorKind.HARD:
+        if xi * eta > a + b:
+            return 0.0
+        far = -rn * large / xi
+    elif kind is EstimatorKind.SOFT:
+        far = rn * (-large / xi - eta)
+    else:  # halved after dividing, as 2 xi and a + b = 2 a may overflow
+        half_sum = a / xi if a == b else 0.5 * ((a + b) / xi)
+        far = rn * (0.5 * ((small - large) / xi) - math.hypot(half_sum, eta))
+    value = float(cdf(rn * (small / xi - eta)) - cdf(far))
+    if value < 0.0:
+        logger.debug("infimal coverage %g clamped to 0", value)
+        return 0.0
+    return value
+
+
 def infimal_known_coverage(kind, spec: IntervalSpec, setup: ProblemSetup) -> float:
     """Exact infimum over the parameter of the known-variance coverage."""
     kind = EstimatorKind(kind)
     if spec.mode is not VarianceMode.KNOWN:
         raise DomainError("infimal_known_coverage needs a known-variance interval")
-    a, b = spec.a, spec.b
-    xi, eta, rn = setup.xi, setup.eta, setup.root_n
-    small = min(a, b)
-    large = max(a, b)
-    if kind is EstimatorKind.HARD:
-        if xi * eta > a + b:
-            return 0.0
-        value = (std_normal_cdf(rn * (small / xi - eta))
-                 - std_normal_cdf(-rn * large / xi))
-    elif kind is EstimatorKind.SOFT:
-        value = (std_normal_cdf(rn * (small / xi - eta))
-                 - std_normal_cdf(rn * (-large / xi - eta)))
-    else:
-        value = (std_normal_cdf(rn * (small / xi - eta))
-                 - std_normal_cdf(rn * ((small - large) / (2.0 * xi)
-                                        - math.hypot((a + b) / (2.0 * xi), eta))))
-    value = float(value)
-    if value < 0.0:
-        logger.debug("infimal known coverage %g clamped to 0", value)
-        return 0.0
-    return value
+    return _infimum(kind, spec.a, spec.b, setup, _variance_cdf(spec.mode, setup))
 
 
-def _solve_half_length(objective, kind: EstimatorKind, setup: ProblemSetup) -> float:
+def _solve_half_length(kind, alpha: float, setup: ProblemSetup, mode: VarianceMode) -> float:
+    """Shortest symmetric half-length a (units of c) with _infimum 1 - alpha."""
+    kind = EstimatorKind(kind)
+    if not 0.0 < alpha < 1.0:
+        raise DomainError("alpha must lie in (0, 1)")
+    target = 1.0 - alpha
+    cdf = _variance_cdf(mode, setup)
+
+    def objective(a):
+        return _infimum(kind, a, a, setup, cdf) - target
+
+    # below xi eta / 2 the hard infimum is identically zero
     lo = 0.5 * setup.xi * setup.eta if kind is EstimatorKind.HARD else 0.0
     hi = max(setup.xi * setup.eta, setup.xi / setup.root_n)
     for _ in range(200):
-        if objective(hi) > 0.0:
+        if hi < math.inf and objective(hi) > 0.0:
             break
         hi *= 2.0
     else:
         raise BracketError("could not bracket the half-length equation")
-    return find_root(objective, lo, hi)
+    root = find_root(objective, lo, hi)
+    if kind is EstimatorKind.HARD:
+        assert root > lo
+    return root
 
 
 def solve_known_half_length(kind, alpha: float, setup: ProblemSetup) -> float:
     """Shortest symmetric known-variance half-length a (in units of sigma)
     with infimal coverage 1 - alpha."""
-    kind = EstimatorKind(kind)
-    if not 0.0 < alpha < 1.0:
-        raise DomainError("alpha must lie in (0, 1)")
-    target = 1.0 - alpha
-
-    def objective(a):
-        return infimal_known_coverage(
-            kind, IntervalSpec(a, a, VarianceMode.KNOWN), setup) - target
-
-    root = _solve_half_length(objective, kind, setup)
-    if kind is EstimatorKind.HARD:
-        # below xi eta / 2 the hard infimum is identically zero
-        assert root > 0.5 * setup.xi * setup.eta
-    return root
+    return _solve_half_length(kind, alpha, setup, VarianceMode.KNOWN)
 
 
 def unknown_coverage(kind, theta_i: float, sigma: float, spec: IntervalSpec,
@@ -225,31 +233,13 @@ def unknown_coverage(kind, theta_i: float, sigma: float, spec: IntervalSpec,
 
 
 def lower_bound_unknown(kind, spec: IntervalSpec, setup: ProblemSetup) -> float:
-    """Guaranteed lower bound on the estimated-variance coverage, any theta.
-
-    For soft thresholding the bound is attained (it equals the infimum);
-    for hard and adaptive soft it is a bound, clamped at zero.
-    """
+    """Guaranteed lower bound on the estimated-variance coverage, any theta:
+    the known-variance infimum under T_m.  Attained for soft thresholding;
+    for hard and adaptive soft a bound, clamped at zero."""
     kind = EstimatorKind(kind)
     if spec.mode is not VarianceMode.ESTIMATED:
         raise DomainError("lower_bound_unknown needs an estimated-variance interval")
-    return _lower_bound(kind, spec.a, setup, setup.require_estimated_variance())
-
-
-def _lower_bound(kind: EstimatorKind, a: float, setup: ProblemSetup, m: int) -> float:
-    """:func:`lower_bound_unknown` at half-length a, its arguments checked."""
-    xi, eta, rn = setup.xi, setup.eta, setup.root_n
-    leading = t_cdf(rn * (a / xi - eta), m)
-    if kind is EstimatorKind.SOFT:
-        return float(leading - t_cdf(rn * (-a / xi - eta), m))
-    if kind is EstimatorKind.HARD:
-        value = float(leading - t_cdf(-rn * a / xi, m))
-    else:
-        value = float(leading - t_cdf(-rn * math.hypot(a / xi, eta), m))
-    if value < 0.0:
-        logger.debug("lower bound %g clamped to 0", value)
-        return 0.0
-    return value
+    return _infimum(kind, spec.a, spec.b, setup, _variance_cdf(spec.mode, setup))
 
 
 def upper_bound_unknown(spec: IntervalSpec, setup: ProblemSetup) -> float:
@@ -270,16 +260,7 @@ def upper_bound_unknown(spec: IntervalSpec, setup: ProblemSetup) -> float:
 def solve_unknown_half_length(kind, alpha: float, setup: ProblemSetup) -> float:
     """Shortest symmetric estimated-variance half-length a (in units of
     sigma_hat) whose guaranteed lower bound equals 1 - alpha."""
-    kind = EstimatorKind(kind)
-    if not 0.0 < alpha < 1.0:
-        raise DomainError("alpha must lie in (0, 1)")
-    target = 1.0 - alpha
-    m = setup.require_estimated_variance()
-
-    def objective(a):
-        return _lower_bound(kind, a, setup, m) - target
-
-    return _solve_half_length(objective, kind, setup)
+    return _solve_half_length(kind, alpha, setup, VarianceMode.ESTIMATED)
 
 
 def _golden_section_min(f, lo: float, hi: float, tol: float):
@@ -341,10 +322,8 @@ def simple_interval_infimal(kind, d: float, setup: ProblemSetup,
     """Infimal coverage of the threshold-proportional interval with
     half-length d * c * xi * eta (c = sigma or sigma_hat by mode)."""
     kind = EstimatorKind(kind)
-    mode = VarianceMode(mode)
     if not (d >= 0.0 and math.isfinite(d)):
         raise DomainError("d must be finite and nonnegative")
     a = d * setup.xi * setup.eta
-    if mode is VarianceMode.KNOWN:
-        return infimal_known_coverage(kind, IntervalSpec(a, a, mode), setup)
-    return lower_bound_unknown(kind, IntervalSpec(a, a, mode), setup)
+    spec = IntervalSpec(a, a, mode)  # rejects an arm that overflowed
+    return _infimum(kind, a, a, setup, _variance_cdf(spec.mode, setup))

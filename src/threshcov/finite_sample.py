@@ -104,6 +104,8 @@ def _scale_free(kind, x, scale, t, rn, m, closed=True, density=False):
     x-derivative rn g' t_m(rn g1) / scale, 0 where t_m underflows."""
     with np.errstate(over="ignore"):
         d = x / scale
+        if not (d.all() if isinstance(d, np.ndarray) else d):  # keep x != 0 off the atom
+            d = np.where((d == 0.0) & (x != 0.0), np.copysign(math.ulp(0.0), x), d)
         arg = rn * _inverse(kind, 0.0, d, t, closed)
         if not density:
             return t_cdf(arg, m)

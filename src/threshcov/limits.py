@@ -26,6 +26,7 @@ from .model import ProblemSetup
 from .special import (
     DEFAULT_QUADRATURE,
     DomainError,
+    _check_dof,
     _clamp_unit,
     chi_sq_cdf,
     integrate_halfline,
@@ -48,14 +49,7 @@ _EXCLUSION_RADIUS = 0.05
 
 
 def _check_limit_dof(m):
-    if isinstance(m, float) and math.isinf(m) and m > 0:
-        return math.inf
-    if isinstance(m, float) and not m.is_integer():
-        raise DomainError("degrees of freedom must be a positive integer or inf")
-    m = int(m)
-    if m < 1:
-        raise DomainError("degrees of freedom must be a positive integer or inf")
-    return m
+    return math.inf if m == math.inf else _check_dof(m)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -130,9 +130,10 @@ def _nan_checked(out, what: str):
     return out
 
 
-# Unchecked forms for integrands, which evaluate them on every quadrature
-# round: a NaN argument gives NaN, which the integrator reports itself.
+# Unchecked forms for integrands and the coverage infimum, evaluated on every
+# round: the integrator reports a NaN, and the infimum's arguments form none.
 _std_normal_cdf = _sp.ndtr
+_t_cdf = _sp.stdtr  # (m, x), m already checked
 
 
 @np.errstate(under="ignore")

@@ -251,7 +251,7 @@ def test_criterion_07_infimum_formula_vs_search():
     failures = []
     for kind in KINDS:
         for a in (0.25, 0.34, 0.6):
-            spec = IntervalSpec.symmetric(a)
+            spec = IntervalSpec(a, a)
             closed = infimal_known_coverage(kind, spec, setup)
             direct = direct_known_minimum(kind, spec, setup, known_coverage,
                                           _golden_section_min)
@@ -346,7 +346,7 @@ def test_criterion_09iii_variance_estimation_washes_out():
     gaps = {}
     for kind in KINDS:
         a = solve_known_half_length(kind, 0.01, setup)
-        known_inf = infimal_known_coverage(kind, IntervalSpec.symmetric(a), setup)
+        known_inf = infimal_known_coverage(kind, IntervalSpec(a, a), setup)
         unknown_min, _ = min_coverage_search(kind, est_spec(a), setup)
         gaps[kind.value] = abs(known_inf - unknown_min)
     ok = all(g <= 0.01 for g in gaps.values())

@@ -66,11 +66,11 @@ class TestIntervalSpec:
             IntervalSpec(0.1, math.inf)
         with pytest.raises(DomainError):
             IntervalSpec(0.1, 0.2, VarianceMode.ESTIMATED)
-        spec = IntervalSpec.symmetric(0.3)
+        spec = IntervalSpec(0.3, 0.3)
         assert spec.a == spec.b == 0.3 and spec.mode is VarianceMode.KNOWN
 
     def test_mode_cross_checks(self):
-        known = IntervalSpec.symmetric(0.3)
+        known = IntervalSpec(0.3, 0.3)
         est = est_spec(0.3)
         with pytest.raises(DomainError):
             unknown_coverage("hard", 0.0, 1.0, known, SETUP)
@@ -89,7 +89,7 @@ class TestIntervalSpec:
 class TestKnownCoverage:
     @pytest.mark.parametrize("kind", KINDS)
     def test_scale_equivariance(self, kind):
-        spec = IntervalSpec.symmetric(0.3)
+        spec = IntervalSpec(0.3, 0.3)
         a = known_coverage(kind, 0.3, 2.0, spec, SETUP)
         b = known_coverage(kind, 0.15, 1.0, spec, SETUP)
         assert a == pytest.approx(b, abs=1e-12)
@@ -123,13 +123,13 @@ class TestKnownCoverage:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_in_unit_range(self, kind):
-        spec = IntervalSpec.symmetric(0.33)
+        spec = IntervalSpec(0.33, 0.33)
         for theta in np.linspace(-1.5, 1.5, 31):
             v = known_coverage(kind, float(theta), 1.0, spec, SETUP)
             assert 0.0 <= v <= 1.0
 
     def test_sigma_validation(self):
-        spec = IntervalSpec.symmetric(0.3)
+        spec = IntervalSpec(0.3, 0.3)
         with pytest.raises(DomainError):
             known_coverage("hard", 0.0, 0.0, spec, SETUP)
         with pytest.raises(DomainError):
@@ -159,8 +159,22 @@ class TestInfimalKnown:
         assert infimal_known_coverage("hard", spec, setup) == 0.0
 
     @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("arms", [(0.1, 0.1), (0.08, 0.2)])
+    def test_huge_xi(self, kind, arms):
+        # the infimum depends on the arms through a / xi and b / xi only;
+        # at xi = 1e308 the adaptive-soft terms must not form 2 xi (inf).
+        # The arms stay below 1.8e308 / sqrt(n), where hard's rn a overflows.
+        a, b = arms
+        huge = ProblemSetup(n=40, k=35, xi=1e308, eta=0.05)
+        unit = ProblemSetup(n=40, k=35, eta=0.05)
+        got = infimal_known_coverage(kind, IntervalSpec(a * 1e308, b * 1e308), huge)
+        want = infimal_known_coverage(kind, IntervalSpec(a, b), unit)
+        assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("kind", KINDS)
     def test_never_above_pointwise(self, kind):
-        spec = IntervalSpec.symmetric(ROOTS_KNOWN[kind.value])
+        a = ROOTS_KNOWN[kind.value]
+        spec = IntervalSpec(a, a)
         inf_val = infimal_known_coverage(kind, spec, SETUP)
         for theta in np.linspace(0.0, 1.0, 26):
             assert inf_val <= known_coverage(kind, float(theta), 1.0, spec,
@@ -172,7 +186,7 @@ class TestKnownSolver:
     def test_frozen_roots(self, kind):
         root = solve_known_half_length(kind, 0.05, SETUP)
         assert root == pytest.approx(ROOTS_KNOWN[kind.value], abs=1e-9)
-        spec = IntervalSpec.symmetric(root)
+        spec = IntervalSpec(root, root)
         assert infimal_known_coverage(kind, spec, SETUP) == pytest.approx(
             0.95, abs=1e-9)
 
@@ -359,6 +373,24 @@ class TestBounds:
         value, _ = min_coverage_search("soft", spec, SETUP)
         assert value == pytest.approx(lower_bound_unknown("soft", spec, SETUP),
                                       abs=1e-9)
+
+
+class TestManyResidualDof:
+    """As m = n - k grows, T_m tends to Phi at rate 1/m, so the
+    estimated-variance bound and its half-length carry over to the
+    known-variance ones with gaps below 1/m (at most about 0.18/m and
+    0.52/m at k = 35)."""
+
+    @pytest.mark.parametrize("m", [10 ** 3, 10 ** 6])
+    @pytest.mark.parametrize("eta", [0.05, 0.5])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_bound_and_half_length_carry_over(self, kind, eta, m):
+        setup = ProblemSetup(n=35 + m, k=35, eta=eta)
+        a = solve_known_half_length(kind, 0.05, setup)
+        known = infimal_known_coverage(kind, IntervalSpec(a, a), setup)
+        assert m * abs(lower_bound_unknown(kind, est_spec(a), setup) - known) < 1.0
+        a_est = solve_unknown_half_length(kind, 0.05, setup)
+        assert m * abs(a_est - a) / a < 1.0
 
 
 class TestMinSearch:

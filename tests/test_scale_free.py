@@ -192,6 +192,21 @@ class TestExtremeSlopes:
         assert got == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("kind", KINDS)
+    def test_underflowing_slope_keeps_its_side(self, kind):
+        # x / (a xi) underflows to -+0.0 for x = -+5e-324, which is not the
+        # atom: F(x) is T_m(-+sqrt(n) eta) on either side of it, F(+-0) holds
+        # the atom, and at theta = 1e-300 the kill error -a theta / s ~ -1 / s
+        # lies below x, so F(x) holds the killed mass there
+        below = t_cdf(-self.setup.root_n * self.setup.eta, 5)
+        xs = np.array([-5e-324, -0.0, 0.0, 5e-324])
+        np.testing.assert_allclose(tilde_cdf(kind, xs, self.setup, 0.0, 1e300),
+                                   [below, 1.0 - below, 1.0 - below, 1.0 - below],
+                                   rtol=1e-15)
+        assert tilde_cdf(kind, -5e-324, self.setup, 0.0, 1e300) == below
+        assert tilde_cdf(kind, -5e-324, self.setup, 1e-300, 1e300) == pytest.approx(
+            1.0 - below, abs=1e-10)
+
+    @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("a", [5e-324, 1e-10, 1.0, 1e300])
     @pytest.mark.parametrize("theta", [0.0, -0.0])
     def test_never_nan(self, kind, a, theta):

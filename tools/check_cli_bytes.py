@@ -6,7 +6,8 @@
 
 Runs each command of ``perfbench/workloads.artifact_tasks()`` and
 ``PROBE_ARTIFACTS`` (imported, never modified), plus ``table1 --fast
---check``, through ``threshcov.cli.main`` in this one process, in that order.
+--check`` and the ``OFF_REFERENCE`` interval commands, through
+``threshcov.cli.main`` in this one process, in that order.
 Each command runs twice: once to stdout and once with ``--out`` to a
 temporary file.  The exit code and the sha256 of stdout, stderr and the
 ``--out`` file are compared with ``tools/cli_bytes.json``.  The benchmark's
@@ -40,9 +41,20 @@ import workloads  # noqa: E402
 from threshcov import cli  # noqa: E402
 
 
+# Interval solves away from the reference eta and xi: a threshold far below
+# and far above the noise scale, each kind in both variance modes.
+OFF_REFERENCE = [
+    ["interval", "--kind", kind, "--mode", mode, "--eta", eta,
+     "--xi", "0.3", "--alpha", "0.01"]
+    for eta in ("0.01", "2") for kind in ("hard", "soft", "asoft")
+    for mode in ("known", "estimated")
+]
+
+
 def commands() -> list[list[str]]:
     argvs = workloads.artifact_tasks() + list(workloads.PROBE_ARTIFACTS)
     argvs.append(["table1", "--fast", "--check"])
+    argvs += OFF_REFERENCE
     unique = []
     for argv in argvs:
         if argv not in unique:
