@@ -23,6 +23,7 @@ import numpy as np
 
 from .coverage import (
     IntervalSpec,
+    _plain_coverage,
     infimal_known_coverage,
     lower_bound_unknown,
     min_coverage_search,
@@ -39,7 +40,7 @@ from .limits import (
     weak_convergence_gaps,
 )
 from .model import ProblemSetup, VarianceMode, standard_ls_interval
-from .special import BracketError, DomainError, NumericsError, std_normal_cdf
+from .special import BracketError, DomainError, NumericsError
 
 __all__ = ["main", "EXIT_OK", "EXIT_CHECK_FAILED", "EXIT_USAGE", "EXIT_NUMERICS"]
 
@@ -221,24 +222,18 @@ def cmd_interval(args: argparse.Namespace) -> int:
     kind = EstimatorKind(args.kind)
     mode = VarianceMode(args.mode)
     setup = _setup(args)
-    if mode is VarianceMode.KNOWN:
-        half = solve_known_half_length(kind, args.alpha, setup)
-        spec = IntervalSpec(half, half, VarianceMode.KNOWN)
-        lower = infimal_known_coverage(kind, spec, setup)
-        arg = setup.root_n * half / setup.xi
-        upper = float(std_normal_cdf(arg) - std_normal_cdf(-arg))
-    else:
-        half = solve_unknown_half_length(kind, args.alpha, setup)
-        spec = IntervalSpec(half, half, VarianceMode.ESTIMATED)
-        lower = lower_bound_unknown(kind, spec, setup)
-        upper = upper_bound_unknown(spec, setup)
+    solve, lower_bound = ((solve_known_half_length, infimal_known_coverage)
+                          if mode is VarianceMode.KNOWN
+                          else (solve_unknown_half_length, lower_bound_unknown))
+    half = solve(kind, args.alpha, setup)
+    spec = IntervalSpec(half, half, mode)
     payload = {
         "kind": kind.value,
         "mode": mode.value,
         "alpha": args.alpha,
         "half_length": half,
-        "lower_bound": lower,
-        "upper_bound": upper,
+        "lower_bound": lower_bound(kind, spec, setup),
+        "upper_bound": _plain_coverage(spec, setup),
     }
     _emit(args, _json_text(payload))
     return EXIT_OK
@@ -254,31 +249,20 @@ def _limit_suites(args: argparse.Namespace):
     the endpoint of each path, which is the value the exit code tests.
     """
     ns = (5000,) if args.fast else (50, 500, 5000)
+    sigma, xi = args.sigma, args.xi
+    families = [(f"conservative-{kind.value}", kind, ConservativeRegime(nu=0.0, e=1.0, m=5),
+                 lambda n: 1.0 / math.sqrt(n), lambda n, eta: sigma * xi / n)
+                for kind in EstimatorKind]
+    families += [(f"consistent-{kind.value}", kind, ConsistentRegime(zeta=0.4, m=5),
+                  lambda n: n ** -0.15, lambda n, eta: 0.4 * sigma * xi * eta)
+                 for kind in EstimatorKind]
+    families.append(("conservative-hard-vanishing", EstimatorKind.HARD,
+                     ConservativeRegime(nu=0.0, e=0.0, m=5),
+                     lambda n: n ** -0.75, lambda n, eta: 0.0))
     suites = []
-    for kind in EstimatorKind:
-        path = []
-        for n in ns:
-            setup = ProblemSetup(n=n, k=n - 5, xi=args.xi, sigma=args.sigma,
-                                 eta=1.0 / math.sqrt(n))
-            path.append((setup, args.sigma * args.xi / n))
-        suites.append((f"conservative-{kind.value}", kind,
-                       ConservativeRegime(nu=0.0, e=1.0, m=5), path))
-    for kind in EstimatorKind:
-        path = []
-        for n in ns:
-            eta = n ** -0.15
-            setup = ProblemSetup(n=n, k=n - 5, xi=args.xi, sigma=args.sigma,
-                                 eta=eta)
-            path.append((setup, 0.4 * args.sigma * args.xi * eta))
-        suites.append((f"consistent-{kind.value}", kind,
-                       ConsistentRegime(zeta=0.4, m=5), path))
-    path = []
-    for n in ns:
-        setup = ProblemSetup(n=n, k=n - 5, xi=args.xi, sigma=args.sigma,
-                             eta=n ** -0.75)
-        path.append((setup, 0.0))
-    suites.append(("conservative-hard-vanishing", EstimatorKind.HARD,
-                   ConservativeRegime(nu=0.0, e=0.0, m=5), path))
+    for name, kind, regime, eta_of, theta_of in families:
+        setups = [ProblemSetup(n=n, k=n - 5, xi=xi, sigma=sigma, eta=eta_of(n)) for n in ns]
+        suites.append((name, kind, regime, [(s, theta_of(s.n, s.eta)) for s in setups]))
     return suites
 
 

@@ -37,7 +37,6 @@ from .special import (
     integrate_halfline,
     rho_density,
     rho_upper_limit,
-    t_cdf,
 )
 
 __all__ = [
@@ -133,7 +132,8 @@ def _infimum(kind: EstimatorKind, a: float, b: float, setup: ProblemSetup, cdf) 
     if kind is EstimatorKind.HARD:
         if xi * eta > a + b:
             return 0.0
-        far = -rn * large / xi
+        # dividing first only where rn large overflows keeps ordinary bits
+        far = -rn * large / xi if rn * large < math.inf else -rn * (large / xi)
     elif kind is EstimatorKind.SOFT:
         far = rn * (-large / xi - eta)
     else:  # halved after dividing, as 2 xi and a + b = 2 a may overflow
@@ -252,9 +252,15 @@ def upper_bound_unknown(spec: IntervalSpec, setup: ProblemSetup) -> float:
     """
     if spec.mode is not VarianceMode.ESTIMATED:
         raise DomainError("upper_bound_unknown needs an estimated-variance interval")
-    m = setup.require_estimated_variance()
+    return _plain_coverage(spec, setup)
+
+
+def _plain_coverage(spec: IntervalSpec, setup: ProblemSetup) -> float:
+    """Coverage of [LS - c a, LS + c a]: the z-interval under Phi, the
+    t-interval under T_m, as spec.mode picks through _variance_cdf."""
+    cdf = _variance_cdf(spec.mode, setup)
     arg = setup.root_n * spec.a / setup.xi
-    return float(t_cdf(arg, m) - t_cdf(-arg, m))
+    return float(cdf(arg) - cdf(-arg))
 
 
 def solve_unknown_half_length(kind, alpha: float, setup: ProblemSetup) -> float:

@@ -6,10 +6,12 @@ error is scaled by sqrt(n)/xi: the limit is a Student-t law deformed around
 the origin, indexed by e and the local parameter nu = lim sqrt(n) theta_n /
 (sigma xi).  In the consistent regime sqrt(n) eta_n diverges and the error
 is scaled by 1/(xi eta): the limit lives on [-1, 1] and is indexed by
-zeta = lim theta_n / (sigma xi eta_n); for finite residual degrees of
-freedom it is a chi-square functional, for infinite degrees of freedom it
-degenerates to point masses (with a two-point mixture in one hard-threshold
-boundary case governed by an auxiliary weight).
+zeta = lim theta_n / (sigma xi eta_n).  The noise vanishes against the
+threshold there, so the CDF at x is P_s[offset >= 0], offset = the inverse
+map ``_inverse(kind, zeta, x s, s)`` with s ~ rho_m: a chi-square
+functional for finite residual degrees of freedom, a point mass for
+infinite ones (split in two by an auxiliary weight in one hard-threshold
+boundary case).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
-from .estimators import EstimatorKind, _switch_points
+from .estimators import EstimatorKind, _inverse, _switch_points
 from .finite_sample import ScalingFactor, _cdf_integrand, _scale_free, tilde_cdf
 from .model import ProblemSetup
 from .special import (
@@ -80,26 +82,26 @@ class ConsistentRegime:
     zeta: limit of theta_n / (sigma xi eta_n), any extended real;
     m: residual degrees of freedom, a positive integer or math.inf;
     hard_aux: auxiliary limits (f, r, s) needed only by the hard estimator
-    when m is infinite and |zeta| = 1 -- see :func:`hard_weight`.
+    when m is infinite and |zeta| = 1 -- see :func:`hard_weight`; s may be
+    None, as it is needed only when f is infinite.
     """
 
     zeta: float
     m: int | float
-    hard_aux: Tuple[float, float, float] | None = None
+    hard_aux: Tuple[float, float, float | None] | None = None
 
     def __post_init__(self):
         if math.isnan(self.zeta):
             raise DomainError("zeta must not be NaN")
         object.__setattr__(self, "m", _check_limit_dof(self.m))
         if self.hard_aux is not None:
-            aux = tuple(float(v) for v in self.hard_aux)
-            if len(aux) != 3:
-                raise DomainError("hard_aux must be a triple (f, r, s)")
+            try:
+                f, r, s = self.hard_aux
+                aux = (float(f), float(r), None if s is None else float(s))
+            except (TypeError, ValueError) as exc:
+                raise DomainError("hard_aux must be a triple (f, r, s) of numbers; "
+                                  "s may be None") from exc
             object.__setattr__(self, "hard_aux", aux)
-
-
-def _step(x: np.ndarray, location: float) -> np.ndarray:
-    return np.where(x >= location, 1.0, 0.0)
 
 
 def conservative_limit_cdf(kind, x, regime: ConservativeRegime) -> float:
@@ -157,90 +159,73 @@ def hard_weight(f: float, r: float, s: float | None = None) -> float:
         if s is None or math.isnan(s):
             raise DomainError("the s limit is required when f is infinite")
         return float(std_normal_cdf(math.sqrt(2.0) * float(s)))
-    r = float(r)
-    if math.isinf(r):
-        return 1.0 if r > 0.0 else 0.0
-    return float(std_normal_cdf(r / math.sqrt(1.0 + 0.5 * f * f)))
+    return float(std_normal_cdf(float(r) / math.sqrt(1.0 + 0.5 * f * f)))
 
 
-def _consistent_cdf_infinite_dof(kind: EstimatorKind, x: np.ndarray,
-                                 regime: ConsistentRegime) -> np.ndarray:
+def _point_mass_cdf(kind: EstimatorKind, x: np.ndarray,
+                    regime: ConsistentRegime) -> np.ndarray:
+    """m = inf (s = 1) or zeta = +-inf: the point mass at kernel(zeta, 1) -
+    zeta, placed exactly rather than through a rounded offset; hard at
+    |zeta| = 1 splits it between -zeta and 0 by :func:`hard_weight`."""
     zeta = regime.zeta
-    az = abs(zeta)
-    if kind is EstimatorKind.HARD:
-        if az < 1.0:
-            return _step(x, -zeta)
-        if az > 1.0:
-            return _step(x, 0.0)
-        if regime.hard_aux is None:
-            raise DomainError(
-                "hard thresholding with |zeta| = 1 and infinite degrees of "
-                "freedom needs the (f, r, s) auxiliary limits")
-        w = hard_weight(*regime.hard_aux)
-        return w * _step(x, -zeta) + (1.0 - w) * _step(x, 0.0)
-    if kind is EstimatorKind.SOFT:
-        if az <= 1.0:
-            return _step(x, -zeta)
-        return _step(x, -math.copysign(1.0, zeta))
-    if az <= 1.0:
-        return _step(x, -zeta)
-    if math.isinf(zeta):
-        return _step(x, 0.0)
-    return _step(x, -1.0 / zeta)
+    if abs(zeta) <= 1.0:
+        location = -zeta
+    elif kind is EstimatorKind.SOFT:
+        location = -math.copysign(1.0, zeta)
+    else:  # adaptive soft's -1 / zeta is -0.0 at zeta = +-inf, the same step as 0
+        location = 0.0 if kind is EstimatorKind.HARD else -1.0 / zeta
+    step = np.where(x >= location, 1.0, 0.0)
+    if kind is not EstimatorKind.HARD or abs(zeta) != 1.0:
+        return step
+    if regime.hard_aux is None:
+        raise DomainError("hard thresholding with |zeta| = 1 and infinite degrees of "
+                          "freedom needs the (f, r, s) auxiliary limits")
+    w = hard_weight(*regime.hard_aux)
+    return w * step + (1.0 - w) * np.where(x >= 0.0, 1.0, 0.0)
 
 
 def consistent_limit_cdf(kind, x, regime: ConsistentRegime):
-    """CDF of the consistent-regime limit law at x; support is [-1, 1].
-
-    x may be an array; a scalar x gives a float.
-    """
+    """CDF of the consistent-regime limit law at x, supported on [-1, 1];
+    x may be an array, and a scalar x gives a float."""
     kind = EstimatorKind(kind)
     x = np.asarray(x, dtype=float)
     if np.isnan(x).any():
         raise DomainError("CDF argument must not be NaN")
-    out = _consistent_cdf(kind, x, regime)
-    out = np.where(np.isinf(x), np.where(x > 0.0, 1.0, 0.0), out)
+    out = np.array(x > 0.0, dtype=float)
+    finite = np.isfinite(x)
+    out[finite] = _consistent_cdf(kind, x[finite], regime)
     return float(out) if out.ndim == 0 else out
 
 
 def _consistent_cdf(kind: EstimatorKind, x: np.ndarray,
                     regime: ConsistentRegime) -> np.ndarray:
-    if math.isinf(regime.m):
-        return _consistent_cdf_infinite_dof(kind, x, regime)
-    m = regime.m
-    zeta = regime.zeta
-    if zeta == 0.0:
-        return _step(x, 0.0)
-    if math.isinf(zeta):
-        if kind is EstimatorKind.SOFT:
-            return _step(x, -math.copysign(1.0, zeta))
-        return _step(x, 0.0)
-    mz2 = m * zeta * zeta
-    if zeta > 0.0:
-        # the law sits on [-1, 0): 0 left of it, 1 from 0 on
-        inside = (x >= -1.0) & (x < 0.0)
-        xc = np.where(inside, x, -1.0)
-        with np.errstate(divide="ignore", over="ignore"):
-            upper_arg = chi_sq_cdf(mz2 / (xc * xc), m)
-        if kind is EstimatorKind.HARD:
-            value = upper_arg - chi_sq_cdf(mz2, m)
-        elif kind is EstimatorKind.SOFT:
-            value = upper_arg
-        else:
-            value = upper_arg - chi_sq_cdf(mz2 * xc * xc, m)
-        return np.where(inside, value, _step(x, 0.0))
-    # the law sits on [0, 1]: 0 left of it, 1 from 1 on
-    inside = (x >= 0.0) & (x < 1.0)
-    xc = np.where(inside, x, 1.0)
-    with np.errstate(divide="ignore", over="ignore"):
-        inv_tail = 1.0 - chi_sq_cdf(mz2 / (xc * xc), m)
-    if kind is EstimatorKind.HARD:
-        value = chi_sq_cdf(mz2, m) + inv_tail
-    elif kind is EstimatorKind.SOFT:
-        value = inv_tail
-    else:
-        value = chi_sq_cdf(mz2 * xc * xc, m) + inv_tail
-    return np.where(inside, value, _step(x, 1.0))
+    """P_s[offset(s) >= 0] with offset = _inverse(kind, zeta, x s, s) and
+    s ~ rho_m: the limit of the mixed Phi(rn offset) as rn -> inf.  The
+    offset changes sign only where s crosses |zeta|, -zeta / x or -x zeta,
+    so the law sums the chi-square masses of the pieces between those cuts
+    whose offset is >= 0 at an interior point, one difference per run of
+    such pieces."""
+    zeta, m = regime.zeta, regime.m
+    if math.isinf(m) or math.isinf(zeta):
+        return _point_mass_cdf(kind, x, regime)
+    col = x[:, None]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        edges = np.hstack(np.broadcast_arrays(0.0, abs(zeta), -zeta / col,
+                                              -col * zeta, math.inf))
+        edges = np.sort(np.where(edges >= 0.0, edges, math.inf), axis=1)
+        lo = edges[:, :-1]
+        s = np.minimum(0.5 * lo + 0.5 * edges[:, 1:], lo + lo + 1.0)  # inside each piece
+        d = col * s
+        # x s keeps x's sign where it underflows, as in _scale_free
+        d = np.where((d == 0.0) & (col != 0.0), np.copysign(math.ulp(0.0), col), d)
+        keep = np.pad(_inverse(kind, zeta, d, s) >= 0.0, ((0, 0), (1, 1)))
+        below = chi_sq_cdf(m * edges * edges, m)  # P(s <= edge)
+    value, opened = np.zeros(x.shape), np.zeros(x.shape)
+    for j in range(s.shape[1]):
+        opened = np.where(keep[:, j + 1] & ~keep[:, j], below[:, j], opened)
+        value = np.where(keep[:, j + 1] & ~keep[:, j + 2],
+                         value + (below[:, j + 1] - opened), value)
+    return value
 
 
 def limit_atoms(kind, regime) -> tuple:

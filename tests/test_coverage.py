@@ -159,11 +159,12 @@ class TestInfimalKnown:
         assert infimal_known_coverage("hard", spec, setup) == 0.0
 
     @pytest.mark.parametrize("kind", KINDS)
-    @pytest.mark.parametrize("arms", [(0.1, 0.1), (0.08, 0.2)])
+    @pytest.mark.parametrize("arms", [(0.1, 0.1), (0.08, 0.2), (0.25, 0.45)])
     def test_huge_xi(self, kind, arms):
         # the infimum depends on the arms through a / xi and b / xi only;
         # at xi = 1e308 the adaptive-soft terms must not form 2 xi (inf).
-        # The arms stay below 1.8e308 / sqrt(n), where hard's rn a overflows.
+        # (0.25, 0.45) puts the long arm above 1.8e308 / sqrt(n), where
+        # hard's rn b overflows unless it is divided by xi first.
         a, b = arms
         huge = ProblemSetup(n=40, k=35, xi=1e308, eta=0.05)
         unit = ProblemSetup(n=40, k=35, eta=0.05)

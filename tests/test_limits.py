@@ -12,6 +12,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from threshcov import (
     ConservativeRegime,
@@ -22,6 +24,7 @@ from threshcov import (
     conservative_limit_cdf,
     consistent_limit_cdf,
     hard_weight,
+    chi_sq_cdf,
     limit_atoms,
     t_cdf,
     tilde_cdf,
@@ -53,6 +56,21 @@ class TestRegimeValidation:
             ConsistentRegime(zeta=1.0, m=-3)
         with pytest.raises(DomainError):
             ConsistentRegime(zeta=1.0, m=math.inf, hard_aux=(1.0, 2.0))
+
+    def test_hard_aux_s_may_be_none(self):
+        # s enters hard_weight only when f is infinite
+        regime = ConsistentRegime(zeta=1.0, m=math.inf, hard_aux=(1.0, 0.5, None))
+        assert regime.hard_aux == (1.0, 0.5, None)
+        assert consistent_limit_cdf("hard", -0.5, regime) == hard_weight(1.0, 0.5)
+        steep = ConsistentRegime(zeta=1.0, m=math.inf, hard_aux=(math.inf, 0.5, None))
+        with pytest.raises(DomainError):
+            consistent_limit_cdf("hard", -0.5, steep)
+
+    @pytest.mark.parametrize("aux", [("one", 0.5, 0.0), (1.0, None, 0.0),
+                                     (1.0, 0.5, "s"), (None, 0.5, 0.0), 3.0])
+    def test_hard_aux_rejects_non_numbers(self, aux):
+        with pytest.raises(DomainError):
+            ConsistentRegime(zeta=1.0, m=math.inf, hard_aux=aux)
 
     def test_conservative_infinite_dof_refused(self):
         regime = ConservativeRegime(nu=0.0, e=1.0, m=math.inf)
@@ -205,6 +223,107 @@ class TestConsistentFiniteDof:
         else:
             assert consistent_limit_cdf(kind, -1e-9, diverging) == 0.0
             assert consistent_limit_cdf(kind, 0.0, diverging) == 1.0
+
+
+def reference_consistent_cdf(kind, x, regime):
+    """The consistent limit CDF written out per kind and sign of zeta: the
+    chi-square closed forms that the offset-sign law replaced."""
+    kind = EstimatorKind(kind)
+    x = np.asarray(x, dtype=float)
+    zeta, m = regime.zeta, regime.m
+
+    def step(location):
+        return np.where(x >= location, 1.0, 0.0)
+
+    if math.isinf(m):
+        az = abs(zeta)
+        if kind is EstimatorKind.HARD:
+            if az < 1.0:
+                return step(-zeta)
+            if az > 1.0:
+                return step(0.0)
+            w = hard_weight(*regime.hard_aux)
+            return w * step(-zeta) + (1.0 - w) * step(0.0)
+        if az <= 1.0:
+            return step(-zeta)
+        if kind is EstimatorKind.SOFT:
+            return step(-math.copysign(1.0, zeta))
+        return step(0.0) if math.isinf(zeta) else step(-1.0 / zeta)
+    if zeta == 0.0:
+        return step(0.0)
+    if math.isinf(zeta):
+        return step(-math.copysign(1.0, zeta) if kind is EstimatorKind.SOFT else 0.0)
+    mz2 = m * zeta * zeta
+    with np.errstate(divide="ignore", over="ignore", under="ignore"):
+        if zeta > 0.0:
+            # the law sits on [-1, 0): 0 left of it, 1 from 0 on
+            inside = (x >= -1.0) & (x < 0.0)
+            xc = np.where(inside, x, -1.0)
+            upper_arg = chi_sq_cdf(mz2 / (xc * xc), m)
+            if kind is EstimatorKind.HARD:
+                value = upper_arg - chi_sq_cdf(mz2, m)
+            elif kind is EstimatorKind.SOFT:
+                value = upper_arg
+            else:
+                value = upper_arg - chi_sq_cdf(mz2 * xc * xc, m)
+            return np.where(inside, value, step(0.0))
+        # the law sits on [0, 1]: 0 left of it, 1 from 1 on
+        inside = (x >= 0.0) & (x < 1.0)
+        xc = np.where(inside, x, 1.0)
+        inv_tail = 1.0 - chi_sq_cdf(mz2 / (xc * xc), m)
+        if kind is EstimatorKind.HARD:
+            value = chi_sq_cdf(mz2, m) + inv_tail
+        elif kind is EstimatorKind.SOFT:
+            value = inv_tail
+        else:
+            value = chi_sq_cdf(mz2 * xc * xc, m) + inv_tail
+        return np.where(inside, value, step(1.0))
+
+
+TINY = math.ulp(0.0)
+zetas = st.one_of(st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3),
+                  st.sampled_from([0.0, 1.0, -1.0, math.inf, -math.inf]))
+
+
+class TestConsistentAgainstClosedForms:
+    """The offset-sign law against the per-kind closed forms."""
+
+    @given(kind=st.sampled_from(KINDS), m=st.sampled_from([1, 5, 995, 10**6, math.inf]),
+           zeta=zetas, x=st.floats(-1.5, 1.5))
+    @settings(deadline=None, max_examples=400, derandomize=True)
+    def test_sweep(self, kind, m, zeta, x):
+        regime = ConsistentRegime(zeta=zeta, m=m, hard_aux=(1.0, 0.5, None))
+        xs = [x, 0.0, 1.0, -1.0, TINY, -TINY]
+        if math.isfinite(zeta):
+            xs.append(-zeta)
+            if zeta != 0.0:
+                xs.append(-1.0 / zeta)
+        xs = np.array(xs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = consistent_limit_cdf(kind, xs, regime)
+        want = reference_consistent_cdf(kind, xs, regime)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+        # step laws, their 0 and 1 plateaus and the finite-m atoms (hard's
+        # at 0, soft's at -sign zeta) are exact
+        atom = 0.0 if kind is EstimatorKind.HARD else -math.copysign(1.0, zeta)
+        point_mass = math.isinf(m) or math.isinf(zeta) or zeta == 0.0
+        exact = ((want == 0.0) | (want == 1.0) | point_mass
+                 | ((xs == atom) & (kind is not EstimatorKind.ADAPTIVE_SOFT)))
+        np.testing.assert_array_equal(got[exact], want[exact])
+        for xi, gi in zip(xs, got):
+            assert consistent_limit_cdf(kind, xi, regime) == gi
+
+    @pytest.mark.parametrize("x, zeta, want", [
+        (-1e-300, 1e-300, 0.6826894921370859),  # m zeta^2 / x^2 is 0 / 0
+        (-1e-160, 1e-170, 7.97884560802864e-11),  # m zeta^2 underflows
+        (-5e-324, 0.3, 0.7641771556220947),  # x s underflows to -0.0
+    ])
+    def test_tiny_arguments(self, x, zeta, want):
+        regime = ConsistentRegime(zeta=zeta, m=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert consistent_limit_cdf("hard", x, regime) == want
 
 
 class TestConsistentInfiniteDof:
