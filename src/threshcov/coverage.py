@@ -22,22 +22,12 @@ import math
 
 import numpy as np
 
-from .estimators import EstimatorKind, _inverse, _switch_points
-from .finite_sample import _scale_free
+from .estimators import EstimatorKind, _inverse
+from .finite_sample import _mixture, _scale_free
 from .model import ProblemSetup, VarianceMode
-from .special import (
-    DEFAULT_QUADRATURE,
-    BracketError,
-    DomainError,
-    _clamp_unit,
-    _per_node,
-    _std_normal_cdf,
-    _t_cdf,
-    find_root,
-    integrate_halfline,
-    rho_density,
-    rho_upper_limit,
-)
+from .special import BracketError, DomainError, _clamp_unit, _std_normal_cdf, _t_cdf, find_root
+# unused here, but perfbench/tracing.py wraps this module's binding
+from .special import integrate_halfline  # noqa: F401
 
 __all__ = [
     "IntervalSpec",
@@ -214,20 +204,15 @@ def unknown_coverage(kind, theta_i: float, sigma: float, spec: IntervalSpec,
         value[zero] = (_scale_free(kind, spec.a, setup.xi, eta, rn, m)
                        - _scale_free(kind, -spec.a, setup.xi, eta, rn, m, closed=False))
     rest = ~zero
-    mus = thetas[rest] / (sigma * setup.xi)
-    reach = spec.a / setup.xi
+    if rest.any():
+        reach = spec.a / setup.xi
 
-    def f(nodes):
-        s, mu = _per_node(nodes, mus)
-        arm = reach * s
-        return (_coverage_core(kind, mu, arm, arm, setup.eta * s, setup.root_n)
-                * rho_density(s, m))
+        def covered(s, mu):
+            arm = reach * s
+            return _coverage_core(kind, mu, arm, arm, eta * s, rn)
 
-    upper = rho_upper_limit(m, DEFAULT_QUADRATURE.tail_mass_tol)
-    if mus.size:
-        pts = _switch_points(kind, mus[:, None], np.array([reach, -reach]),
-                             setup.eta).reshape(len(mus), -1)
-        value[rest], bound[rest] = integrate_halfline(f, pts, upper=upper, with_bound=True)
+        value[rest], bound[rest] = _mixture(kind, thetas[rest] / (sigma * setup.xi),
+                                            np.array([reach, -reach]), eta, m, covered)
     return _clamp_unit(value.reshape(theta.shape), bound.reshape(theta.shape),
                        "unknown_coverage")
 

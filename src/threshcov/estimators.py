@@ -48,8 +48,10 @@ def kernel(kind, z, t):
     kind = EstimatorKind(kind)
     z_arr = np.asarray(z, dtype=float)
     t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0.0):
-        raise DomainError("threshold cutoff must be nonnegative")
+    if not np.all(t_arr >= 0.0):
+        raise DomainError("threshold cutoff must be nonnegative, not NaN")
+    if np.isnan(z_arr).any():
+        raise DomainError("coefficient must not be NaN")
     keep = np.abs(z_arr) > t_arr
     if kind is EstimatorKind.HARD:
         out = np.where(keep, z_arr, 0.0)
@@ -140,6 +142,8 @@ class ThresholdRule:
         object.__setattr__(self, "kind", EstimatorKind(self.kind))
         object.__setattr__(self, "mode", VarianceMode(self.mode))
         eta_arr = np.asarray(self.eta, dtype=float)
+        if eta_arr.ndim > 1:
+            raise DomainError("eta must be a scalar or a vector")
         if np.any(eta_arr <= 0.0) or not np.all(np.isfinite(eta_arr)):
             raise DomainError("eta must be positive and finite")
         if self.mode is VarianceMode.KNOWN:
@@ -153,7 +157,9 @@ def estimate(X, y, rule: ThresholdRule) -> np.ndarray:
     """Thresholded least-squares estimate of every component."""
     coef, sigma_hat_sq = ls_fit(X, y)
     xi = compute_xi_all(X)
-    eta = np.broadcast_to(np.asarray(rule.eta, dtype=float), xi.shape)
+    eta = np.asarray(rule.eta, dtype=float)
+    if eta.ndim and eta.shape != xi.shape:
+        raise DomainError(f"eta needs one value per component ({xi.size}), not {eta.size}")
     if rule.mode is VarianceMode.ESTIMATED:
         if sigma_hat_sq is None:
             raise DomainError("estimated-variance rules need n > k")

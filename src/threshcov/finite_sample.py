@@ -7,7 +7,9 @@ the density ``rho_m`` of s.  The mixture integrals are piecewise smooth in s
 with analytically known switch points; those are declared to the adaptive
 quadrature as panel breakpoints.  At theta = 0 every offset of the inverse
 map is s times its value g1 at s = 1, so the mixture is the Student-t law
-T_m(sqrt(n) g1) and needs no quadrature (``_scale_free``).
+T_m(sqrt(n) g1) and needs no quadrature (``_scale_free``).  One routine,
+``_mixture``, integrates every such law, the estimated-variance coverage
+and the conservative limit law, which is this mixture at rn = 1.
 
 The law is mixed: when the true component is zero it has an atom at zero
 (the probability of thresholding to zero) plus an absolutely continuous
@@ -19,7 +21,6 @@ on the half-line opposite in sign to the true component.
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
 
@@ -85,17 +86,25 @@ def atom_mass(setup: ProblemSetup) -> float:
     return float(t_cdf(arg, m) - t_cdf(-arg, m))
 
 
-def _cdf_integrand(kind: EstimatorKind, mu: float, slope: np.ndarray, eta: float,
-                   rn: float, m: int) -> Callable:
-    """Phi(rn offset) rho_m(s): P(kernel(W, eta s) <= mu + slope s) for
-    W ~ N(mu, 1/rn^2), mixed over s ~ rho_m; one problem per slope."""
+def _mixture(kind, mu, slopes, eta, m, term):
+    """(value, bound) arrays of the integral of term(s, v) rho_m(s) over
+    s = sigma_hat / sigma, one per problem: a law given s, mixed over s.
+
+    mu is a float with one slope per problem (laws in x), or one value per
+    problem with slope columns all problems share (coverage arms); v is the
+    one that varies, per node, or a float for a lone problem.  Each problem
+    declares the switch points of _inverse at every slope column.
+    """
+    mu = np.asarray(mu, dtype=float)
+    varying = mu if mu.ndim else slopes
+    points = _switch_points(kind, mu[..., None], slopes, eta).reshape(len(varying), -1)
+    upper = rho_upper_limit(m, DEFAULT_QUADRATURE.tail_mass_tol)
 
     def f(nodes):
-        s, sl = _per_node(nodes, slope)
-        offset = _inverse(kind, mu, sl * s, eta * s)
-        return _std_normal_cdf(rn * offset) * rho_density(s, m)
+        s, v = _per_node(nodes, varying)
+        return term(s, v) * rho_density(s, m)
 
-    return f
+    return integrate_halfline(f, points, upper=upper, with_bound=True)
 
 
 def _scale_free(kind, x, scale, t, rn, m, closed=True, density=False):
@@ -114,6 +123,33 @@ def _scale_free(kind, x, scale, t, rn, m, closed=True, density=False):
                         0.0)
 
 
+def _error_cdf(kind, x, theta, unit, scale, eta, rn, m, name):
+    """CDF at x of scale (kernel(W, eta s) - mu) / s, W ~ N(mu, 1 / rn^2), mu =
+    theta / unit, s ~ rho_m; clamped to [0, 1] under ``name``.  Routed on
+    theta, not on a mu that may underflow: theta = 0 is T_m(rn g1), and so is
+    eta = 0 or theta = +-inf with the threshold at 0, soft's x shifted by
+    its bias."""
+    x = np.asarray(x, dtype=float)
+    finite = np.isfinite(x)
+    if not finite.all() and np.isnan(x).any():
+        raise DomainError("CDF argument must not be NaN")
+    out = np.array(x > 0.0, dtype=float)
+    bound = np.zeros(x.shape)
+    xs = x[finite]
+    if xs.size and (theta == 0.0 or eta == 0.0 or math.isinf(theta)):
+        if kind is EstimatorKind.SOFT and math.isinf(theta):
+            xs = xs + math.copysign(eta, theta)
+        out[finite] = _scale_free(kind, xs, scale, eta if theta == 0.0 else 0.0, rn, m)
+    elif xs.size:
+        mu = theta / unit
+
+        def below(s, slope):
+            return _std_normal_cdf(rn * _inverse(kind, mu, slope * s, eta * s))
+
+        out[finite], bound[finite] = _mixture(kind, mu, xs / scale, eta, m, below)
+    return _clamp_unit(out, bound, name)
+
+
 def tilde_cdf(kind, x, setup: ProblemSetup, theta_i: float, alpha):
     """CDF of alpha (estimate_i - theta_i) / sigma_hat at x.
 
@@ -126,39 +162,8 @@ def tilde_cdf(kind, x, setup: ProblemSetup, theta_i: float, alpha):
     if not math.isfinite(theta_i):
         raise DomainError("theta must be finite")
     m = setup.require_estimated_variance()
-    x = np.asarray(x, dtype=float)
-    finite = np.isfinite(x)
-    if not finite.all() and np.isnan(x).any():
-        raise DomainError("CDF argument must not be NaN")
-    out = np.array(x > 0.0, dtype=float)
-    bound = np.zeros(x.shape)
-    xs = x[finite]
-    if xs.size and theta_i == 0.0:
-        out[finite] = _scale_free(kind, xs, a * setup.xi, setup.eta, setup.root_n, m)
-    elif xs.size:
-        mu = theta_i / (setup.sigma * setup.xi)
-        slope = xs / (a * setup.xi)
-        upper = rho_upper_limit(setup.residual_dof, DEFAULT_QUADRATURE.tail_mass_tol)
-        out[finite], bound[finite] = integrate_halfline(
-            _cdf_integrand(kind, mu, slope, setup.eta, setup.root_n,
-                           setup.residual_dof),
-            _switch_points(kind, mu, slope, setup.eta),
-            upper=upper, with_bound=True)
-    return _clamp_unit(out, bound, "tilde_cdf")
-
-
-def _density_integrand(kind: EstimatorKind, mu: float, slope: np.ndarray,
-                       eta: float, rn: float, m: int, dslope: float) -> Callable:
-    """x-derivative of the CDF integrand, where slope = x dslope:
-    rn s dslope g' phi(rn offset) rho_m(s)."""
-
-    def f(nodes):
-        s, sl = _per_node(nodes, slope)
-        d, t = sl * s, eta * s
-        return (rn * s * dslope * _inverse_slope(kind, mu, d, t)
-                * _std_normal_pdf(rn * _inverse(kind, mu, d, t)) * rho_density(s, m))
-
-    return f
+    return _error_cdf(kind, x, theta_i, setup.sigma * setup.xi, a * setup.xi, setup.eta,
+                      setup.root_n, m, "tilde_cdf")
 
 
 def _kill_kernel_term(x: np.ndarray, q: float, setup: ProblemSetup,
@@ -202,7 +207,7 @@ def tilde_density(kind, x, setup: ProblemSetup, theta_i: float, alpha):
     a = ScalingFactor(alpha)
     if not math.isfinite(theta_i):
         raise DomainError("theta must be finite")
-    setup.require_estimated_variance()
+    m = setup.require_estimated_variance()
     x = np.asarray(x, dtype=float)
     if not np.isfinite(x).all():
         raise DomainError("density argument must be finite")
@@ -214,17 +219,18 @@ def tilde_density(kind, x, setup: ProblemSetup, theta_i: float, alpha):
         if kind is EstimatorKind.HARD:
             live &= np.abs(x) > a * setup.xi * setup.eta
         out[live] = _scale_free(kind, x[live], a * setup.xi, setup.eta, setup.root_n,
-                                setup.residual_dof, density=True)
+                                m, density=True)
     elif x.size:
         xs = x.ravel()
         mu = theta_i / (setup.sigma * setup.xi)
-        slope = xs / (a * setup.xi)
-        upper = rho_upper_limit(setup.residual_dof, DEFAULT_QUADRATURE.tail_mass_tol)
-        value = integrate_halfline(
-            _density_integrand(kind, mu, slope, setup.eta, setup.root_n,
-                               setup.residual_dof, 1.0 / (a * setup.xi)),
-            _switch_points(kind, mu, slope, setup.eta),
-            upper=upper)
+        rn, dslope = setup.root_n, 1.0 / (a * setup.xi)
+
+        def density(s, slope):
+            d, t = slope * s, setup.eta * s
+            return (rn * s * dslope * _inverse_slope(kind, mu, d, t)
+                    * _std_normal_pdf(rn * _inverse(kind, mu, d, t)))
+
+        value, _ = _mixture(kind, mu, xs / (a * setup.xi), setup.eta, m, density)
         out = np.maximum(0.0, value + _kill_kernel_term(xs, q, setup, a)).reshape(x.shape)
     return float(out) if out.ndim == 0 else out
 

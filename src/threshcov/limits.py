@@ -1,17 +1,18 @@
 """Limiting laws of the scaled thresholding error along parameter sequences.
 
-Two regimes, distinguished by how the threshold scales.  In the
-conservative regime sqrt(n) eta_n converges to a finite e >= 0 and the
-error is scaled by sqrt(n)/xi: the limit is a Student-t law deformed around
-the origin, indexed by e and the local parameter nu = lim sqrt(n) theta_n /
-(sigma xi).  In the consistent regime sqrt(n) eta_n diverges and the error
-is scaled by 1/(xi eta): the limit lives on [-1, 1] and is indexed by
-zeta = lim theta_n / (sigma xi eta_n).  The noise vanishes against the
-threshold there, so the CDF at x is P_s[offset >= 0], offset = the inverse
-map ``_inverse(kind, zeta, x s, s)`` with s ~ rho_m: a chi-square
-functional for finite residual degrees of freedom, a point mass for
-infinite ones (split in two by an auxiliary weight in one hard-threshold
-boundary case).
+Two regimes, distinguished by how the threshold scales.  In the conservative
+regime sqrt(n) eta_n converges to a finite e >= 0 and the error is scaled by
+sqrt(n)/xi.  On that scale the finite-sample law depends on (n, theta, eta)
+only through sqrt(n) theta / (sigma xi), sqrt(n) eta and m, so the limit,
+indexed by e and nu = lim sqrt(n) theta_n / (sigma xi), is the finite
+mixture over s ~ rho_m at rn = 1: a Student-t law deformed around the
+origin.  In the consistent regime sqrt(n) eta_n diverges and the error is
+scaled by 1/(xi eta): the limit lives on [-1, 1] and is indexed by zeta =
+lim theta_n / (sigma xi eta_n).  The noise vanishes against the threshold
+there, so the CDF at x is P_s[offset >= 0], offset = the inverse map
+``_inverse(kind, zeta, x s, s)`` with s ~ rho_m: a chi-square functional for
+finite residual degrees of freedom, a point mass for infinite ones (split in
+two by an auxiliary weight in one hard-threshold boundary case).
 """
 
 from __future__ import annotations
@@ -22,20 +23,12 @@ from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
-from .estimators import EstimatorKind, _inverse, _switch_points
-from .finite_sample import ScalingFactor, _cdf_integrand, _scale_free, tilde_cdf
+from .estimators import EstimatorKind, _inverse
+from .finite_sample import ScalingFactor, _error_cdf, tilde_cdf
 from .model import ProblemSetup
-from .special import (
-    DEFAULT_QUADRATURE,
-    DomainError,
-    _check_dof,
-    _clamp_unit,
-    chi_sq_cdf,
-    integrate_halfline,
-    rho_upper_limit,
-    std_normal_cdf,
-    t_cdf,
-)
+from .special import DomainError, _check_dof, chi_sq_cdf, std_normal_cdf
+# unused here, but perfbench/tracing.py wraps this module's binding
+from .special import integrate_halfline  # noqa: F401
 
 __all__ = [
     "ConservativeRegime",
@@ -115,30 +108,8 @@ def conservative_limit_cdf(kind, x, regime: ConservativeRegime) -> float:
     kind = EstimatorKind(kind)
     if math.isinf(regime.m):
         raise DomainError("conservative limits are provided for finite m only")
-    m = regime.m
-    nu = regime.nu
-    e = regime.e
-    x = np.asarray(x, dtype=float)
-    if np.isnan(x).any():
-        raise DomainError("CDF argument must not be NaN")
-    out = np.array(x > 0.0, dtype=float)
-    bound = np.zeros(x.shape)
-    finite = np.isfinite(x)
-    xs = x[finite]
-    if e == 0.0:
-        out[finite] = t_cdf(xs, m)
-    elif math.isinf(nu):
-        out[finite] = t_cdf(xs + math.copysign(e, nu) if kind is EstimatorKind.SOFT
-                            else xs, m)
-    elif nu == 0.0:
-        out[finite] = _scale_free(kind, xs, 1.0, e, 1.0, m)
-    elif xs.size:
-        upper = rho_upper_limit(m, DEFAULT_QUADRATURE.tail_mass_tol)
-        out[finite], bound[finite] = integrate_halfline(
-            _cdf_integrand(kind, nu, xs, e, 1.0, m),
-            _switch_points(kind, nu, xs, e),
-            upper=upper, with_bound=True)
-    return _clamp_unit(out, bound, "conservative_limit_cdf")
+    return _error_cdf(kind, x, regime.nu, 1.0, 1.0, regime.e, 1.0, regime.m,
+                      "conservative_limit_cdf")
 
 
 def hard_weight(f: float, r: float, s: float | None = None) -> float:
@@ -236,6 +207,8 @@ def limit_atoms(kind, regime) -> tuple:
     kind = EstimatorKind(kind)
     if isinstance(regime, ConservativeRegime):
         return (0.0,)
+    if not isinstance(regime, ConsistentRegime):
+        raise DomainError("regime must be ConservativeRegime or ConsistentRegime")
     pts = {0.0, 1.0, -1.0}
     zeta = regime.zeta
     if math.isfinite(zeta):
@@ -263,11 +236,9 @@ def weak_convergence_gaps(kind, setup_sequence: Iterable[Tuple[ProblemSetup, flo
     if isinstance(regime, ConservativeRegime):
         limit_vals = conservative_limit_cdf(kind, xs, regime)
         scaling = ScalingFactor.conservative
-    elif isinstance(regime, ConsistentRegime):
+    else:
         limit_vals = consistent_limit_cdf(kind, xs, regime)
         scaling = ScalingFactor.consistent
-    else:
-        raise DomainError("regime must be ConservativeRegime or ConsistentRegime")
     gaps = []
     for setup, theta_i in setup_sequence:
         finite = tilde_cdf(kind, xs, setup, theta_i, scaling(setup))

@@ -33,6 +33,10 @@ __all__ = [
 ]
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 class VarianceMode(enum.Enum):
     """Whether sigma is treated as known or replaced by sigma_hat."""
 
@@ -62,6 +66,8 @@ class ProblemSetup:
     component_index: int = 1
 
     def __post_init__(self):
+        if not all(map(_is_integer, (self.n, self.k, self.component_index))):
+            raise DomainError("n, k and component_index must be integers")
         if self.k < 1 or self.n < self.k:
             raise DomainError("need n >= k >= 1")
         if not (self.xi > 0.0 and math.isfinite(self.xi)):

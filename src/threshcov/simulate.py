@@ -75,7 +75,7 @@ import numpy as np
 
 from .estimators import EstimatorKind, kernel
 from .finite_sample import ScalingFactor
-from .model import ProblemSetup, VarianceMode, _full_rank_qr, compute_xi_all
+from .model import ProblemSetup, VarianceMode, _full_rank_qr, _is_integer, compute_xi_all
 from .special import DomainError, chi_sq_quantile, std_normal_quantile
 
 __all__ = [
@@ -145,10 +145,6 @@ def _word_cells(raw: np.ndarray, cells: int) -> np.ndarray:
     """
     shift = 64 - (cells.bit_length() - 1)  # 64 - log2(cells)
     return (raw >> np.uint64(shift)).view(np.intp)
-
-
-def _is_integer(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)

@@ -53,6 +53,14 @@ class TestKernel:
         with pytest.raises(DomainError):
             kernel("hard", 1.0, -0.5)
 
+    @pytest.mark.parametrize("kind", list(EstimatorKind))
+    @pytest.mark.parametrize("z, t", [(math.nan, 0.1), (1.0, math.nan),
+                                      ([0.5, math.nan], 0.1), (0.5, [0.1, math.nan])])
+    def test_nan_rejected(self, kind, z, t):
+        # NaN used to map to 0.0 (hard, adaptive soft) or NaN (soft)
+        with pytest.raises(DomainError):
+            kernel(kind, z, t)
+
     @given(z=finite, t=cutoffs)
     @settings(deadline=None)
     def test_never_expands(self, z, t):
@@ -228,6 +236,10 @@ class TestThresholdRule:
         with pytest.raises(DomainError):
             ThresholdRule(EstimatorKind.SOFT, np.array([0.1, -0.1, 0.2]))
 
+    def test_eta_at_most_a_vector(self):
+        with pytest.raises(DomainError):
+            ThresholdRule(EstimatorKind.SOFT, np.full((2, 3), 0.1))
+
     def test_accepts_labels(self):
         rule = ThresholdRule("asoft", 0.1, "estimated")
         assert rule.kind is EstimatorKind.ADAPTIVE_SOFT
@@ -273,6 +285,12 @@ class TestEstimate:
         got = estimate(X, y, ThresholdRule(EstimatorKind.HARD, eta))
         assert got[1] == 0.0 and got[2] == 0.0
         assert got[0] != 0.0
+
+    @pytest.mark.parametrize("eta", [[0.1, 0.2], [0.1], [0.1, 0.2, 0.3, 0.4]])
+    def test_eta_length_must_match_components(self, eta):
+        X, y = seeded_problem(seed=4, n=30, k=3)
+        with pytest.raises(DomainError):
+            estimate(X, y, ThresholdRule(EstimatorKind.HARD, np.array(eta)))
 
     @pytest.mark.parametrize("kind", list(EstimatorKind))
     @pytest.mark.parametrize("mode", list(VarianceMode))

@@ -128,7 +128,8 @@ class TestConservativeQuadratureRoute:
     """The limit law along a constant-parameter sequence is the law itself.
 
     The finite-sample CDF on the sqrt(n)/xi scale depends only on
-    (nu, e, m), so the two independently coded integrands must agree.
+    (nu, e, m), so the limit law, the same rho_m mixture at rn = 1, must
+    agree with it at n = 40, where mu, the slopes, eta and rn all differ.
     """
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -414,6 +415,15 @@ class TestAtoms:
         assert limit_atoms("soft", degenerate) == (-1.0, 0.0, 1.0)
         diverging = ConsistentRegime(zeta=math.inf, m=5)
         assert limit_atoms("hard", diverging) == (-1.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("regime", [None, "bad", (0.4, 5)])
+    def test_other_regimes_rejected(self, regime):
+        # these used to raise AttributeError on regime.zeta
+        with pytest.raises(DomainError):
+            limit_atoms("soft", regime)
+        with pytest.raises(DomainError):
+            weak_convergence_gaps("soft", consistent_path((50,), 0.4), regime,
+                                  np.linspace(-1.5, 1.5, 7))
 
 
 def conservative_path(ns, m=5, e=1.0):

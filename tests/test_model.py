@@ -30,6 +30,17 @@ class TestProblemSetup:
         with pytest.raises(DomainError):
             ProblemSetup(n=5, k=2, component_index=3)
 
+    @pytest.mark.parametrize("bad", [dict(n=40.5, k=35), dict(n=40, k=35.0),
+                                     dict(n=40, k=35, component_index=1.5),
+                                     dict(n=40, k=True), dict(n=np.float64(40), k=35)])
+    def test_counts_must_be_integers(self, bad):
+        with pytest.raises(DomainError):
+            ProblemSetup(**bad)
+
+    def test_numpy_integers_accepted(self):
+        s = ProblemSetup(n=np.int64(40), k=np.int32(35), component_index=np.uint8(2))
+        assert s.residual_dof == 5
+
     def test_reference(self):
         s = reference_setup(0.5)
         assert (s.n, s.k, s.xi, s.sigma, s.eta) == (40, 35, 1.0, 1.0, 0.5)

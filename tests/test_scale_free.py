@@ -3,7 +3,8 @@
 At theta = 0 every offset of the inverse thresholding map scales with
 s = sigma_hat / sigma, so the CDF, the density and the estimated-variance
 coverage are Student-t expressions.  Each is checked against the adaptive
-quadrature of the integrand it replaces, within the returned error bound
+quadrature of the integrand it replaces, written out here as a reference
+independent of the library's mixture routine, within the returned error bound
 plus twice the rho_m tail mass the quadrature discards.  The density
 integrand is rn s dslope g' phi rho_m(s) <= s rho_m(s) under the
 conservative scaling, so its discarded tail is at most about s_max times
@@ -34,14 +35,15 @@ from threshcov import (
     VarianceMode,
     conservative_limit_cdf,
     rho_density,
+    std_normal_cdf,
+    std_normal_pdf,
     t_cdf,
     tilde_cdf,
     tilde_density,
     unknown_coverage,
 )
 from threshcov.coverage import _coverage_core
-from threshcov.estimators import _switch_points
-from threshcov.finite_sample import _cdf_integrand, _density_integrand
+from threshcov.estimators import _inverse, _inverse_slope, _switch_points
 from threshcov.special import integrate_halfline, rho_upper_limit
 
 KINDS = list(EstimatorKind)
@@ -60,6 +62,25 @@ def cell(m: int, eta: float) -> ProblemSetup:
 
 def resolve(x, edge: float) -> float:
     return {"0": 0.0, "+edge": edge, "-edge": -edge}.get(x, x)
+
+
+def cdf_integrand(kind, mu, slope, eta, rn, m):
+    """Phi(rn offset) rho_m(s): P(kernel(W, eta s) <= mu + slope s) for
+    W ~ N(mu, 1/rn^2), weighted by the density of s."""
+    return lambda s: (std_normal_cdf(rn * _inverse(kind, mu, slope * s, eta * s))
+                      * rho_density(s, m))
+
+
+def density_integrand(kind, mu, slope, eta, rn, m, dslope):
+    """x-derivative of cdf_integrand, where slope = x dslope:
+    rn s dslope g' phi(rn offset) rho_m(s)."""
+
+    def f(s):
+        d, t = slope * s, eta * s
+        return (rn * s * dslope * _inverse_slope(kind, mu, d, t)
+                * std_normal_pdf(rn * _inverse(kind, mu, d, t)) * rho_density(s, m))
+
+    return f
 
 
 def quadrature(integrand, kind, mu, slope, eta, m):
@@ -87,7 +108,7 @@ class TestAgainstQuadrature:
         mu = theta / (setup.sigma * setup.xi)
         slope = x / (a * setup.xi)
         want, bound = quadrature(
-            _cdf_integrand(kind, mu, np.array([slope]), eta, setup.root_n, m),
+            cdf_integrand(kind, mu, slope, eta, setup.root_n, m),
             kind, mu, slope, eta, m)
         got = tilde_cdf(kind, x, setup, theta, a)
         assert agree(got, want, bound), (got, want, bound)
@@ -108,8 +129,8 @@ class TestAgainstQuadrature:
         mu = theta / (setup.sigma * setup.xi)
         slope = x / (a * setup.xi)
         want, bound = quadrature(
-            _density_integrand(kind, mu, np.array([slope]), eta, setup.root_n, m,
-                               1.0 / (a * setup.xi)),
+            density_integrand(kind, mu, slope, eta, setup.root_n, m,
+                              1.0 / (a * setup.xi)),
             kind, mu, slope, eta, m)
         assert agree(got, want, bound, rho_upper_limit(m, TAIL)), (got, want, bound)
 
