@@ -164,7 +164,9 @@ def _solve_half_length(kind, alpha: float, setup: ProblemSetup, mode: VarianceMo
         hi *= 2.0
     else:
         raise BracketError("could not bracket the half-length equation")
-    root = find_root(objective, lo, hi)
+    # 1e-10, or 1e-8 of the bracket where that is finer: a half-length on a
+    # tiny scale xi max(eta, 1 / sqrt(n)) is resolved like any other
+    root = find_root(objective, lo, hi, min(1e-10, 1e-8 * hi))
     if kind is EstimatorKind.HARD:
         assert root > lo
     return root

@@ -123,31 +123,42 @@ def _scale_free(kind, x, scale, t, rn, m, closed=True, density=False):
                         0.0)
 
 
-def _error_cdf(kind, x, theta, unit, scale, eta, rn, m, name):
-    """CDF at x of scale (kernel(W, eta s) - mu) / s, W ~ N(mu, 1 / rn^2), mu =
-    theta / unit, s ~ rho_m; clamped to [0, 1] under ``name``.  Routed on
-    theta, not on a mu that may underflow: theta = 0 is T_m(rn g1), and so is
-    eta = 0 or theta = +-inf with the threshold at 0, soft's x shifted by
-    its bias."""
+def _cdf_at(x, law, name):
+    """A CDF at x, clamped to [0, 1] under ``name``: law(xs) gives (values,
+    bounds) at the finite elements xs, -inf and +inf give 0 and 1, and NaN
+    raises.  A scalar x gives a float."""
     x = np.asarray(x, dtype=float)
     finite = np.isfinite(x)
     if not finite.all() and np.isnan(x).any():
         raise DomainError("CDF argument must not be NaN")
     out = np.array(x > 0.0, dtype=float)
     bound = np.zeros(x.shape)
-    xs = x[finite]
-    if xs.size and (theta == 0.0 or eta == 0.0 or math.isinf(theta)):
-        if kind is EstimatorKind.SOFT and math.isinf(theta):
-            xs = xs + math.copysign(eta, theta)
-        out[finite] = _scale_free(kind, xs, scale, eta if theta == 0.0 else 0.0, rn, m)
-    elif xs.size:
+    if finite.any():
+        out[finite], bound[finite] = law(x[finite])
+    return _clamp_unit(out, bound, name)
+
+
+def _error_cdf(kind, x, theta, unit, scale, eta, rn, m, name):
+    """CDF at x of scale (kernel(W, eta s) - mu) / s, W ~ N(mu, 1 / rn^2), mu =
+    theta / unit, s ~ rho_m; clamped to [0, 1] under ``name``.  Routed on
+    theta, not on a mu that may underflow: theta = 0 is T_m(rn g1), and so is
+    eta = 0 or mu = +-inf (theta infinite, or overflowing against unit) with
+    the threshold at 0, soft's x shifted by its bias."""
+    with np.errstate(over="ignore"):
         mu = theta / unit
+
+    def law(xs):
+        if theta == 0.0 or eta == 0.0 or math.isinf(mu):
+            if kind is EstimatorKind.SOFT and math.isinf(mu):
+                xs = xs + math.copysign(eta * scale, mu)
+            return _scale_free(kind, xs, scale, eta if theta == 0.0 else 0.0, rn, m), 0.0
 
         def below(s, slope):
             return _std_normal_cdf(rn * _inverse(kind, mu, slope * s, eta * s))
 
-        out[finite], bound[finite] = _mixture(kind, mu, xs / scale, eta, m, below)
-    return _clamp_unit(out, bound, name)
+        return _mixture(kind, mu, xs / scale, eta, m, below)
+
+    return _cdf_at(x, law, name)
 
 
 def tilde_cdf(kind, x, setup: ProblemSetup, theta_i: float, alpha):
@@ -212,6 +223,8 @@ def tilde_density(kind, x, setup: ProblemSetup, theta_i: float, alpha):
     if not np.isfinite(x).all():
         raise DomainError("density argument must be finite")
     q = theta_i / setup.sigma
+    with np.errstate(over="ignore"):
+        mu = theta_i / (setup.sigma * setup.xi)
     out = np.zeros(x.shape)
     if q == 0.0:
         # at the atom, and inside the hard dead zone, there is no density
@@ -220,9 +233,14 @@ def tilde_density(kind, x, setup: ProblemSetup, theta_i: float, alpha):
             live &= np.abs(x) > a * setup.xi * setup.eta
         out[live] = _scale_free(kind, x[live], a * setup.xi, setup.eta, setup.root_n,
                                 m, density=True)
+    elif math.isinf(mu):
+        # no threshold binds this far out: the t density, soft's x shifted
+        d = x / (a * setup.xi)
+        if kind is EstimatorKind.SOFT:
+            d = d + math.copysign(setup.eta, mu)
+        out = setup.root_n * np.asarray(t_pdf(setup.root_n * d, m)) / (a * setup.xi)
     elif x.size:
         xs = x.ravel()
-        mu = theta_i / (setup.sigma * setup.xi)
         rn, dslope = setup.root_n, 1.0 / (a * setup.xi)
 
         def density(s, slope):

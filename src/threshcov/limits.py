@@ -24,7 +24,7 @@ from typing import Iterable, Sequence, Tuple
 import numpy as np
 
 from .estimators import EstimatorKind, _inverse
-from .finite_sample import ScalingFactor, _error_cdf, tilde_cdf
+from .finite_sample import ScalingFactor, _cdf_at, _error_cdf, tilde_cdf
 from .model import ProblemSetup
 from .special import DomainError, _check_dof, chi_sq_cdf, std_normal_cdf
 # unused here, but perfbench/tracing.py wraps this module's binding
@@ -159,13 +159,8 @@ def consistent_limit_cdf(kind, x, regime: ConsistentRegime):
     """CDF of the consistent-regime limit law at x, supported on [-1, 1];
     x may be an array, and a scalar x gives a float."""
     kind = EstimatorKind(kind)
-    x = np.asarray(x, dtype=float)
-    if np.isnan(x).any():
-        raise DomainError("CDF argument must not be NaN")
-    out = np.array(x > 0.0, dtype=float)
-    finite = np.isfinite(x)
-    out[finite] = _consistent_cdf(kind, x[finite], regime)
-    return float(out) if out.ndim == 0 else out
+    return _cdf_at(x, lambda xs: (_consistent_cdf(kind, xs, regime), 0.0),
+                   "consistent_limit_cdf")
 
 
 def _consistent_cdf(kind: EstimatorKind, x: np.ndarray,

@@ -9,11 +9,13 @@ freedom neither overflow nor underflow prematurely.  Its log normalizing
 constant is cached per m, and ``rho_upper_limit`` per (m, tail mass).
 
 ``integrate_halfline`` and ``find_root`` are the numerical workhorses: a
-vectorized adaptive Gauss-Legendre panel integrator for piecewise-smooth
-integrands on a truncated half-line, and a bracketed deterministic root
-finder.  Integrands declare their non-smooth points (indicator switches,
-kinks) as breakpoints; these seed the initial panel boundaries so the
-adaptive refinement never has to discover a discontinuity on its own.
+vectorized adaptive panel integrator for piecewise-smooth integrands on a
+truncated half-line, and a bracketed deterministic root finder.  Each panel
+takes QUADPACK's 21-point Gauss-Kronrod rule: its value is K21, and
+|K21 - G10|, against the Gauss rule on 10 of the same 21 nodes, is its
+error estimate.  Integrands declare their non-smooth points (indicator
+switches, kinks) as breakpoints; these seed the initial panel boundaries so
+the adaptive refinement never has to discover a discontinuity on its own.
 
 The integrator is batched: a 2-D array of breakpoints, one row per problem,
 integrates a whole grid (densities over x, coverages over theta) in one
@@ -24,7 +26,8 @@ the per-element calls within the reported error bound, not bitwise.  A
 scalar call is a batch of one and runs exactly the rounds it always did.
 
 The package's accuracy targets are fixed: every law and coverage integrates
-to ``DEFAULT_QUADRATURE``, and half-length roots are found to 1e-10.  Only
+to ``DEFAULT_QUADRATURE``, and half-length roots are found to 1e-10 (or to
+1e-8 of their bracket, where that is finer).  Only
 ``integrate_halfline`` takes a :class:`QuadratureConfig`, for integrands of
 the caller's own.
 """
@@ -253,12 +256,35 @@ def chi_sq_quantile(p, m):
     return out if out.ndim else float(out)
 
 
-# Embedded 7- and 15-point Gauss-Legendre rules on [-1, 1].  Node sets are
-# disjoint and never include panel endpoints, so integrands are only ever
+# QUADPACK's 21-point Gauss-Kronrod rule qk21 on [-1, 1] (Piessens, de
+# Doncker-Kapenga, Ueberhuber and Kahaner, QUADPACK, Springer 1983), its
+# table as published: the nonnegative nodes xgk, descending, the Gauss-10
+# ones at odd positions and the centre 0 last; their Kronrod weights wgk;
+# and the Gauss-10 weights wg of xgk[1::2].
+_XGK = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.000000000000000000000000000000000])
+_WGK = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077208980877781, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821])
+_WG = np.array([
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338])
+# A panel's 21 nodes: the 10 Gauss nodes ascending, then the 11 Kronrod
+# nodes ascending.  None is a panel endpoint, so integrands are only ever
 # evaluated strictly inside a panel.
-_GL7_X, _GL7_W = np.polynomial.legendre.leggauss(7)
-_GL15_X, _GL15_W = np.polynomial.legendre.leggauss(15)
-_GL_X = np.concatenate([_GL7_X, _GL15_X])
+_QK_X = np.concatenate([-_XGK[1::2], _XGK[-2::-2], -_XGK[:-1:2], _XGK[::-2]])
+_QK_W = np.concatenate([_WGK[1::2], _WGK[-2::-2], _WGK[:-1:2], _WGK[::-2]])
+_G10_W = np.concatenate([_WG, _WG[::-1]])
 
 # What a batch of several problems hands its integrand: each node together
 # with the row of the problem it belongs to.
@@ -281,8 +307,8 @@ def _per_node(nodes, *params):
 
 
 def _panel_rule(f, panels: np.ndarray, problem=None):
-    """Fill rows 2 and 3 of a panel table (rows: lo, hi, GL15 value,
-    |GL15 - GL7| error estimate, one column per panel); one call to f.
+    """Fill rows 2 and 3 of a panel table (rows: lo, hi, K21 value,
+    |K21 - G10| error estimate, one column per panel); one call to f.
 
     ``problem`` holds the batch row of each panel; without it the panels
     belong to one problem and f receives the plain node array.
@@ -290,20 +316,20 @@ def _panel_rule(f, panels: np.ndarray, problem=None):
     lo, hi = panels[0], panels[1]
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    # one row per panel: its 7 GL7 nodes, then its 15 GL15 nodes
-    xs = (mid[:, None] + half[:, None] * _GL_X).ravel()
+    # one row per panel: its 10 Gauss nodes, then its 11 Kronrod nodes
+    xs = (mid[:, None] + half[:, None] * _QK_X).ravel()
     if problem is None:
         arg = xs
     else:
         arg = np.empty(xs.size, dtype=_NODE_DTYPE)
         arg["s"] = xs
-        arg["problem"] = np.repeat(problem, _GL_X.size)
+        arg["problem"] = np.repeat(problem, _QK_X.size)
     vals = np.asarray(f(arg), dtype=float)
     if vals.shape != xs.shape:
         raise DomainError("integrand must map an array to an array of the same shape")
-    vals = vals.reshape(len(lo), _GL_X.size)
-    i15 = np.multiply(half, vals[:, _GL7_X.size:] @ _GL15_W, out=panels[2])
-    err = np.subtract(i15, half * (vals[:, :_GL7_X.size] @ _GL7_W), out=panels[3])
+    vals = vals.reshape(len(lo), _QK_X.size)
+    k21 = np.multiply(half, vals @ _QK_W, out=panels[2])
+    err = np.subtract(k21, half * (vals[:, :_G10_W.size] @ _G10_W), out=panels[3])
     np.abs(err, out=err)
 
 
@@ -329,8 +355,8 @@ def _integrate_with_bound(f: Callable, breakpoints: Iterable, upper: float,
                           cfg: QuadratureConfig):
     """Adaptive panel integration of f over (0, upper); returns (value, bound).
 
-    The returned bound is the summed |GL15 - GL7| panel deviation, a
-    conservative estimate of the remaining quadrature error.
+    The returned bound is the summed |K21 - G10| panel deviation, an
+    estimate of the remaining quadrature error.
 
     A 2-D array of breakpoints, one row per problem (NaN-padded), makes a
     batch: the panels of all problems are refined together, one call to f
@@ -463,7 +489,7 @@ def integrate_halfline(f: Callable, breakpoints: Iterable = (), *, upper: float,
     with the lone call of the same problem within the error bound, though
     not necessarily bitwise.  A NumericsError raised from a batch of several
     problems names the failing row in ``problem``.  ``with_bound=True`` returns
-    (value, error bound), the summed |GL15 - GL7| panel deviation.
+    (value, error bound), the summed |K21 - G10| panel deviation.
     """
     value, bound = _integrate_with_bound(f, breakpoints, upper, cfg)
     return (value, bound) if with_bound else value

@@ -211,6 +211,19 @@ class TestKnownSolver:
         root = solve_known_half_length("hard", 0.05, setup)
         assert root > 0.5 * setup.xi * setup.eta
 
+    @pytest.mark.parametrize("solve", [solve_known_half_length, solve_unknown_half_length])
+    @pytest.mark.parametrize("alpha", [0.05, 0.999])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_root_scales_with_xi(self, kind, alpha, solve):
+        # the equation is xi-equivariant, so root / xi must not depend on xi,
+        # also where the root is far below an absolute 1e-10
+        def ratio(xi):
+            return solve(kind, alpha, ProblemSetup(n=36, k=35, xi=xi, eta=1.0)) / xi
+
+        unit = ratio(1.0)
+        for xi in (1e-6, 1e-8, 1e-10):
+            assert ratio(xi) == pytest.approx(unit, rel=1e-6)
+
     def test_alpha_validation(self):
         with pytest.raises(DomainError):
             solve_known_half_length("hard", 0.0, SETUP)

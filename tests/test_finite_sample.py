@@ -22,6 +22,7 @@ from threshcov import (
     reference_setup,
     simulate_scaled_error_ecdf,
     t_cdf,
+    t_pdf,
     tilde_cdf,
     tilde_density,
 )
@@ -64,6 +65,30 @@ class TestThetaDomain:
     def test_non_finite_theta_rejected(self, kind, theta, law):
         with pytest.raises(DomainError, match="theta must be finite"):
             law(kind, 0.2, SETUP, theta, ALPHA)
+
+
+class TestOverflowingMu:
+    """theta / (sigma xi) overflows at a finite theta: every kind gives the
+    distant-parameter law, in which no threshold binds."""
+
+    setup = ProblemSetup(n=40, k=35, xi=1e-10, sigma=1e-10, eta=0.5)
+    xs = np.array([-0.7, -1e-10, 0.0, 1e-10, 0.3])
+
+    @pytest.mark.parametrize("theta", [1e300, -1e300])
+    @pytest.mark.parametrize("law", [tilde_cdf, tilde_density])
+    def test_adaptive_soft_equals_hard(self, law, theta):
+        hard = law("hard", self.xs, self.setup, theta, 1.0)
+        assert np.array_equal(law("asoft", self.xs, self.setup, theta, 1.0), hard)
+        assert law("asoft", 0.3, self.setup, theta, 1.0) == hard[-1]
+
+    def test_t_law(self):
+        rn = self.setup.root_n
+        cdf = tilde_cdf("hard", self.xs, self.setup, 1e300, 1.0)
+        assert cdf == pytest.approx(t_cdf(rn * self.xs / 1e-10, 5), abs=1e-15)
+        soft = tilde_cdf("soft", self.xs, self.setup, 1e300, 1.0)
+        assert soft == pytest.approx(t_cdf(rn * (self.xs / 1e-10 + 0.5), 5), abs=1e-15)
+        density = tilde_density("hard", 0.0, self.setup, -1e300, 1.0)
+        assert density == pytest.approx(rn * t_pdf(0.0, 5) / 1e-10, rel=1e-14)
 
 
 class TestAtom:

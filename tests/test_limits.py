@@ -191,6 +191,16 @@ class TestConsistentFiniteDof:
         assert np.all(np.diff(vals) >= -1e-12)
 
     @pytest.mark.parametrize("kind", KINDS)
+    def test_x_handled_like_every_cdf(self, kind):
+        regime = ConsistentRegime(zeta=0.4, m=5)
+        got = consistent_limit_cdf(kind, np.array([-np.inf, 0.3, np.inf]), regime)
+        assert got[0] == 0.0 and got[2] == 1.0
+        assert got[1] == consistent_limit_cdf(kind, 0.3, regime)
+        assert isinstance(consistent_limit_cdf(kind, np.float64(0.3), regime), float)
+        with pytest.raises(DomainError, match="CDF argument must not be NaN"):
+            consistent_limit_cdf(kind, np.array([0.3, math.nan]), regime)
+
+    @pytest.mark.parametrize("kind", KINDS)
     def test_mirror_against_sign_flip(self, kind):
         plus = ConsistentRegime(zeta=0.4, m=5)
         minus = ConsistentRegime(zeta=-0.4, m=5)

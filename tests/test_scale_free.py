@@ -12,8 +12,8 @@ that mass.
 
 The reference quadrature runs to tighter tolerances than the default ones:
 where the integrand is a narrow peak in s, the default rounds stop early and
-their |GL15 - GL7| bound understates the error (soft, m = 5, eta = 7 at the
-dead-zone edge: a bound of 2.0e-11 against an error of 8.2e-11, with the
+their |K21 - G10| bound understates the error (soft, m = 5, eta = 7 at the
+dead-zone edge: a bound of 1.1e-11 against an error of 8.2e-11, with the
 closed form matching scipy's quad to 14 digits).
 """
 

@@ -33,6 +33,7 @@ from threshcov import (
     t_pdf,
     t_quantile,
 )
+from threshcov import special
 from threshcov.special import _integrate_with_bound, _rho_log_norm
 
 
@@ -337,18 +338,69 @@ class TestLoneCallBits:
         assert rho_density(np.array([[0.0, 1.0], [-1.0, 2.0]]), m).shape == (2, 2)
 
 
+class TestGaussKronrodRule:
+    """The panel rule: K21 on all 21 nodes, G10 on the first 10."""
+
+    def test_exact_polynomial_degrees(self):
+        for degree in range(32):
+            p = np.polynomial.Legendre.basis(degree)(special._QK_X)
+            exact = 2.0 if degree == 0 else 0.0
+            assert abs(p @ special._QK_W - exact) <= 1e-15
+            if degree < 20:
+                assert abs(p[:10] @ special._G10_W - exact) <= 1e-15
+        # neither rule reaches the next even degree
+        assert abs(np.polynomial.Legendre.basis(20)(special._QK_X[:10]) @ special._G10_W) > 1e-3
+        assert abs(np.polynomial.Legendre.basis(32)(special._QK_X) @ special._QK_W) > 1e-4
+
+    def test_gauss_nodes_are_legendre_10(self):
+        x10, _ = np.polynomial.legendre.leggauss(10)
+        assert np.all(np.abs(special._QK_X[:10] - x10) <= np.spacing(np.abs(x10)))
+
+
+# QUADPACK's qk21 table, written out apart from the library's: (node,
+# Kronrod weight, Gauss-10 weight) for each nonnegative node, descending;
+# a Gauss weight of 0.0 marks a node that only the Kronrod rule uses.
+_QK21_TABLE = [
+    (0.995657163025808080735527280689003, 0.011694638867371874278064396062192, 0.0),
+    (0.973906528517171720077964012084452, 0.032558162307964727478818972459390,
+     0.066671344308688137593568809893332),
+    (0.930157491355708226001207180059508, 0.054755896574351996031381300244580, 0.0),
+    (0.865063366688984510732096688423493, 0.075039674810919952767043140916190,
+     0.149451349150580593145776339657697),
+    (0.780817726586416897063717578345042, 0.093125454583697605535065465083366, 0.0),
+    (0.679409568299024406234327365114874, 0.109387158802297641899210590325805,
+     0.219086362515982043995534934228163),
+    (0.562757134668604683339000099272694, 0.123491976262065851077208980877781, 0.0),
+    (0.433395394129247190799265943165784, 0.134709217311473325928054001771707,
+     0.269266719309996355091226921569469),
+    (0.294392862701460198131126603103866, 0.142775938577060080797094273138717, 0.0),
+    (0.148874338981631210884826001129720, 0.147739104901338491374841515972068,
+     0.295524224714752870173892994651338),
+    (0.0, 0.149445554002916905664936468389821, 0.0),
+]
+
+
+def _qk21():
+    """(nodes, Kronrod weights, Gauss weights): the 10 Gauss nodes
+    ascending, then the 11 Kronrod nodes ascending."""
+    gauss = [row for row in _QK21_TABLE if row[2]]
+    kronrod = [row for row in _QK21_TABLE if not row[2]]
+    order = ([(-x, wk, wg) for x, wk, wg in gauss] + gauss[::-1]
+             + [(-x, wk, wg) for x, wk, wg in kronrod[:-1]] + kronrod[::-1])
+    nodes, wk, wg = (np.array(col) for col in zip(*order))
+    return nodes, wk, wg[:10]
+
+
 def _lone_reference(f, breakpoints, upper, cfg=DEFAULT_QUADRATURE):
-    """The lone adaptive GL7/GL15 rule, written out plainly: split panels go
+    """The lone adaptive G10/K21 rule, written out plainly: split panels go
     after the unsplit ones as left halves, then right halves."""
-    x7, w7 = np.polynomial.legendre.leggauss(7)
-    x15, w15 = np.polynomial.legendre.leggauss(15)
-    nodes = np.concatenate([x7, x15])
+    nodes, wk, wg = _qk21()
 
     def rule(lo, hi):
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         vals = f((mid[:, None] + half[:, None] * nodes).ravel()).reshape(len(lo), -1)
-        i15 = half * (vals[:, 7:] @ w15)
-        return i15, np.abs(i15 - half * (vals[:, :7] @ w7))
+        k21 = half * (vals @ wk)
+        return k21, np.abs(k21 - half * (vals[:, :10] @ wg))
 
     edges = np.array([0.0] + sorted({b for b in breakpoints if 0.0 < b < upper}) + [upper])
     lo, hi = edges[:-1], edges[1:]

@@ -33,11 +33,11 @@ from threshcov import (
 KINDS = list(EstimatorKind)
 SEED = 17
 DIGESTS = {
-    "tilde_cdf": "c01e822d447329e41fda62a41fc8b5043e3d3adc9b20d230179787a1f97d06f6",
-    "tilde_density": "f89aef7bf44f5abf46dcd5611e9c04da18bbaa3a7f5c9db67dc9a873c9679319",
-    "unknown_coverage": "2dd09707026bc07495eeee2a43b1a2c46926b6b5a8ca6752067993f73567054d",
+    "tilde_cdf": "42a7f45313a1eedd483ca7dd18f0a70fcc38ec4e6d47e08081fb5257a6067252",
+    "tilde_density": "7b67778bf1c16a84d68c557047b11630ebc65e417322b125696aaad5a118eafa",
+    "unknown_coverage": "3559a3cae9898e8f8603fa85cfdcfca459761b32fae43281ed4b3ca26d795ef2",
     "conservative_limit_cdf":
-        "e16d0da5b18ca5b5f9741eefeb68104bacd9163891dc2fb5421428652d126dc4",
+        "a9b9d69a5ad8632da5a14a861e22a5d43d8f1560c651fd89018ffbca17b55025",
 }
 
 
