@@ -32,11 +32,13 @@ from .special import (
     DomainError,
     _clamp_unit,
     _per_node,
+    _rho_quantiles,
+    _rho_upper,
+    _rho_upper_weighted,
     _std_normal_cdf,
     _std_normal_pdf,
     integrate_halfline,
     rho_density,
-    rho_upper_limit,
     t_cdf,
     t_pdf,
 )
@@ -86,25 +88,33 @@ def atom_mass(setup: ProblemSetup) -> float:
     return float(t_cdf(arg, m) - t_cdf(-arg, m))
 
 
-def _mixture(kind, mu, slopes, eta, m, term):
+def _mixture(kind, mu, slopes, eta, m, term, weighted=False):
     """(value, bound) arrays of the integral of term(s, v) rho_m(s) over
     s = sigma_hat / sigma, one per problem: a law given s, mixed over s.
 
     mu is a float with one slope per problem (laws in x), or one value per
     problem with slope columns all problems share (coverage arms); v is the
     one that varies, per node, or a float for a lone problem.  Each problem
-    declares the switch points of _inverse at every slope column.
+    declares the switch points of _inverse at every slope column, and rho_m's
+    quantiles (_rho_quantiles) as panel breakpoints, so the first round
+    already resolves rho_m's bulk and lower tail.  The quadrature stops at
+    the s_max beyond which rho_m's mass is tail_mass_tol; weighted=True (for
+    densities, whose term grows like s) stops where E[s; s > s_max] is.
     """
     mu = np.asarray(mu, dtype=float)
     varying = mu if mu.ndim else slopes
-    points = _switch_points(kind, mu[..., None], slopes, eta).reshape(len(varying), -1)
-    upper = rho_upper_limit(m, DEFAULT_QUADRATURE.tail_mass_tol)
+    switches = _switch_points(kind, mu[..., None], slopes, eta).reshape(len(varying), -1)
+    quantiles = _rho_quantiles(m)
+    seeds = np.broadcast_to(quantiles, (len(varying), quantiles.size))
+    tol = DEFAULT_QUADRATURE.tail_mass_tol
+    upper = _rho_upper_weighted(m, tol) if weighted else _rho_upper(m, tol)
 
     def f(nodes):
         s, v = _per_node(nodes, varying)
         return term(s, v) * rho_density(s, m)
 
-    return integrate_halfline(f, points, upper=upper, with_bound=True)
+    return integrate_halfline(f, np.concatenate([switches, seeds], axis=1), upper=upper,
+                              with_bound=True)
 
 
 def _scale_free(kind, x, scale, t, rn, m, closed=True, density=False):
@@ -248,7 +258,8 @@ def tilde_density(kind, x, setup: ProblemSetup, theta_i: float, alpha):
             return (rn * s * dslope * _inverse_slope(kind, mu, d, t)
                     * _std_normal_pdf(rn * _inverse(kind, mu, d, t)))
 
-        value, _ = _mixture(kind, mu, xs / (a * setup.xi), setup.eta, m, density)
+        value, _ = _mixture(kind, mu, xs / (a * setup.xi), setup.eta, m, density,
+                            weighted=True)
         out = np.maximum(0.0, value + _kill_kernel_term(xs, q, setup, a)).reshape(x.shape)
     return float(out) if out.ndim == 0 else out
 

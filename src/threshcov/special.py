@@ -6,7 +6,10 @@ backend can be swapped without touching callers.  ``rho_density`` is the
 density of ``sqrt(chisq_m / m)``, the law of ``sigma_hat / sigma`` in the
 Gaussian linear model; it is evaluated in log space so large degrees of
 freedom neither overflow nor underflow prematurely.  Its log normalizing
-constant is cached per m, and ``rho_upper_limit`` per (m, tail mass).
+constant is cached per m, and ``rho_upper_limit`` per (m, tail mass); so
+are the private helpers beside it that the rho_m mixtures use: its
+quantiles at fixed probabilities and the truncation point of its
+s-weighted tail.
 
 ``integrate_halfline`` and ``find_root`` are the numerical workhorses: a
 vectorized adaptive panel integrator for piecewise-smooth integrands on a
@@ -14,8 +17,11 @@ truncated half-line, and a bracketed deterministic root finder.  Each panel
 takes QUADPACK's 21-point Gauss-Kronrod rule: its value is K21, and
 |K21 - G10|, against the Gauss rule on 10 of the same 21 nodes, is its
 error estimate.  Integrands declare their non-smooth points (indicator
-switches, kinks) as breakpoints; these seed the initial panel boundaries so
-the adaptive refinement never has to discover a discontinuity on its own.
+switches, kinks) and the points where they are known to be hard (the rho_m
+mixtures: rho_m's quantiles) as breakpoints; these seed the initial panel
+boundaries, so the adaptive refinement never has to discover a
+discontinuity, or find a narrow bump that both rules would miss, on its
+own.
 
 The integrator is batched: a 2-D array of breakpoints, one row per problem,
 integrates a whole grid (densities over x, coverages over theta) in one
@@ -24,6 +30,9 @@ vectorized round.  Every problem keeps its own breakpoints and tolerance
 target and leaves the batch once converged, so an array result agrees with
 the per-element calls within the reported error bound, not bitwise.  A
 scalar call is a batch of one and runs exactly the rounds it always did.
+A round evaluates its integrand in blocks of consecutive nodes, so that
+large rounds keep their temporaries in cache; integrands are elementwise,
+so the blocks give the values of one call bit for bit.
 
 The package's accuracy targets are fixed: every law and coverage integrates
 to ``DEFAULT_QUADRATURE``, and half-length roots are found to 1e-10 (or to
@@ -204,6 +213,32 @@ def _rho_upper(m: int, tail_mass_tol: float) -> float:
     return math.sqrt(_sp.chdtri(m, tail_mass_tol) / m)
 
 
+@functools.lru_cache(maxsize=1024)
+def _rho_upper_weighted(m: int, tail_mass_tol: float) -> float:
+    """Truncation point s_max with E[s; s > s_max] = tail_mass_tol, s ~ rho_m.
+
+    That tail is E[s] Q((m + 1) / 2, m s_max^2 / 2), with E[s] =
+    sqrt(2 / m) Gamma((m + 1) / 2) / Gamma(m / 2) and Q the regularized
+    upper incomplete gamma function.
+    """
+    mean = math.exp(0.5 * math.log(2.0 / m) + _sp.gammaln(0.5 * (m + 1))
+                    - _sp.gammaln(0.5 * m))
+    return math.sqrt(2.0 * _sp.gammainccinv(0.5 * (m + 1), tail_mass_tol / mean) / m)
+
+
+# Probabilities at which rho_m's quantiles cut every mixture's first panels:
+# its far lower tail, its bulk and its upper shoulder.
+_RHO_SEED_PROBS = (1e-9, 1e-3, 0.5, 0.999)
+
+
+@functools.lru_cache(maxsize=1024)
+def _rho_quantiles(m: int) -> np.ndarray:
+    """Quantiles of s = sqrt(chisq_m / m) at _RHO_SEED_PROBS (read-only)."""
+    out = np.sqrt(2.0 * _sp.gammaincinv(0.5 * m, _RHO_SEED_PROBS) / m)
+    out.setflags(write=False)
+    return out
+
+
 def t_cdf(x, m):
     """CDF of Student's t with m degrees of freedom; accepts +-inf."""
     out = _nan_checked(_sp.stdtr(_check_dof(m), x), "t CDF")
@@ -306,12 +341,19 @@ def _per_node(nodes, *params):
     return (nodes["s"], *[p[rows] for p in params])
 
 
+# Panels per integrand call: a round's nodes go to f in blocks of at most
+# 390 panels (8190 nodes), so an integrand's temporaries stay in cache.
+_BLOCK_PANELS = 390
+
+
 def _panel_rule(f, panels: np.ndarray, problem=None):
     """Fill rows 2 and 3 of a panel table (rows: lo, hi, K21 value,
-    |K21 - G10| error estimate, one column per panel); one call to f.
+    |K21 - G10| error estimate, one column per panel).
 
-    ``problem`` holds the batch row of each panel; without it the panels
-    belong to one problem and f receives the plain node array.
+    f is called on consecutive blocks of at most _BLOCK_PANELS panels' nodes;
+    the rule is one matmul over the whole table.  ``problem`` holds the batch
+    row of each panel; without it the panels belong to one problem and f
+    receives the plain node array.
     """
     lo, hi = panels[0], panels[1]
     mid = 0.5 * (lo + hi)
@@ -324,9 +366,13 @@ def _panel_rule(f, panels: np.ndarray, problem=None):
         arg = np.empty(xs.size, dtype=_NODE_DTYPE)
         arg["s"] = xs
         arg["problem"] = np.repeat(problem, _QK_X.size)
-    vals = np.asarray(f(arg), dtype=float)
-    if vals.shape != xs.shape:
-        raise DomainError("integrand must map an array to an array of the same shape")
+    vals = np.empty(xs.shape)
+    step = _BLOCK_PANELS * _QK_X.size
+    for start in range(0, xs.size, step):
+        block = np.asarray(f(arg[start:start + step]), dtype=float)
+        if block.shape != vals[start:start + step].shape:
+            raise DomainError("integrand must map an array to an array of the same shape")
+        vals[start:start + step] = block
     vals = vals.reshape(len(lo), _QK_X.size)
     k21 = np.multiply(half, vals @ _QK_W, out=panels[2])
     err = np.subtract(k21, half * (vals[:, :_G10_W.size] @ _G10_W), out=panels[3])
@@ -478,6 +524,10 @@ def integrate_halfline(f: Callable, breakpoints: Iterable = (), *, upper: float,
     ``cfg.tail_mass_tol``.  Raises :class:`NumericsError` (carrying the best
     estimate and its error bound) if the tolerance cannot be met within
     ``cfg.max_subdivisions`` panels.
+
+    f must be elementwise: it maps an array of nodes to one value per node,
+    each depending on its own node only.  It may be called more than once
+    per round, on consecutive slices of that round's nodes.
 
     Batches: a 2-D array of breakpoints, one NaN-padded row per problem,
     integrates one problem per row in the same adaptive rounds and returns

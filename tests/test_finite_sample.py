@@ -13,9 +13,11 @@ from scipy.integrate import quad
 from threshcov import (
     DomainError,
     EstimatorKind,
+    IntervalSpec,
     ProblemSetup,
     ScalingFactor,
     SimulationPlan,
+    VarianceMode,
     atom_mass,
     density_grid,
     mirror_check,
@@ -25,7 +27,9 @@ from threshcov import (
     t_pdf,
     tilde_cdf,
     tilde_density,
+    unknown_coverage,
 )
+from threshcov import special
 
 SETUP = reference_setup()
 ALPHA = ScalingFactor.conservative(SETUP)
@@ -193,6 +197,80 @@ class TestDensity:
     def test_rejects_nonfinite_argument(self):
         with pytest.raises(DomainError):
             tilde_density("soft", math.inf, SETUP, 0.0, ALPHA)
+
+
+class TestContinuityAtZero:
+    """theta = 1e-300 runs the mixture quadrature, theta = 0 the Student-t
+    closed form; the two must meet.  Each case is a narrow bump in s near
+    s = 0 that unseeded first panels missed by 8e-11 to 5.7e-9."""
+
+    CONTINUITY = {
+        "soft-cdf": ("soft", tilde_cdf, -19.39, 9.358, "sqrt40"),
+        "hard-cdf": ("hard", tilde_cdf, -10.2884, 7.3617, "sqrt40"),
+        "soft-density": ("soft", tilde_density, 0.99511, 7.6355, "consistent"),
+        "edge-7": ("soft", tilde_density, "edge", 7.0, "conservative"),
+        "edge-6.5": ("soft", tilde_density, "edge", 6.5, "conservative"),
+    }
+
+    @staticmethod
+    def case(name):
+        kind, law, x, eta, scaling = TestContinuityAtZero.CONTINUITY[name]
+        setup = ProblemSetup(n=40, k=35, eta=eta)
+        alpha = (math.sqrt(40.0) if scaling == "sqrt40"
+                 else getattr(ScalingFactor, scaling)(setup))
+        if x == "edge":
+            x = alpha * setup.xi * eta
+        return lambda theta: law(kind, x, setup, theta, alpha)
+
+    @pytest.mark.parametrize("name", sorted(CONTINUITY))
+    def test_tiny_theta_meets_closed_form(self, name):
+        law = self.case(name)
+        assert law(1e-300) == pytest.approx(law(0.0), rel=0.0, abs=1e-12)
+
+    def test_soft_cdf_at_small_theta(self):
+        law = self.case("soft-cdf")
+        assert law(1e-3) == pytest.approx(law(0.0), rel=0.0, abs=1e-12)
+
+    def test_density_tail_is_s_weighted(self):
+        # at m = 1 the density's discarded tail is E[s; s > s_max], not the
+        # rho_1 mass beyond s_max
+        setup = ProblemSetup(n=36, k=35, eta=0.015625)
+        alpha = ScalingFactor.conservative(setup)
+        near = tilde_density("soft", 0.015625, setup, 1e-300, alpha)
+        assert near == pytest.approx(tilde_density("soft", 0.015625, setup, 0.0, alpha),
+                                     rel=0.0, abs=5e-13)
+
+
+class TestSeededPanels:
+    """rho_m's quantiles cut the first panels, so a lone query at theta != 0
+    rarely needs a second round (the switch points alone took 2.8 rounds at
+    m = 5 and 3.7 at m = 995)."""
+
+    @pytest.mark.parametrize("m, n, k, most", [(5, 40, 35, 1.2), (995, 1000, 5, 2.0)])
+    def test_lone_queries_take_few_rounds(self, monkeypatch, m, n, k, most):
+        rounds = []
+        rule = special._panel_rule
+
+        def counted(*args):
+            rounds[-1] += 1
+            return rule(*args)
+
+        monkeypatch.setattr(special, "_panel_rule", counted)
+        rng = np.random.default_rng(7)
+        for _ in range(150):
+            kind = KINDS[rng.integers(3)]
+            setup = ProblemSetup(n=n, k=k, eta=float(10.0 ** rng.uniform(-2.0, 0.0)))
+            theta = rng.uniform(-5.0, 5.0) / setup.root_n
+            alpha = ScalingFactor.conservative(setup)
+            half = rng.uniform(0.5, 6.0) / setup.root_n
+            spec = IntervalSpec(half, half, VarianceMode.ESTIMATED)
+            for query in (lambda: tilde_cdf(kind, rng.uniform(-4.0, 4.0), setup, theta, alpha),
+                          lambda: tilde_density(kind, rng.uniform(-4.0, 4.0), setup, theta,
+                                                alpha),
+                          lambda: unknown_coverage(kind, theta, 1.0, spec, setup)):
+                rounds.append(0)
+                query()
+        assert np.mean(rounds) <= most
 
 
 class TestMirrorSymmetry:

@@ -10,11 +10,13 @@ integrand is rn s dslope g' phi rho_m(s) <= s rho_m(s) under the
 conservative scaling, so its discarded tail is at most about s_max times
 that mass.
 
-The reference quadrature runs to tighter tolerances than the default ones:
-where the integrand is a narrow peak in s, the default rounds stop early and
-their |K21 - G10| bound understates the error (soft, m = 5, eta = 7 at the
-dead-zone edge: a bound of 1.1e-11 against an error of 8.2e-11, with the
-closed form matching scipy's quad to 14 digits).
+The reference quadrature runs to tighter tolerances than the default ones,
+so its small bound makes the stricter check.  ``TestHonestBound`` checks the
+library's own mixture at the default targets: every error within the bound
+it returns.  Before rho_m's quantiles seeded the first panels, a narrow peak
+in s could slip past both rules of the default rounds (soft, m = 5, eta = 7
+at the dead-zone edge: a bound of 1.1e-11 against an error of 8.2e-11, with
+the closed form matching scipy's quad to 14 digits).
 """
 
 import math
@@ -44,6 +46,7 @@ from threshcov import (
 )
 from threshcov.coverage import _coverage_core
 from threshcov.estimators import _inverse, _inverse_slope, _switch_points
+from threshcov.finite_sample import _mixture, _scale_free
 from threshcov.special import integrate_halfline, rho_upper_limit
 
 KINDS = list(EstimatorKind)
@@ -165,6 +168,70 @@ class TestAgainstQuadrature:
         finite = tilde_cdf(kind, xs, setup, 0.0, ScalingFactor.conservative(setup))
         limit = conservative_limit_cdf(kind, xs, ConservativeRegime(nu=0.0, e=e, m=m))
         np.testing.assert_allclose(finite, limit, rtol=0.0, atol=1e-14)
+
+
+class TestHonestBound:
+    """The mixture quadrature at the default targets, run at theta = 0,
+    against the closed forms: every error is within the returned bound plus
+    the tail allowance.  A fixed numpy-seeded sweep (seeds 1-3, 2000 problems
+    each): kind, m in {1, 5, 995}, eta = 10^U(-3, 1), n = 35 + m, k = 35,
+    xi = 1, the conservative or the consistent alpha, and x near 0, near the
+    dead-zone edge +-a xi eta, or across a xi [-4, 4].  The density skips
+    x = 0 and the hard dead zone, and its allowance is s_max times the CDF's.
+    """
+
+    @staticmethod
+    def problems(seed, count=2000):
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            kind = KINDS[rng.integers(3)]
+            m = int(rng.choice([1, 5, 995]))
+            eta = float(10.0 ** rng.uniform(-3.0, 1.0))
+            setup = cell(m, eta)
+            scaling = (ScalingFactor.conservative if rng.random() < 0.5
+                       else ScalingFactor.consistent)
+            scale = scaling(setup) * setup.xi
+            where = rng.integers(3)
+            if where == 0:
+                x = rng.uniform(-0.01, 0.01)
+            elif where == 1:
+                x = eta * (1.0 + rng.uniform(-0.01, 0.01)) * (1.0 if rng.random() < 0.5
+                                                               else -1.0)
+            else:
+                x = rng.uniform(-4.0, 4.0)
+            yield kind, m, eta, setup.root_n, scale, float(scale * x)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_cdf(self, seed):
+        misses = []
+        for kind, m, eta, rn, scale, x in self.problems(seed):
+            def below(s, slope):
+                return std_normal_cdf(rn * _inverse(kind, 0.0, slope * s, eta * s))
+
+            got, bound = _mixture(kind, 0.0, np.array([x / scale]), eta, m, below)
+            want = _scale_free(kind, x, scale, eta, rn, m)
+            if not agree(got[0], want, bound[0]):
+                misses.append((kind, m, eta, x, got[0], want, bound[0]))
+        assert not misses
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_density(self, seed):
+        misses = []
+        for kind, m, eta, rn, scale, x in self.problems(seed):
+            if x == 0.0 or (kind is EstimatorKind.HARD and abs(x) <= scale * eta):
+                continue
+
+            def density(s, slope):
+                d, t = slope * s, eta * s
+                return (rn * s / scale * _inverse_slope(kind, 0.0, d, t)
+                        * std_normal_pdf(rn * _inverse(kind, 0.0, d, t)))
+
+            got, bound = _mixture(kind, 0.0, np.array([x / scale]), eta, m, density,
+                                  weighted=True)
+            want = _scale_free(kind, x, scale, eta, rn, m, density=True)
+            if not agree(got[0], want, bound[0], rho_upper_limit(m, TAIL)):
+                misses.append((kind, m, eta, x, got[0], want, bound[0]))
+        assert not misses
 
 
 class TestBatchedGrid:

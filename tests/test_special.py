@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special as sp
+from scipy.integrate import quad
 from scipy.stats import chi2 as chi2_dist
 
 from threshcov import (
@@ -546,6 +547,69 @@ class TestBatchedIntegrator:
         value, bound = integrate_halfline(lambda s: np.ones_like(s), upper=2.0,
                                           with_bound=True)
         assert type(value) is float and type(bound) is float
+
+
+class TestBlockedRounds:
+    """A round's nodes reach the integrand in blocks of _BLOCK_PANELS panels."""
+
+    @staticmethod
+    def normal_mixtures(count):
+        """Phi(c s - d) rho_5(s), one (c, d) per problem."""
+        rng = np.random.default_rng(3)
+        c, d = rng.uniform(0.5, 8.0, count), rng.uniform(-2.0, 6.0, count)
+
+        def f(nodes):
+            s, rows = nodes["s"], nodes["problem"]
+            return std_normal_cdf(c[rows] * s - d[rows]) * rho_density(s, 5)
+
+        return f, (d / c)[:, None]
+
+    def run(self, monkeypatch, rule):
+        f, points = self.normal_mixtures(900)
+        calls = []
+
+        def counted(g, panels, problem=None):
+            calls.append(0)
+
+            def h(nodes):
+                calls[-1] += 1
+                return g(nodes)
+
+            return rule(h, panels, problem)
+
+        monkeypatch.setattr(special, "_panel_rule", counted)
+        values, bounds = integrate_halfline(f, points, upper=rho_upper_limit(5, 1e-12),
+                                            with_bound=True)
+        return values, bounds, calls
+
+    def test_same_bits_as_one_block(self, monkeypatch):
+        rule = special._panel_rule
+        values, bounds, calls = self.run(monkeypatch, rule)
+        assert max(calls) > 1
+        monkeypatch.setattr(special, "_BLOCK_PANELS", 10**9)
+        whole_values, whole_bounds, whole_calls = self.run(monkeypatch, rule)
+        assert set(whole_calls) == {1} and len(whole_calls) == len(calls)
+        assert values.tobytes() == whole_values.tobytes()
+        assert bounds.tobytes() == whole_bounds.tobytes()
+
+
+class TestRhoCuts:
+    """Where the estimated-variance mixtures cut and truncate rho_m."""
+
+    @pytest.mark.parametrize("m", [1, 5, 995])
+    def test_seed_quantiles(self, m):
+        got = special._rho_quantiles(m)
+        want = np.sqrt(chi2_dist.ppf(special._RHO_SEED_PROBS, m) / m)
+        assert got == pytest.approx(want, rel=1e-12)
+        assert not got.flags.writeable
+
+    @pytest.mark.parametrize("m", [1, 5, 995])
+    def test_weighted_tail(self, m):
+        s_max = special._rho_upper_weighted(m, 1e-12)
+        tail, _ = quad(lambda s: s * rho_density(s, m), s_max, s_max + 2.0,
+                       epsabs=0.0, epsrel=1e-12)
+        assert tail == pytest.approx(1e-12, rel=1e-8)
+        assert s_max > rho_upper_limit(m, 1e-12)
 
 
 class TestRootFinding:

@@ -33,11 +33,11 @@ from threshcov import (
 KINDS = list(EstimatorKind)
 SEED = 17
 DIGESTS = {
-    "tilde_cdf": "42a7f45313a1eedd483ca7dd18f0a70fcc38ec4e6d47e08081fb5257a6067252",
-    "tilde_density": "7b67778bf1c16a84d68c557047b11630ebc65e417322b125696aaad5a118eafa",
-    "unknown_coverage": "3559a3cae9898e8f8603fa85cfdcfca459761b32fae43281ed4b3ca26d795ef2",
+    "tilde_cdf": "166d0dd143ebd3ca0705a4443b4fa531eead57c88c3d3e1d28a90a366206ef89",
+    "tilde_density": "8fe84ae1fc51630dfe9ada68e0121e62d4859e2c398c655aa8512386e4691428",
+    "unknown_coverage": "4c436e05614990f75f7c848b33869fdf0c3ee239dec33fe69f6fbb0da564ba3f",
     "conservative_limit_cdf":
-        "a9b9d69a5ad8632da5a14a861e22a5d43d8f1560c651fd89018ffbca17b55025",
+        "a676cb59bd66a8b88d789e97ef151f2f34c4af6c0e5ccede14b9bb3e5a2f0142",
 }
 
 
