@@ -9,7 +9,10 @@ quadrature as panel breakpoints.  At theta = 0 every offset of the inverse
 map is s times its value g1 at s = 1, so the mixture is the Student-t law
 T_m(sqrt(n) g1) and needs no quadrature (``_scale_free``).  One routine,
 ``_mixture``, integrates every such law, the estimated-variance coverage
-and the conservative limit law, which is this mixture at rn = 1.
+and the conservative limit law, which is this mixture at rn = 1.  One
+router, ``_error_law``, picks the route of every CDF and density: the
+closed form at theta = 0, the plain t law where no threshold binds, and
+the mixture otherwise.
 
 The law is mixed: when the true component is zero it has an atom at zero
 (the probability of thresholding to zero) plus an absolutely continuous
@@ -113,8 +116,7 @@ def _mixture(kind, mu, slopes, eta, m, term, weighted=False):
         s, v = _per_node(nodes, varying)
         return term(s, v) * rho_density(s, m)
 
-    return integrate_halfline(f, np.concatenate([switches, seeds], axis=1), upper=upper,
-                              with_bound=True)
+    return integrate_halfline(f, np.concatenate([switches, seeds], axis=1), upper=upper)
 
 
 def _scale_free(kind, x, scale, t, rn, m, closed=True, density=False):
@@ -148,27 +150,37 @@ def _cdf_at(x, law, name):
     return _clamp_unit(out, bound, name)
 
 
-def _error_cdf(kind, x, theta, unit, scale, eta, rn, m, name):
-    """CDF at x of scale (kernel(W, eta s) - mu) / s, W ~ N(mu, 1 / rn^2), mu =
-    theta / unit, s ~ rho_m; clamped to [0, 1] under ``name``.  Routed on
-    theta, not on a mu that may underflow: theta = 0 is T_m(rn g1), and so is
-    eta = 0 or mu = +-inf (theta infinite, or overflowing against unit) with
-    the threshold at 0, soft's x shifted by its bias."""
+def _error_law(kind, x, theta, unit, scale, eta, rn, m, density=False):
+    """(values, bounds) at the finite array x of the law of scale (kernel(W,
+    eta s) - mu) / s, W ~ N(mu, 1 / rn^2), mu = theta / unit, s ~ rho_m: its
+    CDF, or with density=True the density of its continuous part without the
+    kill term.  Routed on theta, not on a mu that may underflow: theta = 0 is
+    T_m(rn g1); eta = 0 or mu = +-inf (theta infinite, or overflowing against
+    unit) is the t law with the threshold at 0, soft's d shifted by its bias;
+    anything else is one rho_m mixture."""
     with np.errstate(over="ignore"):
         mu = theta / unit
+        if theta == 0.0:
+            return _scale_free(kind, x, scale, eta, rn, m, density=density), 0.0
+        if eta == 0.0 or math.isinf(mu):
+            d = x / scale
+            if kind is EstimatorKind.SOFT:
+                d = d + math.copysign(eta, mu)
+            if density:
+                return rn * t_pdf(rn * d, m) / scale, 0.0
+            return t_cdf(rn * d, m), 0.0
+    if density:
+        dslope = 1.0 / scale
 
-    def law(xs):
-        if theta == 0.0 or eta == 0.0 or math.isinf(mu):
-            if kind is EstimatorKind.SOFT and math.isinf(mu):
-                xs = xs + math.copysign(eta * scale, mu)
-            return _scale_free(kind, xs, scale, eta if theta == 0.0 else 0.0, rn, m), 0.0
-
-        def below(s, slope):
+        def term(s, slope):
+            d, t = slope * s, eta * s
+            return (rn * s * dslope * _inverse_slope(kind, mu, d, t)
+                    * _std_normal_pdf(rn * _inverse(kind, mu, d, t)))
+    else:
+        def term(s, slope):
             return _std_normal_cdf(rn * _inverse(kind, mu, slope * s, eta * s))
 
-        return _mixture(kind, mu, xs / scale, eta, m, below)
-
-    return _cdf_at(x, law, name)
+    return _mixture(kind, mu, x / scale, eta, m, term, weighted=density)
 
 
 def tilde_cdf(kind, x, setup: ProblemSetup, theta_i: float, alpha):
@@ -183,8 +195,9 @@ def tilde_cdf(kind, x, setup: ProblemSetup, theta_i: float, alpha):
     if not math.isfinite(theta_i):
         raise DomainError("theta must be finite")
     m = setup.require_estimated_variance()
-    return _error_cdf(kind, x, theta_i, setup.sigma * setup.xi, a * setup.xi, setup.eta,
-                      setup.root_n, m, "tilde_cdf")
+    return _cdf_at(x, lambda xs: _error_law(kind, xs, theta_i, setup.sigma * setup.xi,
+                                            a * setup.xi, setup.eta, setup.root_n, m),
+                   "tilde_cdf")
 
 
 def _kill_kernel_term(x: np.ndarray, q: float, setup: ProblemSetup,
@@ -232,35 +245,13 @@ def tilde_density(kind, x, setup: ProblemSetup, theta_i: float, alpha):
     x = np.asarray(x, dtype=float)
     if not np.isfinite(x).all():
         raise DomainError("density argument must be finite")
-    q = theta_i / setup.sigma
-    with np.errstate(over="ignore"):
-        mu = theta_i / (setup.sigma * setup.xi)
     out = np.zeros(x.shape)
-    if q == 0.0:
-        # at the atom, and inside the hard dead zone, there is no density
-        live = x != 0.0
-        if kind is EstimatorKind.HARD:
-            live &= np.abs(x) > a * setup.xi * setup.eta
-        out[live] = _scale_free(kind, x[live], a * setup.xi, setup.eta, setup.root_n,
-                                m, density=True)
-    elif math.isinf(mu):
-        # no threshold binds this far out: the t density, soft's x shifted
-        d = x / (a * setup.xi)
-        if kind is EstimatorKind.SOFT:
-            d = d + math.copysign(setup.eta, mu)
-        out = setup.root_n * np.asarray(t_pdf(setup.root_n * d, m)) / (a * setup.xi)
-    elif x.size:
-        xs = x.ravel()
-        rn, dslope = setup.root_n, 1.0 / (a * setup.xi)
-
-        def density(s, slope):
-            d, t = slope * s, setup.eta * s
-            return (rn * s * dslope * _inverse_slope(kind, mu, d, t)
-                    * _std_normal_pdf(rn * _inverse(kind, mu, d, t)))
-
-        value, _ = _mixture(kind, mu, xs / (a * setup.xi), setup.eta, m, density,
-                            weighted=True)
-        out = np.maximum(0.0, value + _kill_kernel_term(xs, q, setup, a)).reshape(x.shape)
+    live = (x != 0.0) | (theta_i != 0.0)  # the atom at theta = 0 has no density
+    if live.any():
+        out[live], _ = _error_law(kind, x[live], theta_i, setup.sigma * setup.xi,
+                                  a * setup.xi, setup.eta, setup.root_n, m, density=True)
+    if theta_i != 0.0:
+        out = np.maximum(0.0, out + _kill_kernel_term(x, theta_i / setup.sigma, setup, a))
     return float(out) if out.ndim == 0 else out
 
 

@@ -24,7 +24,7 @@ from typing import Iterable, Sequence, Tuple
 import numpy as np
 
 from .estimators import EstimatorKind, _inverse
-from .finite_sample import ScalingFactor, _cdf_at, _error_cdf, tilde_cdf
+from .finite_sample import ScalingFactor, _cdf_at, _error_law, tilde_cdf
 from .model import ProblemSetup
 from .special import DomainError, _check_dof, chi_sq_cdf, std_normal_cdf
 # unused here, but perfbench/tracing.py wraps this module's binding
@@ -108,8 +108,8 @@ def conservative_limit_cdf(kind, x, regime: ConservativeRegime) -> float:
     kind = EstimatorKind(kind)
     if math.isinf(regime.m):
         raise DomainError("conservative limits are provided for finite m only")
-    return _error_cdf(kind, x, regime.nu, 1.0, 1.0, regime.e, 1.0, regime.m,
-                      "conservative_limit_cdf")
+    return _cdf_at(x, lambda xs: _error_law(kind, xs, regime.nu, 1.0, 1.0, regime.e, 1.0,
+                                            regime.m), "conservative_limit_cdf")
 
 
 def hard_weight(f: float, r: float, s: float | None = None) -> float:

@@ -75,7 +75,9 @@ import numpy as np
 
 from .estimators import EstimatorKind, kernel
 from .finite_sample import ScalingFactor
-from .model import ProblemSetup, VarianceMode, _full_rank_qr, _is_integer, compute_xi_all
+from .model import ProblemSetup, VarianceMode, _full_rank_qr, _is_integer
+# unused here, but perfbench/tracing.py wraps this module's binding
+from .model import compute_xi_all  # noqa: F401
 from .special import DomainError, chi_sq_quantile, std_normal_quantile
 
 __all__ = [
@@ -551,15 +553,16 @@ def simulate_coverage_full(plan: SimulationPlan, kind, spec):
     X = np.asarray(X, dtype=float)
     if X.shape != (setup.n, setup.k):
         raise DomainError("design shape must be (n, k)")
-    xi_all = compute_xi_all(X)
+    Q, R = _full_rank_qr(X)
     watched = setup.component_index - 1
-    if abs(xi_all[watched] - setup.xi) > 1e-8 * max(1.0, setup.xi):
+    # the watched LS coefficient is e_w' R^-1 Q' y = c' y with R' r = e_w,
+    # and the watched xi is sqrt(n r'r)
+    row = solve_triangular(R, np.eye(setup.k)[watched], trans="T", lower=False)
+    xi = math.sqrt(setup.n * float(row @ row))
+    if abs(xi - setup.xi) > 1e-8 * max(1.0, setup.xi):
         raise DomainError("design xi of the watched component does not match setup.xi")
     # the interval's cutoff uses the design's own xi
-    setup = dataclasses.replace(setup, xi=float(xi_all[watched]))
-    Q, R = _full_rank_qr(X)
-    # the watched LS coefficient is e_w' R^-1 Q' y = c' y with R' r = e_w
-    row = solve_triangular(R, np.eye(setup.k)[watched], trans="T", lower=False)
+    setup = dataclasses.replace(setup, xi=xi)
     c = Q @ row
     abs_c = np.abs(c)
     theta_vec = plan.theta_vector()

@@ -16,12 +16,13 @@ vectorized adaptive panel integrator for piecewise-smooth integrands on a
 truncated half-line, and a bracketed deterministic root finder.  Each panel
 takes QUADPACK's 21-point Gauss-Kronrod rule: its value is K21, and
 |K21 - G10|, against the Gauss rule on 10 of the same 21 nodes, is its
-error estimate.  Integrands declare their non-smooth points (indicator
-switches, kinks) and the points where they are known to be hard (the rho_m
-mixtures: rho_m's quantiles) as breakpoints; these seed the initial panel
-boundaries, so the adaptive refinement never has to discover a
-discontinuity, or find a narrow bump that both rules would miss, on its
-own.
+error estimate; the integrator returns every value together with the sum
+of these estimates, its error bound.  Integrands declare their non-smooth
+points (indicator switches, kinks) and the points where they are known to
+be hard (the rho_m mixtures: rho_m's quantiles) as breakpoints; these seed
+the initial panel boundaries, so the adaptive refinement never has to
+discover a discontinuity, or find a narrow bump that both rules would
+miss, on its own.
 
 The integrator is batched: a 2-D array of breakpoints, one row per problem,
 integrates a whole grid (densities over x, coverages over theta) in one
@@ -397,40 +398,8 @@ def _initial_panels(breakpoints: np.ndarray, upper: float):
     return flat[:-1][inner], flat[1:][inner], row[:-1][inner]
 
 
-def _integrate_with_bound(f: Callable, breakpoints: Iterable, upper: float,
-                          cfg: QuadratureConfig):
-    """Adaptive panel integration of f over (0, upper); returns (value, bound).
-
-    The returned bound is the summed |K21 - G10| panel deviation, an
-    estimate of the remaining quadrature error.
-
-    A 2-D array of breakpoints, one row per problem (NaN-padded), makes a
-    batch: the panels of all problems are refined together, one call to f
-    per round, and value and bound come back as arrays over the rows.  Each
-    problem keeps its own breakpoints and tolerance target, is split by the
-    same rule as a lone problem and leaves the batch once it has converged.
-    """
-    upper = float(upper)
-    if not math.isfinite(upper):
-        raise DomainError("truncation point must be finite")
-    batch = isinstance(breakpoints, np.ndarray) and breakpoints.ndim == 2
-    count = len(breakpoints) if batch else 1
-    value = np.zeros(count)
-    bound = np.zeros(count)
-    if upper > 0.0 and count == 1:
-        points = np.ravel(breakpoints).tolist() if batch else breakpoints
-        cuts = sorted({float(b) for b in points if 0.0 < float(b) < upper})
-        _refine(f, [0.0] + cuts, cuts + [upper], None, cfg, value, bound)
-    elif upper > 0.0 and count:
-        _refine(f, *_initial_panels(breakpoints.astype(float), upper),
-                cfg, value, bound)
-    if batch:
-        return value, bound
-    return float(value[0]), float(bound[0])
-
-
 def _refine(f, lo, hi, row, cfg, value, bound):
-    """The adaptive rounds behind :func:`_integrate_with_bound`; fills value
+    """The adaptive rounds behind :func:`integrate_halfline`; fills value
     and bound per problem.
 
     ``row`` is None for a lone problem, whose bookkeeping runs on plain
@@ -514,9 +483,10 @@ def _overrun(total, err, target, panels, problem):
 
 
 def integrate_halfline(f: Callable, breakpoints: Iterable = (), *, upper: float,
-                       cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-                       with_bound: bool = False):
-    """Integrate a vectorized integrand over (0, upper) to cfg tolerances.
+                       cfg: QuadratureConfig = DEFAULT_QUADRATURE):
+    """Integrate a vectorized integrand over (0, upper) to cfg tolerances;
+    returns (value, error bound), the bound being the summed |K21 - G10|
+    panel deviation, an estimate of the remaining quadrature error.
 
     ``breakpoints`` mark non-smooth points of f; values outside (0, upper)
     are ignored.  Weighted integrands pick ``upper`` from
@@ -530,19 +500,35 @@ def integrate_halfline(f: Callable, breakpoints: Iterable = (), *, upper: float,
     per round, on consecutive slices of that round's nodes.
 
     Batches: a 2-D array of breakpoints, one NaN-padded row per problem,
-    integrates one problem per row in the same adaptive rounds and returns
-    an array of values.  With several problems f receives a record array
-    with fields ``s`` (the nodes) and ``problem`` (each node's row), and
-    must return one value per node; a batch of one, like a lone problem,
-    passes the plain node array and runs exactly the lone problem's rounds.
-    Each problem meets its own tolerance target, so a batched value agrees
-    with the lone call of the same problem within the error bound, though
-    not necessarily bitwise.  A NumericsError raised from a batch of several
-    problems names the failing row in ``problem``.  ``with_bound=True`` returns
-    (value, error bound), the summed |K21 - G10| panel deviation.
+    integrates one problem per row in the same adaptive rounds, and value
+    and bound come back as arrays over the rows.  With several problems f
+    receives a record array with fields ``s`` (the nodes) and ``problem``
+    (each node's row), and must return one value per node; a batch of one,
+    like a lone problem, passes the plain node array and runs exactly the
+    lone problem's rounds.  Each problem keeps its own breakpoints and
+    tolerance target, is split by the same rule as a lone problem and leaves
+    the batch once it has converged, so a batched value agrees with the lone
+    call of the same problem within the error bound, though not necessarily
+    bitwise.  A NumericsError raised from a batch of several problems names
+    the failing row in ``problem``.
     """
-    value, bound = _integrate_with_bound(f, breakpoints, upper, cfg)
-    return (value, bound) if with_bound else value
+    upper = float(upper)
+    if not math.isfinite(upper):
+        raise DomainError("truncation point must be finite")
+    batch = isinstance(breakpoints, np.ndarray) and breakpoints.ndim == 2
+    count = len(breakpoints) if batch else 1
+    value = np.zeros(count)
+    bound = np.zeros(count)
+    if upper > 0.0 and count == 1:
+        points = np.ravel(breakpoints).tolist() if batch else breakpoints
+        cuts = sorted({float(b) for b in points if 0.0 < float(b) < upper})
+        _refine(f, [0.0] + cuts, cuts + [upper], None, cfg, value, bound)
+    elif upper > 0.0 and count:
+        _refine(f, *_initial_panels(breakpoints.astype(float), upper),
+                cfg, value, bound)
+    if batch:
+        return value, bound
+    return float(value[0]), float(bound[0])
 
 
 def _clamp_unit(value, bound, name: str):

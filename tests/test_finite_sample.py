@@ -93,6 +93,16 @@ class TestOverflowingMu:
         assert soft == pytest.approx(t_cdf(rn * (self.xs / 1e-10 + 0.5), 5), abs=1e-15)
         density = tilde_density("hard", 0.0, self.setup, -1e300, 1.0)
         assert density == pytest.approx(rn * t_pdf(0.0, 5) / 1e-10, rel=1e-14)
+        for theta in (1e300, -1e300):
+            soft = tilde_density("soft", self.xs, self.setup, theta, 1.0)
+            shift = math.copysign(0.5, theta)
+            assert soft == pytest.approx(rn * t_pdf(rn * (self.xs / 1e-10 + shift), 5)
+                                         / 1e-10, rel=1e-14)
+            for kind in ("hard", "asoft"):
+                # x = 0 is no atom here: the t density, finite
+                at_zero = tilde_density(kind, 0.0, self.setup, theta, 1.0)
+                assert math.isfinite(at_zero)
+                assert at_zero == pytest.approx(rn * t_pdf(0.0, 5) / 1e-10, rel=1e-14)
 
 
 class TestAtom:

@@ -92,7 +92,7 @@ def quadrature(integrand, kind, mu, slope, eta, m):
     slope = np.array([slope])
     value, bound = integrate_halfline(
         integrand, _switch_points(kind, mu, slope, eta),
-        upper=rho_upper_limit(m, TAIL), cfg=REFERENCE, with_bound=True)
+        upper=rho_upper_limit(m, TAIL), cfg=REFERENCE)
     return float(value[0]), float(bound[0])
 
 
@@ -154,7 +154,7 @@ class TestAgainstQuadrature:
         want, bound = integrate_halfline(
             integrand,
             _switch_points(kind, np.array([[mu]]), np.array([reach, -reach]), eta).ravel(),
-            upper=rho_upper_limit(m, TAIL), cfg=REFERENCE, with_bound=True)
+            upper=rho_upper_limit(m, TAIL), cfg=REFERENCE)
         got = unknown_coverage(kind, theta, 1.0, spec, setup)
         assert agree(got, want, bound), (got, want, bound)
 

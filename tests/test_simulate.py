@@ -782,6 +782,26 @@ class TestFullDesignReference:
         plan = SimulationPlan(setup=setup, theta=theta, reps=3001, seed=106, design=X)
         self.assert_matches(plan, kind, dense_spec(setup, mode), monkeypatch)
 
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_xi_from_the_solved_row(self, dense, monkeypatch):
+        # the watched xi is sqrt(n r'r) of the row the cell solves anyway,
+        # so the path never factors X a second time through compute_xi_all
+        def refactor(X):
+            raise AssertionError("simulate_coverage_full factored X twice")
+
+        if dense:
+            X, setup, theta = dense_case(60, 10, seed=7)
+        else:
+            X, setup, theta = None, SETUP, SETUP.xi * SETUP.eta
+        spec = IntervalSpec(0.3, 0.3, VarianceMode.ESTIMATED)
+        plan = SimulationPlan(setup=setup, theta=theta, reps=3001, seed=107, design=X)
+        monkeypatch.setattr(simulate, "compute_xi_all", refactor)
+        self.assert_matches(plan, "asoft", spec, monkeypatch)
+        X = synthetic_design(setup.n, setup.k, 2.0 * setup.xi) if X is None else 2.0 * X
+        mismatch = SimulationPlan(setup=setup, theta=theta, reps=10, seed=107, design=X)
+        with pytest.raises(DomainError, match="does not match setup.xi"):
+            simulate_coverage_full(mismatch, "asoft", spec)
+
 
 def cell_end_words():
     """Philox words whose uniforms lie at or next to every end of the 4096

@@ -35,7 +35,7 @@ from threshcov import (
     t_quantile,
 )
 from threshcov import special
-from threshcov.special import _integrate_with_bound, _rho_log_norm
+from threshcov.special import _rho_log_norm
 
 
 def series_normal_cdf(x: float) -> float:
@@ -103,13 +103,13 @@ class TestRho:
     @pytest.mark.parametrize("m", [1, 2, 5, 30, 200])
     def test_normalization(self, m):
         upper = rho_upper_limit(m, 1e-14)
-        val = integrate_halfline(lambda s: rho_density(s, m), upper=upper)
+        val, _ = integrate_halfline(lambda s: rho_density(s, m), upper=upper)
         assert val == pytest.approx(1.0, abs=1e-10)
 
     def test_half_normal_mean(self):
         # E[S] with one degree of freedom is sqrt(2/pi)
         upper = rho_upper_limit(1, 1e-15)
-        val = integrate_halfline(lambda s: s * rho_density(s, 1), upper=upper)
+        val, _ = integrate_halfline(lambda s: s * rho_density(s, 1), upper=upper)
         assert val == pytest.approx(math.sqrt(2.0 / math.pi), abs=1e-8)
 
     def test_density_vs_chi2_finite_difference(self):
@@ -142,8 +142,8 @@ class TestStudentT:
     def test_scale_mixture_identity(self, m, x):
         # T_m(x) = integral of Phi(x s) against the rho_m density
         upper = rho_upper_limit(m, 1e-14)
-        val = integrate_halfline(lambda s: std_normal_cdf(x * s) * rho_density(s, m),
-                                 upper=upper)
+        val, _ = integrate_halfline(lambda s: std_normal_cdf(x * s) * rho_density(s, m),
+                                    upper=upper)
         assert val == pytest.approx(t_cdf(x, m), abs=1e-8)
 
     def test_quantile_0975_vs_mpmath(self):
@@ -170,8 +170,8 @@ class TestStudentT:
         xs = np.linspace(0.0, 6.0, 25)
         assert np.allclose(t_pdf(xs, 7), t_pdf(-xs, 7), atol=1e-15)
         upper = 1e6
-        val = integrate_halfline(lambda x: t_pdf(x, 3), breakpoints=(1.0, 10.0, 100.0, 1e4),
-                                 upper=upper)
+        val, _ = integrate_halfline(lambda x: t_pdf(x, 3),
+                                    breakpoints=(1.0, 10.0, 100.0, 1e4), upper=upper)
         assert 2 * val == pytest.approx(1.0, abs=1e-6)
 
     def test_pdf_is_cdf_derivative(self):
@@ -196,7 +196,7 @@ class TestChiSquare:
     @pytest.mark.parametrize("s", [0.5, 1.0, 2.0])
     def test_consistency_with_rho(self, s):
         # P(S <= s) = chi2_cdf(m s^2, m)
-        val = integrate_halfline(lambda u: rho_density(u, 5), upper=s)
+        val, _ = integrate_halfline(lambda u: rho_density(u, 5), upper=s)
         assert val == pytest.approx(chi_sq_cdf(5 * s * s, 5), abs=1e-9)
 
     def test_quantile_roundtrip(self):
@@ -208,13 +208,13 @@ class TestIntegrator:
     def test_indicator_with_breakpoint(self):
         # mass of S above 1 equals the chi-square upper tail at m s^2
         upper = rho_upper_limit(5, 1e-14)
-        val = integrate_halfline(lambda s: np.where(s > 1.0, 1.0, 0.0) * rho_density(s, 5),
-                                 breakpoints=(1.0,), upper=upper)
+        val, _ = integrate_halfline(lambda s: np.where(s > 1.0, 1.0, 0.0) * rho_density(s, 5),
+                                    breakpoints=(1.0,), upper=upper)
         assert val == pytest.approx(1.0 - chi2_dist.cdf(5.0, 5), abs=1e-10)
 
     def test_breakpoints_outside_domain_ignored(self):
-        val = integrate_halfline(lambda s: np.ones_like(s), breakpoints=(-1.0, 5.0, 99.0),
-                                 upper=2.0)
+        val, _ = integrate_halfline(lambda s: np.ones_like(s), breakpoints=(-1.0, 5.0, 99.0),
+                                    upper=2.0)
         assert val == pytest.approx(2.0, abs=1e-12)
 
     def test_error_bound_honest(self):
@@ -225,7 +225,7 @@ class TestIntegrator:
             (lambda s: np.sin(s), math.pi, 2.0),
         ]
         for f, upper, truth in cases:
-            value, bound = _integrate_with_bound(f, (), upper, DEFAULT_QUADRATURE)
+            value, bound = integrate_halfline(f, upper=upper)
             assert abs(value - truth) <= max(bound, 1e-12) + 1e-13
 
     def test_nonconvergence_carries_estimate(self):
@@ -240,7 +240,8 @@ class TestIntegrator:
             integrate_halfline(lambda s: np.full_like(s, math.nan), upper=1.0)
 
     def test_zero_width(self):
-        assert integrate_halfline(lambda s: np.ones_like(s), upper=0.0) == 0.0
+        value, _ = integrate_halfline(lambda s: np.ones_like(s), upper=0.0)
+        assert value == 0.0
 
     def test_config_validation(self):
         with pytest.raises(DomainError):
@@ -434,7 +435,7 @@ class TestLoneQuadratureBits:
     def test_value_and_bound_bits_match_plain_rule(self, case):
         f, points, m = case
         upper = 3.0 if m is None else rho_upper_limit(m, 1e-12)
-        value, bound = _integrate_with_bound(f, points, upper, DEFAULT_QUADRATURE)
+        value, bound = integrate_halfline(f, points, upper=upper)
         want_value, want_bound = _lone_reference(f, points, upper)
         assert value.hex() == want_value.hex() and bound.hex() == want_bound.hex()
 
@@ -460,14 +461,13 @@ class TestBatchedIntegrator:
         upper = rho_upper_limit(5, 1e-14)
         # NaN pads the rows; the last row also repeats its point
         points = np.array([[0.5, np.nan], [1.0, np.nan], [1.7, -3.0], [2.9, 2.9]])
-        values, bounds = integrate_halfline(self.indicator_tails(cuts), points,
-                                            upper=upper, with_bound=True)
+        values, bounds = integrate_halfline(self.indicator_tails(cuts), points, upper=upper)
         assert values.shape == bounds.shape == (4,)
         exact = 1.0 - chi2_dist.cdf(5.0 * cuts ** 2, 5)
         assert values == pytest.approx(exact, abs=1e-10)
         for i, cut in enumerate(cuts):
-            lone, lone_bound = _integrate_with_bound(
-                self.indicator_tails([cut]), (cut,), upper, DEFAULT_QUADRATURE)
+            lone, lone_bound = integrate_halfline(self.indicator_tails([cut]), (cut,),
+                                                  upper=upper)
             assert abs(values[i] - lone) <= bounds[i] + lone_bound + 1e-15
 
     def test_converged_problems_leave_the_batch(self):
@@ -480,7 +480,7 @@ class TestBatchedIntegrator:
             s, w = nodes["s"], widths[nodes["problem"]]
             return np.exp(-0.5 * ((s - 1.0) / w) ** 2)
 
-        values = integrate_halfline(f, np.full((3, 1), np.nan), upper=2.0)
+        values, _ = integrate_halfline(f, np.full((3, 1), np.nan), upper=2.0)
         assert values[0] == pytest.approx(2.0, abs=1e-12)
         exact = (widths[1:] * math.sqrt(2.0 * math.pi)
                  * (2.0 * std_normal_cdf(1.0 / widths[1:]) - 1.0))
@@ -521,13 +521,12 @@ class TestBatchedIntegrator:
         def f(nodes):
             raise AssertionError("an empty batch must not evaluate the integrand")
 
-        values, bounds = integrate_halfline(f, np.empty((0, 3)), upper=1.0,
-                                            with_bound=True)
+        values, bounds = integrate_halfline(f, np.empty((0, 3)), upper=1.0)
         assert values.shape == bounds.shape == (0,)
 
     def test_zero_width_batch(self):
-        values = integrate_halfline(lambda s: np.ones_like(s), np.zeros((3, 0)),
-                                    upper=0.0)
+        values, _ = integrate_halfline(lambda s: np.ones_like(s), np.zeros((3, 0)),
+                                       upper=0.0)
         assert values.tolist() == [0.0, 0.0, 0.0]
 
     def test_batch_of_one_passes_plain_nodes(self):
@@ -537,15 +536,14 @@ class TestBatchedIntegrator:
             kinds.append(nodes.dtype)
             return np.ones_like(nodes)
 
-        values = integrate_halfline(f, np.array([[0.5]]), upper=2.0)
+        values, _ = integrate_halfline(f, np.array([[0.5]]), upper=2.0)
         assert values.shape == (1,) and values[0] == pytest.approx(2.0)
         assert all(dtype == np.float64 for dtype in kinds)
 
     def test_scalar_call_returns_float(self):
-        value = integrate_halfline(lambda s: np.ones_like(s), (0.5,), upper=2.0)
+        value, _ = integrate_halfline(lambda s: np.ones_like(s), (0.5,), upper=2.0)
         assert type(value) is float
-        value, bound = integrate_halfline(lambda s: np.ones_like(s), upper=2.0,
-                                          with_bound=True)
+        value, bound = integrate_halfline(lambda s: np.ones_like(s), upper=2.0)
         assert type(value) is float and type(bound) is float
 
 
@@ -578,8 +576,7 @@ class TestBlockedRounds:
             return rule(h, panels, problem)
 
         monkeypatch.setattr(special, "_panel_rule", counted)
-        values, bounds = integrate_halfline(f, points, upper=rho_upper_limit(5, 1e-12),
-                                            with_bound=True)
+        values, bounds = integrate_halfline(f, points, upper=rho_upper_limit(5, 1e-12))
         return values, bounds, calls
 
     def test_same_bits_as_one_block(self, monkeypatch):
