@@ -153,14 +153,17 @@ def _solve_half_length(kind, alpha: float, setup: ProblemSetup, mode: VarianceMo
     cdf = _variance_cdf(mode, setup)
 
     def objective(a):
-        return _infimum(kind, a, a, setup, cdf) - target
+        # the bracket's upper end was already evaluated while bracketing
+        return f_hi if a == hi else _infimum(kind, a, a, setup, cdf) - target
 
     # below xi eta / 2 the hard infimum is identically zero
     lo = 0.5 * setup.xi * setup.eta if kind is EstimatorKind.HARD else 0.0
     hi = max(setup.xi * setup.eta, setup.xi / setup.root_n)
     for _ in range(200):
-        if hi < math.inf and objective(hi) > 0.0:
-            break
+        if hi < math.inf:
+            f_hi = _infimum(kind, hi, hi, setup, cdf) - target
+            if f_hi > 0.0:
+                break
         hi *= 2.0
     else:
         raise BracketError("could not bracket the half-length equation")

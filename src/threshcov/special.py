@@ -13,7 +13,10 @@ s-weighted tail.
 
 ``integrate_halfline`` and ``find_root`` are the numerical workhorses: a
 vectorized adaptive panel integrator for piecewise-smooth integrands on a
-truncated half-line, and a bracketed deterministic root finder.  Each panel
+truncated half-line, and a bracketed deterministic root finder.  The root
+finder is Brent's method, transcribed from the loop that scipy's ``brentq``
+runs, so it finds brentq's roots with brentq's evaluations while the
+package never imports ``scipy.optimize``, a slow import.  Each panel
 takes QUADPACK's 21-point Gauss-Kronrod rule: its value is K21, and
 |K21 - G10|, against the Gauss rule on 10 of the same 21 nodes, is its
 error estimate; the integrator returns every value together with the sum
@@ -48,6 +51,7 @@ import dataclasses
 import functools
 import logging
 import math
+import sys
 from typing import Callable, Iterable
 
 import numpy as np
@@ -548,28 +552,83 @@ def _clamp_unit(value, bound, name: str):
     return float(clipped) if clipped.ndim == 0 else clipped
 
 
+# Brent's relative step tolerance and iteration cap, as in scipy's brentq.
+_ROOT_RTOL = 4.0 * sys.float_info.epsilon
+_ROOT_MAXITER = 300
+
+
+def _root_value(f, x: float) -> float:
+    fx = float(f(x))
+    if math.isnan(fx):
+        raise NumericsError(f"root function is NaN at x={x!r}", estimate=x,
+                            error_bound=math.inf)
+    return fx
+
+
 def find_root(f: Callable[[float], float], lo: float, hi: float,
               tol: float = 1e-10) -> float:
-    """Deterministic bracketed root of a scalar function via Brent's method."""
-    from scipy.optimize import brentq  # loaded on first use: slow to import
+    """Deterministic bracketed root of a scalar function via Brent's method.
 
+    The loop is Brent's (Algorithms for Minimization without Derivatives,
+    1973, ch. 4) as scipy's ``brentq`` runs it, transcribed step for step,
+    with absolute tolerance ``tol``, relative tolerance 4 eps and at most
+    300 iterations: it returns brentq's root after brentq's evaluations,
+    each end evaluated once.  A finite bracket [lo, hi] with lo < hi is
+    required (DomainError), and a sign change on it (BracketError).  A NaN
+    value of f, or no convergence within 300 iterations, raises
+    NumericsError; the latter carries the last iterate as ``estimate`` and
+    the half-width of the last bracket as ``error_bound``.
+    """
     lo = float(lo)
     hi = float(hi)
-    if not lo < hi:
-        raise DomainError("root bracket needs lo < hi")
+    if not (lo < hi and math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError("root bracket needs finite lo < hi")
     if not tol > 0.0:
         raise DomainError("root tolerance must be positive")
-    flo = float(f(lo))
-    fhi = float(f(hi))
-    if flo == 0.0:
+    fpre = _root_value(f, lo)
+    fcur = _root_value(f, hi)
+    if fpre == 0.0:
         return lo
-    if fhi == 0.0:
+    if fcur == 0.0:
         return hi
-    if (flo > 0.0) == (fhi > 0.0):
+    if (fpre > 0.0) == (fcur > 0.0):
         raise BracketError(
-            f"no sign change on [{lo:g}, {hi:g}]: f(lo)={flo:g}, f(hi)={fhi:g}")
-    try:
-        root = brentq(f, lo, hi, xtol=tol, maxiter=300)
-    except RuntimeError as exc:  # scipy reports non-convergence this way
-        raise NumericsError(f"root refinement failed: {exc}") from exc
-    return float(root)
+            f"no sign change on [{lo:g}, {hi:g}]: f(lo)={fpre:g}, f(hi)={fcur:g}")
+    # xcur is the best iterate, xblk the opposite end of the bracket and xpre
+    # the previous iterate; scur and spre are the last two steps.
+    xpre, xcur = lo, hi
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_ROOT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (tol + _ROOT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # secant
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # inverse quadratic interpolation
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # an inf or NaN step in C, which bisects
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = _root_value(f, xcur)
+    if (fpre < 0.0) != (fcur < 0.0):
+        xblk = xpre
+    raise NumericsError(f"root not resolved to {tol:g} in {_ROOT_MAXITER} iterations",
+                        estimate=xcur, error_bound=abs(xblk - xcur) / 2)

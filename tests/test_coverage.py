@@ -31,6 +31,7 @@ from threshcov import (
     unknown_coverage,
     upper_bound_unknown,
 )
+from threshcov import coverage
 from threshcov.coverage import _golden_section_min
 
 from conftest import direct_known_minimum
@@ -223,6 +224,25 @@ class TestKnownSolver:
         unit = ratio(1.0)
         for xi in (1e-6, 1e-8, 1e-10):
             assert ratio(xi) == pytest.approx(unit, rel=1e-6)
+
+    def test_no_abscissa_evaluated_twice(self, monkeypatch):
+        # the bracket search's last upper end is the root finder's hi
+        evaluated = []
+
+        def counting(kind, a, b, setup, cdf):
+            evaluated[-1].append(a)
+            return infimum(kind, a, b, setup, cdf)
+
+        infimum = coverage._infimum
+        monkeypatch.setattr(coverage, "_infimum", counting)
+        for kind in KINDS:
+            for n, k in ((40, 35), (1000, 5)):  # m = 5 and m = 995
+                for eta in (0.5, 0.05):
+                    for solve in (solve_known_half_length, solve_unknown_half_length):
+                        evaluated.append([])
+                        solve(kind, 0.05, ProblemSetup(n=n, k=k, eta=eta))
+                        assert len(set(evaluated[-1])) == len(evaluated[-1])
+        assert len(evaluated) == 24
 
     def test_alpha_validation(self):
         with pytest.raises(DomainError):

@@ -6,6 +6,10 @@ and scipy.stats distributions where an external cross-check is wanted.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special as sp
 from scipy.integrate import quad
+from scipy.optimize import brentq
 from scipy.stats import chi2 as chi2_dist
 
 from threshcov import (
@@ -631,3 +636,83 @@ class TestRootFinding:
     def test_bad_bracket(self):
         with pytest.raises(DomainError):
             find_root(lambda x: x, 2.0, 1.0)
+
+    # one family of seeded root problems per entry: (name, f for a shift c)
+    BRENT_FAMILIES = (
+        ("tanh", lambda c: lambda x: math.tanh(x) - c),
+        ("cubic", lambda c: lambda x: x ** 3 - 2.0 * x - c),
+        ("normal", lambda c: lambda x: sp.ndtr(x) - (0.5 + 0.49 * math.tanh(c))),
+        ("t3", lambda c: lambda x: sp.stdtr(3, x) - (0.5 + 0.49 * math.tanh(c))),
+        # slopes whose products underflow: the step's division by zero bisects
+        ("tiny", lambda c: lambda x: 1e-200 * (x ** 3 + x - c)),
+    )
+
+    @pytest.mark.parametrize("name, family", BRENT_FAMILIES, ids=[n for n, _ in BRENT_FAMILIES])
+    def test_matches_brentq(self, name, family):
+        # the transcribed loop returns brentq's root after brentq's evaluations
+        rng = np.random.default_rng(sum(map(ord, name)))
+        compared = 0
+        for _ in range(150):
+            f = family(float(rng.uniform(-0.9, 0.9)))
+            lo, hi = float(rng.uniform(-8.0, -0.01)), float(rng.uniform(0.01, 8.0))
+            tol = float(10.0 ** rng.uniform(-14.0, -4.0))
+            if (f(lo) > 0.0) == (f(hi) > 0.0):
+                continue
+            ours, theirs = [], []
+            root = find_root(lambda x: ours.append(x) or f(x), lo, hi, tol)
+            want = brentq(lambda x: theirs.append(x) or f(x), lo, hi, xtol=tol, maxiter=300)
+            assert root == want and type(root) is float
+            assert ours == theirs
+            compared += 1
+        assert compared > 100
+
+    def test_nan_mid_solve(self):
+        with pytest.raises(NumericsError):
+            find_root(lambda x: math.nan if 0.2 < x < 0.8 else x - 0.5, 0.0, 1.0)
+
+    def test_nan_end_other_positive(self):
+        with pytest.raises(NumericsError):
+            find_root(lambda x: math.nan if x < 0.1 else x - 0.5, 0.0, 1.0)
+
+    def test_nan_end_other_negative(self):
+        # not a misleading "no sign change" BracketError
+        with pytest.raises(NumericsError):
+            find_root(lambda x: math.nan if x < 0.1 else 0.5 - x, 0.0, 1.0)
+
+    @pytest.mark.parametrize("lo, hi", [(-math.inf, 1.0), (0.0, math.inf),
+                                        (-math.inf, math.inf), (math.nan, 1.0)])
+    def test_non_finite_bracket(self, lo, hi):
+        seen = []
+        with pytest.raises(DomainError):
+            find_root(lambda x: seen.append(x) or x, lo, hi)
+        assert seen == []
+
+    def test_exhausted_iterations_report_estimate(self):
+        # a step bracketed 600 orders of magnitude above tol needs more than
+        # 300 bisections; the error carries brentq's last iterate and a bracket
+        step = lambda x: -1.0 if x < 0.3 else 1.0
+        with pytest.raises(NumericsError) as info:
+            find_root(step, -1e300, 1e300, tol=1e-300)
+        last, _ = brentq(step, -1e300, 1e300, xtol=1e-300, maxiter=300,
+                         full_output=True, disp=False)
+        assert info.value.estimate == last
+        assert 0.0 < info.value.error_bound < math.inf
+        assert abs(info.value.estimate - 0.3) <= 2.0 * info.value.error_bound
+
+    @pytest.mark.parametrize("script", [
+        "import runpy, sys\n"
+        "sys.argv = ['threshcov', 'interval', '--kind', 'hard', '--eta', '0.5',"
+        " '--mode', 'estimated']\n"
+        "try:\n    runpy.run_module('threshcov', run_name='__main__')\n"
+        "except SystemExit as exc:\n    assert not exc.code, exc.code\n",
+        "import threshcov\n"
+        "threshcov.solve_unknown_half_length('asoft', 0.05, threshcov.reference_setup())\n",
+    ], ids=["cli-interval", "library-solve"])
+    def test_no_scipy_optimize_import(self, script):
+        # in a fresh interpreter, as this module itself imports scipy.optimize
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        check = script + "assert 'scipy.optimize' not in sys.modules\n"
+        result = subprocess.run([sys.executable, "-c", "import sys\n" + check], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
