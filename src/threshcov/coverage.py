@@ -25,7 +25,8 @@ import numpy as np
 from .estimators import EstimatorKind, _inverse
 from .finite_sample import _mixture, _scale_free
 from .model import ProblemSetup, VarianceMode
-from .special import BracketError, DomainError, _clamp_unit, _std_normal_cdf, _t_cdf, find_root
+from .special import (BracketError, DomainError, _clamp_unit, _finite, _std_normal_cdf, _t_cdf,
+                      _underflow_to_zero, find_root)
 # unused here, but perfbench/tracing.py wraps this module's binding
 from .special import integrate_halfline  # noqa: F401
 
@@ -85,24 +86,24 @@ def _coverage_core(kind: EstimatorKind, mu, reach_a, reach_b, eta, rn):
                                  0.0), 1.0)
 
 
+@_underflow_to_zero
 def known_coverage(kind, theta_i: float, sigma: float, spec: IntervalSpec,
                    setup: ProblemSetup) -> float:
     """Exact coverage at theta_i with known sigma.
 
     Depends on (theta_i, sigma) only through theta_i / sigma, so rescaling
-    both leaves the value unchanged.
+    both leaves the value unchanged.  theta_i may be an array, evaluated
+    elementwise; a scalar theta_i gives a float.
     """
     kind = EstimatorKind(kind)
     if spec.mode is not VarianceMode.KNOWN:
         raise DomainError("known_coverage needs a known-variance interval")
     if not (sigma > 0.0 and math.isfinite(sigma)):
         raise DomainError("sigma must be positive and finite")
-    if not np.isfinite(theta_i):
-        raise DomainError("theta must be finite")
-    mu = theta_i / (sigma * setup.xi)
-    value = _coverage_core(kind, mu, spec.a / setup.xi, spec.b / setup.xi,
-                           setup.eta, setup.root_n)
-    return float(value)
+    lone, theta = _finite(theta_i, "theta")
+    value = _coverage_core(kind, theta / (sigma * setup.xi), spec.a / setup.xi,
+                           spec.b / setup.xi, setup.eta, setup.root_n)
+    return float(value) if lone else value
 
 
 def _variance_cdf(mode: VarianceMode, setup: ProblemSetup):
@@ -181,6 +182,7 @@ def solve_known_half_length(kind, alpha: float, setup: ProblemSetup) -> float:
     return _solve_half_length(kind, alpha, setup, VarianceMode.KNOWN)
 
 
+@_underflow_to_zero
 def unknown_coverage(kind, theta_i: float, sigma: float, spec: IntervalSpec,
                      setup: ProblemSetup) -> float:
     """Exact coverage at theta_i with estimated variance.
@@ -198,24 +200,27 @@ def unknown_coverage(kind, theta_i: float, sigma: float, spec: IntervalSpec,
     if not (sigma > 0.0 and math.isfinite(sigma)):
         raise DomainError("sigma must be positive and finite")
     m = setup.require_estimated_variance()
-    theta = np.asarray(theta_i, dtype=float)
+    lone, theta = _finite(theta_i, "theta")
+    rn, eta, reach = setup.root_n, setup.eta, spec.a / setup.xi
+
+    def covered(s, mu):
+        arm = reach * s
+        return _coverage_core(kind, mu, arm, arm, eta * s, rn)
+
+    if lone and theta == 0.0:
+        return _clamp_unit(_scale_free(kind, spec.a, setup.xi, eta, rn, m)
+                           - _scale_free(kind, -spec.a, setup.xi, eta, rn, m, closed=False),
+                           0.0, "unknown_coverage")
+    if lone:
+        return _clamp_unit(*_mixture(kind, theta / (sigma * setup.xi), (reach, -reach), eta,
+                                     m, covered), "unknown_coverage")
     thetas = theta.ravel()
-    if not np.isfinite(thetas).all():
-        raise DomainError("theta must be finite")
     zero = thetas == 0.0
     value, bound = np.empty(thetas.shape), np.zeros(thetas.shape)
-    rn, eta = setup.root_n, setup.eta
     if zero.any():
-        value[zero] = (_scale_free(kind, spec.a, setup.xi, eta, rn, m)
-                       - _scale_free(kind, -spec.a, setup.xi, eta, rn, m, closed=False))
+        value[zero] = unknown_coverage(kind, 0.0, sigma, spec, setup)
     rest = ~zero
     if rest.any():
-        reach = spec.a / setup.xi
-
-        def covered(s, mu):
-            arm = reach * s
-            return _coverage_core(kind, mu, arm, arm, eta * s, rn)
-
         value[rest], bound[rest] = _mixture(kind, thetas[rest] / (sigma * setup.xi),
                                             np.array([reach, -reach]), eta, m, covered)
     return _clamp_unit(value.reshape(theta.shape), bound.reshape(theta.shape),
@@ -279,6 +284,7 @@ def _golden_section_min(f, lo: float, hi: float, tol: float):
     return mid, f(mid)
 
 
+@_underflow_to_zero
 def min_coverage_search(kind, spec: IntervalSpec, setup: ProblemSetup):
     """Numerical minimum over the parameter of the estimated-variance coverage.
 

@@ -108,19 +108,20 @@ def _inverse_slope(kind: EstimatorKind, mu, d, t):
         return 0.5 + 0.25 * np.abs(c) / np.hypot(0.5 * c, t)
 
 
-@np.errstate(divide="ignore", over="ignore", invalid="ignore")
-def _switch_points(kind: EstimatorKind, mu, slope, t) -> np.ndarray:
-    """s-values where _inverse(kind, mu, slope * s, t * s) changes branch,
-    one row per element of mu or slope: mu + slope s crosses 0 and, for
-    hard, +-t s.  Candidates that are not positive and finite are left for
-    the quadrature to drop.  Subnormal ones become NaN, which it drops too:
-    their panel [0, s] would put Gauss nodes at s = 0, where t s = 0 and the
-    adaptive-soft inverse is 0/0."""
-    mu = np.asarray(mu, dtype=float)[..., None]
-    slope = np.asarray(slope, dtype=float)
-    dens = (np.stack([slope, slope - t, slope + t], axis=-1)
-            if kind is EstimatorKind.HARD else slope[..., None])
-    pts = -mu / dens
+def _switch_points(kind: EstimatorKind, mu, slope, t):
+    """s-values where _inverse(kind, mu, slope * s, t * s) changes branch:
+    mu + slope s crosses 0 and, for hard, +-t s.  Arrays of mu or slope give
+    one row per element; a float mu and slope (a lone problem) give a list
+    of floats.  Candidates that are not positive and finite are left for
+    the quadrature to drop.  Subnormal ones are dropped here (NaN in a
+    row): their panel [0, s] would put Gauss nodes at s = 0, where t s = 0
+    and the adaptive-soft inverse is 0/0."""
+    dens = (slope, slope - t, slope + t) if kind is EstimatorKind.HARD else (slope,)
+    if isinstance(mu, float) and isinstance(slope, float):
+        # numpy's -mu / 0 is +-inf or NaN, which the quadrature drops
+        return [p for p in (-mu / d for d in dens if d) if p >= _SMALLEST_NORMAL]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        pts = -np.asarray(mu, dtype=float)[..., None] / np.stack(dens, axis=-1)
     return np.where(pts >= _SMALLEST_NORMAL, pts, np.nan)
 
 

@@ -34,14 +34,17 @@ from .special import (
     DEFAULT_QUADRATURE,
     DomainError,
     _clamp_unit,
+    _finite,
+    _lone,
     _per_node,
+    _rho_pdf,
     _rho_quantiles,
     _rho_upper,
     _rho_upper_weighted,
     _std_normal_cdf,
     _std_normal_pdf,
+    _underflow_to_zero,
     integrate_halfline,
-    rho_density,
     t_cdf,
     t_pdf,
 )
@@ -92,29 +95,37 @@ def atom_mass(setup: ProblemSetup) -> float:
 
 
 def _mixture(kind, mu, slopes, eta, m, term, weighted=False):
-    """(value, bound) arrays of the integral of term(s, v) rho_m(s) over
-    s = sigma_hat / sigma, one per problem: a law given s, mixed over s.
+    """(value, bound) of the integral of term(s, v) rho_m(s) over s =
+    sigma_hat / sigma, one per problem: a law given s, mixed over s.
 
     mu is a float with one slope per problem (laws in x), or one value per
     problem with slope columns all problems share (coverage arms); v is the
-    one that varies, per node, or a float for a lone problem.  Each problem
+    one that varies, per node, or a float for a lone problem, which passes
+    floats (a tuple of slope columns) and gets floats.  Each problem
     declares the switch points of _inverse at every slope column, and rho_m's
     quantiles (_rho_quantiles) as panel breakpoints, so the first round
     already resolves rho_m's bulk and lower tail.  The quadrature stops at
     the s_max beyond which rho_m's mass is tail_mass_tol; weighted=True (for
     densities, whose term grows like s) stops where E[s; s > s_max] is.
     """
+    tol = DEFAULT_QUADRATURE.tail_mass_tol
+    upper = _rho_upper_weighted(m, tol) if weighted else _rho_upper(m, tol)
+    if not isinstance(slopes, np.ndarray):
+        mu, eta, shared = float(mu), float(eta), isinstance(slopes, tuple)
+        columns = tuple(map(float, slopes)) if shared else (float(slopes),)
+        v = mu if shared else columns[0]  # nodes lie in (0, upper): rho_m unchecked
+        points = [p for slope in columns for p in _switch_points(kind, mu, slope, eta)]
+        return integrate_halfline(lambda s: term(s, v) * _rho_pdf(s, m),
+                                  points + _rho_quantiles(m).tolist(), upper=upper)
     mu = np.asarray(mu, dtype=float)
     varying = mu if mu.ndim else slopes
     switches = _switch_points(kind, mu[..., None], slopes, eta).reshape(len(varying), -1)
     quantiles = _rho_quantiles(m)
     seeds = np.broadcast_to(quantiles, (len(varying), quantiles.size))
-    tol = DEFAULT_QUADRATURE.tail_mass_tol
-    upper = _rho_upper_weighted(m, tol) if weighted else _rho_upper(m, tol)
 
     def f(nodes):
         s, v = _per_node(nodes, varying)
-        return term(s, v) * rho_density(s, m)
+        return term(s, v) * _rho_pdf(s, m)
 
     return integrate_halfline(f, np.concatenate([switches, seeds], axis=1), upper=upper)
 
@@ -138,11 +149,14 @@ def _scale_free(kind, x, scale, t, rn, m, closed=True, density=False):
 def _cdf_at(x, law, name):
     """A CDF at x, clamped to [0, 1] under ``name``: law(xs) gives (values,
     bounds) at the finite elements xs, -inf and +inf give 0 and 1, and NaN
-    raises.  A scalar x gives a float."""
-    x = np.asarray(x, dtype=float)
-    finite = np.isfinite(x)
-    if not finite.all() and np.isnan(x).any():
+    raises.  A scalar x is passed to law as a float and gives a float."""
+    lone = _lone(x)
+    x = float(x) if lone else np.asarray(x, dtype=float)
+    finite = math.isfinite(x) if lone else np.isfinite(x)
+    if not (finite if lone else finite.all()) and np.isnan(x).any():
         raise DomainError("CDF argument must not be NaN")
+    if lone:
+        return _clamp_unit(*law(x), name) if finite else float(x > 0.0)
     out = np.array(x > 0.0, dtype=float)
     bound = np.zeros(x.shape)
     if finite.any():
@@ -151,18 +165,18 @@ def _cdf_at(x, law, name):
 
 
 def _error_law(kind, x, theta, unit, scale, eta, rn, m, density=False):
-    """(values, bounds) at the finite array x of the law of scale (kernel(W,
-    eta s) - mu) / s, W ~ N(mu, 1 / rn^2), mu = theta / unit, s ~ rho_m: its
-    CDF, or with density=True the density of its continuous part without the
-    kill term.  Routed on theta, not on a mu that may underflow: theta = 0 is
-    T_m(rn g1); eta = 0 or mu = +-inf (theta infinite, or overflowing against
-    unit) is the t law with the threshold at 0, soft's d shifted by its bias;
-    anything else is one rho_m mixture."""
-    with np.errstate(over="ignore"):
-        mu = theta / unit
-        if theta == 0.0:
-            return _scale_free(kind, x, scale, eta, rn, m, density=density), 0.0
-        if eta == 0.0 or math.isinf(mu):
+    """(values, bounds) at the finite x (array or float) of the law of scale
+    (kernel(W, eta s) - mu) / s, W ~ N(mu, 1 / rn^2), mu = theta / unit, s ~
+    rho_m: its CDF, or with density=True the density of its continuous part
+    without the kill term.  Routed on theta, not on a mu that may underflow:
+    theta = 0 is T_m(rn g1); eta = 0 or mu = +-inf (theta infinite, or
+    overflowing against unit) is the t law with the threshold at 0, soft's d
+    shifted by its bias; anything else is one rho_m mixture."""
+    mu = float(theta) / float(unit)  # on floats an overflow is silent
+    if theta == 0.0:
+        return _scale_free(kind, x, scale, eta, rn, m, density=density), 0.0
+    if eta == 0.0 or math.isinf(mu):
+        with np.errstate(over="ignore"):
             d = x / scale
             if kind is EstimatorKind.SOFT:
                 d = d + math.copysign(eta, mu)
@@ -183,6 +197,7 @@ def _error_law(kind, x, theta, unit, scale, eta, rn, m, density=False):
     return _mixture(kind, mu, x / scale, eta, m, term, weighted=density)
 
 
+@_underflow_to_zero
 def tilde_cdf(kind, x, setup: ProblemSetup, theta_i: float, alpha):
     """CDF of alpha (estimate_i - theta_i) / sigma_hat at x.
 
@@ -200,37 +215,37 @@ def tilde_cdf(kind, x, setup: ProblemSetup, theta_i: float, alpha):
                    "tilde_cdf")
 
 
-def _kill_kernel_term(x: np.ndarray, q: float, setup: ProblemSetup,
-                      a: float) -> np.ndarray:
+def _kill_kernel_term(x, q: float, setup: ProblemSetup, a: float):
     """Density contribution of the thresholded-to-zero event when theta != 0.
 
     The zero estimate maps to error -a q / s, a smooth function of s, so the
     event's mass spreads into a density carried by rho_m on the half-line
     opposite in sign to the true component.  Identical for all kinds.
     """
-    term = np.zeros(x.shape)
+    lone = isinstance(x, float)
     side = -math.copysign(1.0, q) * x > 0.0
-    if not side.any():
-        return term
-    x = x[side]
+    if not (side if lone else side.any()):
+        return 0.0 if lone else np.zeros(x.shape)
     # as x -> 0 the Jacobian a |q| / x^2 overflows where rho has underflowed
     # to 0; the product tends to 0 there.  Where x * x itself underflows
     # (theta tiny enough that rho is still positive), the same Jacobian is
-    # written s^2 / (a |q|), which stays finite.
+    # written s^2 / (a |q|), which stays finite.  Off the side rho is NaN.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        x = np.float64(x) if lone else x  # numpy scalars keep to this errstate
         s_at_x = -a * q / x
         gamma = setup.root_n * q / setup.xi
         shift = a * setup.xi * setup.eta / x
         band = (_std_normal_cdf(-gamma * (1.0 + shift))
                 - _std_normal_cdf(-gamma * (1.0 - shift)))
-        rho = rho_density(s_at_x, setup.residual_dof)
+        rho = _rho_pdf(s_at_x, setup.residual_dof)
         x_sq = x * x
         jacobian = np.where(x_sq >= _SMALLEST_NORMAL, a * abs(q) / x_sq,
                             s_at_x * s_at_x / (a * abs(q)))
-        term[side] = np.where(rho > 0.0, jacobian * rho * band, 0.0)
-    return term
+        term = np.where(side & (rho > 0.0), jacobian * rho * band, 0.0)
+    return float(term) if lone else term
 
 
+@_underflow_to_zero
 def tilde_density(kind, x, setup: ProblemSetup, theta_i: float, alpha):
     """Density of the absolutely continuous part at x (atom reported separately).
 
@@ -242,17 +257,17 @@ def tilde_density(kind, x, setup: ProblemSetup, theta_i: float, alpha):
     if not math.isfinite(theta_i):
         raise DomainError("theta must be finite")
     m = setup.require_estimated_variance()
-    x = np.asarray(x, dtype=float)
-    if not np.isfinite(x).all():
-        raise DomainError("density argument must be finite")
-    out = np.zeros(x.shape)
+    lone, x = _finite(x, "density argument")
     live = (x != 0.0) | (theta_i != 0.0)  # the atom at theta = 0 has no density
-    if live.any():
-        out[live], _ = _error_law(kind, x[live], theta_i, setup.sigma * setup.xi,
-                                  a * setup.xi, setup.eta, setup.root_n, m, density=True)
+    args = (theta_i, setup.sigma * setup.xi, a * setup.xi, setup.eta, setup.root_n, m)
+    out = 0.0 if lone else np.zeros(x.shape)
+    if lone and live:
+        out, _ = _error_law(kind, x, *args, density=True)
+    elif not lone and live.any():
+        out[live], _ = _error_law(kind, x[live], *args, density=True)
     if theta_i != 0.0:
         out = np.maximum(0.0, out + _kill_kernel_term(x, theta_i / setup.sigma, setup, a))
-    return float(out) if out.ndim == 0 else out
+    return float(out) if lone else out
 
 
 def mirror_check(kind, setup: ProblemSetup, theta_i: float, alpha, grid) -> float:

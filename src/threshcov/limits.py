@@ -26,7 +26,7 @@ import numpy as np
 from .estimators import EstimatorKind, _inverse
 from .finite_sample import ScalingFactor, _cdf_at, _error_law, tilde_cdf
 from .model import ProblemSetup
-from .special import DomainError, _check_dof, chi_sq_cdf, std_normal_cdf
+from .special import DomainError, _check_dof, _underflow_to_zero, chi_sq_cdf, std_normal_cdf
 # unused here, but perfbench/tracing.py wraps this module's binding
 from .special import integrate_halfline  # noqa: F401
 
@@ -97,6 +97,7 @@ class ConsistentRegime:
             object.__setattr__(self, "hard_aux", aux)
 
 
+@_underflow_to_zero
 def conservative_limit_cdf(kind, x, regime: ConservativeRegime) -> float:
     """CDF of the conservative-regime limit law at x.
 
@@ -133,8 +134,7 @@ def hard_weight(f: float, r: float, s: float | None = None) -> float:
     return float(std_normal_cdf(float(r) / math.sqrt(1.0 + 0.5 * f * f)))
 
 
-def _point_mass_cdf(kind: EstimatorKind, x: np.ndarray,
-                    regime: ConsistentRegime) -> np.ndarray:
+def _point_mass_cdf(kind: EstimatorKind, x, regime: ConsistentRegime) -> np.ndarray:
     """m = inf (s = 1) or zeta = +-inf: the point mass at kernel(zeta, 1) -
     zeta, placed exactly rather than through a rounded offset; hard at
     |zeta| = 1 splits it between -zeta and 0 by :func:`hard_weight`."""
@@ -155,6 +155,7 @@ def _point_mass_cdf(kind: EstimatorKind, x: np.ndarray,
     return w * step + (1.0 - w) * np.where(x >= 0.0, 1.0, 0.0)
 
 
+@_underflow_to_zero
 def consistent_limit_cdf(kind, x, regime: ConsistentRegime):
     """CDF of the consistent-regime limit law at x, supported on [-1, 1];
     x may be an array, and a scalar x gives a float."""
@@ -163,18 +164,17 @@ def consistent_limit_cdf(kind, x, regime: ConsistentRegime):
                    "consistent_limit_cdf")
 
 
-def _consistent_cdf(kind: EstimatorKind, x: np.ndarray,
-                    regime: ConsistentRegime) -> np.ndarray:
+def _consistent_cdf(kind: EstimatorKind, x, regime: ConsistentRegime) -> np.ndarray:
     """P_s[offset(s) >= 0] with offset = _inverse(kind, zeta, x s, s) and
     s ~ rho_m: the limit of the mixed Phi(rn offset) as rn -> inf.  The
     offset changes sign only where s crosses |zeta|, -zeta / x or -x zeta,
     so the law sums the chi-square masses of the pieces between those cuts
     whose offset is >= 0 at an interior point, one difference per run of
-    such pieces."""
+    such pieces, in the shape of x, a finite array or float."""
     zeta, m = regime.zeta, regime.m
     if math.isinf(m) or math.isinf(zeta):
         return _point_mass_cdf(kind, x, regime)
-    col = x[:, None]
+    col = np.reshape(x, (-1, 1))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         edges = np.hstack(np.broadcast_arrays(0.0, abs(zeta), -zeta / col,
                                               -col * zeta, math.inf))
@@ -186,12 +186,12 @@ def _consistent_cdf(kind: EstimatorKind, x: np.ndarray,
         d = np.where((d == 0.0) & (col != 0.0), np.copysign(math.ulp(0.0), col), d)
         keep = np.pad(_inverse(kind, zeta, d, s) >= 0.0, ((0, 0), (1, 1)))
         below = chi_sq_cdf(m * edges * edges, m)  # P(s <= edge)
-    value, opened = np.zeros(x.shape), np.zeros(x.shape)
+    value, opened = np.zeros(len(col)), np.zeros(len(col))
     for j in range(s.shape[1]):
         opened = np.where(keep[:, j + 1] & ~keep[:, j], below[:, j], opened)
         value = np.where(keep[:, j + 1] & ~keep[:, j + 2],
                          value + (below[:, j + 1] - opened), value)
-    return value
+    return value.reshape(np.shape(x))
 
 
 def limit_atoms(kind, regime) -> tuple:

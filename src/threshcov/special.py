@@ -33,10 +33,11 @@ call, refining the panels of every unconverged problem together in each
 vectorized round.  Every problem keeps its own breakpoints and tolerance
 target and leaves the batch once converged, so an array result agrees with
 the per-element calls within the reported error bound, not bitwise.  A
-scalar call is a batch of one and runs exactly the rounds it always did.
-A round evaluates its integrand in blocks of consecutive nodes, so that
-large rounds keep their temporaries in cache; integrands are elementwise,
-so the blocks give the values of one call bit for bit.
+lone problem runs on floats, as does a public call's scalar argument on
+its way to one.  A round evaluates its integrand in blocks of consecutive
+nodes, so that large rounds keep their temporaries in cache; integrands
+are elementwise, so the blocks give the values of one call bit for bit.
+Public analytic calls flush underflow to 0, whatever the caller's errstate.
 
 The package's accuracy targets are fixed: every law and coverage integrates
 to ``DEFAULT_QUADRATURE``, and half-length roots are found to 1e-10 (or to
@@ -130,6 +131,7 @@ DEFAULT_QUADRATURE = QuadratureConfig()
 logger = logging.getLogger(__name__)
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_underflow_to_zero = np.errstate(under="ignore")  # decorates each public analytic call
 
 
 def _check_dof(m) -> int:
@@ -147,13 +149,26 @@ def _nan_checked(out, what: str):
     return out
 
 
+def _lone(x) -> bool:
+    """A float, an int or a 0-d array: a lone problem's argument."""
+    return isinstance(x, (float, int)) or np.ndim(x) == 0
+
+
+def _finite(x, what: str):
+    """(lone, x as a float or a float array); DomainError unless finite."""
+    lone = _lone(x)
+    x = float(x) if lone else np.asarray(x, dtype=float)
+    if not (math.isfinite(x) if lone else np.isfinite(x).all()):
+        raise DomainError(f"{what} must be finite")
+    return lone, x
+
+
 # Unchecked forms for integrands and the coverage infimum, evaluated on every
 # round: the integrator reports a NaN, and the infimum's arguments form none.
 _std_normal_cdf = _sp.ndtr
 _t_cdf = _sp.stdtr  # (m, x), m already checked
 
 
-@np.errstate(under="ignore")
 def _std_normal_pdf(x):
     x = np.asarray(x, dtype=float)
     out = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
@@ -165,6 +180,7 @@ def std_normal_cdf(x):
     return _nan_checked(_sp.ndtr(x), "normal CDF")
 
 
+@_underflow_to_zero
 def std_normal_pdf(x):
     """Standard normal density, rejecting NaN; underflows to 0 silently."""
     return _nan_checked(_std_normal_pdf(x), "normal density")
@@ -179,7 +195,7 @@ def std_normal_quantile(p):
     return out if out.ndim else float(out)
 
 
-@np.errstate(under="ignore")
+@_underflow_to_zero
 def rho_density(s, m):
     """Density of sqrt(chisq_m / m) at s; zero for s <= 0.
 
@@ -187,16 +203,16 @@ def rho_density(s, m):
     large m stays finite, and it is cached per m.  Underflows to 0 silently.
     """
     m = _check_dof(m)
-    s = np.asarray(s, dtype=float)
+    s = _nan_checked(np.asarray(s, dtype=float), "rho density")
     pos = s > 0.0
-    if pos.all():
-        out = np.exp(_rho_log_norm(m) + (m - 1.0) * np.log(s) - 0.5 * m * s * s)
-    elif np.isnan(s).any():
-        raise DomainError("rho density argument must not be NaN")
-    else:
-        out = np.zeros(s.shape)
-        out[pos] = rho_density(s[pos], m)
+    out = np.zeros(s.shape)
+    out[pos] = _rho_pdf(s[pos], m)
     return out if out.ndim else float(out)
+
+
+def _rho_pdf(s, m: int):
+    """rho_density unchecked: every s > 0, m a checked degree of freedom."""
+    return np.exp(_rho_log_norm(m) + (m - 1.0) * np.log(s) - 0.5 * m * s * s)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -250,12 +266,12 @@ def t_cdf(x, m):
     return out if out.ndim else float(out)
 
 
+@_underflow_to_zero
 def t_pdf(x, m):
     """Density of Student's t with m degrees of freedom; rejects NaN."""
     m = _check_dof(m)
     x_arr = np.asarray(x, dtype=float)
-    with np.errstate(under="ignore"):
-        out = np.exp(_t_log_norm(m) - 0.5 * (m + 1) * np.log1p(x_arr * x_arr / m))
+    out = np.exp(_t_log_norm(m) - 0.5 * (m + 1) * np.log1p(x_arr * x_arr / m))
     out = _nan_checked(out, "t density")
     return out if out.ndim else float(out)
 
@@ -541,6 +557,8 @@ def _clamp_unit(value, bound, name: str):
 
     Scalars come back as floats, arrays as arrays.
     """
+    if isinstance(value, float) and not logger.isEnabledFor(logging.DEBUG):
+        return float(min(max(value, 0.0), 1.0))  # numpy's NaN and -0.0 alike
     value = np.asarray(value, dtype=float)
     clipped = np.minimum(1.0, np.maximum(0.0, value))
     if logger.isEnabledFor(logging.DEBUG):

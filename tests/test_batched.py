@@ -32,6 +32,8 @@ from threshcov import (
     tilde_density,
     unknown_coverage,
 )
+from threshcov import finite_sample, special
+from threshcov.coverage import min_coverage_search
 from threshcov.special import _clamp_unit
 
 KINDS = list(EstimatorKind)
@@ -194,6 +196,152 @@ class TestLimitCdfs:
         batched = consistent_limit_cdf(kind, grid, regime)
         for got, x in zip(batched, grid):
             assert got == consistent_limit_cdf(kind, float(x), regime)
+
+
+def bits(values) -> bytes:
+    """The float64 bits of a value or an array, so that -0.0 and 0.0 differ."""
+    return np.asarray(values, dtype=float).tobytes()
+
+
+class TestLoneRoute:
+    """A scalar x (a scalar theta for coverage) is a lone problem that runs on
+    floats, apart from the batch route; it must give the bits of the same
+    call on a batch of one, and never build batch panels or record nodes."""
+
+    @staticmethod
+    def cases(seed, count=30):
+        """(kind, setup, theta, xs): xi = sigma = alpha = 1, so x is the slope
+        itself; x = 0, the hard dead-zone edges +-eta (slope -+ eta = 0),
+        +-1e-10 (-mu / slope overflows at |theta| = 1e300), +-1e10 where
+        |theta| <= 2 (-mu / slope is subnormal at |theta| <= 1e-300), and
+        one x across +-4.  At |theta| = 1e300 and |x| = 1e10 both routes
+        warn that mu d overflows in the adaptive-soft inverse, a fault of
+        its own (CHANGES.md)."""
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            kind = KINDS[rng.integers(3)]
+            m = int(rng.choice(DOFS))
+            eta = float(10.0 ** rng.uniform(-3.0, 1.0))
+            theta = (float(rng.choice([1e-300, -1e-300, 1e300, -1e300, 5e-324]))
+                     if rng.random() < 0.4 else float(rng.uniform(-2.0, 2.0)))
+            xs = [0.0, eta, -eta, 1e-10, -1e-10, float(rng.uniform(-4.0, 4.0))]
+            if abs(theta) <= 2.0:
+                xs += [1e10, -1e10]
+            yield kind, ProblemSetup(n=35 + m, k=35, eta=eta), theta, xs
+
+    @staticmethod
+    def lone(monkeypatch, call, quadratures):
+        """call() with the quadrature watched: breakpoints as a list of
+        floats, no batch panels, plain nodes."""
+        engine = finite_sample.integrate_halfline
+
+        def watched(f, breakpoints, **kwargs):
+            assert type(breakpoints) is list
+            assert all(type(b) is float for b in breakpoints)
+
+            def integrand(nodes):
+                assert nodes.dtype.names is None, "a record array reached the integrand"
+                return f(nodes)
+
+            quadratures.append(call)
+            return engine(integrand, breakpoints, **kwargs)
+
+        def no_batch(*args):
+            raise AssertionError("a lone problem built batch panels")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(finite_sample, "integrate_halfline", watched)
+            patch.setattr(special, "_initial_panels", no_batch)
+            got = call()
+        assert type(got) is float
+        return got
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_laws_in_x(self, monkeypatch, seed):
+        quadratures = []
+        for kind, setup, theta, xs in self.cases(seed):
+            regime = ConservativeRegime(nu=theta * setup.root_n, e=setup.eta * setup.root_n,
+                                        m=setup.residual_dof)
+            for x in xs:
+                for law in (lambda x: tilde_cdf(kind, x, setup, theta, 1.0),
+                            lambda x: tilde_density(kind, x, setup, theta, 1.0),
+                            lambda x: conservative_limit_cdf(kind, x, regime)):
+                    batch = law(np.array([x]))
+                    got = self.lone(monkeypatch, lambda: law(x), quadratures)
+                    assert bits(got) == bits(batch), (kind, setup, theta, x)
+        assert len(quadratures) > 500
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_coverage_in_theta(self, monkeypatch, seed):
+        quadratures = []
+        rng = np.random.default_rng(seed)
+        for kind, setup, theta, _ in self.cases(seed):
+            # half = xi eta puts an arm on hard's dead-zone edge
+            for half in (setup.eta, float(rng.uniform(0.05, 3.0))):
+                spec = IntervalSpec(half, half, VarianceMode.ESTIMATED)
+                batch = unknown_coverage(kind, np.array([theta]), 1.0, spec, setup)
+                got = self.lone(monkeypatch,
+                                lambda: unknown_coverage(kind, theta, 1.0, spec, setup),
+                                quadratures)
+                assert bits(got) == bits(batch), (kind, setup, theta, half)
+        assert len(quadratures) == 60
+
+
+class TestUnderflowNeverRaises:
+    """Flushing an underflow to 0 is intended: under a caller's
+    np.errstate(all="raise") or (under="raise") every public analytic call
+    still returns, with the bits it has under numpy's defaults.  xi = 2, so
+    theta / (sigma xi) underflows at theta = 5e-324."""
+
+    REGIMES = ({"all": "raise"}, {"under": "raise"})
+    THETAS = (0.0, 5e-324, 1e-300, 0.3, -1.7, 1e300)
+    CELLS = ((1, 1e-3), (5, 0.5), (995, 10.0))
+
+    def agree(self, calls):
+        for call in calls:
+            want = call()
+            for regime in self.REGIMES:
+                with np.errstate(**regime):
+                    assert bits(call()) == bits(want)
+
+    def grid(self):
+        for m, eta in self.CELLS:
+            setup = ProblemSetup(n=35 + m, k=35, xi=2.0, eta=eta)
+            for kind in KINDS:
+                yield kind, m, setup
+
+    def test_laws_and_coverage(self):
+        def calls():
+            for kind, _, setup in self.grid():
+                a = ScalingFactor.conservative(setup)
+                spec = IntervalSpec(1.0, 1.0, VarianceMode.ESTIMATED)
+                for theta in self.THETAS:
+                    for x in (0.7, np.linspace(-3.0, 3.0, 9)):
+                        yield lambda: tilde_cdf(kind, x, setup, theta, a)
+                        yield lambda: tilde_density(kind, x, setup, theta, a)
+                    for t in (theta, theta * np.linspace(-1.0, 1.0, 9)):
+                        yield lambda: unknown_coverage(kind, t, 1.0, spec, setup)
+
+        self.agree(calls())
+
+    def test_limit_laws(self):
+        def calls():
+            for kind, m, _ in self.grid():
+                for theta in self.THETAS:
+                    for e in (0.0, 0.5, 10.0):
+                        regime = ConservativeRegime(nu=theta, e=e, m=m)
+                        for x in (0.7, np.linspace(-3.0, 3.0, 9)):
+                            yield lambda: conservative_limit_cdf(kind, x, regime)
+                    consistent = ConsistentRegime(zeta=theta, m=m)
+                    yield lambda: consistent_limit_cdf(kind, np.linspace(-1.5, 1.5, 9),
+                                                       consistent)
+
+        self.agree(calls())
+
+    def test_worst_case_search(self):
+        spec = IntervalSpec(1.0, 1.0, VarianceMode.ESTIMATED)
+        self.agree(lambda: min_coverage_search(kind, spec, setup)
+                   for kind, _, setup in self.grid())
 
 
 class TestClampLogging:

@@ -142,6 +142,22 @@ class TestKnownCoverage:
         with pytest.raises(DomainError):
             known_coverage("hard", math.nan, 1.0, IntervalSpec(0.3, 0.3), setup)
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_array_theta_is_elementwise(self, kind):
+        spec = IntervalSpec(0.2, 0.4)
+        thetas = np.array([[0.0, 0.11, -0.7], [1e-300, 3.0, -1e300]])
+        got = known_coverage(kind, thetas, 2.0, spec, SETUP)
+        assert got.shape == thetas.shape
+        for value, theta in zip(got.ravel(), thetas.ravel()):
+            assert value == known_coverage(kind, float(theta), 2.0, spec, SETUP)
+        lone = known_coverage(kind, np.float64(0.11), 2.0, spec, SETUP)
+        assert type(lone) is float and lone == got[0, 1]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_array_with_a_nonfinite_element_rejected(self, bad):
+        with pytest.raises(DomainError):
+            known_coverage("soft", np.array([0.2, bad]), 1.0, IntervalSpec(0.3, 0.3), SETUP)
+
 
 class TestInfimalKnown:
     @pytest.mark.parametrize("kind", KINDS)
