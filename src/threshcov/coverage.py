@@ -86,6 +86,14 @@ def _coverage_core(kind: EstimatorKind, mu, reach_a, reach_b, eta, rn):
                                  0.0), 1.0)
 
 
+def _scaled(theta, unit: float):
+    """theta / unit, inf where it overflows: silently, for arrays as for floats."""
+    if isinstance(theta, float):
+        return theta / unit
+    with np.errstate(over="ignore"):
+        return theta / unit
+
+
 @_underflow_to_zero
 def known_coverage(kind, theta_i: float, sigma: float, spec: IntervalSpec,
                    setup: ProblemSetup) -> float:
@@ -101,7 +109,7 @@ def known_coverage(kind, theta_i: float, sigma: float, spec: IntervalSpec,
     if not (sigma > 0.0 and math.isfinite(sigma)):
         raise DomainError("sigma must be positive and finite")
     lone, theta = _finite(theta_i, "theta")
-    value = _coverage_core(kind, theta / (sigma * setup.xi), spec.a / setup.xi,
+    value = _coverage_core(kind, _scaled(theta, sigma * setup.xi), spec.a / setup.xi,
                            spec.b / setup.xi, setup.eta, setup.root_n)
     return float(value) if lone else value
 
@@ -221,7 +229,7 @@ def unknown_coverage(kind, theta_i: float, sigma: float, spec: IntervalSpec,
         value[zero] = unknown_coverage(kind, 0.0, sigma, spec, setup)
     rest = ~zero
     if rest.any():
-        value[rest], bound[rest] = _mixture(kind, thetas[rest] / (sigma * setup.xi),
+        value[rest], bound[rest] = _mixture(kind, _scaled(thetas[rest], sigma * setup.xi),
                                             np.array([reach, -reach]), eta, m, covered)
     return _clamp_unit(value.reshape(theta.shape), bound.reshape(theta.shape),
                        "unknown_coverage")

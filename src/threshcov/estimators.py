@@ -81,6 +81,8 @@ def _inverse(kind: EstimatorKind, mu, d, t, closed: bool = True):
     (or goes to the dead-zone edge +-t - mu), soft shifts d by t, and adaptive
     soft takes the root A +- B of w^2 - c w - t^2 = 0 shifted by mu, through
     the product (A - B)(A + B) = -(mu d + t^2) where A and +-B would cancel.
+    Where mu d or t^2 overflows, that quotient is taken term by term, and at
+    mu = +-inf it is d, the limit where the shrinkage t^2 / c vanishes.
     """
     c = mu + d
     up = c >= 0.0 if closed else c > 0.0
@@ -92,9 +94,13 @@ def _inverse(kind: EstimatorKind, mu, d, t, closed: bool = True):
     big_b = np.hypot(0.5 * c, t)
     signed_b = np.where(up, big_b, -big_b)
     # A + signed_b does not cancel where both terms share a sign
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where((big_a >= 0.0) == up, big_a + signed_b,
-                        (mu * d + t * t) / (signed_b - big_a))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        num, den = mu * d + t * t, signed_b - big_a
+        cancel = num / den
+        if not (math.isfinite(num) if isinstance(num, float) else np.isfinite(num).all()):
+            cancel = np.where(np.isfinite(num), cancel,
+                              np.where(np.isinf(mu), d, d * (mu / den) + t * (t / den)))
+        return np.where((big_a >= 0.0) == up, big_a + signed_b, cancel)
 
 
 def _inverse_slope(kind: EstimatorKind, mu, d, t):

@@ -36,7 +36,6 @@ from .special import (
     _clamp_unit,
     _finite,
     _lone,
-    _per_node,
     _rho_pdf,
     _rho_quantiles,
     _rho_upper,
@@ -100,8 +99,9 @@ def _mixture(kind, mu, slopes, eta, m, term, weighted=False):
 
     mu is a float with one slope per problem (laws in x), or one value per
     problem with slope columns all problems share (coverage arms); v is the
-    one that varies, per node, or a float for a lone problem, which passes
-    floats (a tuple of slope columns) and gets floats.  Each problem
+    one that varies, gathered onto a batch's nodes by their rows.  A lone
+    problem runs on floats, given as floats (a tuple of slope columns) or as
+    one-element arrays, and gets its result in the same form.  Each problem
     declares the switch points of _inverse at every slope column, and rho_m's
     quantiles (_rho_quantiles) as panel breakpoints, so the first round
     already resolves rho_m's bulk and lower tail.  The quadrature stops at
@@ -110,24 +110,27 @@ def _mixture(kind, mu, slopes, eta, m, term, weighted=False):
     """
     tol = DEFAULT_QUADRATURE.tail_mass_tol
     upper = _rho_upper_weighted(m, tol) if weighted else _rho_upper(m, tol)
-    if not isinstance(slopes, np.ndarray):
-        mu, eta, shared = float(mu), float(eta), isinstance(slopes, tuple)
-        columns = tuple(map(float, slopes)) if shared else (float(slopes),)
-        v = mu if shared else columns[0]  # nodes lie in (0, upper): rho_m unchecked
-        points = [p for slope in columns for p in _switch_points(kind, mu, slope, eta)]
-        return integrate_halfline(lambda s: term(s, v) * _rho_pdf(s, m),
-                                  points + _rho_quantiles(m).tolist(), upper=upper)
-    mu = np.asarray(mu, dtype=float)
-    varying = mu if mu.ndim else slopes
-    switches = _switch_points(kind, mu[..., None], slopes, eta).reshape(len(varying), -1)
-    quantiles = _rho_quantiles(m)
-    seeds = np.broadcast_to(quantiles, (len(varying), quantiles.size))
+    if isinstance(slopes, np.ndarray):
+        mu = np.asarray(mu, dtype=float)
+        varying = mu if mu.ndim else slopes
+        if varying.size == 1:
+            lone = (mu[0], tuple(slopes)) if mu.ndim else (mu, slopes[0])
+            return tuple(np.array([r]) for r in _mixture(kind, *lone, eta, m, term, weighted))
+        switches = _switch_points(kind, mu[..., None], slopes, eta).reshape(len(varying), -1)
+        quantiles = _rho_quantiles(m)
+        seeds = np.broadcast_to(quantiles, (len(varying), quantiles.size))
 
-    def f(nodes):
-        s, v = _per_node(nodes, varying)
-        return term(s, v) * _rho_pdf(s, m)
+        def f(nodes):
+            s, rows = nodes
+            return term(s, varying[rows]) * _rho_pdf(s, m)
 
-    return integrate_halfline(f, np.concatenate([switches, seeds], axis=1), upper=upper)
+        return integrate_halfline(f, np.concatenate([switches, seeds], axis=1), upper=upper)
+    mu, eta, shared = float(mu), float(eta), isinstance(slopes, tuple)
+    columns = tuple(map(float, slopes)) if shared else (float(slopes),)
+    v = mu if shared else columns[0]  # nodes lie in (0, upper): rho_m unchecked
+    points = [p for slope in columns for p in _switch_points(kind, mu, slope, eta)]
+    return integrate_halfline(lambda s: term(s, v) * _rho_pdf(s, m),
+                              points + _rho_quantiles(m).tolist(), upper=upper)
 
 
 def _scale_free(kind, x, scale, t, rn, m, closed=True, density=False):

@@ -27,16 +27,16 @@ the initial panel boundaries, so the adaptive refinement never has to
 discover a discontinuity, or find a narrow bump that both rules would
 miss, on its own.
 
-The integrator is batched: a 2-D array of breakpoints, one row per problem,
+The integrator is batched.  1-D breakpoints are one problem, run on floats,
+whose integrand takes the nodes s; a 2-D array, one row per problem, is a
+batch of any length, whose integrand takes the pair (s, rows).  A batch
 integrates a whole grid (densities over x, coverages over theta) in one
-call, refining the panels of every unconverged problem together in each
-vectorized round.  Every problem keeps its own breakpoints and tolerance
-target and leaves the batch once converged, so an array result agrees with
-the per-element calls within the reported error bound, not bitwise.  A
-lone problem runs on floats, as does a public call's scalar argument on
-its way to one.  A round evaluates its integrand in blocks of consecutive
-nodes, so that large rounds keep their temporaries in cache; integrands
-are elementwise, so the blocks give the values of one call bit for bit.
+call, refining every unconverged problem's panels in each vectorized
+round.  Every problem keeps its own breakpoints and tolerance target and
+leaves the batch once converged, so an array result agrees with the
+per-element calls within the reported error bound, not bitwise.  A round
+evaluates its integrand in blocks of consecutive nodes, so that large rounds
+keep their temporaries in cache; the blocks give one call's values bit for bit.
 Public analytic calls flush underflow to 0, whatever the caller's errstate.
 
 The package's accuracy targets are fixed: every law and coverage integrates
@@ -170,7 +170,9 @@ _t_cdf = _sp.stdtr  # (m, x), m already checked
 
 
 def _std_normal_pdf(x):
-    x = np.asarray(x, dtype=float)
+    # the density is 0 past |x| = 38.7, so capping |x| at 40 keeps every
+    # value (|x| |x| = x x) and x * x from overflowing
+    x = np.minimum(np.abs(x), 40.0)
     out = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
     return out if out.ndim else float(out)
 
@@ -206,7 +208,8 @@ def rho_density(s, m):
     s = _nan_checked(np.asarray(s, dtype=float), "rho density")
     pos = s > 0.0
     out = np.zeros(s.shape)
-    out[pos] = _rho_pdf(s[pos], m)
+    # rho_m is 0 past s = 40 for every m, and s * s must not overflow
+    out[pos] = _rho_pdf(np.minimum(s[pos], 40.0), m)
     return out if out.ndim else float(out)
 
 
@@ -266,9 +269,11 @@ def t_cdf(x, m):
     return out if out.ndim else float(out)
 
 
-@_underflow_to_zero
+@np.errstate(under="ignore", over="ignore")
 def t_pdf(x, m):
-    """Density of Student's t with m degrees of freedom; rejects NaN."""
+    """Density of Student's t with m degrees of freedom; rejects NaN.  Past
+    |x| = 1.3e154, where x^2 overflows, it is below the smallest normal
+    double and, like an underflow, 0 silently."""
     m = _check_dof(m)
     x_arr = np.asarray(x, dtype=float)
     out = np.exp(_t_log_norm(m) - 0.5 * (m + 1) * np.log1p(x_arr * x_arr / m))
@@ -342,26 +347,6 @@ _QK_X = np.concatenate([-_XGK[1::2], _XGK[-2::-2], -_XGK[:-1:2], _XGK[::-2]])
 _QK_W = np.concatenate([_WGK[1::2], _WGK[-2::-2], _WGK[:-1:2], _WGK[::-2]])
 _G10_W = np.concatenate([_WG, _WG[::-1]])
 
-# What a batch of several problems hands its integrand: each node together
-# with the row of the problem it belongs to.
-_NODE_DTYPE = np.dtype([("s", float), ("problem", np.intp)])
-
-
-def _per_node(nodes, *params):
-    """Split an integrand argument into nodes and per-node parameter values.
-
-    Each parameter holds one value per problem.  A single problem hands its
-    integrand the plain node array, and gets its parameters back as floats,
-    so its arithmetic is scalar as in a lone call.  A batch hands it a
-    record array with fields ``s`` and ``problem``, and each parameter is
-    gathered onto the nodes.
-    """
-    if nodes.dtype.names is None:
-        return (nodes, *[float(p[0]) for p in params])
-    rows = nodes["problem"]
-    return (nodes["s"], *[p[rows] for p in params])
-
-
 # Panels per integrand call: a round's nodes go to f in blocks of at most
 # 390 panels (8190 nodes), so an integrand's temporaries stay in cache.
 _BLOCK_PANELS = 390
@@ -373,24 +358,22 @@ def _panel_rule(f, panels: np.ndarray, problem=None):
 
     f is called on consecutive blocks of at most _BLOCK_PANELS panels' nodes;
     the rule is one matmul over the whole table.  ``problem`` holds the batch
-    row of each panel; without it the panels belong to one problem and f
-    receives the plain node array.
+    row of each panel; f receives the node array without it, the pair
+    (nodes, row of each node) with it: one argument, as perfbench/tracing.py
+    wraps integrands in a one-argument span.
     """
     lo, hi = panels[0], panels[1]
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     # one row per panel: its 10 Gauss nodes, then its 11 Kronrod nodes
     xs = (mid[:, None] + half[:, None] * _QK_X).ravel()
-    if problem is None:
-        arg = xs
-    else:
-        arg = np.empty(xs.size, dtype=_NODE_DTYPE)
-        arg["s"] = xs
-        arg["problem"] = np.repeat(problem, _QK_X.size)
+    rows = None if problem is None else np.repeat(problem, _QK_X.size)
     vals = np.empty(xs.shape)
     step = _BLOCK_PANELS * _QK_X.size
     for start in range(0, xs.size, step):
-        block = np.asarray(f(arg[start:start + step]), dtype=float)
+        nodes = xs[start:start + step]
+        block = np.asarray(f(nodes if rows is None else (nodes, rows[start:start + step])),
+                           dtype=float)
         if block.shape != vals[start:start + step].shape:
             raise DomainError("integrand must map an array to an array of the same shape")
         vals[start:start + step] = block
@@ -423,9 +406,9 @@ def _refine(f, lo, hi, row, cfg, value, bound):
     and bound per problem.
 
     ``row`` is None for a lone problem, whose bookkeeping runs on plain
-    floats.  In a batch of several problems ``live`` lists the rows still
-    refining and ``row`` maps each panel to its position in ``live``; f is
-    told each node's row.  The panels sit in one table (see _panel_rule).
+    floats.  In a batch ``live`` lists the rows still refining and ``row``
+    maps each panel to its position in ``live``; f is told each node's row.
+    The panels sit in one table (see _panel_rule).
     """
     live = np.arange(len(value))
     panels = np.empty((4, len(lo)))
@@ -519,36 +502,32 @@ def integrate_halfline(f: Callable, breakpoints: Iterable = (), *, upper: float,
     each depending on its own node only.  It may be called more than once
     per round, on consecutive slices of that round's nodes.
 
-    Batches: a 2-D array of breakpoints, one NaN-padded row per problem,
-    integrates one problem per row in the same adaptive rounds, and value
-    and bound come back as arrays over the rows.  With several problems f
-    receives a record array with fields ``s`` (the nodes) and ``problem``
-    (each node's row), and must return one value per node; a batch of one,
-    like a lone problem, passes the plain node array and runs exactly the
-    lone problem's rounds.  Each problem keeps its own breakpoints and
-    tolerance target, is split by the same rule as a lone problem and leaves
-    the batch once it has converged, so a batched value agrees with the lone
-    call of the same problem within the error bound, though not necessarily
-    bitwise.  A NumericsError raised from a batch of several problems names
-    the failing row in ``problem``.
+    Breakpoints as a 1-D sequence describe one problem: f receives the node
+    array and the result is a pair of floats.  A 2-D array of breakpoints,
+    one NaN-padded row per problem, is a batch of any length, one row
+    included: f receives the pair ``(s, rows)``, the nodes and each node's
+    row, two contiguous arrays of equal length, and value and bound come
+    back as arrays over the rows.  Each problem keeps its own breakpoints
+    and tolerance target, is split by the same rule as a lone problem and
+    leaves the batch once it has converged, so a batched value agrees with
+    the lone call of the same problem within the error bound, though not
+    necessarily bitwise.  A NumericsError raised from a batch names the
+    failing row in ``problem``.
     """
     upper = float(upper)
     if not math.isfinite(upper):
         raise DomainError("truncation point must be finite")
-    batch = isinstance(breakpoints, np.ndarray) and breakpoints.ndim == 2
-    count = len(breakpoints) if batch else 1
-    value = np.zeros(count)
-    bound = np.zeros(count)
-    if upper > 0.0 and count == 1:
-        points = np.ravel(breakpoints).tolist() if batch else breakpoints
-        cuts = sorted({float(b) for b in points if 0.0 < float(b) < upper})
-        _refine(f, [0.0] + cuts, cuts + [upper], None, cfg, value, bound)
-    elif upper > 0.0 and count:
-        _refine(f, *_initial_panels(breakpoints.astype(float), upper),
-                cfg, value, bound)
-    if batch:
+    if isinstance(breakpoints, np.ndarray) and breakpoints.ndim == 2:
+        value, bound = np.zeros(len(breakpoints)), np.zeros(len(breakpoints))
+        if upper > 0.0 and len(breakpoints):
+            _refine(f, *_initial_panels(breakpoints.astype(float), upper),
+                    cfg, value, bound)
         return value, bound
-    return float(value[0]), float(bound[0])
+    value, bound = [0.0], [0.0]
+    if upper > 0.0:
+        cuts = sorted({float(b) for b in breakpoints if 0.0 < float(b) < upper})
+        _refine(f, [0.0] + cuts, cuts + [upper], None, cfg, value, bound)
+    return value[0], bound[0]
 
 
 def _clamp_unit(value, bound, name: str):

@@ -205,18 +205,18 @@ def bits(values) -> bytes:
 
 class TestLoneRoute:
     """A scalar x (a scalar theta for coverage) is a lone problem that runs on
-    floats, apart from the batch route; it must give the bits of the same
-    call on a batch of one, and never build batch panels or record nodes."""
+    floats, apart from the batch route, and so is a one-element array: both
+    give the same bits, and neither builds batch panels or hands its
+    integrand batch nodes."""
 
     @staticmethod
     def cases(seed, count=30):
         """(kind, setup, theta, xs): xi = sigma = alpha = 1, so x is the slope
         itself; x = 0, the hard dead-zone edges +-eta (slope -+ eta = 0),
-        +-1e-10 (-mu / slope overflows at |theta| = 1e300), +-1e10 where
-        |theta| <= 2 (-mu / slope is subnormal at |theta| <= 1e-300), and
-        one x across +-4.  At |theta| = 1e300 and |x| = 1e10 both routes
-        warn that mu d overflows in the adaptive-soft inverse, a fault of
-        its own (CHANGES.md)."""
+        +-1e-10 (-mu / slope overflows at |theta| = 1e300), +-1e10 (-mu /
+        slope is subnormal at |theta| <= 1e-300, and at |theta| = 1e300 the
+        product mu d in the adaptive-soft inverse overflows), and one x
+        across +-4."""
         rng = np.random.default_rng(seed)
         for _ in range(count):
             kind = KINDS[rng.integers(3)]
@@ -224,9 +224,7 @@ class TestLoneRoute:
             eta = float(10.0 ** rng.uniform(-3.0, 1.0))
             theta = (float(rng.choice([1e-300, -1e-300, 1e300, -1e300, 5e-324]))
                      if rng.random() < 0.4 else float(rng.uniform(-2.0, 2.0)))
-            xs = [0.0, eta, -eta, 1e-10, -1e-10, float(rng.uniform(-4.0, 4.0))]
-            if abs(theta) <= 2.0:
-                xs += [1e10, -1e10]
+            xs = [0.0, eta, -eta, 1e-10, -1e-10, float(rng.uniform(-4.0, 4.0)), 1e10, -1e10]
             yield kind, ProblemSetup(n=35 + m, k=35, eta=eta), theta, xs
 
     @staticmethod
@@ -240,7 +238,7 @@ class TestLoneRoute:
             assert all(type(b) is float for b in breakpoints)
 
             def integrand(nodes):
-                assert nodes.dtype.names is None, "a record array reached the integrand"
+                assert type(nodes) is np.ndarray, "batch nodes reached a lone integrand"
                 return f(nodes)
 
             quadratures.append(call)
@@ -252,9 +250,7 @@ class TestLoneRoute:
         with monkeypatch.context() as patch:
             patch.setattr(finite_sample, "integrate_halfline", watched)
             patch.setattr(special, "_initial_panels", no_batch)
-            got = call()
-        assert type(got) is float
-        return got
+            return call()
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_laws_in_x(self, monkeypatch, seed):
@@ -266,8 +262,9 @@ class TestLoneRoute:
                 for law in (lambda x: tilde_cdf(kind, x, setup, theta, 1.0),
                             lambda x: tilde_density(kind, x, setup, theta, 1.0),
                             lambda x: conservative_limit_cdf(kind, x, regime)):
-                    batch = law(np.array([x]))
+                    batch = self.lone(monkeypatch, lambda: law(np.array([x])), [])
                     got = self.lone(monkeypatch, lambda: law(x), quadratures)
+                    assert type(got) is float
                     assert bits(got) == bits(batch), (kind, setup, theta, x)
         assert len(quadratures) > 500
 
@@ -279,10 +276,13 @@ class TestLoneRoute:
             # half = xi eta puts an arm on hard's dead-zone edge
             for half in (setup.eta, float(rng.uniform(0.05, 3.0))):
                 spec = IntervalSpec(half, half, VarianceMode.ESTIMATED)
-                batch = unknown_coverage(kind, np.array([theta]), 1.0, spec, setup)
+                batch = self.lone(
+                    monkeypatch,
+                    lambda: unknown_coverage(kind, np.array([theta]), 1.0, spec, setup), [])
                 got = self.lone(monkeypatch,
                                 lambda: unknown_coverage(kind, theta, 1.0, spec, setup),
                                 quadratures)
+                assert type(got) is float
                 assert bits(got) == bits(batch), (kind, setup, theta, half)
         assert len(quadratures) == 60
 

@@ -89,11 +89,9 @@ def density_integrand(kind, mu, slope, eta, rn, m, dslope):
 def quadrature(integrand, kind, mu, slope, eta, m):
     """(value, bound) of the integrand over s for one slope, with the
     breakpoints the quadrature path declares, at the reference tolerances."""
-    slope = np.array([slope])
-    value, bound = integrate_halfline(
-        integrand, _switch_points(kind, mu, slope, eta),
+    return integrate_halfline(
+        integrand, _switch_points(kind, mu, np.array([slope]), eta).ravel(),
         upper=rho_upper_limit(m, TAIL), cfg=REFERENCE)
-    return float(value[0]), float(bound[0])
 
 
 def agree(got: float, want: float, bound: float, tail_weight: float = 1.0) -> bool:

@@ -282,6 +282,39 @@ class TestNanArguments:
             call(arg)
 
 
+class TestHugeArguments:
+    """Past |x| = 1.3e154, x * x overflows.  The densities are 0 there (t_1's
+    is below the smallest normal double), and they say so silently, even
+    under np.errstate(all="raise"); below, they keep the plain expression's
+    bits."""
+
+    @pytest.mark.parametrize("call", [
+        std_normal_pdf,
+        lambda x: t_pdf(x, 1),
+        lambda x: t_pdf(x, 5),
+        lambda x: rho_density(x, 1),
+        lambda x: rho_density(x, 995),
+    ], ids=["std_normal_pdf", "t_pdf_1", "t_pdf_5", "rho_density_1", "rho_density_995"])
+    def test_zero_without_overflow(self, call):
+        xs = [1e200, -1e200, 1.7e308, math.inf, -math.inf]
+        with np.errstate(all="raise"):
+            assert [call(x) for x in xs] == [0.0] * len(xs)
+            assert call(np.array(xs)).tolist() == [0.0] * len(xs)
+
+    def test_normal_pdf_is_the_plain_expression(self):
+        xs = np.linspace(-45.0, 45.0, 90001)
+        with np.errstate(under="ignore"):
+            want = (1.0 / math.sqrt(2.0 * math.pi)) * np.exp(-0.5 * xs * xs)
+        assert std_normal_pdf(xs).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("m", [1, 5, 995])
+    def test_rho_density_is_the_plain_expression(self, m):
+        s = np.linspace(0.0, 45.0, 90001)[1:]
+        with np.errstate(under="ignore"):
+            want = np.exp(_rho_log_norm(m) + (m - 1.0) * np.log(s) - 0.5 * m * s * s)
+        assert rho_density(s, m).tobytes() == want.tobytes()
+
+
 def _t_cdf_wrapper(x, m):
     """Student-t CDF through the explicit +-inf handling it once had."""
     x = np.asarray(x, dtype=float)
@@ -454,10 +487,8 @@ class TestBatchedIntegrator:
         cuts = np.asarray(cuts, dtype=float)
 
         def f(nodes):
-            if nodes.dtype.names is None:
-                return np.where(nodes > cuts[0], 1.0, 0.0) * rho_density(nodes, m)
-            s, cut = nodes["s"], cuts[nodes["problem"]]
-            return np.where(s > cut, 1.0, 0.0) * rho_density(s, m)
+            s, rows = nodes if isinstance(nodes, tuple) else (nodes, 0)
+            return np.where(s > cuts[rows], 1.0, 0.0) * rho_density(s, m)
 
         return f
 
@@ -481,9 +512,9 @@ class TestBatchedIntegrator:
         widths = np.array([np.inf, 0.05, 0.2])
 
         def f(nodes):
-            seen.append(np.unique(nodes["problem"]).tolist())
-            s, w = nodes["s"], widths[nodes["problem"]]
-            return np.exp(-0.5 * ((s - 1.0) / w) ** 2)
+            s, rows = nodes
+            seen.append(np.unique(rows).tolist())
+            return np.exp(-0.5 * ((s - 1.0) / widths[rows]) ** 2)
 
         values, _ = integrate_halfline(f, np.full((3, 1), np.nan), upper=2.0)
         assert values[0] == pytest.approx(2.0, abs=1e-12)
@@ -496,7 +527,8 @@ class TestBatchedIntegrator:
 
     def test_nan_in_one_problem(self):
         def f(nodes):
-            return np.where(nodes["problem"] == 2, math.nan, 1.0)
+            s, rows = nodes
+            return np.where(rows == 2, math.nan, 1.0)
 
         with pytest.raises(NumericsError) as info:
             integrate_halfline(f, np.zeros((4, 0)), upper=1.0)
@@ -509,8 +541,8 @@ class TestBatchedIntegrator:
         rate = np.array([0.0, 40.0])
 
         def f(nodes):
-            s, r = nodes["s"], rate[nodes["problem"]]
-            return np.cos(r * s * s)
+            s, rows = nodes
+            return np.cos(rate[rows] * s * s)
 
         with pytest.raises(NumericsError) as batch:
             integrate_halfline(f, np.zeros((2, 0)), upper=6.0, cfg=cfg)
@@ -534,16 +566,18 @@ class TestBatchedIntegrator:
                                        upper=0.0)
         assert values.tolist() == [0.0, 0.0, 0.0]
 
-    def test_batch_of_one_passes_plain_nodes(self):
-        kinds = []
+    def test_batch_of_one_passes_rows(self):
+        seen = []
 
         def f(nodes):
-            kinds.append(nodes.dtype)
-            return np.ones_like(nodes)
+            s, rows = nodes
+            assert s.flags.c_contiguous and rows.flags.c_contiguous
+            seen.append((s.dtype, rows.dtype, rows.shape == s.shape, set(rows.tolist())))
+            return np.ones_like(s)
 
         values, _ = integrate_halfline(f, np.array([[0.5]]), upper=2.0)
         assert values.shape == (1,) and values[0] == pytest.approx(2.0)
-        assert all(dtype == np.float64 for dtype in kinds)
+        assert seen and all(entry == (np.float64, np.intp, True, {0}) for entry in seen)
 
     def test_scalar_call_returns_float(self):
         value, _ = integrate_halfline(lambda s: np.ones_like(s), (0.5,), upper=2.0)
@@ -562,7 +596,7 @@ class TestBlockedRounds:
         c, d = rng.uniform(0.5, 8.0, count), rng.uniform(-2.0, 6.0, count)
 
         def f(nodes):
-            s, rows = nodes["s"], nodes["problem"]
+            s, rows = nodes
             return std_normal_cdf(c[rows] * s - d[rows]) * rho_density(s, 5)
 
         return f, (d / c)[:, None]
