@@ -49,19 +49,26 @@ X = Q R and solves R' r = e_w once, so the watched LS coefficient of every
 replication is y' c with c = Q r; the other k - 1 coefficients are never
 formed.  sigma_hat comes from the residuals Y - (Y Q) Q', or when
 n - k < k from Y N, with N an orthonormal basis of the complement of Q's
-columns (`_residual_scale`).  Per chunk of 2^16 uniforms (floor(2^16 / n)
-replications, at least one, so a chunk's arrays stay cache-sized) it
-settles replications through the coverage event in two levels:
+columns (`_residual_scale`).  y' c and y N read y only on the support S,
+the coordinates where c != 0 or a row of N is nonzero; Y - (Y Q) Q' reads
+every coordinate, so there S is all of them.  On the synthetic orthogonal
+design S is the watched coordinate, plus with N the n - k residual ones.
+Every replication still draws its n words, since the layout fixes them,
+and only the words in S are read.  Per chunk of 2^16 uniforms
+(floor(2^16 / n) replications, at least one, so a chunk's arrays stay
+cache-sized) it settles replications through the coverage event in two
+levels:
 
-1. Enclosure.  Each z lies in its cell's bracket, held as a midpoint and a
-   radius r.  A few matrix-vector passes over the midpoints y_mid give
+1. Enclosure.  Each z in S lies in its cell's bracket, held as a midpoint
+   and a radius r.  A few matrix-vector passes over the midpoints y_mid give
    y_mid' c +- (sigma |c|'r + rounding term) for the watched coefficient
    and, for estimated variance, sigma_hat(y_mid) +-
-   (|P| sigma |r|_2 + rounding term) / sqrt(n - k), P the residual map;
-   the rounding terms (`_full_radii`) follow the gamma_n bound of a dot
-   product, scaled with n and k.
-2. Exact computation.  The undecided replications convert their words,
-   invert every z, build y and compute y' c and sigma_hat as written.
+   (|P| sigma |r|_2 + rounding term) / sqrt(n - k), P the residual map and
+   r taken over S; the rounding terms (`_full_radii`) follow the gamma_n
+   bound of a dot product, scaled with n and k.
+2. Exact computation.  The undecided replications convert their words in
+   S, invert those z, build y on S and compute y' c and sigma_hat as
+   written.
 """
 
 from __future__ import annotations
@@ -335,16 +342,21 @@ class _Ecdf:
         return j + self.width * (est == 0.0)
 
 
-def _corners(event, kind, setup: ProblemSetup, coefs, s_lo, s_hi):
-    """event.bounds over the estimates with LS coefficient between the ends
-    coefs and interval scale in [s_lo, s_hi]: kernel is monotone in the
-    coefficient and in the cutoff, so its values at the corners enclose
-    them.  Pass (ls,) for an exact coefficient, s_lo is s_hi for an exact
-    scale."""
-    scales = (s_lo,) if s_lo is s_hi else (s_lo, s_hi)
-    corners = [_estimate(kind, setup, b, s) for b in coefs for s in scales]
-    return event.bounds(np.minimum.reduce(corners), np.maximum.reduce(corners),
-                        s_lo, s_hi)
+def _corners(event, kind, setup: ProblemSetup, coef_lo, coef_hi, s_lo, s_hi):
+    """event.bounds over the estimates with LS coefficient in [coef_lo,
+    coef_hi] and interval scale in [s_lo, s_hi].  kernel is non-decreasing
+    in the coefficient and moves toward 0 as the cutoff grows, so the
+    lowest corner is coef_lo's at the larger scale where coef_lo >= 0 and at
+    the smaller one otherwise, and the highest mirrors it: two corners
+    enclose all four.  Pass coef_hi is coef_lo for an exact coefficient,
+    s_hi is s_lo for an exact scale."""
+    if s_lo is s_hi:
+        est_lo = _estimate(kind, setup, coef_lo, s_lo)
+        est_hi = est_lo if coef_hi is coef_lo else _estimate(kind, setup, coef_hi, s_lo)
+    else:
+        est_lo = _estimate(kind, setup, coef_lo, np.where(coef_lo >= 0.0, s_hi, s_lo))
+        est_hi = _estimate(kind, setup, coef_hi, np.where(coef_hi >= 0.0, s_lo, s_hi))
+    return event.bounds(est_lo, est_hi, s_lo, s_hi)
 
 
 def synthetic_design(n: int, k: int, xi: float = 1.0) -> np.ndarray:
@@ -379,9 +391,8 @@ def _tally(plan: SimulationPlan, kind, event, estimated: bool) -> np.ndarray:
         s_hi = (setup.sigma * hi[step - 1::step])[None, :]
     else:
         s_lo = s_hi = np.full((1, 1), setup.sigma)
-    slot, certain = _corners(event, kind, setup, (_ls_values(plan, z_lo)[:, None],
-                                                  _ls_values(plan, z_hi)[:, None]),
-                             s_lo, s_hi)
+    slot, certain = _corners(event, kind, setup, _ls_values(plan, z_lo)[:, None],
+                             _ls_values(plan, z_hi)[:, None], s_lo, s_hi)
     slot, certain = slot.ravel(), certain.ravel()
     undecided = ~certain
     counts = np.zeros(certain.size, dtype=np.int64)
@@ -404,7 +415,7 @@ def _tally(plan: SimulationPlan, kind, event, estimated: bool) -> np.ndarray:
             s_lo, s_hi = setup.sigma * lo[s_cell], setup.sigma * hi[s_cell]
         else:
             s_lo = s_hi = setup.sigma
-        rep_slot, rep_certain = _corners(event, kind, setup, (ls,), s_lo, s_hi)
+        rep_slot, rep_certain = _corners(event, kind, setup, ls, ls, s_lo, s_hi)
         idx = np.flatnonzero(~rep_certain)
         s = _sigma_hat_draws(setup, _uniforms(w_chi[idx])) if estimated else setup.sigma
         rep_slot[idx] = event.exact(_estimate(kind, setup, ls[idx], s), s)
@@ -432,12 +443,14 @@ def _residual_basis(X: np.ndarray, Q: np.ndarray) -> np.ndarray:
     return Q
 
 
-def _residual_scale(basis: np.ndarray, Y: np.ndarray, dof: int) -> np.ndarray:
+def _residual_scale(basis: np.ndarray, Y: np.ndarray, dof: int,
+                    complement: bool) -> np.ndarray:
     """Per-replication sigma_hat of the LS fits of the rows of Y, from the
     `_residual_basis`: the residual norm is |Y N| for the complement N, else
-    that of the residuals Y - (Y Q) Q'.  The squares are summed directly,
-    never as |y|^2 - |Q' y|^2, which cancels."""
-    if basis.shape[1] < Y.shape[1] - dof:  # N: n - k < k columns
+    that of the residuals Y - (Y Q) Q'.  With N, both may leave out the
+    coordinates where a row of N is zero.  The squares are summed
+    directly, never as |y|^2 - |Q' y|^2, which cancels."""
+    if complement:
         resid = Y @ basis
     else:
         resid = (Y @ basis) @ basis.T
@@ -505,6 +518,13 @@ def _full_radii(setup: ProblemSetup, c, mean_y, basis) -> _FullRadii:
     absolute terms cover: (4 n + 8)(1 + |c|_1) 2^-1074 for the coefficient,
     and 2 sqrt((n + 2) 2^-1074 / m) for sigma_hat, whose sum of squares may
     be subnormal.
+
+    The path computes on the support S only, the coordinates where c != 0
+    or (with N) a row of N is nonzero.  c and those rows of N are exactly
+    zero outside S, so no z outside S reaches y'c or y N: the same bounds
+    hold with r, |r| and the dot products taken over S.  The rounding
+    terms here keep the full-length c, mean_y and basis, and with them n
+    and k; they bound an |S|-term computation too.
     """
     u = 2.0 ** -53
     n, k = setup.n, setup.k
@@ -523,7 +543,13 @@ def _full_radii(setup: ProblemSetup, c, mean_y, basis) -> _FullRadii:
     pi = 1.0 + 2.0 * (float(np.linalg.norm(gram)) + (n + 2) * u * frob ** 2)
     rho = 2.0 * (n + 3) * u
     kappa = 2.0 * (n + k + 2) * u * (frob + 1.0) ** 2
-    a_norm = sigma * z_max * math.sqrt(n) + float(np.linalg.norm(mean_y))
+    with np.errstate(over="ignore"):
+        y_norm = float(np.linalg.norm(mean_y))
+    if not math.isfinite(y_norm):
+        # the squares overflow past |X theta| ~ 1e154: scale them first
+        top = float(np.abs(mean_y).max())
+        y_norm = top * float(np.linalg.norm(mean_y / top))
+    a_norm = sigma * z_max * math.sqrt(n) + y_norm
     root_m = math.sqrt(m)
     return _FullRadii(coef_round,
                       s_per_r=(1.0 + 2.0 * rho) * pi * sigma / root_m,
@@ -539,10 +565,13 @@ def simulate_coverage_full(plan: SimulationPlan, kind, spec):
     Each chunk of floor(2^16 / n) replications computes only what the
     interval reads: the watched LS coefficient y' c (c = Q r, R' r = e_w,
     from one triangular solve per cell) and, for estimated variance,
-    sigma_hat through `_residual_scale`.  A replication is first decided
-    from its words' z cells (see the module docstring); only the undecided
-    ones are inverted and computed exactly.  Slower than the fast path and
-    on a different substream, so results agree statistically, not bitwise.
+    sigma_hat through `_residual_scale`, both on the coordinates of y they
+    read (the support; all of them for a dense design or the residuals
+    through Q).  A replication is first decided from its words' z cells
+    (see the module docstring); only the undecided ones are inverted and
+    computed exactly.  Slower than the fast path and on a different
+    substream, so results agree statistically, not bitwise.  Raises
+    `DomainError` when X theta overflows.
     """
     from scipy.linalg import solve_triangular  # loaded on first use: slow to import
 
@@ -564,23 +593,42 @@ def simulate_coverage_full(plan: SimulationPlan, kind, spec):
     # the interval's cutoff uses the design's own xi
     setup = dataclasses.replace(setup, xi=xi)
     c = Q @ row
-    abs_c = np.abs(c)
     theta_vec = plan.theta_vector()
-    mean_y = X @ theta_vec
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean_y = X @ theta_vec
+    if not np.isfinite(mean_y).all():
+        raise DomainError("X theta overflows: the mean of y is not finite")
     theta = theta_vec[watched]
     n, m = setup.n, setup.residual_dof
     estimated = spec.mode is VarianceMode.ESTIMATED
     if estimated:
         setup.require_estimated_variance()
     basis = _residual_basis(X, Q) if estimated else None
+    complement = estimated and m < setup.k  # basis is N
     radii = _full_radii(setup, c, mean_y, basis)
+    # the support: y'c and y N read only these coordinates of y, while
+    # y Q Q' - y reads every one
+    read = c != 0.0
+    if complement:
+        read |= np.any(basis != 0.0, axis=1)
+    elif estimated:
+        read[:] = True
+    support = None if read.all() else np.flatnonzero(read)
+    if support is not None:
+        c, mean_y = c[support], mean_y[support]
+        if complement:
+            basis = basis[support]
+    abs_c = np.abs(c)
     z_mid, z_rad, _ = _z_midpoints()
     event = _Coverage(spec.a, spec.b, theta)
     hits = 0
     chunk = max(1, _FULL_CHUNK_UNIFORMS // n)
     for start in range(0, plan.reps, chunk):
         stop = min(start + chunk, plan.reps)
+        # every replication draws its n words; only the support's are read
         raw = _raw_words(plan.seed, start * n, (stop - start) * n).reshape(-1, n)
+        if support is not None:
+            raw = raw[:, support]
         cell = _word_cells(raw, _BRACKET_CELLS)  # rows are replications
         y_mid = z_mid[cell]
         y_mid *= setup.sigma
@@ -591,20 +639,20 @@ def simulate_coverage_full(plan: SimulationPlan, kind, spec):
         coef_rad *= setup.sigma
         coef_rad += radii.coef_round
         if estimated:
-            s = _residual_scale(basis, y_mid, m)
+            s = _residual_scale(basis, y_mid, m, complement)
             s_rad = np.sqrt(np.einsum("ij,ij->i", r, r))
             s_rad *= radii.s_per_r
             s_rad += radii.s_rel * s + radii.s_round
             s_lo, s_hi = np.maximum(s - s_rad, 0.0), s + s_rad
         else:
             s_lo = s_hi = setup.sigma
-        slot, certain = _corners(event, kind, setup, (coef - coef_rad, coef + coef_rad),
+        slot, certain = _corners(event, kind, setup, coef - coef_rad, coef + coef_rad,
                                  s_lo, s_hi)
         idx = np.flatnonzero(~certain)
         Y = std_normal_quantile(_uniforms(raw[idx]))
         Y *= setup.sigma
         Y += mean_y
-        s = _residual_scale(basis, Y, m) if estimated else setup.sigma
+        s = _residual_scale(basis, Y, m, complement) if estimated else setup.sigma
         slot[idx] = event.exact(_estimate(kind, setup, Y @ c, s), s)
         hits += int(np.count_nonzero(slot))
     return _coverage_estimate(hits, plan.reps)

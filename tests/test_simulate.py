@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from threshcov import (
     DomainError,
@@ -519,6 +521,22 @@ class TestGridDecisions:
                                   setup, monkeypatch)
         assert 0 < got / setup.n < share
 
+    @pytest.mark.parametrize("dense, mode, width", [
+        # the default design: y'c reads y_w, and y N the n - k = 5 residual
+        # coordinates; a dense design's y'c reads all n = 40
+        (False, VarianceMode.KNOWN, 1), (False, VarianceMode.ESTIMATED, 6),
+        (True, VarianceMode.KNOWN, 40), (True, VarianceMode.ESTIMATED, 40)])
+    def test_full_path_inverts_only_the_support(self, dense, mode, width, monkeypatch):
+        if dense:
+            X, setup, theta = dense_case(40, 35, seed=9)
+        else:
+            X, setup = None, ProblemSetup(n=40, k=35, eta=0.5)
+            theta = setup.xi * setup.eta
+        plan = SimulationPlan(setup=setup, theta=theta, reps=20_000, seed=5, design=X)
+        _, widths, undecided = inverted_widths(plan, "asoft", dense_spec(setup, mode),
+                                               monkeypatch)
+        assert widths == {width} and undecided > 0
+
     @pytest.mark.parametrize("kind", ["hard", "soft", "asoft"])
     @pytest.mark.parametrize("n, k, share", [(40, 35, 0.5), (1000, 5, 0.15)])
     def test_ecdf_grid_inverts_few_gaussian_draws(self, kind, n, k, share,
@@ -708,6 +726,41 @@ def dense_spec(setup, mode):
     return IntervalSpec(a, a, mode)
 
 
+def block_case(blocks, component, seed):
+    """A design of column blocks on disjoint rows, dense within each (one
+    (rows, columns) pair per block), its setup for the component and a
+    dense theta whose watched entry sits near the threshold."""
+    rng = np.random.default_rng(seed)
+    n, k = (sum(sizes) for sizes in zip(*blocks))
+    X = np.zeros((n, k))
+    row = col = 0
+    for rows, cols in blocks:
+        X[row:row + rows, col:col + cols] = rng.standard_normal((rows, cols))
+        row, col = row + rows, col + cols
+    xi = compute_xi_all(X)[component - 1]
+    setup = ProblemSetup(n=n, k=k, xi=xi, eta=0.3, component_index=component)
+    theta = rng.standard_normal(k) / math.sqrt(n)
+    theta[component - 1] = 0.4 * xi
+    return X, setup, theta
+
+
+def inverted_widths(plan, kind, spec, monkeypatch):
+    """Hits of the full path, and the set of widths of the arrays it passes
+    to std_normal_quantile (one row per undecided replication, one column
+    per coordinate of y it reads) with their total row count."""
+    simulate._z_midpoints()  # build the tables first
+    shapes = []
+
+    def counting(p):
+        shapes.append(np.shape(p))
+        return std_normal_quantile(p)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(simulate, "std_normal_quantile", counting)
+        p, _ = simulate_coverage_full(plan, kind, spec)
+    return round(p * plan.reps), {cols for _, cols in shapes}, sum(r for r, _ in shapes)
+
+
 class TestFullDesignReference:
     """The full-design path decides most replications from enclosures over
     their z cells, solves only the watched coefficient and maps residuals
@@ -718,11 +771,13 @@ class TestFullDesignReference:
 
     @staticmethod
     def assert_matches(plan, kind, spec, monkeypatch):
+        """Hits equal the long way's; returns the widths the path inverts."""
         # chunks of floor(12345 / n) replications, the last one ragged
         monkeypatch.setattr(simulate, "_FULL_CHUNK_UNIFORMS", 12345)
         assert plan.reps % (12345 // plan.setup.n) != 0
-        p, _ = simulate_coverage_full(plan, kind, spec)
-        assert round(p * plan.reps) == full_design_reference_hits(plan, kind, spec)
+        hits, widths, _ = inverted_widths(plan, kind, spec, monkeypatch)
+        assert hits == full_design_reference_hits(plan, kind, spec)
+        return widths
 
     @pytest.mark.parametrize("kind", ["hard", "soft", "asoft"])
     @pytest.mark.parametrize("mode", MODES)
@@ -801,6 +856,48 @@ class TestFullDesignReference:
         mismatch = SimulationPlan(setup=setup, theta=theta, reps=10, seed=107, design=X)
         with pytest.raises(DomainError, match="does not match setup.xi"):
             simulate_coverage_full(mismatch, "asoft", spec)
+
+    @pytest.mark.parametrize("kind", ["hard", "soft", "asoft"])
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("blocks, component, widths", [
+        # n - k < k: y'c and y N read only the second block's 30 rows
+        (((10, 10), (30, 25)), 12, (30, 30)),
+        # through Q: y'c reads the first block's 30 rows, Y - (Y Q) Q' all 60
+        (((30, 3), (30, 3)), 1, (30, 60)),
+    ])
+    def test_block_orthogonal_design(self, kind, mode, blocks, component, widths,
+                                     monkeypatch):
+        X, setup, theta = block_case(blocks, component, seed=component)
+        plan = SimulationPlan(setup=setup, theta=theta, reps=3001, seed=108, design=X)
+        width = widths[mode is VarianceMode.ESTIMATED]
+        assert self.assert_matches(plan, kind, dense_spec(setup, mode), monkeypatch) == {width}
+
+    @pytest.mark.parametrize("kind", ["hard", "soft", "asoft"])
+    def test_many_residual_dof(self, kind, monkeypatch):
+        # the default design through Q with known variance: y'c reads y_w only
+        setup = ProblemSetup(n=1000, k=5, eta=0.5)
+        plan = SimulationPlan(setup=setup, theta=setup.xi * setup.eta, reps=3001, seed=109)
+        assert self.assert_matches(plan, kind, dense_spec(setup, VarianceMode.KNOWN),
+                                   monkeypatch) == {1}
+
+    @pytest.mark.parametrize("kind", ["hard", "soft", "asoft"])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_extreme_scales(self, kind, mode, monkeypatch):
+        # RuntimeWarnings are errors here (pyproject.toml).  Past |X theta| of
+        # about 1e154 the norm in the sigma_hat rounding term overflowed, and
+        # past the largest double X theta itself is not finite
+        spec = IntervalSpec(0.3, 0.3, mode)
+        big = (1e200, -1e200, 1e300, -1e300)
+        for sigma, xi, thetas in ((1.0, 1.0, big), (1e-5, 1.0, big), (1.0, 1e10, big),
+                                  (1.0, 1e-10, (1e300, -1e300))):
+            setup = ProblemSetup(n=40, k=35, sigma=sigma, xi=xi, eta=0.5)
+            for theta in thetas:
+                plan = SimulationPlan(setup=setup, theta=theta, reps=3001, seed=3)
+                if math.isfinite(setup.root_n / xi * theta):
+                    self.assert_matches(plan, kind, spec, monkeypatch)
+                else:
+                    with pytest.raises(DomainError, match="X theta overflows"):
+                        simulate_coverage_full(plan, kind, spec)
 
 
 def cell_end_words():
@@ -903,6 +1000,43 @@ class TestCellEndWords:
         spec = IntervalSpec(a, a, mode)
         p, _ = simulate_coverage_full(plan, kind, spec)
         assert round(p * plan.reps) == full_design_reference_hits(plan, kind, spec)
+
+
+class TestTwoCorners:
+    """_corners evaluates kernel at the two corners that monotonicity
+    selects; its (slot, certain) must equal the four-corner min and max,
+    for every kind and event, signed zeros, subnormals and +-1e300
+    included."""
+
+    coefs = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1022,
+                                       -(2.0 ** -1022), 1e300, -1e300]),
+                      st.floats(-1e300, 1e300))
+    scales = st.one_of(st.sampled_from([5e-324, 2.0 ** -1022, 1.0, 1e300]),
+                       st.floats(5e-324, 1e300))
+
+    @given(kind=st.sampled_from(["hard", "soft", "asoft"]), ecdf=st.booleans(),
+           lanes=st.lists(st.tuples(coefs, coefs, scales, scales), min_size=1,
+                          max_size=16),
+           exact_coef=st.booleans(), exact_scale=st.booleans(),
+           a=st.floats(0.0, 10.0), b=st.floats(0.0, 10.0), theta=coefs)
+    @settings(deadline=None, max_examples=400)
+    def test_match_four_corners(self, kind, ecdf, lanes, exact_coef, exact_scale,
+                                a, b, theta):
+        setup = ProblemSetup(n=40, k=35, eta=0.5)
+        c1, c2, s1, s2 = (np.array(v) for v in zip(*lanes))
+        coef_lo = np.minimum(c1, c2)
+        coef_hi = coef_lo if exact_coef else np.maximum(c1, c2)
+        s_lo = np.minimum(s1, s2)
+        s_hi = s_lo if exact_scale else np.maximum(s1, s2)
+        event = (simulate._Ecdf(a + 0.1, theta, np.linspace(-4.0, 4.0, 41)) if ecdf
+                 else simulate._Coverage(a, b, theta))
+        corners = [simulate._estimate(kind, setup, coef, s)
+                   for coef in (coef_lo, coef_hi) for s in (s_lo, s_hi)]
+        want = event.bounds(np.minimum.reduce(corners), np.maximum.reduce(corners),
+                            s_lo, s_hi)
+        got = simulate._corners(event, kind, setup, coef_lo, coef_hi, s_lo, s_hi)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
 
 
 class TestEcdf:

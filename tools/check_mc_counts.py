@@ -12,6 +12,12 @@ benchmark's standard-error band).  ``perfbench/workloads.py`` supplies the
 cells and the check; it is imported, never modified.  BLAS threads are
 pinned to 1, as in a benchmark run.
 
+Per cell family it also prints the values passed to the inverse normal
+(``simulate.std_normal_quantile``, wrapped here) per replication.  The
+pass/fail rule does not read them, but they repeat exactly from run to
+run, so a change in how many replications each settling level decides
+shows as a changed count.
+
 Exit status: 0 when every cell matches; 1 otherwise.
 """
 
@@ -31,7 +37,23 @@ from pathlib import Path  # noqa: E402
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
+import numpy as np  # noqa: E402
 import workloads  # noqa: E402
+from threshcov import simulate  # noqa: E402
+
+
+def count_normal_inversions() -> list[int]:
+    """Wrap simulate.std_normal_quantile; the returned one-element list holds
+    the running count of the values it was passed."""
+    simulate._z_midpoints()  # the tables invert 4097 values once: not counted
+    inverse, count = simulate.std_normal_quantile, [0]
+
+    def counting(p):
+        count[0] += np.size(p)
+        return inverse(p)
+
+    simulate.std_normal_quantile = counting
+    return count
 
 
 def recorded_tasks(refs: workloads.References):
@@ -46,14 +68,20 @@ def recorded_tasks(refs: workloads.References):
 
 def main() -> int:
     refs = workloads.References()
+    inverted = count_normal_inversions()
     seconds = collections.Counter()
     cells = collections.Counter()
+    reps = collections.Counter()
+    normals = collections.Counter()
     failures = []
     for task in recorded_tasks(refs):
         if workloads._mc_exact(refs, task.key) is None:
             failures.append(f"{task.family} cell {task.key}: no recorded count")
             continue
+        before = inverted[0]
         outcome = workloads.run_task(task)
+        normals[task.family] += inverted[0] - before
+        reps[task.family] += task.reps
         seconds[task.family] += outcome.seconds
         cells[task.family] += 1
         reason = workloads.check(outcome, refs)
@@ -61,7 +89,8 @@ def main() -> int:
             failures.append(reason)
     for family in sorted(cells):
         print(f"check_mc_counts: {family}: {cells[family]} cells, "
-              f"{1e3 * seconds[family] / cells[family]:.1f} ms per cell")
+              f"{1e3 * seconds[family] / cells[family]:.1f} ms per cell, "
+              f"{normals[family] / reps[family]:.4f} normal inversions per replication")
     for reason in failures:
         print(f"check_mc_counts: FAIL {reason}")
     total = sum(cells.values())
