@@ -52,26 +52,19 @@ EXIT_NUMERICS = 3
 _TABLE_ETAS = (0.05, 0.5)
 _TABLE_KINDS = (EstimatorKind.HARD, EstimatorKind.ADAPTIVE_SOFT)
 
+_TABLE_HEADER = ("estimator", "eta", "length", "lower_bound", "min_coverage",
+                 "upper_bound")
 # Reference values for --check, at the default scenario (n=40, k=35, xi=1,
-# sigma=1, alpha=0.05).  Keys: (estimator label, eta).
-_CHECK_LENGTHS = {
-    ("ls", None): (0.406, 5e-4),
-    ("hard", 0.05): (0.434, 5e-4),
-    ("hard", 0.5): (0.823, 5e-4),
-    ("asoft", 0.05): (0.432, 5e-4),
-    ("asoft", 0.5): (0.820, 5e-4),
-}
-_CHECK_UPPER = {
-    ("hard", 0.05): (0.9595, 1e-3),
-    ("hard", 0.5): (0.9965, 1e-3),
-    ("asoft", 0.05): (0.9591, 1e-3),
-    ("asoft", 0.5): (0.9965, 1e-3),
-}
-_CHECK_MIN = {
-    ("hard", 0.05): (0.9592, 2e-3),
-    ("hard", 0.5): (0.9893, 2e-3),
-    ("asoft", 0.05): (0.9574, 2e-3),
-    ("asoft", 0.5): (0.9844, 2e-3),
+# sigma=1, alpha=0.05), checked in this order: per column, (estimator label,
+# eta) -> (value, tolerance); the LS row's eta is "".
+_TABLE_CHECKS = {
+    "length": {("ls", ""): (0.406, 5e-4),
+               ("hard", 0.05): (0.434, 5e-4), ("hard", 0.5): (0.823, 5e-4),
+               ("asoft", 0.05): (0.432, 5e-4), ("asoft", 0.5): (0.820, 5e-4)},
+    "upper_bound": {("hard", 0.05): (0.9595, 1e-3), ("hard", 0.5): (0.9965, 1e-3),
+                    ("asoft", 0.05): (0.9591, 1e-3), ("asoft", 0.5): (0.9965, 1e-3)},
+    "min_coverage": {("hard", 0.05): (0.9592, 2e-3), ("hard", 0.5): (0.9893, 2e-3),
+                     ("asoft", 0.05): (0.9574, 2e-3), ("asoft", 0.5): (0.9844, 2e-3)},
 }
 
 _FIGURE_DENSITY = {"pdfH": EstimatorKind.HARD, "pdfS": EstimatorKind.SOFT,
@@ -125,13 +118,6 @@ def _emit(args: argparse.Namespace, text: str):
         sys.stdout.write(text)
 
 
-def _check_cell(label, got, expected, tol, failures):
-    ok = abs(got - expected) <= tol
-    if not ok:
-        failures.append(f"{label}: got {got:.6f}, expected {expected} +- {tol}")
-    return ok
-
-
 def cmd_table1(args: argparse.Namespace) -> int:
     """Interval table: length, guaranteed lower bound, actual minimal
     coverage, and upper bound per estimator and eta, plus the classical
@@ -141,7 +127,6 @@ def cmd_table1(args: argparse.Namespace) -> int:
     ls_len = standard_ls_interval(_setup(args, _TABLE_ETAS[0]),
                                   VarianceMode.ESTIMATED, alpha)
     rows.append(("ls", "", ls_len, "", 1.0 - alpha, ""))
-    results = {}
     for kind in _TABLE_KINDS:
         for eta in _TABLE_ETAS:
             setup = _setup(args, eta)
@@ -151,30 +136,23 @@ def cmd_table1(args: argparse.Namespace) -> int:
             upper = upper_bound_unknown(spec, setup)
             min_cov = "" if args.fast else min_coverage_search(kind, spec, setup)[0]
             rows.append((kind.value, eta, length, lower, min_cov, upper))
-            results[(kind.value, eta)] = (length, lower, min_cov, upper)
-    text = _csv_text(
-        ("estimator", "eta", "length", "lower_bound", "min_coverage", "upper_bound"),
-        rows)
-    _emit(args, text)
+    _emit(args, _csv_text(_TABLE_HEADER, rows))
     if not args.check:
         return EXIT_OK
-    failures = []
-    _check_cell("length ls", ls_len, *_CHECK_LENGTHS[("ls", None)], failures)
-    for key, (expected, tol) in _CHECK_LENGTHS.items():
-        if key[1] is None:
+    cells = {row[:2]: row for row in rows}
+    failed = False
+    for column, references in _TABLE_CHECKS.items():
+        if args.fast and column == "min_coverage":
             continue
-        _check_cell(f"length {key[0]} eta={key[1]}", results[key][0],
-                    expected, tol, failures)
-    for key, (expected, tol) in _CHECK_UPPER.items():
-        _check_cell(f"upper bound {key[0]} eta={key[1]}", results[key][3],
-                    expected, tol, failures)
-    if not args.fast:
-        for key, (expected, tol) in _CHECK_MIN.items():
-            _check_cell(f"min coverage {key[0]} eta={key[1]}", results[key][2],
-                        expected, tol, failures)
-    for line in failures:
-        print(f"check failed: {line}", file=sys.stderr)
-    return EXIT_CHECK_FAILED if failures else EXIT_OK
+        at = _TABLE_HEADER.index(column)
+        for (label, eta), (expected, tol) in references.items():
+            got = cells[label, eta][at]
+            if not abs(got - expected) <= tol:  # NaN fails
+                failed = True
+                where = f"{label} eta={eta}" if eta != "" else label
+                print(f"check failed: {column.replace('_', ' ')} {where}: got "
+                      f"{got:.6f}, expected {expected} +- {tol}", file=sys.stderr)
+    return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
 def _coverage_csv(kind: EstimatorKind, args: argparse.Namespace) -> str:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .estimators import (_SMALLEST_NORMAL, EstimatorKind, _inverse, _inverse_slope,
                          _switch_points)
-from .model import ProblemSetup
+from .model import ProblemSetup, _is_integer
 from .special import (
     DEFAULT_QUADRATURE,
     DomainError,
@@ -300,8 +300,8 @@ def density_grid(kind, setup: ProblemSetup, theta_i: float, alpha,
     a = ScalingFactor(alpha)
     if not lo < hi:
         raise DomainError("grid needs lo < hi")
-    if count < 2:
-        raise DomainError("grid needs at least 2 points")
+    if not (_is_integer(count) and count >= 2):
+        raise DomainError("grid needs an integer count of at least 2 points")
     xs = np.linspace(lo, hi, count)
     dens = tilde_density(kind, xs, setup, theta_i, a)
     mass = atom_mass(setup) if theta_i == 0.0 else 0.0

@@ -117,13 +117,16 @@ def uniform_field(seed: int, start: int, count: int) -> np.ndarray:
     inverse CDFs stay finite; the one word it would round up to 1 is
     clamped to the largest double below 1.
     """
+    if not (all(map(_is_integer, (seed, start, count))) and 0 <= seed < 2 ** 128
+            and start >= 0 and count >= 0):
+        raise DomainError("uniform field needs integers 0 <= seed < 2^128, "
+                          "start >= 0 and count >= 0")
     return _uniforms(_raw_words(seed, start, count))
 
 
 def _raw_words(seed: int, start: int, count: int) -> np.ndarray:
-    """The Philox words behind the uniforms [start, start + count)."""
-    if start < 0 or count < 0:
-        raise DomainError("uniform field needs start >= 0 and count >= 0")
+    """The Philox words behind the uniforms [start, start + count);
+    unchecked, so callers pass checked integers."""
     gen = np.random.Philox(key=int(seed))
     block, offset = divmod(int(start), _RAW_PER_BLOCK)
     gen.advance(block)
@@ -215,8 +218,8 @@ def component_draws(plan: SimulationPlan, start: int = 0, stop: int | None = Non
 
 def _replication_uniforms(plan: SimulationPlan, start: int, stop: int) -> np.ndarray:
     """The 2 (stop - start) uniforms of replications [start, stop)."""
-    if not 0 <= start <= stop <= plan.reps:
-        raise DomainError("replication range out of bounds")
+    if not (_is_integer(start) and _is_integer(stop) and 0 <= start <= stop <= plan.reps):
+        raise DomainError("replication range must be integers in 0..reps")
     return uniform_field(plan.seed, _UNIFORMS_PER_REP * start,
                          _UNIFORMS_PER_REP * (stop - start))
 
@@ -361,8 +364,8 @@ def _corners(event, kind, setup: ProblemSetup, coef_lo, coef_hi, s_lo, s_hi):
 
 def synthetic_design(n: int, k: int, xi: float = 1.0) -> np.ndarray:
     """Orthogonal-column design whose every component has the given xi."""
-    if not 1 <= k <= n:
-        raise DomainError("need n >= k >= 1")
+    if not (_is_integer(n) and _is_integer(k) and 1 <= k <= n):
+        raise DomainError("need integers n >= k >= 1")
     if not (xi > 0.0 and math.isfinite(xi)):
         raise DomainError("xi must be positive and finite")
     X = np.zeros((n, k))

@@ -32,8 +32,9 @@ whose integrand takes the nodes s; a 2-D array, one row per problem, is a
 batch of any length, whose integrand takes the pair (s, rows).  A batch
 integrates a whole grid (densities over x, coverages over theta) in one
 call, refining every unconverged problem's panels in each vectorized
-round.  Every problem keeps its own breakpoints and tolerance target and
-leaves the batch once converged, so an array result agrees with the
+round.  All problems share one panel table; every problem keeps its own
+breakpoints and tolerance target, and once converged its panels stay in
+the table but are split no further, so an array result agrees with the
 per-element calls within the reported error bound, not bitwise.  A round
 evaluates its integrand in blocks of consecutive nodes, so that large rounds
 keep their temporaries in cache; the blocks give one call's values bit for bit.
@@ -401,19 +402,22 @@ def _initial_panels(breakpoints: np.ndarray, upper: float):
     return flat[:-1][inner], flat[1:][inner], row[:-1][inner]
 
 
-def _refine(f, lo, hi, row, cfg, value, bound):
-    """The adaptive rounds behind :func:`integrate_halfline`; fills value
-    and bound per problem.
+def _refine(f, lo, hi, row, cfg):
+    """The adaptive rounds behind :func:`integrate_halfline`; returns
+    (value, bound), floats for a lone problem and arrays over the rows of
+    a batch.
 
     ``row`` is None for a lone problem, whose bookkeeping runs on plain
-    floats.  In a batch ``live`` lists the rows still refining and ``row``
-    maps each panel to its position in ``live``; f is told each node's row.
-    The panels sit in one table (see _panel_rule).
+    floats.  In a batch ``row`` holds each panel's problem, and the initial
+    table lists every problem in ascending order; f is told each node's
+    row.  The panels sit in one table (see _panel_rule).  A converged
+    problem keeps its panels, in their order, masked out of splitting and
+    of the overrun check, so its sums come back bit for bit each round.
     """
-    live = np.arange(len(value))
     panels = np.empty((4, len(lo)))
     panels[:2] = lo, hi
     _panel_rule(f, panels, row)
+    problems = None if row is None else int(row[-1]) + 1
     while True:
         vals, errs = panels[2], panels[3]
         # a NaN panel makes its problem's total NaN, so totals screen for it
@@ -424,46 +428,35 @@ def _refine(f, lo, hi, row, cfg, value, bound):
                                     estimate=float(np.nansum(vals)), error_bound=math.inf)
             target = max(cfg.abs_tol, cfg.rel_tol * abs(total))
             if err <= target:
-                value[0] = total
-                bound[0] = err
-                return
+                return total, err
             if len(errs) >= cfg.max_subdivisions:
                 _overrun(total, err, target, len(errs), None)
             split = errs > target / (2.0 * len(errs))
             if not split.any():
                 split[int(np.argmax(errs))] = True
         else:
-            total = np.bincount(row, vals, len(live))
+            total = np.bincount(row, vals, problems)
             if np.isnan(total).any() and np.isnan(vals).any():
                 p = int(row[np.isnan(vals)][0])
-                raise NumericsError(f"integrand produced NaN in problem {live[p]}",
+                raise NumericsError(f"integrand produced NaN in problem {p}",
                                     estimate=float(np.nansum(vals[row == p])),
-                                    error_bound=math.inf, problem=int(live[p]))
-            err = np.bincount(row, errs, len(live))
-            counts = np.bincount(row, minlength=len(live))
+                                    error_bound=math.inf, problem=p)
+            err = np.bincount(row, errs, problems)
             target = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total))
+            # a NaN error estimate (an inf integrand's) never converges
             done = err <= target
-            if done.any():
-                value[live[done]] = total[done]
-                bound[live[done]] = err[done]
-                if done.all():
-                    return
-                stay = ~done
-                kept = stay[row]
-                panels = panels[:, kept]
-                errs = panels[3]
-                row = (np.cumsum(stay) - 1)[row[kept]]
-                live, total, err, target, counts = (
-                    live[stay], total[stay], err[stay], target[stay], counts[stay])
-            over = counts >= cfg.max_subdivisions
+            if done.all():
+                return total, err
+            counts = np.bincount(row, minlength=problems)
+            over = ~done & (counts >= cfg.max_subdivisions)
             if over.any():
                 p = int(np.argmax(over))
-                _overrun(total[p], err[p], target[p], counts[p], live[p])
-            # Split every panel whose share of its problem's error budget is
-            # exceeded (at least the single worst one), so refinement stays a
-            # bounded number of vectorized rounds.
-            split = errs > (target / (2.0 * counts))[row]
-            for p in np.flatnonzero(np.bincount(row, split, len(live)) == 0):
+                _overrun(total[p], err[p], target[p], counts[p], p)
+            # Split every open problem's panels whose share of its error
+            # budget is exceeded (at least the single worst one), so
+            # refinement stays a bounded number of vectorized rounds.
+            split = ~done[row] & (errs > (target / (2.0 * counts))[row])
+            for p in np.flatnonzero(~done & (np.bincount(row, split, problems) == 0)):
                 mine = np.flatnonzero(row == p)
                 split[mine[np.argmax(errs[mine])]] = True
         # unsplit panels, then the split ones' halves: quarter rows lo, mid | mid, hi
@@ -473,7 +466,7 @@ def _refine(f, lo, hi, row, cfg, value, bound):
         quarters[1:3] = 0.5 * (parents[0] + parents[1])
         quarters[::3] = parents
         row = None if row is None else np.concatenate([row[~split], row[split], row[split]])
-        _panel_rule(f, children, None if row is None else live[row[-children.shape[1]:]])
+        _panel_rule(f, children, None if row is None else row[-children.shape[1]:])
         panels = np.concatenate([panels[:, ~split], children], axis=1)
 
 
@@ -508,26 +501,24 @@ def integrate_halfline(f: Callable, breakpoints: Iterable = (), *, upper: float,
     included: f receives the pair ``(s, rows)``, the nodes and each node's
     row, two contiguous arrays of equal length, and value and bound come
     back as arrays over the rows.  Each problem keeps its own breakpoints
-    and tolerance target, is split by the same rule as a lone problem and
-    leaves the batch once it has converged, so a batched value agrees with
-    the lone call of the same problem within the error bound, though not
-    necessarily bitwise.  A NumericsError raised from a batch names the
-    failing row in ``problem``.
+    and tolerance target and is split by the same rule as a lone problem
+    until it converges, so a batched value agrees with the lone call of the
+    same problem within the error bound, though not necessarily bitwise.  A
+    NumericsError raised from a batch names the failing row in ``problem``.
     """
     upper = float(upper)
     if not math.isfinite(upper):
         raise DomainError("truncation point must be finite")
-    if isinstance(breakpoints, np.ndarray) and breakpoints.ndim == 2:
-        value, bound = np.zeros(len(breakpoints)), np.zeros(len(breakpoints))
+    if isinstance(breakpoints, np.ndarray) and breakpoints.ndim > 1:
+        if breakpoints.ndim > 2:
+            raise DomainError("breakpoints must be a sequence or a 2-D array")
         if upper > 0.0 and len(breakpoints):
-            _refine(f, *_initial_panels(breakpoints.astype(float), upper),
-                    cfg, value, bound)
-        return value, bound
-    value, bound = [0.0], [0.0]
+            return _refine(f, *_initial_panels(breakpoints.astype(float), upper), cfg)
+        return np.zeros(len(breakpoints)), np.zeros(len(breakpoints))
     if upper > 0.0:
         cuts = sorted({float(b) for b in breakpoints if 0.0 < float(b) < upper})
-        _refine(f, [0.0] + cuts, cuts + [upper], None, cfg, value, bound)
-    return value[0], bound[0]
+        return _refine(f, [0.0] + cuts, cuts + [upper], None, cfg)
+    return 0.0, 0.0
 
 
 def _clamp_unit(value, bound, name: str):

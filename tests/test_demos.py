@@ -17,7 +17,9 @@ def test_all_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
 def test_demo_exits_cleanly(demo):
+    # a RuntimeWarning is an error here, as it is in the rest of the suite
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    result = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
-                            capture_output=True, text=True, timeout=300)
+    result = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(demo)],
+                            cwd=ROOT, env=env, capture_output=True, text=True,
+                            timeout=300)
     assert result.returncode == 0, result.stderr

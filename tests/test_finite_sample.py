@@ -306,6 +306,8 @@ class TestBundles:
             density_grid("hard", SETUP, 0.0, ALPHA, lo=2.0, hi=-2.0)
         with pytest.raises(DomainError):
             density_grid("hard", SETUP, 0.0, ALPHA, count=1)
+        with pytest.raises(DomainError):
+            density_grid("hard", SETUP, 0.0, ALPHA, count=800.0)
 
 
 class TestMonteCarloAnchor:

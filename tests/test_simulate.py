@@ -75,6 +75,10 @@ class TestUniformField:
             uniform_field(1, -1, 10)
         with pytest.raises(DomainError):
             uniform_field(1, 0, -5)
+        with pytest.raises(DomainError):
+            uniform_field(1, 0, 2.5)
+        with pytest.raises(DomainError):
+            uniform_field(-1, 0, 2)
         assert uniform_field(1, 0, 0).size == 0
 
     @pytest.mark.parametrize("top_bits, expected", [
@@ -172,6 +176,8 @@ class TestComponentDraws:
             component_draws(plan, 0, 101)
         with pytest.raises(DomainError):
             component_draws(plan, 50, 40)
+        with pytest.raises(DomainError):
+            component_draws(plan, 0.5, 2)
 
     def test_ls_moments(self):
         plan = SimulationPlan(setup=SETUP, theta=0.25, reps=100_000, seed=11)
@@ -563,6 +569,8 @@ class TestSyntheticDesign:
             synthetic_design(5, 2, xi=0.0)
         with pytest.raises(DomainError):
             synthetic_design(5, 0)
+        with pytest.raises(DomainError):
+            synthetic_design(4.0, 2)
 
 
 class TestCoverageSimulation:

@@ -257,6 +257,10 @@ class TestIntegrator:
             QuadratureConfig(max_subdivisions=0)
         assert DEFAULT_QUADRATURE.abs_tol <= 1e-8
 
+    def test_breakpoints_of_three_dimensions_rejected(self):
+        with pytest.raises(DomainError):
+            integrate_halfline(lambda s: np.ones_like(s), np.zeros((1, 1, 1)), upper=1.0)
+
 
 
 class TestNanArguments:
@@ -535,6 +539,25 @@ class TestBatchedIntegrator:
         assert info.value.problem == 2
         assert info.value.error_bound == math.inf
         assert "problem 2" in str(info.value)
+
+    def test_nan_error_estimate_never_converges(self):
+        # +inf on (0, 0.5) makes K21 - G10 inf - inf: the error estimate of
+        # row 1 is NaN, its target inf, and it must overrun, not converge
+        cfg = QuadratureConfig(max_subdivisions=64)
+
+        def f(nodes):
+            s, rows = nodes
+            return np.where((rows == 1) & (s < 0.5), math.inf, 1.0)
+
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(NumericsError) as batch:
+                integrate_halfline(f, np.zeros((3, 0)), upper=1.0, cfg=cfg)
+            with pytest.raises(NumericsError) as lone:
+                integrate_halfline(lambda s: np.where(s < 0.5, math.inf, 1.0), upper=1.0,
+                                   cfg=cfg)
+        assert batch.value.problem == 1
+        assert "problem 1" in str(batch.value)
+        assert lone.value.problem is None
 
     def test_overrun_in_one_problem(self):
         cfg = QuadratureConfig(abs_tol=1e-12, rel_tol=1e-12, max_subdivisions=8)
