@@ -25,7 +25,7 @@ import numpy as np
 from .estimators import EstimatorKind, _inverse
 from .finite_sample import _mixture, _scale_free
 from .model import ProblemSetup, VarianceMode
-from .special import (BracketError, DomainError, _clamp_unit, _finite, _std_normal_cdf, _t_cdf,
+from .special import (BracketError, DomainError, _clamp_unit, _each, _std_normal_cdf, _t_cdf,
                       _underflow_to_zero, find_root)
 # unused here, but perfbench/tracing.py wraps this module's binding
 from .special import integrate_halfline  # noqa: F401
@@ -108,10 +108,12 @@ def known_coverage(kind, theta_i: float, sigma: float, spec: IntervalSpec,
         raise DomainError("known_coverage needs a known-variance interval")
     if not (sigma > 0.0 and math.isfinite(sigma)):
         raise DomainError("sigma must be positive and finite")
-    lone, theta = _finite(theta_i, "theta")
-    value = _coverage_core(kind, _scaled(theta, sigma * setup.xi), spec.a / setup.xi,
-                           spec.b / setup.xi, setup.eta, setup.root_n)
-    return float(value) if lone else value
+
+    def law(theta):
+        return _coverage_core(kind, _scaled(theta, sigma * setup.xi), spec.a / setup.xi,
+                              spec.b / setup.xi, setup.eta, setup.root_n), 0.0
+
+    return _each(theta_i, law, "theta")[0]
 
 
 def _variance_cdf(mode: VarianceMode, setup: ProblemSetup):
@@ -208,31 +210,28 @@ def unknown_coverage(kind, theta_i: float, sigma: float, spec: IntervalSpec,
     if not (sigma > 0.0 and math.isfinite(sigma)):
         raise DomainError("sigma must be positive and finite")
     m = setup.require_estimated_variance()
-    lone, theta = _finite(theta_i, "theta")
     rn, eta, reach = setup.root_n, setup.eta, spec.a / setup.xi
 
     def covered(s, mu):
         arm = reach * s
         return _coverage_core(kind, mu, arm, arm, eta * s, rn)
 
-    if lone and theta == 0.0:
-        return _clamp_unit(_scale_free(kind, spec.a, setup.xi, eta, rn, m)
-                           - _scale_free(kind, -spec.a, setup.xi, eta, rn, m, closed=False),
-                           0.0, "unknown_coverage")
-    if lone:
-        return _clamp_unit(*_mixture(kind, theta / (sigma * setup.xi), (reach, -reach), eta,
-                                     m, covered), "unknown_coverage")
-    thetas = theta.ravel()
-    zero = thetas == 0.0
-    value, bound = np.empty(thetas.shape), np.zeros(thetas.shape)
-    if zero.any():
-        value[zero] = unknown_coverage(kind, 0.0, sigma, spec, setup)
-    rest = ~zero
-    if rest.any():
-        value[rest], bound[rest] = _mixture(kind, _scaled(thetas[rest], sigma * setup.xi),
-                                            np.array([reach, -reach]), eta, m, covered)
-    return _clamp_unit(value.reshape(theta.shape), bound.reshape(theta.shape),
-                       "unknown_coverage")
+    def law(theta):
+        lone = isinstance(theta, float)
+        if lone and theta != 0.0:
+            return _mixture(kind, theta / (sigma * setup.xi), (reach, -reach), eta, m, covered)
+        at_zero = (_scale_free(kind, spec.a, setup.xi, eta, rn, m)
+                   - _scale_free(kind, -spec.a, setup.xi, eta, rn, m, closed=False))
+        if lone:
+            return at_zero, 0.0
+        rest = theta != 0.0
+        value, bound = np.full(theta.shape, at_zero), np.zeros(theta.shape)
+        if rest.any():
+            value[rest], bound[rest] = _mixture(kind, _scaled(theta[rest], sigma * setup.xi),
+                                                np.array([reach, -reach]), eta, m, covered)
+        return value, bound
+
+    return _clamp_unit(*_each(theta_i, law, "theta"), "unknown_coverage")
 
 
 def lower_bound_unknown(kind, spec: IntervalSpec, setup: ProblemSetup) -> float:

@@ -104,14 +104,15 @@ def _inverse(kind: EstimatorKind, mu, d, t, closed: bool = True):
 
 
 def _inverse_slope(kind: EstimatorKind, mu, d, t):
-    """g'(mu + d), the slope of either :func:`_inverse`; soft's is 1.0."""
+    """g'(mu + d), the slope of either :func:`_inverse`; soft's is 1.0, and
+    adaptive soft's tends to 1 as |c| grows, its value at c = +-inf."""
     c = mu + d
     if kind is EstimatorKind.HARD:
         return np.where(np.abs(c) > t, 1.0, 0.0)
     if kind is EstimatorKind.SOFT:
         return 1.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        return 0.5 + 0.25 * np.abs(c) / np.hypot(0.5 * c, t)
+        return np.where(np.isinf(c), 1.0, 0.5 + 0.25 * np.abs(c) / np.hypot(0.5 * c, t))
 
 
 def _switch_points(kind: EstimatorKind, mu, slope, t):

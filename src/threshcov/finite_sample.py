@@ -7,12 +7,13 @@ the density ``rho_m`` of s.  The mixture integrals are piecewise smooth in s
 with analytically known switch points; those are declared to the adaptive
 quadrature as panel breakpoints.  At theta = 0 every offset of the inverse
 map is s times its value g1 at s = 1, so the mixture is the Student-t law
-T_m(sqrt(n) g1) and needs no quadrature (``_scale_free``).  One routine,
-``_mixture``, integrates every such law, the estimated-variance coverage
-and the conservative limit law, which is this mixture at rn = 1.  One
-router, ``_error_law``, picks the route of every CDF and density: the
-closed form at theta = 0, the plain t law where no threshold binds, and
-the mixture otherwise.
+T_m(sqrt(n) g1) and needs no quadrature (``_scale_free``); the same holds
+where no threshold binds and where mu = theta / (sigma xi) is infinite.
+One routine, ``_mixture``, integrates every other such law, the
+estimated-variance coverage and the conservative limit law, which is this
+mixture at rn = 1.  ``_error_law`` gives every CDF and density by one of
+these two routes, and ``special._each`` states the argument contract of
+every public law.
 
 The law is mixed: when the true component is zero it has an atom at zero
 (the probability of thresholding to zero) plus an absolutely continuous
@@ -27,15 +28,13 @@ import math
 
 import numpy as np
 
-from .estimators import (_SMALLEST_NORMAL, EstimatorKind, _inverse, _inverse_slope,
-                         _switch_points)
+from .estimators import _SMALLEST_NORMAL, EstimatorKind, _inverse, _inverse_slope, _switch_points
 from .model import ProblemSetup, _is_integer
 from .special import (
     DEFAULT_QUADRATURE,
     DomainError,
     _clamp_unit,
-    _finite,
-    _lone,
+    _each,
     _rho_pdf,
     _rho_quantiles,
     _rho_upper,
@@ -133,59 +132,35 @@ def _mixture(kind, mu, slopes, eta, m, term, weighted=False):
                               points + _rho_quantiles(m).tolist(), upper=upper)
 
 
-def _scale_free(kind, x, scale, t, rn, m, closed=True, density=False):
-    """T_m(rn g1), g1 = _inverse(kind, 0, x / scale, t): the mixture over s
-    at mu = 0, where every offset is s g1.  density=True gives its
-    x-derivative rn g' t_m(rn g1) / scale, 0 where t_m underflows."""
+def _scale_free(kind, x, scale, t, rn, m, closed=True, density=False, mu=0.0):
+    """T_m(rn g1), g1 = _inverse(kind, mu, x / scale, t): the mixture over s
+    where every offset is s g1, as at mu = 0 and mu = +-inf.  density=True
+    gives its x-derivative rn g' t_m(rn g1) / scale, 0 where t_m underflows."""
     with np.errstate(over="ignore"):
         d = x / scale
         if not (d.all() if isinstance(d, np.ndarray) else d):  # keep x != 0 off the atom
             d = np.where((d == 0.0) & (x != 0.0), np.copysign(math.ulp(0.0), x), d)
-        arg = rn * _inverse(kind, 0.0, d, t, closed)
+        arg = rn * _inverse(kind, mu, d, t, closed)
         if not density:
             return t_cdf(arg, m)
         pdf = t_pdf(arg, m)
-        return np.where(pdf > 0.0, rn * _inverse_slope(kind, 0.0, d, t) * pdf / scale,
-                        0.0)
-
-
-def _cdf_at(x, law, name):
-    """A CDF at x, clamped to [0, 1] under ``name``: law(xs) gives (values,
-    bounds) at the finite elements xs, -inf and +inf give 0 and 1, and NaN
-    raises.  A scalar x is passed to law as a float and gives a float."""
-    lone = _lone(x)
-    x = float(x) if lone else np.asarray(x, dtype=float)
-    finite = math.isfinite(x) if lone else np.isfinite(x)
-    if not (finite if lone else finite.all()) and np.isnan(x).any():
-        raise DomainError("CDF argument must not be NaN")
-    if lone:
-        return _clamp_unit(*law(x), name) if finite else float(x > 0.0)
-    out = np.array(x > 0.0, dtype=float)
-    bound = np.zeros(x.shape)
-    if finite.any():
-        out[finite], bound[finite] = law(x[finite])
-    return _clamp_unit(out, bound, name)
+        return np.where(pdf > 0.0, rn * _inverse_slope(kind, mu, d, t) * pdf / scale, 0.0)
 
 
 def _error_law(kind, x, theta, unit, scale, eta, rn, m, density=False):
     """(values, bounds) at the finite x (array or float) of the law of scale
     (kernel(W, eta s) - mu) / s, W ~ N(mu, 1 / rn^2), mu = theta / unit, s ~
     rho_m: its CDF, or with density=True the density of its continuous part
-    without the kill term.  Routed on theta, not on a mu that may underflow:
-    theta = 0 is T_m(rn g1); eta = 0 or mu = +-inf (theta infinite, or
-    overflowing against unit) is the t law with the threshold at 0, soft's d
-    shifted by its bias; anything else is one rho_m mixture."""
+    without the kill term.  Two routes, taken on theta rather than on a mu
+    that may underflow.  Where every offset scales with s, the law is the
+    closed form _scale_free: at theta = 0, at mu = +-inf (theta infinite, or
+    overflowing against unit) and at eta = 0, where the law does not depend
+    on mu and is taken at mu = +-inf, where every kind's offset is d.
+    Anything else is one rho_m mixture."""
     mu = float(theta) / float(unit)  # on floats an overflow is silent
-    if theta == 0.0:
-        return _scale_free(kind, x, scale, eta, rn, m, density=density), 0.0
-    if eta == 0.0 or math.isinf(mu):
-        with np.errstate(over="ignore"):
-            d = x / scale
-            if kind is EstimatorKind.SOFT:
-                d = d + math.copysign(eta, mu)
-            if density:
-                return rn * t_pdf(rn * d, m) / scale, 0.0
-            return t_cdf(rn * d, m), 0.0
+    if theta == 0.0 or eta == 0.0 or math.isinf(mu):
+        mu = 0.0 if theta == 0.0 else math.copysign(math.inf, mu)
+        return _scale_free(kind, x, scale, eta, rn, m, density=density, mu=mu), 0.0
     if density:
         dslope = 1.0 / scale
 
@@ -213,9 +188,9 @@ def tilde_cdf(kind, x, setup: ProblemSetup, theta_i: float, alpha):
     if not math.isfinite(theta_i):
         raise DomainError("theta must be finite")
     m = setup.require_estimated_variance()
-    return _cdf_at(x, lambda xs: _error_law(kind, xs, theta_i, setup.sigma * setup.xi,
-                                            a * setup.xi, setup.eta, setup.root_n, m),
-                   "tilde_cdf")
+    return _clamp_unit(*_each(x, lambda xs: _error_law(kind, xs, theta_i, setup.sigma * setup.xi,
+                                                       a * setup.xi, setup.eta, setup.root_n, m),
+                              "CDF argument", cdf=True), "tilde_cdf")
 
 
 def _kill_kernel_term(x, q: float, setup: ProblemSetup, a: float):
@@ -228,7 +203,7 @@ def _kill_kernel_term(x, q: float, setup: ProblemSetup, a: float):
     lone = isinstance(x, float)
     side = -math.copysign(1.0, q) * x > 0.0
     if not (side if lone else side.any()):
-        return 0.0 if lone else np.zeros(x.shape)
+        return 0.0
     # as x -> 0 the Jacobian a |q| / x^2 overflows where rho has underflowed
     # to 0; the product tends to 0 there.  Where x * x itself underflows
     # (theta tiny enough that rho is still positive), the same Jacobian is
@@ -244,8 +219,7 @@ def _kill_kernel_term(x, q: float, setup: ProblemSetup, a: float):
         x_sq = x * x
         jacobian = np.where(x_sq >= _SMALLEST_NORMAL, a * abs(q) / x_sq,
                             s_at_x * s_at_x / (a * abs(q)))
-        term = np.where(side & (rho > 0.0), jacobian * rho * band, 0.0)
-    return float(term) if lone else term
+        return np.where(side & (rho > 0.0), jacobian * rho * band, 0.0)
 
 
 @_underflow_to_zero
@@ -260,17 +234,15 @@ def tilde_density(kind, x, setup: ProblemSetup, theta_i: float, alpha):
     if not math.isfinite(theta_i):
         raise DomainError("theta must be finite")
     m = setup.require_estimated_variance()
-    lone, x = _finite(x, "density argument")
-    live = (x != 0.0) | (theta_i != 0.0)  # the atom at theta = 0 has no density
-    args = (theta_i, setup.sigma * setup.xi, a * setup.xi, setup.eta, setup.root_n, m)
-    out = 0.0 if lone else np.zeros(x.shape)
-    if lone and live:
-        out, _ = _error_law(kind, x, *args, density=True)
-    elif not lone and live.any():
-        out[live], _ = _error_law(kind, x[live], *args, density=True)
-    if theta_i != 0.0:
-        out = np.maximum(0.0, out + _kill_kernel_term(x, theta_i / setup.sigma, setup, a))
-    return float(out) if lone else out
+
+    def law(xs):
+        out, _ = _error_law(kind, xs, theta_i, setup.sigma * setup.xi, a * setup.xi,
+                            setup.eta, setup.root_n, m, density=True)
+        if theta_i == 0.0:  # the atom at x = 0 carries no density
+            return np.where(xs != 0.0, out, 0.0), 0.0
+        return np.maximum(0.0, out + _kill_kernel_term(xs, theta_i / setup.sigma, setup, a)), 0.0
+
+    return _each(x, law, "density argument")[0]
 
 
 def mirror_check(kind, setup: ProblemSetup, theta_i: float, alpha, grid) -> float:

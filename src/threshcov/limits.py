@@ -24,9 +24,10 @@ from typing import Iterable, Sequence, Tuple
 import numpy as np
 
 from .estimators import EstimatorKind, _inverse
-from .finite_sample import ScalingFactor, _cdf_at, _error_law, tilde_cdf
+from .finite_sample import ScalingFactor, _error_law, tilde_cdf
 from .model import ProblemSetup
-from .special import DomainError, _check_dof, _underflow_to_zero, chi_sq_cdf, std_normal_cdf
+from .special import (DomainError, _check_dof, _clamp_unit, _each, _underflow_to_zero, chi_sq_cdf,
+                      std_normal_cdf)
 # unused here, but perfbench/tracing.py wraps this module's binding
 from .special import integrate_halfline  # noqa: F401
 
@@ -109,8 +110,9 @@ def conservative_limit_cdf(kind, x, regime: ConservativeRegime) -> float:
     kind = EstimatorKind(kind)
     if math.isinf(regime.m):
         raise DomainError("conservative limits are provided for finite m only")
-    return _cdf_at(x, lambda xs: _error_law(kind, xs, regime.nu, 1.0, 1.0, regime.e, 1.0,
-                                            regime.m), "conservative_limit_cdf")
+    return _clamp_unit(*_each(x, lambda xs: _error_law(kind, xs, regime.nu, 1.0, 1.0, regime.e,
+                                                       1.0, regime.m), "CDF argument", cdf=True),
+                       "conservative_limit_cdf")
 
 
 def hard_weight(f: float, r: float, s: float | None = None) -> float:
@@ -160,8 +162,8 @@ def consistent_limit_cdf(kind, x, regime: ConsistentRegime):
     """CDF of the consistent-regime limit law at x, supported on [-1, 1];
     x may be an array, and a scalar x gives a float."""
     kind = EstimatorKind(kind)
-    return _cdf_at(x, lambda xs: (_consistent_cdf(kind, xs, regime), 0.0),
-                   "consistent_limit_cdf")
+    return _clamp_unit(*_each(x, lambda xs: (_consistent_cdf(kind, xs, regime), 0.0),
+                              "CDF argument", cdf=True), "consistent_limit_cdf")
 
 
 def _consistent_cdf(kind: EstimatorKind, x, regime: ConsistentRegime) -> np.ndarray:

@@ -150,18 +150,25 @@ def _nan_checked(out, what: str):
     return out
 
 
-def _lone(x) -> bool:
-    """A float, an int or a 0-d array: a lone problem's argument."""
-    return isinstance(x, (float, int)) or np.ndim(x) == 0
-
-
-def _finite(x, what: str):
-    """(lone, x as a float or a float array); DomainError unless finite."""
-    lone = _lone(x)
+def _each(x, law, what: str, cdf: bool = False):
+    """(values, bounds) of law at x, the argument contract of every public
+    law.  A float, an int or a 0-d array is a lone argument: law gets it as
+    a float, and its value comes back as a float.  An array gives arrays of
+    its shape, law getting its finite elements as a flat array.  law
+    returns (values, bounds).  NaN raises DomainError, and so does +-inf
+    unless cdf, where it gives the CDF's 0 and 1."""
+    lone = isinstance(x, (float, int)) or np.ndim(x) == 0
     x = float(x) if lone else np.asarray(x, dtype=float)
-    if not (math.isfinite(x) if lone else np.isfinite(x).all()):
-        raise DomainError(f"{what} must be finite")
-    return lone, x
+    finite = math.isfinite(x) if lone else np.isfinite(x)
+    if not (finite if lone else finite.all()) and (not cdf or np.isnan(x).any()):
+        raise DomainError(f"{what} must not be NaN" if cdf else f"{what} must be finite")
+    if lone:
+        value, bound = law(x) if finite else (x > 0.0, 0.0)
+        return float(value), bound
+    values, bounds = np.array(x > 0.0, dtype=float), np.zeros(x.shape)
+    if finite.any():
+        values[finite], bounds[finite] = law(x[finite])
+    return values, bounds
 
 
 # Unchecked forms for integrands and the coverage infimum, evaluated on every
@@ -511,12 +518,15 @@ def integrate_halfline(f: Callable, breakpoints: Iterable = (), *, upper: float,
         raise DomainError("truncation point must be finite")
     if isinstance(breakpoints, np.ndarray) and breakpoints.ndim > 1:
         if breakpoints.ndim > 2:
-            raise DomainError("breakpoints must be a sequence or a 2-D array")
+            raise DomainError("breakpoints must be a sequence of numbers or a 2-D array")
         if upper > 0.0 and len(breakpoints):
             return _refine(f, *_initial_panels(breakpoints.astype(float), upper), cfg)
         return np.zeros(len(breakpoints)), np.zeros(len(breakpoints))
-    if upper > 0.0:
+    try:
         cuts = sorted({float(b) for b in breakpoints if 0.0 < float(b) < upper})
+    except (TypeError, ValueError) as exc:  # a scalar, a 0-d array, nested or text
+        raise DomainError("breakpoints must be a sequence of numbers or a 2-D array") from exc
+    if upper > 0.0:
         return _refine(f, [0.0] + cuts, cuts + [upper], None, cfg)
     return 0.0, 0.0
 

@@ -258,8 +258,10 @@ class TestIntegrator:
         assert DEFAULT_QUADRATURE.abs_tol <= 1e-8
 
     def test_breakpoints_of_three_dimensions_rejected(self):
-        with pytest.raises(DomainError):
-            integrate_halfline(lambda s: np.ones_like(s), np.zeros((1, 1, 1)), upper=1.0)
+        # and the malformed sequences: a scalar, a 0-d array, nested, text
+        for breakpoints in (np.zeros((1, 1, 1)), 0.5, np.array(0.5), [[0.5]], ["a"]):
+            with pytest.raises(DomainError):
+                integrate_halfline(lambda s: np.ones_like(s), breakpoints, upper=1.0)
 
 
 
