@@ -153,13 +153,14 @@ def _error_law(kind, x, theta, unit, scale, eta, rn, m, density=False):
     rho_m: its CDF, or with density=True the density of its continuous part
     without the kill term.  Two routes, taken on theta rather than on a mu
     that may underflow.  Where every offset scales with s, the law is the
-    closed form _scale_free: at theta = 0, at mu = +-inf (theta infinite, or
-    overflowing against unit) and at eta = 0, where the law does not depend
-    on mu and is taken at mu = +-inf, where every kind's offset is d.
+    closed form _scale_free: at mu = +-inf (theta infinite, or overflowing
+    against unit); at eta = 0, where the law does not depend on mu and is
+    taken at mu = +-inf, where every kind's offset is d (at mu = 0, adaptive
+    soft's offset is 0/0 for d = -5e-324); and at any other theta = 0.
     Anything else is one rho_m mixture."""
     mu = float(theta) / float(unit)  # on floats an overflow is silent
     if theta == 0.0 or eta == 0.0 or math.isinf(mu):
-        mu = 0.0 if theta == 0.0 else math.copysign(math.inf, mu)
+        mu = 0.0 if theta == 0.0 and eta != 0.0 else math.copysign(math.inf, mu)
         return _scale_free(kind, x, scale, eta, rn, m, density=density, mu=mu), 0.0
     if density:
         dslope = 1.0 / scale

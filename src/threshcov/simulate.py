@@ -53,11 +53,13 @@ columns (`_residual_scale`).  y' c and y N read y only on the support S,
 the coordinates where c != 0 or a row of N is nonzero; Y - (Y Q) Q' reads
 every coordinate, so there S is all of them.  On the synthetic orthogonal
 design S is the watched coordinate, plus with N the n - k residual ones.
-Every replication still draws its n words, since the layout fixes them,
-and only the words in S are read.  Per chunk of 2^16 uniforms
-(floor(2^16 / n) replications, at least one, so a chunk's arrays stay
-cache-sized) it settles replications through the coverage event in two
-levels:
+Every replication still draws its n words, since the layout fixes them.
+A cell reads them from one Philox stream in order, the words of
+`uniform_field` from uniform 0 on, in slabs of 2^16 words (floor(2^16 / n)
+replications, at least one), and keeps only the words in S.  Per chunk of
+floor(2^16 / |S|) replications (at least one, so a chunk's arrays stay
+cache-sized; a dense design keeps the slab's floor(2^16 / n)) it settles
+replications through the coverage event in two levels:
 
 1. Enclosure.  Each z in S lies in its cell's bracket, held as a midpoint
    and a radius r.  A few matrix-vector passes over the midpoints y_mid give
@@ -85,7 +87,7 @@ from .finite_sample import ScalingFactor
 from .model import ProblemSetup, VarianceMode, _full_rank_qr, _is_integer
 # unused here, but perfbench/tracing.py wraps this module's binding
 from .model import compute_xi_all  # noqa: F401
-from .special import DomainError, chi_sq_quantile, std_normal_quantile
+from .special import DomainError, _underflow_to_zero, chi_sq_quantile, std_normal_quantile
 
 __all__ = [
     "SimulationPlan",
@@ -100,7 +102,7 @@ __all__ = [
 
 _UNIFORMS_PER_REP = 2
 _RAW_PER_BLOCK = 4  # Philox-4x64 emits four 64-bit words per counter step
-_FULL_CHUNK_UNIFORMS = 1 << 16  # noise uniforms per chunk of the full-design path
+_FULL_CHUNK_UNIFORMS = 1 << 16  # words per slab, and per chunk's support, of the full path
 _BRACKET_CELLS = 1 << 12  # cells of each uniform's grid
 _GRID_CELLS = 1 << 6  # cells per axis of the estimated-variance grid
 _BRACKET_REPS = 1 << 16  # replications per block of a coverage or ECDF cell
@@ -427,6 +429,7 @@ def _tally(plan: SimulationPlan, kind, event, estimated: bool) -> np.ndarray:
     return tally
 
 
+@_underflow_to_zero
 def simulate_coverage(plan: SimulationPlan, kind, spec):
     """Empirical coverage of [estimate - c a, estimate + c b] and its
     binomial standard error, via the fast path."""
@@ -561,20 +564,23 @@ def _full_radii(setup: ProblemSetup, c, mean_y, basis) -> _FullRadii:
                                + 2.0 * math.sqrt((n + 2) * tiny / m)))
 
 
+@_underflow_to_zero
 def simulate_coverage_full(plan: SimulationPlan, kind, spec):
     """Empirical coverage via the full-design path: materialize y, run least
     squares and the thresholding estimator end to end.
 
-    Each chunk of floor(2^16 / n) replications computes only what the
+    Each chunk of floor(2^16 / |S|) replications computes only what the
     interval reads: the watched LS coefficient y' c (c = Q r, R' r = e_w,
     from one triangular solve per cell) and, for estimated variance,
-    sigma_hat through `_residual_scale`, both on the coordinates of y they
-    read (the support; all of them for a dense design or the residuals
-    through Q).  A replication is first decided from its words' z cells
-    (see the module docstring); only the undecided ones are inverted and
-    computed exactly.  Slower than the fast path and on a different
-    substream, so results agree statistically, not bitwise.  Raises
-    `DomainError` when X theta overflows.
+    sigma_hat through `_residual_scale`, both on the support S, the
+    coordinates of y they read (all of them for a dense design or the
+    residuals through Q).  Its words come from one Philox stream read in
+    order, in slabs of floor(2^16 / n) replications of which only the
+    columns in S are kept.  A replication is first decided from its words'
+    z cells (see the module docstring); only the undecided ones are
+    inverted and computed exactly.  Slower than the fast path and on a
+    different substream, so results agree statistically, not bitwise.
+    Raises `DomainError` when X theta overflows.
     """
     from scipy.linalg import solve_triangular  # loaded on first use: slow to import
 
@@ -616,22 +622,25 @@ def simulate_coverage_full(plan: SimulationPlan, kind, spec):
         read |= np.any(basis != 0.0, axis=1)
     elif estimated:
         read[:] = True
-    support = None if read.all() else np.flatnonzero(read)
-    if support is not None:
-        c, mean_y = c[support], mean_y[support]
-        if complement:
-            basis = basis[support]
+    cols = slice(None) if read.all() else np.flatnonzero(read)
+    c, mean_y = c[cols], mean_y[cols]
+    if complement:
+        basis = basis[cols]
     abs_c = np.abs(c)
     z_mid, z_rad, _ = _z_midpoints()
     event = _Coverage(spec.a, spec.b, theta)
     hits = 0
-    chunk = max(1, _FULL_CHUNK_UNIFORMS // n)
+    # every replication draws its n words, read in order from one stream in
+    # slabs of floor(2^16 / n) replications, and keeps only the support's;
+    # a chunk decides floor(2^16 / |S|) replications at once
+    gen = np.random.Philox(key=int(plan.seed))
+    slab = max(1, _FULL_CHUNK_UNIFORMS // n)
+    chunk = max(1, _FULL_CHUNK_UNIFORMS // c.size)
     for start in range(0, plan.reps, chunk):
-        stop = min(start + chunk, plan.reps)
-        # every replication draws its n words; only the support's are read
-        raw = _raw_words(plan.seed, start * n, (stop - start) * n).reshape(-1, n)
-        if support is not None:
-            raw = raw[:, support]
+        raw = np.empty((min(chunk, plan.reps - start), c.size), dtype=np.uint64)
+        for row in range(0, len(raw), slab):
+            rows = raw[row:row + slab]
+            rows[:] = gen.random_raw(len(rows) * n).reshape(-1, n)[:, cols]
         cell = _word_cells(raw, _BRACKET_CELLS)  # rows are replications
         y_mid = z_mid[cell]
         y_mid *= setup.sigma
@@ -671,6 +680,7 @@ class EcdfResult:
     reps: int
 
 
+@_underflow_to_zero
 def simulate_scaled_error_ecdf(plan: SimulationPlan, kind, alpha, grid) -> EcdfResult:
     """Empirical CDF of alpha (estimate - theta) / sigma_hat over the grid.
 

@@ -10,8 +10,14 @@ and m = inf.  A call must return finite values in range (a probability in
 no invalid operation and no NaN on the way.  The typed errors are listed:
 a change that turns a value into an error, or an error into a value,
 fails the sweep.
+
+The Monte Carlo entry points get a grid of their own, n <= 200 since the
+full-design path builds an n x k design: (n, k) in {(36, 35), (40, 35),
+(200, 5)}, eta in {1e-8, 0.05, 1e3}, xi in {1e-10, 1, 1e10}, theta from
+0 and 5e-324 to +-1e300, and 257 replications, with both variance modes.
 """
 
+import itertools
 import math
 import warnings
 
@@ -27,10 +33,14 @@ from threshcov import (
     NumericsError,
     ProblemSetup,
     ScalingFactor,
+    SimulationPlan,
     VarianceMode,
     conservative_limit_cdf,
     consistent_limit_cdf,
     known_coverage,
+    simulate_coverage,
+    simulate_coverage_full,
+    simulate_scaled_error_ecdf,
     tilde_cdf,
     tilde_density,
     unknown_coverage,
@@ -117,3 +127,41 @@ def test_extremes_give_values_in_range_or_typed_errors(seed):
                     check(lambda: unknown_coverage(kind, theta, 1.0, estimated, setup),
                           0.0, 1.0, errors, ("unknown_coverage", kind.value, *where))
     assert errors == TYPED_ERRORS[seed]
+
+
+SIM_SHAPES = ((36, 35), (40, 35), (200, 5))
+SIM_ETAS = (1e-8, 0.05, 1e3)
+SIM_THETAS = (0.0, 5e-324, -1e-300, 0.3, -1e6, 1e200, 1e300, -1e300)
+
+
+def ecdf_and_zero_mass(plan, kind, alpha, grid):
+    res = simulate_scaled_error_ecdf(plan, kind, alpha, grid)
+    return [*res.values, res.zero_mass]
+
+
+def test_simulate_entry_points_give_values_in_range_or_typed_errors():
+    errors = []
+    grid = np.array([-math.inf, -4.0, -0.5, 0.0, 0.5, 4.0, math.inf])
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        for (n, k), eta, xi, theta in itertools.product(SIM_SHAPES, SIM_ETAS, XIS,
+                                                        SIM_THETAS):
+            setup = ProblemSetup(n=n, k=k, xi=xi, eta=eta)
+            plan = SimulationPlan(setup=setup, theta=theta, reps=257, seed=7)
+            half = xi * (eta + 1.5 / setup.root_n)
+            alpha = ScalingFactor.conservative(setup)
+            for kind in EstimatorKind:
+                where = (kind.value, n, eta, xi, theta)
+                for mode in VarianceMode:
+                    spec = IntervalSpec(half, half, mode)
+                    check(lambda: simulate_coverage(plan, kind, spec), 0.0, 1.0, errors,
+                          ("simulate_coverage", mode.value, *where))
+                    check(lambda: simulate_coverage_full(plan, kind, spec), 0.0, 1.0,
+                          errors, ("simulate_coverage_full", mode.value, *where))
+                check(lambda: ecdf_and_zero_mass(plan, kind, alpha, grid), 0.0, 1.0,
+                      errors, ("simulate_scaled_error_ecdf", *where))
+    # X theta = sqrt(n) theta / xi overflows at xi = 1e-10, theta = +-1e300
+    assert errors == [("simulate_coverage_full", mode.value, kind.value, n, eta, 1e-10, theta,
+                       "DomainError")
+                      for (n, _), eta, theta, kind, mode in itertools.product(
+                          SIM_SHAPES, SIM_ETAS, (1e300, -1e300), EstimatorKind, VarianceMode)]

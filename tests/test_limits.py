@@ -86,6 +86,19 @@ class TestConservativeClosedForms:
             assert conservative_limit_cdf(kind, x, regime) == pytest.approx(
                 t_cdf(x, 5), abs=1e-14)
 
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("m", [1, 40])
+    def test_centered_zero_threshold_at_subnormal_x(self, kind, m):
+        # at nu = 0 and e = 0 a negative subnormal x once made adaptive
+        # soft's offset 0/0 and raised DomainError
+        regime = ConservativeRegime(nu=0.0, e=0.0, m=m)
+        xs = [5e-324, -5e-324, -1e-320, 0.0, 1.0, -1.0]
+        batch = conservative_limit_cdf(kind, np.array(xs), regime)
+        for x, got in zip(xs, batch):
+            assert conservative_limit_cdf(kind, x, regime) == pytest.approx(
+                t_cdf(x, m), abs=1e-14)
+            assert got == pytest.approx(t_cdf(x, m), abs=1e-14)
+
     def test_divergent_component(self):
         e = 0.5
         for nu in (math.inf, -math.inf):

@@ -775,6 +775,19 @@ def inverted_widths(plan, kind, spec, monkeypatch):
     return round(p * plan.reps), {cols for _, cols in shapes}, sum(r for r, _ in shapes)
 
 
+def recorded_chunks(monkeypatch):
+    """A list that collects the replication count of every chunk the full
+    path decides (one `_word_cells` call per chunk)."""
+    rows, word_cells = [], simulate._word_cells
+
+    def recording(raw, cells):
+        rows.append(len(raw))
+        return word_cells(raw, cells)
+
+    monkeypatch.setattr(simulate, "_word_cells", recording)
+    return rows
+
+
 class TestFullDesignReference:
     """The full-design path decides most replications from enclosures over
     their z cells, solves only the watched coefficient and maps residuals
@@ -786,12 +799,42 @@ class TestFullDesignReference:
     @staticmethod
     def assert_matches(plan, kind, spec, monkeypatch):
         """Hits equal the long way's; returns the widths the path inverts."""
-        # chunks of floor(12345 / n) replications, the last one ragged
-        monkeypatch.setattr(simulate, "_FULL_CHUNK_UNIFORMS", 12345)
-        assert plan.reps % (12345 // plan.setup.n) != 0
+        # slabs of floor(1234 / n) replications, chunks of floor(1234 / |S|)
+        monkeypatch.setattr(simulate, "_FULL_CHUNK_UNIFORMS", 1234)
+        rows = recorded_chunks(monkeypatch)
         hits, widths, _ = inverted_widths(plan, kind, spec, monkeypatch)
+        slab, first, last = 1234 // plan.setup.n, rows[0], rows[-1]
+        # the last chunk is ragged, and unless a slab is one replication
+        # (n > 617) so is its last slab; a chunk that is not one slab also
+        # ends in a ragged slab, with words still to read after it
+        assert len(rows) > 1 and 0 < last < first
+        assert slab == 1 or (last % slab != 0 and (first == slab or first % slab != 0))
         assert hits == full_design_reference_hits(plan, kind, spec)
         return widths
+
+    @pytest.mark.parametrize("kind", ["hard", "soft", "asoft"])
+    @pytest.mark.parametrize("design, width", [("known", 1), ("estimated", 6),
+                                               ("dense", 40)])
+    def test_counts_do_not_depend_on_chunking(self, kind, design, width, monkeypatch):
+        if design == "dense":
+            X, setup, theta = dense_case(40, 35, seed=9)
+            mode = VarianceMode.ESTIMATED
+        else:
+            X, setup, theta = None, SETUP, 0.3 * SETUP.xi * SETUP.eta
+            mode = VarianceMode(design)
+        spec = dense_spec(setup, mode)
+        plan = SimulationPlan(setup=setup, theta=theta, reps=3001, seed=110, design=X)
+        want = full_design_reference_hits(plan, kind, spec)
+        # one replication per slab, ragged slabs and chunks, the default
+        for budget in (setup.n, 1234, simulate._FULL_CHUNK_UNIFORMS):
+            with monkeypatch.context() as patch:
+                patch.setattr(simulate, "_FULL_CHUNK_UNIFORMS", budget)
+                rows = recorded_chunks(patch)
+                p, _ = simulate_coverage_full(plan, kind, spec)
+            chunk = budget // width  # replications per chunk: floor(budget / |S|)
+            whole, rest = divmod(plan.reps, chunk)
+            assert rows == [chunk] * whole + [rest] * (rest > 0)
+            assert round(p * plan.reps) == want
 
     @pytest.mark.parametrize("kind", ["hard", "soft", "asoft"])
     @pytest.mark.parametrize("mode", MODES)
@@ -1003,7 +1046,7 @@ class TestCellEndWords:
     @pytest.mark.parametrize("mode", [VarianceMode.KNOWN, VarianceMode.ESTIMATED])
     @pytest.mark.parametrize("dense", [False, True])
     def test_full_path(self, kind, mode, dense, monkeypatch):
-        monkeypatch.setattr(simulate, "_FULL_CHUNK_UNIFORMS", 12345)
+        monkeypatch.setattr(simulate, "_FULL_CHUNK_UNIFORMS", 1234)
         if dense:
             X, setup, theta = dense_case(40, 35, seed=9)
         else:
