@@ -46,7 +46,7 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 # The worst-case search scans this many equally spaced theta, then refines
-# around the best one to this width.
+# around the best one to this width times xi.
 _SEARCH_GRID_POINTS = 201
 _SEARCH_REFINE_TOL = 1e-6
 
@@ -272,7 +272,9 @@ def solve_unknown_half_length(kind, alpha: float, setup: ProblemSetup) -> float:
 
 
 def _golden_section_min(f, lo: float, hi: float, tol: float):
-    """Deterministic golden-section minimization; ties resolve leftward."""
+    """Deterministic golden-section minimization; ties resolve leftward.
+    The bracket shrinks to tol, or to 4 ulps of its ends where that is wider."""
+    tol = max(tol, 4.0 * math.ulp(max(abs(lo), abs(hi))))
     inv_phi = 0.5 * (math.sqrt(5.0) - 1.0)
     x1 = hi - inv_phi * (hi - lo)
     x2 = lo + inv_phi * (hi - lo)
@@ -298,10 +300,10 @@ def min_coverage_search(kind, spec: IntervalSpec, setup: ProblemSetup):
     Coverage depends on (theta, sigma) only through theta / sigma and is
     symmetric under sign flips, so the search runs over theta >= 0 at
     sigma = 1: a coarse grid on [0, theta_max] followed by golden-section
-    refinement around the best cell, compared against the distant-parameter
-    limit.  Returns (coverage, minimizer); the minimizer is math.inf when
-    the limit undercuts every finite candidate.  Ties prefer the smaller
-    theta.
+    refinement around the best cell to 1e-6 xi, compared against the
+    distant-parameter limit.  Returns (coverage, minimizer); the minimizer
+    is math.inf when the limit undercuts every finite candidate.  Ties
+    prefer the smaller theta.
     """
     kind = EstimatorKind(kind)
     if spec.mode is not VarianceMode.ESTIMATED:
@@ -317,7 +319,7 @@ def min_coverage_search(kind, spec: IntervalSpec, setup: ProblemSetup):
     lo = grid[max(best - 1, 0)]
     hi = grid[min(best + 1, len(grid) - 1)]
     refined_theta, refined_value = _golden_section_min(cov, float(lo), float(hi),
-                                                       _SEARCH_REFINE_TOL)
+                                                       _SEARCH_REFINE_TOL * setup.xi)
     if values[best] < refined_value:
         refined_theta, refined_value = float(grid[best]), float(values[best])
     tail = upper_bound_unknown(spec, setup)

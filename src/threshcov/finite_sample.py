@@ -164,11 +164,18 @@ def _error_law(kind, x, theta, unit, scale, eta, rn, m, density=False):
         return _scale_free(kind, x, scale, eta, rn, m, density=density, mu=mu), 0.0
     if density:
         dslope = 1.0 / scale
+        floor = abs(mu) * 2.0 ** -1000  # keeps mu / s finite
 
         def term(s, slope):
             d, t = slope * s, eta * s
-            return (rn * s * dslope * _inverse_slope(kind, mu, d, t)
-                    * _std_normal_pdf(rn * _inverse(kind, mu, d, t)))
+            if kind is EstimatorKind.HARD:
+                # |mu / s + slope| > eta is monotone in s; |mu + d| > t, as
+                # _inverse_slope tests it, flips with rounding where slope
+                # and eta are one value to the last bits
+                gain = np.abs(mu / np.maximum(s, floor) + slope) > eta
+            else:
+                gain = _inverse_slope(kind, mu, d, t)
+            return rn * s * dslope * gain * _std_normal_pdf(rn * _inverse(kind, mu, d, t))
     else:
         def term(s, slope):
             return _std_normal_cdf(rn * _inverse(kind, mu, slope * s, eta * s))

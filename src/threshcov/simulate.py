@@ -2,7 +2,9 @@
 
 Draws come from a counter-based generator (Philox) addressed by absolute
 uniform index, so any partition of the replication range across calls or
-workers pools to bit-identical results.  Each uniform is mapped through an
+workers pools to bit-identical results; `uniform_field` seeks to an index,
+and a simulated cell reads its words from one stream in order, the words
+of `uniform_field` from uniform 0 on.  Each uniform is mapped through an
 inverse CDF; inverse transforms consume a fixed number of uniforms per
 replication, which is what makes the addressing scheme stable.
 
@@ -31,15 +33,16 @@ of a bracket enclose the exact values.
 A cell's event (`_Coverage`, `_Ecdf`) maps an interval or error to a slot
 (miss or hit; ECDF bin and zero flag) and says from an enclosure of the
 estimate and the interval scale whether the slot is certain.  `_tally`
-settles every replication in three levels:
+settles every replication in three levels with estimated variance, two
+with known variance:
 
 1. Grid cell.  The corners of a grid decide whole cells: 4096 z cells at
    s = sigma with known variance, 64 x 64 (z cell, sigma_hat cell) with
    estimated variance.  A replication in a certain grid cell is counted
    from its cell index alone.
-2. Per-replication bracket.  The rest get their exact z and decide from
-   their own sigma_hat cell (s = sigma with known variance), with the same
-   test as the grid.
+2. Per-replication bracket (estimated variance only: a known scale is
+   exact).  The rest get their exact z and decide from their own sigma_hat
+   cell, with the same test as the grid.
 3. Exact inversion.  What is still undecided is inverted exactly as in
    `component_draws`.
 
@@ -53,10 +56,9 @@ columns (`_residual_scale`).  y' c and y N read y only on the support S,
 the coordinates where c != 0 or a row of N is nonzero; Y - (Y Q) Q' reads
 every coordinate, so there S is all of them.  On the synthetic orthogonal
 design S is the watched coordinate, plus with N the n - k residual ones.
-Every replication still draws its n words, since the layout fixes them.
-A cell reads them from one Philox stream in order, the words of
-`uniform_field` from uniform 0 on, in slabs of 2^16 words (floor(2^16 / n)
-replications, at least one), and keeps only the words in S.  Per chunk of
+Every replication still draws its n words, since the layout fixes them,
+read in slabs of 2^16 words (floor(2^16 / n) replications, at least one)
+of which only the words in S are kept.  Per chunk of
 floor(2^16 / |S|) replications (at least one, so a chunk's arrays stay
 cache-sized; a dense design keeps the slab's floor(2^16 / n)) it settles
 replications through the coverage event in two levels:
@@ -123,16 +125,10 @@ def uniform_field(seed: int, start: int, count: int) -> np.ndarray:
             and start >= 0 and count >= 0):
         raise DomainError("uniform field needs integers 0 <= seed < 2^128, "
                           "start >= 0 and count >= 0")
-    return _uniforms(_raw_words(seed, start, count))
-
-
-def _raw_words(seed: int, start: int, count: int) -> np.ndarray:
-    """The Philox words behind the uniforms [start, start + count);
-    unchecked, so callers pass checked integers."""
     gen = np.random.Philox(key=int(seed))
     block, offset = divmod(int(start), _RAW_PER_BLOCK)
     gen.advance(block)
-    return gen.random_raw(offset + int(count))[offset:]
+    return _uniforms(gen.random_raw(offset + int(count))[offset:])
 
 
 def _uniforms(raw: np.ndarray) -> np.ndarray:
@@ -187,12 +183,7 @@ class SimulationPlan:
 
     @property
     def component_theta(self) -> float:
-        arr = np.asarray(self.theta, dtype=float)
-        if arr.ndim == 0:
-            return float(arr)
-        if arr.shape != (self.setup.k,):
-            raise DomainError("theta vector must have length k")
-        return float(arr[self.setup.component_index - 1])
+        return float(self.theta_vector()[self.setup.component_index - 1])
 
     def theta_vector(self) -> np.ndarray:
         arr = np.asarray(self.theta, dtype=float)
@@ -353,14 +344,10 @@ def _corners(event, kind, setup: ProblemSetup, coef_lo, coef_hi, s_lo, s_hi):
     in the coefficient and moves toward 0 as the cutoff grows, so the
     lowest corner is coef_lo's at the larger scale where coef_lo >= 0 and at
     the smaller one otherwise, and the highest mirrors it: two corners
-    enclose all four.  Pass coef_hi is coef_lo for an exact coefficient,
-    s_hi is s_lo for an exact scale."""
-    if s_lo is s_hi:
-        est_lo = _estimate(kind, setup, coef_lo, s_lo)
-        est_hi = est_lo if coef_hi is coef_lo else _estimate(kind, setup, coef_hi, s_lo)
-    else:
-        est_lo = _estimate(kind, setup, coef_lo, np.where(coef_lo >= 0.0, s_hi, s_lo))
-        est_hi = _estimate(kind, setup, coef_hi, np.where(coef_hi >= 0.0, s_lo, s_hi))
+    enclose all four.  An exact coefficient or scale passes equal ends,
+    where the two corners are the one estimate."""
+    est_lo = _estimate(kind, setup, coef_lo, np.where(coef_lo >= 0.0, s_hi, s_lo))
+    est_hi = _estimate(kind, setup, coef_hi, np.where(coef_hi >= 0.0, s_lo, s_hi))
     return event.bounds(est_lo, est_hi, s_lo, s_hi)
 
 
@@ -382,9 +369,9 @@ def _coverage_estimate(hits: int, reps: int):
 
 
 def _tally(plan: SimulationPlan, kind, event, estimated: bool) -> np.ndarray:
-    """Replications per slot of the event, settled in three levels (see the
-    module docstring): grid cell, per-replication sigma_hat cell (s = sigma
-    with known variance), exact inversion."""
+    """Replications per slot of the event, settled in levels (see the module
+    docstring): grid cell, per-replication sigma_hat cell (estimated
+    variance only), exact inversion."""
     setup = plan.setup
     z_lo, z_hi = _z_bracket()
     if estimated:
@@ -395,17 +382,17 @@ def _tally(plan: SimulationPlan, kind, event, estimated: bool) -> np.ndarray:
         s_lo = (setup.sigma * lo[::step])[None, :]
         s_hi = (setup.sigma * hi[step - 1::step])[None, :]
     else:
-        s_lo = s_hi = np.full((1, 1), setup.sigma)
+        s_lo = s_hi = setup.sigma
     slot, certain = _corners(event, kind, setup, _ls_values(plan, z_lo)[:, None],
                              _ls_values(plan, z_hi)[:, None], s_lo, s_hi)
     slot, certain = slot.ravel(), certain.ravel()
     undecided = ~certain
     counts = np.zeros(certain.size, dtype=np.int64)
     tally = np.zeros(event.slots, dtype=np.int64)
+    # the words of uniform_field from uniform 0 on, read in order
+    gen = np.random.Philox(key=int(plan.seed))
     for start in range(0, plan.reps, _BRACKET_REPS):
-        stop = min(start + _BRACKET_REPS, plan.reps)
-        raw = _raw_words(plan.seed, _UNIFORMS_PER_REP * start,
-                         _UNIFORMS_PER_REP * (stop - start))
+        raw = gen.random_raw(_UNIFORMS_PER_REP * min(_BRACKET_REPS, plan.reps - start))
         if estimated:
             cell = _word_cells(raw, _GRID_CELLS)  # both halves in one pass
             cell = cell[0::2] * _GRID_CELLS + cell[1::2]
@@ -413,17 +400,17 @@ def _tally(plan: SimulationPlan, kind, event, estimated: bool) -> np.ndarray:
             cell = _word_cells(raw[0::2], _BRACKET_CELLS)
         counts += np.bincount(cell, minlength=counts.size)
         idx = np.flatnonzero(undecided[cell])
-        w_chi = raw[1::2][idx]
         ls = _ls_values(plan, std_normal_quantile(_uniforms(raw[0::2][idx])))
         if estimated:
+            w_chi = raw[1::2][idx]
             s_cell = _word_cells(w_chi, _BRACKET_CELLS)
-            s_lo, s_hi = setup.sigma * lo[s_cell], setup.sigma * hi[s_cell]
+            rep_slot, rep_certain = _corners(event, kind, setup, ls, ls,
+                                             setup.sigma * lo[s_cell], setup.sigma * hi[s_cell])
+            idx = np.flatnonzero(~rep_certain)
+            s = _sigma_hat_draws(setup, _uniforms(w_chi[idx]))
+            rep_slot[idx] = event.exact(_estimate(kind, setup, ls[idx], s), s)
         else:
-            s_lo = s_hi = setup.sigma
-        rep_slot, rep_certain = _corners(event, kind, setup, ls, ls, s_lo, s_hi)
-        idx = np.flatnonzero(~rep_certain)
-        s = _sigma_hat_draws(setup, _uniforms(w_chi[idx])) if estimated else setup.sigma
-        rep_slot[idx] = event.exact(_estimate(kind, setup, ls[idx], s), s)
+            rep_slot = event.exact(_estimate(kind, setup, ls, setup.sigma), setup.sigma)
         tally += np.bincount(rep_slot, minlength=event.slots)
     np.add.at(tally, slot[certain], counts[certain])
     return tally

@@ -457,6 +457,33 @@ class TestMinSearch:
             assert value <= unknown_coverage("asoft", float(theta), 1.0, spec,
                                              SETUP) + 1e-9
 
+    def test_refinement_ends_where_ulps_exceed_the_tolerance(self):
+        # above theta ~ 8.6e9 an ulp exceeds 1e-6, so the bracket can never
+        # be narrower than an absolute 1e-6; the objective stops a search
+        # that would not end
+        calls = []
+
+        def f(theta):
+            calls.append(theta)
+            if len(calls) > 500:
+                raise RuntimeError("golden-section search does not end")
+            return (theta - 1.2e10) ** 2
+
+        theta, _ = _golden_section_min(f, 1e10, 1.4e10, 1e-6)
+        assert theta == pytest.approx(1.2e10, rel=1e-12)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("eta", [0.05, 0.5])
+    def test_scales_with_xi(self, kind, eta):
+        # coverage reads theta and a only through theta / xi and a / xi, so
+        # at power-of-two xi every grid and golden-section point scales
+        # exactly, the refinement tolerance with them
+        a = solve_unknown_half_length(kind, 0.05, reference_setup(eta=eta))
+        want = min_coverage_search(kind, est_spec(a), reference_setup(eta=eta))
+        for xi in (2.0 ** -34, 2.0 ** 34):
+            got = min_coverage_search(kind, est_spec(a * xi), reference_setup(eta=eta, xi=xi))
+            assert got == (want[0], want[1] * xi)
+
 
 class TestSimpleInterval:
     @pytest.mark.parametrize("kind", KINDS)

@@ -15,6 +15,11 @@ The Monte Carlo entry points get a grid of their own, n <= 200 since the
 full-design path builds an n x k design: (n, k) in {(36, 35), (40, 35),
 (200, 5)}, eta in {1e-8, 0.05, 1e3}, xi in {1e-10, 1, 1e10}, theta from
 0 and 5e-324 to +-1e300, and 257 replications, with both variance modes.
+
+So do the half-length solvers and the worst-case search, at the solved
+estimated-variance half-length: (n, k) in {(36, 35), (40, 35), (10^6, 35)},
+xi in {1e-10, 1, 1e10} and eta in {1e-8, 0.3, 1e3}.  A length must be
+finite and positive, a coverage in [0, 1].
 """
 
 import itertools
@@ -38,9 +43,12 @@ from threshcov import (
     conservative_limit_cdf,
     consistent_limit_cdf,
     known_coverage,
+    min_coverage_search,
     simulate_coverage,
     simulate_coverage_full,
     simulate_scaled_error_ecdf,
+    solve_known_half_length,
+    solve_unknown_half_length,
     tilde_cdf,
     tilde_density,
     unknown_coverage,
@@ -80,14 +88,9 @@ def check(call, lo, hi, errors, where):
 
 
 # (law, kind, xi, m, theta, x: its index in xs or "array", error) of every
-# typed error.  Hard tilde_density exactly at the dead-zone edges x =
-# +-eta sqrt(n) (indices 1 and 2) with theta = +-1e-300 runs out of panels,
-# at xi = 1e-10 (eta = 0.060931) and xi = 1e10 (eta = 0.354597), m = 1.
-TYPED_ERRORS = {
-    1: [],
-    2: [("tilde_density", "hard", xi, 1, theta, x, "NumericsError")
-        for xi in (1e-10, 1e10) for theta in (1e-300, -1e-300) for x in (1, 2, "array")],
-}
+# typed error; none is expected, also for hard tilde_density exactly at
+# the dead-zone edges x = +-eta sqrt(n) (indices 1 and 2).
+TYPED_ERRORS = {1: [], 2: []}
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -165,3 +168,30 @@ def test_simulate_entry_points_give_values_in_range_or_typed_errors():
                        "DomainError")
                       for (n, _), eta, theta, kind, mode in itertools.product(
                           SIM_SHAPES, SIM_ETAS, (1e300, -1e300), EstimatorKind, VarianceMode)]
+
+
+SOLVER_SHAPES = ((36, 35), (40, 35), (10 ** 6, 35))
+SOLVER_ETAS = (1e-8, 0.3, 1e3)
+
+
+def test_solvers_and_search_give_values_in_range_or_typed_errors():
+    errors = []
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        for (n, k), xi, eta, kind in itertools.product(SOLVER_SHAPES, XIS, SOLVER_ETAS,
+                                                       EstimatorKind):
+            setup = ProblemSetup(n=n, k=k, xi=xi, eta=eta)
+            where = (kind.value, n, xi, eta)
+            # the smallest positive double: a length of 0 fails
+            check(lambda: solve_known_half_length(kind, 0.05, setup), math.ulp(0.0), math.inf,
+                  errors, ("solve_known_half_length", *where))
+            try:
+                a = solve_unknown_half_length(kind, 0.05, setup)
+            except (DomainError, NumericsError) as exc:
+                errors.append(("solve_unknown_half_length", *where, type(exc).__name__))
+                continue
+            assert 0.0 < a < math.inf, a
+            spec = IntervalSpec(a, a, VarianceMode.ESTIMATED)
+            check(lambda: min_coverage_search(kind, spec, setup)[0], 0.0, 1.0, errors,
+                  ("min_coverage_search", *where))
+    assert errors == []

@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Replay every recorded Monte Carlo cell of the benchmark and check its counts.
 
-    python3 tools/check_mc_counts.py
+    python3 tools/check_mc_counts.py            # compare counts and inversions
+    python3 tools/check_mc_counts.py --record   # rewrite the inversion digest
 
 ``perfbench/ref/mc.json`` records exact hit and ECDF counts for 624 cells:
 the 24 probe cells and the first 300 main cells of the mc-oracle workload
@@ -17,11 +18,14 @@ the mean milliseconds per cell and the values passed to the inverse normal
 (``simulate.std_normal_quantile``, wrapped here) per replication.  The
 lazy first-use work (the ``scipy.linalg`` import of the full-design path
 and the bracket tables) is done before the first cell, untimed.  The
-pass/fail rule does not read these figures, but the inversion counts
-repeat exactly from run to run, so a change in how many replications each
-settling level decides shows as a changed count.
+timings are not checked.  The inversion counts repeat exactly from run to
+run, so the script hashes each cell's count, in cell order, and compares
+that sha256 with the one in ``tools/mc_inversions.json``: a change that
+moves replications between settling levels changes a count and fails.  A
+change that does so on purpose re-records it with ``--record`` and says so.
 
-Exit status: 0 when every cell matches; 1 otherwise.
+Exit status: 0 when every cell matches and the inversion digest is
+unchanged; 1 otherwise.
 """
 
 from __future__ import annotations
@@ -32,12 +36,16 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import collections  # noqa: E402
+import hashlib  # noqa: E402
 import itertools  # noqa: E402
+import json  # noqa: E402
+import struct  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
+DIGEST = Path(__file__).resolve().parent / "mc_inversions.json"
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import numpy as np  # noqa: E402
@@ -79,7 +87,8 @@ def recorded_tasks(refs: workloads.References):
             workloads.main_tasks("mc-oracle", seed, refs), recorded)
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    record = "--record" in (sys.argv[1:] if argv is None else argv)
     refs = workloads.References()
     warm_up()
     inverted = count_normal_inversions()
@@ -88,6 +97,7 @@ def main() -> int:
     reps = collections.Counter()
     normals = collections.Counter()
     failures = []
+    counts = hashlib.sha256()
     for task in recorded_tasks(refs):
         if workloads._mc_exact(refs, task.key) is None:
             failures.append(f"{task.family} cell {task.key}: no recorded count")
@@ -98,6 +108,7 @@ def main() -> int:
         before = inverted[0]
         outcome = workloads.run_task(task)
         normals[family] += inverted[0] - before
+        counts.update(struct.pack("<q", inverted[0] - before))
         reps[family] += task.reps
         seconds[family] += outcome.seconds
         cells[family] += 1
@@ -112,7 +123,16 @@ def main() -> int:
         print(f"check_mc_counts: FAIL {reason}")
     total = sum(cells.values())
     print(f"check_mc_counts: {total - len(failures)} of {total} recorded cells match")
-    return 1 if failures or total == 0 else 0
+    got = {"cells": total, "inversions_sha256": counts.hexdigest()}
+    if record:
+        DIGEST.write_text(json.dumps(got, indent=1) + "\n", encoding="utf-8")
+        print(f"check_mc_counts: recorded the inversion digest in {DIGEST.name}")
+        return 1 if failures or total == 0 else 0
+    want = json.loads(DIGEST.read_text(encoding="utf-8"))
+    same = got == want
+    print(f"check_mc_counts: inversion digest {got['inversions_sha256'][:16]}... "
+          f"{'matches' if same else 'DIFFERS from'} {DIGEST.name}")
+    return 1 if failures or total == 0 or not same else 0
 
 
 if __name__ == "__main__":
