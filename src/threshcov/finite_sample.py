@@ -168,13 +168,10 @@ def _error_law(kind, x, theta, unit, scale, eta, rn, m, density=False):
 
         def term(s, slope):
             d, t = slope * s, eta * s
-            if kind is EstimatorKind.HARD:
-                # |mu / s + slope| > eta is monotone in s; |mu + d| > t, as
-                # _inverse_slope tests it, flips with rounding where slope
-                # and eta are one value to the last bits
-                gain = np.abs(mu / np.maximum(s, floor) + slope) > eta
-            else:
-                gain = _inverse_slope(kind, mu, d, t)
+            # hard's |mu + d| > t flips with rounding along s where slope and
+            # eta are one value to the last bits; divided by s it is monotone
+            gain = (_inverse_slope(kind, mu / np.maximum(s, floor), slope, eta)
+                    if kind is EstimatorKind.HARD else _inverse_slope(kind, mu, d, t))
             return rn * s * dslope * gain * _std_normal_pdf(rn * _inverse(kind, mu, d, t))
     else:
         def term(s, slope):

@@ -183,7 +183,8 @@ class SimulationPlan:
 
     @property
     def component_theta(self) -> float:
-        return float(self.theta_vector()[self.setup.component_index - 1])
+        arr = np.asarray(self.theta, dtype=float)
+        return float(arr if arr.ndim == 0 else self.theta_vector()[self.setup.component_index - 1])
 
     def theta_vector(self) -> np.ndarray:
         arr = np.asarray(self.theta, dtype=float)

@@ -14,15 +14,21 @@ cells and the check; it is imported, never modified.  BLAS threads are
 pinned to 1, as in a benchmark run.
 
 Per cell family (full-design cells split by variance mode) it also prints
-the mean milliseconds per cell and the values passed to the inverse normal
-(``simulate.std_normal_quantile``, wrapped here) per replication.  The
-lazy first-use work (the ``scipy.linalg`` import of the full-design path
-and the bracket tables) is done before the first cell, untimed.  The
-timings are not checked.  The inversion counts repeat exactly from run to
-run, so the script hashes each cell's count, in cell order, and compares
-that sha256 with the one in ``tools/mc_inversions.json``: a change that
-moves replications between settling levels changes a count and fails.  A
-change that does so on purpose re-records it with ``--record`` and says so.
+the mean milliseconds per cell and, per replication, the values passed to
+the inverse normal and to the inverse chi-square
+(``simulate.std_normal_quantile`` and ``simulate.chi_sq_quantile``, both
+wrapped here).  The lazy first-use work (the ``scipy.linalg`` import of the
+full-design path and the bracket tables) is done before the first cell,
+untimed.  The timings are not checked.  The inversion counts repeat exactly
+from run to run, so the script hashes each cell's pair of counts, in cell
+order, and compares that sha256 with the one in ``tools/mc_inversions.json``.
+A replication that leaves the grid level is normal-inverted, and one that
+leaves the per-replication sigma_hat level (estimated variance) is
+chi-square-inverted, so a change that moves replications out of either
+level, or back into it, changes a count and fails.  Nothing is inverted at
+the known-variance exact step that the grid level does not already count,
+so the gate sees no move below the grid there.  A change that moves counts
+on purpose re-records the digest with ``--record`` and says so.
 
 Exit status: 0 when every cell matches and the inversion digest is
 unchanged; 1 otherwise.
@@ -64,16 +70,17 @@ def warm_up() -> None:
         simulate._sigma_hat_bracket(m)
 
 
-def count_normal_inversions() -> list[int]:
-    """Wrap simulate.std_normal_quantile; the returned one-element list holds
-    the running count of the values it was passed."""
-    inverse, count = simulate.std_normal_quantile, [0]
+def count_inversions(name: str) -> list[int]:
+    """Wrap the simulate binding `name` (an inverse CDF whose first argument
+    is the probabilities); the returned one-element list holds the running
+    count of the values it was passed."""
+    inverse, count = getattr(simulate, name), [0]
 
-    def counting(p):
+    def counting(p, *args):
         count[0] += np.size(p)
-        return inverse(p)
+        return inverse(p, *args)
 
-    simulate.std_normal_quantile = counting
+    setattr(simulate, name, counting)
     return count
 
 
@@ -91,11 +98,13 @@ def main(argv=None) -> int:
     record = "--record" in (sys.argv[1:] if argv is None else argv)
     refs = workloads.References()
     warm_up()
-    inverted = count_normal_inversions()
+    inverted = count_inversions("std_normal_quantile")
+    chi_inverted = count_inversions("chi_sq_quantile")
     seconds = collections.Counter()
     cells = collections.Counter()
     reps = collections.Counter()
     normals = collections.Counter()
+    chis = collections.Counter()
     failures = []
     counts = hashlib.sha256()
     for task in recorded_tasks(refs):
@@ -105,10 +114,11 @@ def main(argv=None) -> int:
         family = task.family
         if family == "mc-full":
             family += f" ({task.config[3]})"  # its variance mode
-        before = inverted[0]
+        before, chi_before = inverted[0], chi_inverted[0]
         outcome = workloads.run_task(task)
         normals[family] += inverted[0] - before
-        counts.update(struct.pack("<q", inverted[0] - before))
+        chis[family] += chi_inverted[0] - chi_before
+        counts.update(struct.pack("<qq", inverted[0] - before, chi_inverted[0] - chi_before))
         reps[family] += task.reps
         seconds[family] += outcome.seconds
         cells[family] += 1
@@ -118,7 +128,8 @@ def main(argv=None) -> int:
     for family in sorted(cells):
         print(f"check_mc_counts: {family}: {cells[family]} cells, "
               f"{1e3 * seconds[family] / cells[family]:.1f} ms per cell, "
-              f"{normals[family] / reps[family]:.4f} normal inversions per replication")
+              f"{normals[family] / reps[family]:.4f} normal and "
+              f"{chis[family] / reps[family]:.4f} chi-square inversions per replication")
     for reason in failures:
         print(f"check_mc_counts: FAIL {reason}")
     total = sum(cells.values())
