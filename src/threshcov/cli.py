@@ -1,5 +1,10 @@
 """Command-line interface: tables, figure data, intervals, and limit checks.
 
+A command takes only the model flags it reads: ``table1`` ``--n --k --xi
+--alpha``; ``figure``, ``interval`` and ``coverage_curve`` also ``--eta``;
+``limit_check`` none.  Every value depends on theta only through theta /
+sigma, so theta is in units of sigma and there is no sigma flag.
+
 Outputs are deterministic: a numeric CSV cell is printf ``%.10g`` of its
 value ('.' as the decimal separator; ``inf``, ``-inf`` and ``nan`` as Python
 spells them), a text cell is written as it is, JSON keys are sorted, and
@@ -54,9 +59,8 @@ _TABLE_KINDS = (EstimatorKind.HARD, EstimatorKind.ADAPTIVE_SOFT)
 
 _TABLE_HEADER = ("estimator", "eta", "length", "lower_bound", "min_coverage",
                  "upper_bound")
-# Reference values for --check, at the default scenario (n=40, k=35, xi=1,
-# sigma=1, alpha=0.05), checked in this order: per column, (estimator label,
-# eta) -> (value, tolerance); the LS row's eta is "".
+# --check references at the defaults n=40, k=35, xi=1, alpha=0.05, in check order:
+# per column, (estimator label, eta) -> (value, tolerance); the LS row's eta is "".
 _TABLE_CHECKS = {
     "length": {("ls", ""): (0.406, 5e-4),
                ("hard", 0.05): (0.434, 5e-4), ("hard", 0.5): (0.823, 5e-4),
@@ -75,8 +79,7 @@ _LIMIT_GAP_THRESHOLD = 0.02
 
 
 def _setup(args: argparse.Namespace, eta: float | None = None) -> ProblemSetup:
-    return ProblemSetup(n=args.n, k=args.k, xi=args.xi, sigma=args.sigma,
-                        eta=args.eta if eta is None else eta)
+    return ProblemSetup(n=args.n, k=args.k, xi=args.xi, eta=args.eta if eta is None else eta)
 
 
 def _csv_text(header, rows) -> str:
@@ -217,29 +220,29 @@ def cmd_interval(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _limit_suites(args: argparse.Namespace):
+def _limit_suites(fast: bool):
     """Convergence-check suites: (name, kind, regime, path).
 
-    Paths hold (setup, theta) pairs with residual degrees of freedom fixed
-    at 5.  Conservative: eta = 1/sqrt(n) (e = 1) with theta = sigma xi / n
-    (nu = 0); consistent: eta = n^(-0.15), theta tracking zeta = 0.4; plus
-    a vanishing-threshold path eta = n^(-3/4) (e = 0).  --fast keeps only
-    the endpoint of each path, which is the value the exit code tests.
+    Paths hold (setup, theta) pairs at xi = sigma = 1 (the gaps depend on
+    theta / (sigma xi) alone) with residual degrees of freedom fixed at 5.
+    Conservative: eta = 1/sqrt(n) (e = 1) with theta = 1 / n (nu = 0);
+    consistent: eta = n^(-0.15), theta = 0.4 eta (zeta = 0.4); plus a
+    vanishing-threshold path eta = n^(-3/4) (e = 0).  fast keeps only the
+    endpoint of each path, which is the value the exit code tests.
     """
-    ns = (5000,) if args.fast else (50, 500, 5000)
-    sigma, xi = args.sigma, args.xi
+    ns = (5000,) if fast else (50, 500, 5000)
     families = [(f"conservative-{kind.value}", kind, ConservativeRegime(nu=0.0, e=1.0, m=5),
-                 lambda n: 1.0 / math.sqrt(n), lambda n, eta: sigma * xi / n)
+                 lambda n: 1.0 / math.sqrt(n), lambda n, eta: 1.0 / n)
                 for kind in EstimatorKind]
     families += [(f"consistent-{kind.value}", kind, ConsistentRegime(zeta=0.4, m=5),
-                  lambda n: n ** -0.15, lambda n, eta: 0.4 * sigma * xi * eta)
+                  lambda n: n ** -0.15, lambda n, eta: 0.4 * eta)
                  for kind in EstimatorKind]
     families.append(("conservative-hard-vanishing", EstimatorKind.HARD,
                      ConservativeRegime(nu=0.0, e=0.0, m=5),
                      lambda n: n ** -0.75, lambda n, eta: 0.0))
     suites = []
     for name, kind, regime, eta_of, theta_of in families:
-        setups = [ProblemSetup(n=n, k=n - 5, xi=xi, sigma=sigma, eta=eta_of(n)) for n in ns]
+        setups = [ProblemSetup(n=n, k=n - 5, eta=eta_of(n)) for n in ns]
         suites.append((name, kind, regime, [(s, theta_of(s.n, s.eta)) for s in setups]))
     return suites
 
@@ -251,7 +254,7 @@ def cmd_limit_check(args: argparse.Namespace) -> int:
     grid = np.linspace(-3.0, 3.0, 41)
     report = []
     all_pass = True
-    for name, kind, regime, path in _limit_suites(args):
+    for name, kind, regime, path in _limit_suites(args.fast):
         gaps = weak_convergence_gaps(kind, path, regime, grid)
         final = gaps[-1]
         ok = final <= _LIMIT_GAP_THRESHOLD
@@ -279,18 +282,20 @@ _COMMANDS = {
 }
 
 
-def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--n", type=int, default=40, help="sample size")
-    parser.add_argument("--k", type=int, default=35, help="number of regressors")
-    parser.add_argument("--xi", type=float, default=1.0,
-                        help="standard-error scale of the watched component")
-    parser.add_argument("--sigma", type=float, default=1.0, help="noise scale")
-    parser.add_argument("--eta", type=float, default=0.05,
-                        help="threshold tuning parameter")
-    parser.add_argument("--alpha", type=float, default=0.05,
-                        help="nominal non-coverage level")
-    parser.add_argument("--out", type=str, default=None,
-                        help="write output to this file instead of stdout")
+_MODEL_FLAGS = {
+    "--n": dict(type=int, default=40, help="sample size"),
+    "--k": dict(type=int, default=35, help="number of regressors"),
+    "--xi": dict(type=float, default=1.0, help="standard-error scale of the watched component"),
+    "--eta": dict(type=float, default=0.05, help="threshold tuning parameter"),
+    "--alpha": dict(type=float, default=0.05, help="nominal non-coverage level"),
+}
+
+
+def _add_flags(parser: argparse.ArgumentParser, model=tuple(_MODEL_FLAGS)):
+    """The model flags the command reads, then --out."""
+    for flag in model:
+        parser.add_argument(flag, **_MODEL_FLAGS[flag])
+    parser.add_argument("--out", default=None, help="write output to this file instead of stdout")
 
 
 @functools.cache  # parse_args leaves the parser as it was: main() calls share it
@@ -302,40 +307,34 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("table1", help="interval length and coverage table")
-    _add_common(p)
+    _add_flags(p, ("--n", "--k", "--xi", "--alpha"))
     p.add_argument("--check", action="store_true",
                    help="compare cells against reference values; exit 1 on mismatch")
-    p.add_argument("--fast", action="store_true",
-                   help="skip the slow minimal-coverage cells")
+    p.add_argument("--fast", action="store_true", help="skip the slow minimal-coverage cells")
 
     p = sub.add_parser("figure", help="figure data (densities or coverage curves)")
-    _add_common(p)
+    _add_flags(p)
     p.add_argument("--which", required=True,
                    choices=sorted(_FIGURE_DENSITY) + sorted(_FIGURE_COVERAGE),
-                   help="panel id")
+                   help="panel id; covH and covAS read --alpha unless --a is given")
     p.add_argument("--theta", type=float, default=0.0,
-                   help="true component value (density panels)")
-    p.add_argument("--a", type=float, default=None,
-                   help="half-length override (coverage panels)")
+                   help="true component value in units of sigma (pdfH, pdfS, pdfAS)")
+    p.add_argument("--a", type=float, default=None, help="half-length override (covH, covAS)")
 
     p = sub.add_parser("interval", help="shortest guaranteed interval as JSON")
-    _add_common(p)
-    p.add_argument("--kind", default="hard",
-                   choices=[k.value for k in EstimatorKind])
-    p.add_argument("--mode", default="estimated",
-                   choices=[m.value for m in VarianceMode])
+    _add_flags(p)
+    p.add_argument("--kind", default="hard", choices=[k.value for k in EstimatorKind])
+    p.add_argument("--mode", default="estimated", choices=[m.value for m in VarianceMode])
 
     p = sub.add_parser("coverage_curve", help="coverage versus theta as CSV")
-    _add_common(p)
-    p.add_argument("--kind", default="hard",
-                   choices=[k.value for k in EstimatorKind])
+    _add_flags(p)
+    p.add_argument("--kind", default="hard", choices=[k.value for k in EstimatorKind])
     p.add_argument("--a", type=float, default=None,
                    help="half-length override (default: solved at alpha)")
 
     p = sub.add_parser("limit_check", help="weak-convergence gap report as JSON")
-    _add_common(p)
-    p.add_argument("--fast", action="store_true",
-                   help="evaluate only the endpoint n=5000 of each sample-size path")
+    _add_flags(p, ())
+    p.add_argument("--fast", action="store_true", help="evaluate each path at n=5000 only")
     return parser
 
 

@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from .estimators import EstimatorKind, _inverse
-from .finite_sample import _mixture, _scale_free
+from .finite_sample import _mixture, _scale_free, _scaled
 from .model import ProblemSetup, VarianceMode
 from .special import (BracketError, DomainError, _clamp_unit, _each, _std_normal_cdf, _t_cdf,
                       _underflow_to_zero, find_root)
@@ -49,6 +49,12 @@ logger = logging.getLogger(__name__)
 # around the best one to this width times xi.
 _SEARCH_GRID_POINTS = 201
 _SEARCH_REFINE_TOL = 1e-6
+
+# The reach arm / xi is capped at 2^1016 / sqrt(n).  There Phi of every
+# offset the arm bounds is already exactly 0 or 1, also at each node s >
+# 1e-300 of the mixture over s = sigma_hat / sigma, and rn * reach * s stays
+# finite up to rho_m's cut (s < 7.2).
+_REACH_CAP = 2.0 ** 1016
 
 
 @dataclasses.dataclass(frozen=True)
@@ -86,14 +92,6 @@ def _coverage_core(kind: EstimatorKind, mu, reach_a, reach_b, eta, rn):
                                  0.0), 1.0)
 
 
-def _scaled(theta, unit: float):
-    """theta / unit, inf where it overflows: silently, for arrays as for floats."""
-    if isinstance(theta, float):
-        return theta / unit
-    with np.errstate(over="ignore"):
-        return theta / unit
-
-
 @_underflow_to_zero
 def known_coverage(kind, theta_i: float, sigma: float, spec: IntervalSpec,
                    setup: ProblemSetup) -> float:
@@ -109,9 +107,12 @@ def known_coverage(kind, theta_i: float, sigma: float, spec: IntervalSpec,
     if not (sigma > 0.0 and math.isfinite(sigma)):
         raise DomainError("sigma must be positive and finite")
 
+    cap = _REACH_CAP / setup.root_n
+    reach_a, reach_b = min(spec.a / setup.xi, cap), min(spec.b / setup.xi, cap)
+
     def law(theta):
-        return _coverage_core(kind, _scaled(theta, sigma * setup.xi), spec.a / setup.xi,
-                              spec.b / setup.xi, setup.eta, setup.root_n), 0.0
+        return _coverage_core(kind, _scaled(theta, sigma, setup.xi), reach_a, reach_b,
+                              setup.eta, setup.root_n), 0.0
 
     return _each(theta_i, law, "theta")[0]
 
@@ -181,9 +182,14 @@ def _solve_half_length(kind, alpha: float, setup: ProblemSetup, mode: VarianceMo
     # 1e-10, or 1e-8 of the bracket where that is finer: a half-length on a
     # tiny scale xi max(eta, 1 / sqrt(n)) is resolved like any other
     root = find_root(objective, lo, hi, min(1e-10, 1e-8 * hi))
-    if kind is EstimatorKind.HARD:
-        assert root > lo
-    return root
+    if root > lo:
+        return root
+    # the infimum is 0 at lo, so with alpha near 1 the root lies within the
+    # tolerance of lo: bisect down to adjacent doubles, keeping the upper end
+    below, above = lo, hi
+    while below < (mid := below + 0.5 * (above - below)) < above:
+        below, above = (mid, above) if objective(mid) < 0.0 else (below, mid)
+    return above
 
 
 def solve_known_half_length(kind, alpha: float, setup: ProblemSetup) -> float:
@@ -211,15 +217,17 @@ def unknown_coverage(kind, theta_i: float, sigma: float, spec: IntervalSpec,
         raise DomainError("sigma must be positive and finite")
     m = setup.require_estimated_variance()
     rn, eta, reach = setup.root_n, setup.eta, spec.a / setup.xi
+    capped = min(reach, _REACH_CAP / rn)  # the panels keep reach's switch points
 
     def covered(s, mu):
-        arm = reach * s
+        arm = capped * s
         return _coverage_core(kind, mu, arm, arm, eta * s, rn)
 
     def law(theta):
         lone = isinstance(theta, float)
         if lone and theta != 0.0:
-            return _mixture(kind, theta / (sigma * setup.xi), (reach, -reach), eta, m, covered)
+            return _mixture(kind, _scaled(theta, sigma, setup.xi), (reach, -reach), eta, m,
+                            covered)
         at_zero = (_scale_free(kind, spec.a, setup.xi, eta, rn, m)
                    - _scale_free(kind, -spec.a, setup.xi, eta, rn, m, closed=False))
         if lone:
@@ -227,7 +235,7 @@ def unknown_coverage(kind, theta_i: float, sigma: float, spec: IntervalSpec,
         rest = theta != 0.0
         value, bound = np.full(theta.shape, at_zero), np.zeros(theta.shape)
         if rest.any():
-            value[rest], bound[rest] = _mixture(kind, _scaled(theta[rest], sigma * setup.xi),
+            value[rest], bound[rest] = _mixture(kind, _scaled(theta[rest], sigma, setup.xi),
                                                 np.array([reach, -reach]), eta, m, covered)
         return value, bound
 

@@ -147,18 +147,29 @@ def _scale_free(kind, x, scale, t, rn, m, closed=True, density=False, mu=0.0):
         return np.where(pdf > 0.0, rn * _inverse_slope(kind, mu, d, t) * pdf / scale, 0.0)
 
 
-def _error_law(kind, x, theta, unit, scale, eta, rn, m, density=False):
+def _scaled(theta, sigma: float, xi: float):
+    """theta / (sigma xi), inf where it overflows: silently, for arrays as
+    for floats.  Where sigma xi underflows to 0, theta / sigma / xi."""
+    unit = sigma * xi
+    if isinstance(theta, float):
+        return theta / unit if unit else theta / sigma / xi
+    with np.errstate(over="ignore"):
+        return theta / unit if unit else theta / sigma / xi
+
+
+def _error_law(kind, x, theta, sigma, xi, scale, eta, rn, m, density=False):
     """(values, bounds) at the finite x (array or float) of the law of scale
-    (kernel(W, eta s) - mu) / s, W ~ N(mu, 1 / rn^2), mu = theta / unit, s ~
-    rho_m: its CDF, or with density=True the density of its continuous part
-    without the kill term.  Two routes, taken on theta rather than on a mu
-    that may underflow.  Where every offset scales with s, the law is the
-    closed form _scale_free: at mu = +-inf (theta infinite, or overflowing
-    against unit); at eta = 0, where the law does not depend on mu and is
-    taken at mu = +-inf, where every kind's offset is d (at mu = 0, adaptive
-    soft's offset is 0/0 for d = -5e-324); and at any other theta = 0.
-    Anything else is one rho_m mixture."""
-    mu = float(theta) / float(unit)  # on floats an overflow is silent
+    (kernel(W, eta s) - mu) / s, W ~ N(mu, 1 / rn^2), mu = theta / (sigma
+    xi), s ~ rho_m: its CDF, or with density=True the density of its
+    continuous part without the kill term.  Two routes, taken on theta
+    rather than on a mu that may underflow.  Where every offset scales with
+    s, the law is the closed form _scale_free: at mu = +-inf (theta
+    infinite, or overflowing against sigma xi); at eta = 0, where the law
+    does not depend on mu and is taken at mu = +-inf, where every kind's
+    offset is d (at mu = 0, adaptive soft's offset is 0/0 for d =
+    -5e-324); and at any other theta = 0.  Anything else is one rho_m
+    mixture."""
+    mu = _scaled(float(theta), sigma, xi)
     if theta == 0.0 or eta == 0.0 or math.isinf(mu):
         mu = 0.0 if theta == 0.0 and eta != 0.0 else math.copysign(math.inf, mu)
         return _scale_free(kind, x, scale, eta, rn, m, density=density, mu=mu), 0.0
@@ -193,7 +204,7 @@ def tilde_cdf(kind, x, setup: ProblemSetup, theta_i: float, alpha):
     if not math.isfinite(theta_i):
         raise DomainError("theta must be finite")
     m = setup.require_estimated_variance()
-    return _clamp_unit(*_each(x, lambda xs: _error_law(kind, xs, theta_i, setup.sigma * setup.xi,
+    return _clamp_unit(*_each(x, lambda xs: _error_law(kind, xs, theta_i, setup.sigma, setup.xi,
                                                        a * setup.xi, setup.eta, setup.root_n, m),
                               "CDF argument", cdf=True), "tilde_cdf")
 
@@ -241,11 +252,12 @@ def tilde_density(kind, x, setup: ProblemSetup, theta_i: float, alpha):
     m = setup.require_estimated_variance()
 
     def law(xs):
-        out, _ = _error_law(kind, xs, theta_i, setup.sigma * setup.xi, a * setup.xi,
+        out, _ = _error_law(kind, xs, theta_i, setup.sigma, setup.xi, a * setup.xi,
                             setup.eta, setup.root_n, m, density=True)
         if theta_i == 0.0:  # the atom at x = 0 carries no density
             return np.where(xs != 0.0, out, 0.0), 0.0
-        return np.maximum(0.0, out + _kill_kernel_term(xs, theta_i / setup.sigma, setup, a)), 0.0
+        q = float(theta_i) / setup.sigma  # inf where it overflows, silently
+        return np.maximum(0.0, out + _kill_kernel_term(xs, q, setup, a)), 0.0
 
     return _each(x, law, "density argument")[0]
 

@@ -110,9 +110,9 @@ def conservative_limit_cdf(kind, x, regime: ConservativeRegime) -> float:
     kind = EstimatorKind(kind)
     if math.isinf(regime.m):
         raise DomainError("conservative limits are provided for finite m only")
-    return _clamp_unit(*_each(x, lambda xs: _error_law(kind, xs, regime.nu, 1.0, 1.0, regime.e,
-                                                       1.0, regime.m), "CDF argument", cdf=True),
-                       "conservative_limit_cdf")
+    return _clamp_unit(*_each(x, lambda xs: _error_law(kind, xs, regime.nu, 1.0, 1.0, 1.0,
+                                                       regime.e, 1.0, regime.m),
+                              "CDF argument", cdf=True), "conservative_limit_cdf")
 
 
 def hard_weight(f: float, r: float, s: float | None = None) -> float:

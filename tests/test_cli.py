@@ -210,6 +210,48 @@ class TestLimitCheck:
             assert suite["pass"] is True
 
 
+# One value per model flag that moves every command reading it off its default.
+MODEL_VALUES = {"--n": "60", "--k": "30", "--xi": "2", "--eta": "0.3", "--alpha": "0.1"}
+
+# (fixed argv, flag, value or None for a switch): every flag a command keeps
+# changes that argv's output.
+KEPT_FLAGS = [
+    *((("table1", "--fast"), flag, MODEL_VALUES[flag])
+      for flag in ("--n", "--k", "--xi", "--alpha")),
+    *((argv, flag, value)
+      for argv in (("figure", "--which", "covH"), ("interval",), ("coverage_curve",))
+      for flag, value in MODEL_VALUES.items()),
+    (("figure", "--which", "pdfS"), "--theta", "0.16"),
+    (("figure", "--which", "covH"), "--a", "0.5"),
+    (("limit_check",), "--fast", None),
+]
+
+# 11 of the 30 model-flag slots the five commands had: 19 remain
+REMOVED_FLAGS = [
+    *((argv, "--sigma") for argv in (("table1",), ("figure", "--which", "pdfH"), ("interval",),
+                                     ("coverage_curve",), ("limit_check",))),
+    (("table1",), "--eta"),
+    *((("limit_check",), flag) for flag in ("--n", "--k", "--xi", "--eta", "--alpha")),
+]
+
+
+class TestModelFlags:
+    """Each command takes only the model flags it reads."""
+
+    @pytest.mark.parametrize("argv, flag, value", KEPT_FLAGS)
+    def test_kept_flag_changes_output(self, capsys, argv, flag, value):
+        rc, base, _ = run_cli(capsys, *argv)
+        changed = run_cli(capsys, *argv, flag, *(() if value is None else (value,)))
+        assert rc == changed[0] == EXIT_OK
+        assert changed[1] != base
+
+    @pytest.mark.parametrize("argv, flag", REMOVED_FLAGS)
+    def test_removed_flag_is_a_usage_error(self, capsys, argv, flag):
+        rc, out, err = run_any(capsys, (*argv, flag, "1"))
+        assert rc == EXIT_USAGE and out == ""
+        assert f"unrecognized arguments: {flag} 1" in err
+
+
 class TestArgHandling:
     def test_missing_command(self):
         with pytest.raises(SystemExit) as exc:

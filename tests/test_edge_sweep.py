@@ -1,27 +1,30 @@
 """Extreme parameters end in a value in range or a typed error, silently.
 
-A seeded sweep of every estimator kind over xi in {1e-10, 1, 1e10}, theta in
-{0, +-1e-300, +-1e300} and two O(1) values, and m in {1, 5, 995}.  Each
-CDF, density and coverage is called with a scalar and with an array
-argument, under np.errstate(all="raise") and with every warning an error;
-so is the consistent limit law at zeta = theta / (xi eta), for m = n - k
-and m = inf.  A call must return finite values in range (a probability in
-[0, 1], a density >= 0) or raise DomainError or NumericsError: no overflow,
-no invalid operation and no NaN on the way.  The typed errors are listed:
-a change that turns a value into an error, or an error into a value,
-fails the sweep.
+A seeded sweep of every estimator kind over xi in {1e-10, 1, 1e10}, sigma
+in {1, 1e-315} (sigma xi subnormal at xi = 1, and 0 at xi = 1e-10), theta
+in {0, +-1e-300, +-1e300} and two O(1) values, m in {1, 5, 995}, and
+interval arms up to 1.7e308.  Each CDF, density and coverage is called
+with a scalar and with an array argument, under np.errstate(all="raise")
+and with every warning an error; so is the consistent limit law at zeta =
+theta / (xi eta), for m = n - k and m = inf.  A call must return finite
+values in range (a probability in [0, 1], a density >= 0) or raise
+DomainError or NumericsError: no overflow, no invalid operation and no NaN
+on the way.  The typed errors are listed: a change that turns a value into
+an error, or an error into a value, fails the sweep.
 
 The Monte Carlo entry points get a grid of their own, n <= 200 since the
 full-design path builds an n x k design: (n, k) in {(36, 35), (40, 35),
 (200, 5)}, eta in {1e-8, 0.05, 1e3}, xi in {1e-10, 1, 1e10}, theta from
 0 and 5e-324 to +-1e300, and 257 replications, with both variance modes.
 
-So do the half-length solvers and the worst-case search, at the solved
-estimated-variance half-length: (n, k) in {(36, 35), (40, 35), (10^6, 35)},
-xi in {1e-10, 1, 1e10} and eta in {1e-8, 0.3, 1e3}.  A length must be
-finite and positive, a coverage in [0, 1].
+So do the half-length solvers, at alpha 0.05, 1 - 1e-12 and 1 - 2^-53, and
+the worst-case search, at the solved estimated-variance half-length and at
+an arm of 1.7e308: (n, k) in {(36, 35), (40, 35), (10^6, 35)}, xi in
+{1e-10, 1, 1e10} and eta in {1e-8, 0.3, 1e3}.  A length must be finite and
+positive, above xi eta / 2 for hard, a coverage in [0, 1].
 """
 
+import dataclasses
 import itertools
 import math
 import warnings
@@ -56,12 +59,15 @@ from threshcov import (
 
 XIS = (1e-10, 1.0, 1e10)
 DOFS = (1, 5, 995)
+TINY_SIGMA = 1e-315
+WIDE_ARMS = (1e308, 1.7e308)
 
 
 def cells(seed):
     """(kind, setup, thetas, xs, halves): xs in units of the conservative
     scale a xi = sqrt(n), the hard dead-zone edges among them, and interval
-    half-lengths in units of xi, one of them on the dead-zone edge."""
+    half-lengths, two in units of xi (one on the dead-zone edge) and the
+    wide arms.  Each setup comes at sigma = 1 and at TINY_SIGMA."""
     rng = np.random.default_rng(seed)
     for xi in XIS:
         for m in DOFS:
@@ -71,9 +77,10 @@ def cells(seed):
             scale = setup.root_n
             xs = [0.0, eta * scale, -eta * scale, 1e200, -1e200,
                   *(scale * rng.uniform(-4.0, 4.0, 2))]
-            halves = [eta * xi, float(rng.uniform(0.05, 3.0)) * xi]
+            halves = [eta * xi, float(rng.uniform(0.05, 3.0)) * xi, *WIDE_ARMS]
             for kind in EstimatorKind:
-                yield kind, setup, thetas, xs, halves
+                for sigma in (1.0, TINY_SIGMA):
+                    yield kind, dataclasses.replace(setup, sigma=sigma), thetas, xs, halves
 
 
 def check(call, lo, hi, errors, where):
@@ -89,7 +96,8 @@ def check(call, lo, hi, errors, where):
 
 # (law, kind, xi, m, theta, x: its index in xs or "array", error) of every
 # typed error; none is expected, also for hard tilde_density exactly at
-# the dead-zone edges x = +-eta sqrt(n) (indices 1 and 2).
+# the dead-zone edges x = +-eta sqrt(n) (indices 1 and 2), at TINY_SIGMA
+# and at the wide arms.
 TYPED_ERRORS = {1: [], 2: []}
 
 
@@ -125,9 +133,9 @@ def test_extremes_give_values_in_range_or_typed_errors(seed):
                 estimated = IntervalSpec(half, half, VarianceMode.ESTIMATED)
                 for i, theta in (*enumerate(thetas), ("array", np.array(thetas))):
                     where = (setup.xi, m, half, i)
-                    check(lambda: known_coverage(kind, theta, 1.0, known, setup), 0.0, 1.0,
-                          errors, ("known_coverage", kind.value, *where))
-                    check(lambda: unknown_coverage(kind, theta, 1.0, estimated, setup),
+                    check(lambda: known_coverage(kind, theta, setup.sigma, known, setup), 0.0,
+                          1.0, errors, ("known_coverage", kind.value, *where))
+                    check(lambda: unknown_coverage(kind, theta, setup.sigma, estimated, setup),
                           0.0, 1.0, errors, ("unknown_coverage", kind.value, *where))
     assert errors == TYPED_ERRORS[seed]
 
@@ -172,6 +180,9 @@ def test_simulate_entry_points_give_values_in_range_or_typed_errors():
 
 SOLVER_SHAPES = ((36, 35), (40, 35), (10 ** 6, 35))
 SOLVER_ETAS = (1e-8, 0.3, 1e3)
+# 1 - alpha of 1e-12 and 2^-53 puts the root within the solver's tolerance
+# of its lower end, where the infimum is 0
+SOLVER_ALPHAS = (0.05, 1.0 - 1e-12, 1.0 - 2.0 ** -53)
 
 
 def test_solvers_and_search_give_values_in_range_or_typed_errors():
@@ -182,9 +193,16 @@ def test_solvers_and_search_give_values_in_range_or_typed_errors():
                                                        EstimatorKind):
             setup = ProblemSetup(n=n, k=k, xi=xi, eta=eta)
             where = (kind.value, n, xi, eta)
-            # the smallest positive double: a length of 0 fails
-            check(lambda: solve_known_half_length(kind, 0.05, setup), math.ulp(0.0), math.inf,
-                  errors, ("solve_known_half_length", *where))
+            # a length of 0, or for hard one at xi eta / 2 (infimum 0), fails
+            least = math.nextafter(0.5 * xi * eta if kind is EstimatorKind.HARD else 0.0,
+                                   math.inf)
+            for alpha, solve in itertools.product(SOLVER_ALPHAS, (solve_known_half_length,
+                                                                  solve_unknown_half_length)):
+                check(lambda: solve(kind, alpha, setup), least, math.inf, errors,
+                      (solve.__name__, alpha, *where))
+            wide = IntervalSpec(WIDE_ARMS[-1], WIDE_ARMS[-1], VarianceMode.ESTIMATED)
+            check(lambda: min_coverage_search(kind, wide, setup)[0], 0.0, 1.0, errors,
+                  ("min_coverage_search", "wide", *where))
             try:
                 a = solve_unknown_half_length(kind, 0.05, setup)
             except (DomainError, NumericsError) as exc:

@@ -162,6 +162,15 @@ class TestCdfShape:
             b = tilde_cdf(kind, x, doubled, 0.32, ALPHA)
             assert a == pytest.approx(b, abs=1e-12)
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_density_grid_scale_invariance(self, kind):
+        # the figure density panels take theta in units of sigma
+        for theta, sigma in ((0.16, 2.0), (0.3, 3.0)):
+            scaled = density_grid(kind, reference_setup(sigma=sigma), theta, ALPHA)
+            unit = density_grid(kind, SETUP, theta / sigma, ALPHA)
+            for got, want in zip(scaled, unit):
+                np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
     def test_hard_zero_band_is_flat(self):
         band = float(ALPHA) * SETUP.xi * SETUP.eta
         lo = tilde_cdf("hard", -0.999 * band, SETUP, 0.0, ALPHA)

@@ -7,6 +7,7 @@ the quadrature branch is pinned against the finite-sample CDF, which
 depends on the sequence only through the regime parameters.
 """
 
+import dataclasses
 import math
 import warnings
 
@@ -30,6 +31,7 @@ from threshcov import (
     tilde_cdf,
     weak_convergence_gaps,
 )
+from threshcov.cli import _limit_suites
 
 KINDS = list(EstimatorKind)
 
@@ -491,6 +493,19 @@ class TestWeakConvergence:
             seq.append((setup, 0.0))
         gaps = weak_convergence_gaps("hard", seq, regime, grid)
         assert gaps[-1] <= 0.02 and gaps[-1] < gaps[0]
+
+    @pytest.mark.parametrize("fast", [True, False])
+    def test_limit_check_paths_are_scale_free(self, fast):
+        # limit_check builds its paths at xi = sigma = 1; at other scales,
+        # with theta scaled by sigma xi, every gap is the same
+        grid = np.linspace(-3.0, 3.0, 41)
+        xi, sigma = 0.3, 2.0
+        for _, kind, regime, path in _limit_suites(fast):
+            scaled = [(dataclasses.replace(setup, xi=xi, sigma=sigma), sigma * xi * theta)
+                      for setup, theta in path]
+            np.testing.assert_allclose(weak_convergence_gaps(kind, scaled, regime, grid),
+                                       weak_convergence_gaps(kind, path, regime, grid),
+                                       rtol=0.0, atol=1e-12)
 
     def test_grid_must_keep_continuity_points(self):
         regime = ConsistentRegime(zeta=0.4, m=5)

@@ -6,7 +6,7 @@
 
 Runs each command of ``perfbench/workloads.artifact_tasks()`` and
 ``PROBE_ARTIFACTS`` (imported, never modified), plus ``table1 --fast
---check`` and the ``OFF_REFERENCE`` interval and limit_check commands, through
+--check`` and the ``OFF_REFERENCE`` interval commands, through
 ``threshcov.cli.main`` in this one process, in that order.
 Each command runs twice: once to stdout and once with ``--out`` to a
 temporary file.  The exit code and the sha256 of stdout, stderr and the
@@ -48,11 +48,6 @@ OFF_REFERENCE = [
      "--xi", "0.3", "--alpha", "0.01"]
     for eta in ("0.01", "2") for kind in ("hard", "soft", "asoft")
     for mode in ("known", "estimated")
-] + [
-    # limit paths off xi = sigma = 1, where a theta built on the wrong
-    # scale shows
-    ["limit_check", "--xi", "0.3", "--sigma", "2"],
-    ["limit_check", "--fast", "--xi", "0.3", "--sigma", "2"],
 ]
 
 
