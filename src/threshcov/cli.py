@@ -1,9 +1,7 @@
 """Command-line interface: tables, figure data, intervals, and limit checks.
 
-A command takes only the model flags it reads: ``table1`` ``--n --k --xi
---alpha``; ``figure``, ``interval`` and ``coverage_curve`` also ``--eta``;
-``limit_check`` none.  Every value depends on theta only through theta /
-sigma, so theta is in units of sigma and there is no sigma flag.
+A command takes only the model flags it reads (_SUBCOMMANDS).  Every value
+depends on theta only through theta / sigma: theta is in units of sigma.
 
 Outputs are deterministic: a numeric CSV cell is printf ``%.10g`` of its
 value ('.' as the decimal separator; ``inf``, ``-inf`` and ``nan`` as Python
@@ -59,8 +57,9 @@ _TABLE_KINDS = (EstimatorKind.HARD, EstimatorKind.ADAPTIVE_SOFT)
 
 _TABLE_HEADER = ("estimator", "eta", "length", "lower_bound", "min_coverage",
                  "upper_bound")
-# --check references at the defaults n=40, k=35, xi=1, alpha=0.05, in check order:
-# per column, (estimator label, eta) -> (value, tolerance); the LS row's eta is "".
+# Reference values for --check, at the default scenario (n=40, k=35, xi=1,
+# alpha=0.05), checked in this order: per column, (estimator label, eta) ->
+# (value, tolerance); the LS row's eta is "".
 _TABLE_CHECKS = {
     "length": {("ls", ""): (0.406, 5e-4),
                ("hard", 0.05): (0.434, 5e-4), ("hard", 0.5): (0.823, 5e-4),
@@ -79,7 +78,8 @@ _LIMIT_GAP_THRESHOLD = 0.02
 
 
 def _setup(args: argparse.Namespace, eta: float | None = None) -> ProblemSetup:
-    return ProblemSetup(n=args.n, k=args.k, xi=args.xi, eta=args.eta if eta is None else eta)
+    return ProblemSetup(n=args.n, k=args.k, xi=args.xi,
+                        eta=args.eta if eta is None else eta)
 
 
 def _csv_text(header, rows) -> str:
@@ -184,11 +184,8 @@ def cmd_figure(args: argparse.Namespace) -> int:
         rows = np.column_stack((xs, dens, np.full(xs.shape, atom)))
         _emit(args, _csv_text(("x", "density", "atom_mass"), rows))
         return EXIT_OK
-    if which in _FIGURE_COVERAGE:
-        _emit(args, _coverage_csv(_FIGURE_COVERAGE[which], args))
-        return EXIT_OK
-    raise DomainError(f"unknown figure id {which!r}; use one of "
-                      f"{sorted(_FIGURE_DENSITY) + sorted(_FIGURE_COVERAGE)}")
+    _emit(args, _coverage_csv(_FIGURE_COVERAGE[which], args))  # --which has no other choice
+    return EXIT_OK
 
 
 def cmd_coverage_curve(args: argparse.Namespace) -> int:
@@ -223,12 +220,11 @@ def cmd_interval(args: argparse.Namespace) -> int:
 def _limit_suites(fast: bool):
     """Convergence-check suites: (name, kind, regime, path).
 
-    Paths hold (setup, theta) pairs at xi = sigma = 1 (the gaps depend on
-    theta / (sigma xi) alone) with residual degrees of freedom fixed at 5.
-    Conservative: eta = 1/sqrt(n) (e = 1) with theta = 1 / n (nu = 0);
-    consistent: eta = n^(-0.15), theta = 0.4 eta (zeta = 0.4); plus a
-    vanishing-threshold path eta = n^(-3/4) (e = 0).  fast keeps only the
-    endpoint of each path, which is the value the exit code tests.
+    Paths hold (setup, theta) pairs at xi = sigma = 1, with residual degrees
+    of freedom fixed at 5.  Conservative: eta = 1/sqrt(n) (e = 1) with theta
+    = 1 / n (nu = 0); consistent: eta = n^(-0.15), theta = 0.4 eta (zeta =
+    0.4); plus a vanishing-threshold path eta = n^(-3/4) (e = 0).  fast keeps
+    only the endpoint of each path, which is the value the exit code tests.
     """
     ns = (5000,) if fast else (50, 500, 5000)
     families = [(f"conservative-{kind.value}", kind, ConservativeRegime(nu=0.0, e=1.0, m=5),
@@ -273,29 +269,22 @@ def cmd_limit_check(args: argparse.Namespace) -> int:
     return EXIT_OK if all_pass else EXIT_CHECK_FAILED
 
 
-_COMMANDS = {
-    "table1": cmd_table1,
-    "figure": cmd_figure,
-    "interval": cmd_interval,
-    "coverage_curve": cmd_coverage_curve,
-    "limit_check": cmd_limit_check,
-}
-
-
 _MODEL_FLAGS = {
-    "--n": dict(type=int, default=40, help="sample size"),
-    "--k": dict(type=int, default=35, help="number of regressors"),
-    "--xi": dict(type=float, default=1.0, help="standard-error scale of the watched component"),
-    "--eta": dict(type=float, default=0.05, help="threshold tuning parameter"),
-    "--alpha": dict(type=float, default=0.05, help="nominal non-coverage level"),
+    "n": dict(type=int, default=40, help="sample size"),
+    "k": dict(type=int, default=35, help="number of regressors"),
+    "xi": dict(type=float, default=1.0, help="standard-error scale of the watched component"),
+    "eta": dict(type=float, default=0.05, help="threshold tuning parameter"),
+    "alpha": dict(type=float, default=0.05, help="nominal non-coverage level"),
 }
-
-
-def _add_flags(parser: argparse.ArgumentParser, model=tuple(_MODEL_FLAGS)):
-    """The model flags the command reads, then --out."""
-    for flag in model:
-        parser.add_argument(flag, **_MODEL_FLAGS[flag])
-    parser.add_argument("--out", default=None, help="write output to this file instead of stdout")
+# Per command, in help order: its handler, its help line and the model flags it reads.
+_SUBCOMMANDS = {
+    "table1": (cmd_table1, "interval length and coverage table", ("n", "k", "xi", "alpha")),
+    "figure": (cmd_figure, "figure data (densities or coverage curves)", tuple(_MODEL_FLAGS)),
+    "interval": (cmd_interval, "shortest guaranteed interval as JSON", tuple(_MODEL_FLAGS)),
+    "coverage_curve": (cmd_coverage_curve, "coverage versus theta as CSV", tuple(_MODEL_FLAGS)),
+    "limit_check": (cmd_limit_check, "weak-convergence gap report as JSON", ()),
+}
+_COMMANDS = {name: handler for name, (handler, _, _) in _SUBCOMMANDS.items()}
 
 
 @functools.cache  # parse_args leaves the parser as it was: main() calls share it
@@ -305,36 +294,38 @@ def build_parser() -> argparse.ArgumentParser:
         description="Thresholding estimators: exact error distributions and "
                     "confidence intervals with guaranteed minimal coverage.")
     sub = parser.add_subparsers(dest="command", required=True)
+    p = {}
+    for name, (_, summary, model) in _SUBCOMMANDS.items():
+        p[name] = sub.add_parser(name, help=summary)
+        for flag in model:
+            p[name].add_argument(f"--{flag}", **_MODEL_FLAGS[flag])
+        p[name].add_argument("--out", type=str, default=None,
+                             help="write output to this file instead of stdout")
 
-    p = sub.add_parser("table1", help="interval length and coverage table")
-    _add_flags(p, ("--n", "--k", "--xi", "--alpha"))
-    p.add_argument("--check", action="store_true",
-                   help="compare cells against reference values; exit 1 on mismatch")
-    p.add_argument("--fast", action="store_true", help="skip the slow minimal-coverage cells")
+    p["table1"].add_argument("--check", action="store_true",
+                             help="compare cells against reference values; exit 1 on mismatch")
+    p["table1"].add_argument("--fast", action="store_true",
+                             help="skip the slow minimal-coverage cells")
 
-    p = sub.add_parser("figure", help="figure data (densities or coverage curves)")
-    _add_flags(p)
-    p.add_argument("--which", required=True,
-                   choices=sorted(_FIGURE_DENSITY) + sorted(_FIGURE_COVERAGE),
-                   help="panel id; covH and covAS read --alpha unless --a is given")
-    p.add_argument("--theta", type=float, default=0.0,
-                   help="true component value in units of sigma (pdfH, pdfS, pdfAS)")
-    p.add_argument("--a", type=float, default=None, help="half-length override (covH, covAS)")
+    p["figure"].add_argument("--which", required=True,
+                             choices=sorted(_FIGURE_DENSITY) + sorted(_FIGURE_COVERAGE),
+                             help="panel id; covH and covAS read --alpha unless --a is given")
+    p["figure"].add_argument("--theta", type=float, default=0.0,
+                             help="true component value in units of sigma (pdfH, pdfS, pdfAS)")
+    p["figure"].add_argument("--a", type=float, default=None,
+                             help="half-length override (covH, covAS)")
 
-    p = sub.add_parser("interval", help="shortest guaranteed interval as JSON")
-    _add_flags(p)
-    p.add_argument("--kind", default="hard", choices=[k.value for k in EstimatorKind])
-    p.add_argument("--mode", default="estimated", choices=[m.value for m in VarianceMode])
+    for name in ("interval", "coverage_curve"):
+        p[name].add_argument("--kind", default="hard",
+                             choices=[k.value for k in EstimatorKind])
+    p["interval"].add_argument("--mode", default="estimated",
+                               choices=[m.value for m in VarianceMode])
+    p["coverage_curve"].add_argument("--a", type=float, default=None,
+                                     help="half-length override (default: solved at alpha)")
 
-    p = sub.add_parser("coverage_curve", help="coverage versus theta as CSV")
-    _add_flags(p)
-    p.add_argument("--kind", default="hard", choices=[k.value for k in EstimatorKind])
-    p.add_argument("--a", type=float, default=None,
-                   help="half-length override (default: solved at alpha)")
-
-    p = sub.add_parser("limit_check", help="weak-convergence gap report as JSON")
-    _add_flags(p, ())
-    p.add_argument("--fast", action="store_true", help="evaluate each path at n=5000 only")
+    p["limit_check"].add_argument(
+        "--fast", action="store_true",
+        help="evaluate only the endpoint n=5000 of each sample-size path")
     return parser
 
 

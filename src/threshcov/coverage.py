@@ -19,14 +19,15 @@ import dataclasses
 import functools
 import logging
 import math
+import sys
 
 import numpy as np
 
 from .estimators import EstimatorKind, _inverse
 from .finite_sample import _mixture, _scale_free, _scaled
 from .model import ProblemSetup, VarianceMode
-from .special import (BracketError, DomainError, _clamp_unit, _each, _std_normal_cdf, _t_cdf,
-                      _underflow_to_zero, find_root)
+from .special import (_ROOT_RTOL, BracketError, DomainError, _clamp_unit, _each,
+                      _std_normal_cdf, _t_cdf, _underflow_to_zero, find_root)
 # unused here, but perfbench/tracing.py wraps this module's binding
 from .special import integrate_halfline  # noqa: F401
 
@@ -50,11 +51,9 @@ logger = logging.getLogger(__name__)
 _SEARCH_GRID_POINTS = 201
 _SEARCH_REFINE_TOL = 1e-6
 
-# The reach arm / xi is capped at 2^1016 / sqrt(n).  There Phi of every
-# offset the arm bounds is already exactly 0 or 1, also at each node s >
-# 1e-300 of the mixture over s = sigma_hat / sigma, and rn * reach * s stays
-# finite up to rho_m's cut (s < 7.2).
-_REACH_CAP = 2.0 ** 1016
+# Below this sqrt(n) arm / xi, rn * offset and arm * s stay finite up to
+# rho_m's cut (s < 7.2); at or above it, coverage takes _saturated_core.
+_WIDE = 2.0 ** 1019
 
 
 @dataclasses.dataclass(frozen=True)
@@ -92,6 +91,18 @@ def _coverage_core(kind: EstimatorKind, mu, reach_a, reach_b, eta, rn):
                                  0.0), 1.0)
 
 
+def _saturated_core(kind: EstimatorKind, mu, reach_a, reach_b, eta, rn, s=1.0):
+    """_coverage_core at arms reach * s, thresholds eta * s, for arms past
+    _WIDE: the same values, with arms and offsets that overflow going to
+    +-inf silently, where Phi is already 0 or 1.  Where mu is infinite too
+    (theta / (sigma xi) overflowed), an infinite arm is taken at the largest
+    double, so that mu - arm is +-inf rather than NaN."""
+    with np.errstate(over="ignore"):
+        arms = [np.where(np.isinf(mu), np.minimum(reach * s, sys.float_info.max), reach * s)
+                for reach in (reach_a, reach_b)]
+        return _coverage_core(kind, mu, *arms, eta * s, rn)
+
+
 @_underflow_to_zero
 def known_coverage(kind, theta_i: float, sigma: float, spec: IntervalSpec,
                    setup: ProblemSetup) -> float:
@@ -107,12 +118,12 @@ def known_coverage(kind, theta_i: float, sigma: float, spec: IntervalSpec,
     if not (sigma > 0.0 and math.isfinite(sigma)):
         raise DomainError("sigma must be positive and finite")
 
-    cap = _REACH_CAP / setup.root_n
-    reach_a, reach_b = min(spec.a / setup.xi, cap), min(spec.b / setup.xi, cap)
+    reach_a, reach_b = spec.a / setup.xi, spec.b / setup.xi
+    core = _coverage_core if max(reach_a, reach_b) * setup.root_n < _WIDE else _saturated_core
 
     def law(theta):
-        return _coverage_core(kind, _scaled(theta, sigma, setup.xi), reach_a, reach_b,
-                              setup.eta, setup.root_n), 0.0
+        return core(kind, _scaled(theta, sigma, setup.xi), reach_a, reach_b, setup.eta,
+                    setup.root_n), 0.0
 
     return _each(theta_i, law, "theta")[0]
 
@@ -181,11 +192,13 @@ def _solve_half_length(kind, alpha: float, setup: ProblemSetup, mode: VarianceMo
         raise BracketError("could not bracket the half-length equation")
     # 1e-10, or 1e-8 of the bracket where that is finer: a half-length on a
     # tiny scale xi max(eta, 1 / sqrt(n)) is resolved like any other
-    root = find_root(objective, lo, hi, min(1e-10, 1e-8 * hi))
-    if root > lo:
+    tol = min(1e-10, 1e-8 * hi)
+    root = find_root(objective, lo, hi, tol)
+    if root - lo > tol + _ROOT_RTOL * root:
         return root
-    # the infimum is 0 at lo, so with alpha near 1 the root lies within the
-    # tolerance of lo: bisect down to adjacent doubles, keeping the upper end
+    # Brent's last bracket reaches lo, where the infimum is 0 (alpha near 1),
+    # so the root may lie on either side: bisect to adjacent doubles, to the
+    # shortest length whose infimum reaches 1 - alpha
     below, above = lo, hi
     while below < (mid := below + 0.5 * (above - below)) < above:
         below, above = (mid, above) if objective(mid) < 0.0 else (below, mid)
@@ -217,10 +230,12 @@ def unknown_coverage(kind, theta_i: float, sigma: float, spec: IntervalSpec,
         raise DomainError("sigma must be positive and finite")
     m = setup.require_estimated_variance()
     rn, eta, reach = setup.root_n, setup.eta, spec.a / setup.xi
-    capped = min(reach, _REACH_CAP / rn)  # the panels keep reach's switch points
+    wide = reach * rn >= _WIDE
 
     def covered(s, mu):
-        arm = capped * s
+        if wide:
+            return _saturated_core(kind, mu, reach, reach, eta, rn, s)
+        arm = reach * s
         return _coverage_core(kind, mu, arm, arm, eta * s, rn)
 
     def law(theta):
@@ -297,7 +312,7 @@ def _golden_section_min(f, lo: float, hi: float, tol: float):
             lo, x1, f1 = x1, x2, f2
             x2 = lo + inv_phi * (hi - lo)
             f2 = f(x2)
-    mid = 0.5 * (lo + hi)
+    mid = 0.5 * lo + 0.5 * hi  # lo + hi may overflow
     return mid, f(mid)
 
 

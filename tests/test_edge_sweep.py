@@ -17,11 +17,17 @@ full-design path builds an n x k design: (n, k) in {(36, 35), (40, 35),
 (200, 5)}, eta in {1e-8, 0.05, 1e3}, xi in {1e-10, 1, 1e10}, theta from
 0 and 5e-324 to +-1e300, and 257 replications, with both variance modes.
 
+Arms on the scale of a threshold of 1e306, where sqrt(n) arm nears the
+overflow, keep the coverage values that were computed without one.
+
 So do the half-length solvers, at alpha 0.05, 1 - 1e-12 and 1 - 2^-53, and
 the worst-case search, at the solved estimated-variance half-length and at
 an arm of 1.7e308: (n, k) in {(36, 35), (40, 35), (10^6, 35)}, xi in
 {1e-10, 1, 1e10} and eta in {1e-8, 0.3, 1e3}.  A length must be finite and
-positive, above xi eta / 2 for hard, a coverage in [0, 1].
+positive, above xi eta / 2 for hard, a coverage in [0, 1].  A solved length
+must be a root of its infimal coverage less 1 - alpha to within Brent's
+tolerance, and where that tolerance reaches the lower end of the bracket,
+the shortest double whose infimal coverage reaches 1 - alpha.
 """
 
 import dataclasses
@@ -45,7 +51,9 @@ from threshcov import (
     VarianceMode,
     conservative_limit_cdf,
     consistent_limit_cdf,
+    infimal_known_coverage,
     known_coverage,
+    lower_bound_unknown,
     min_coverage_search,
     simulate_coverage,
     simulate_coverage_full,
@@ -140,6 +148,59 @@ def test_extremes_give_values_in_range_or_typed_errors(seed):
     assert errors == TYPED_ERRORS[seed]
 
 
+# (kind, half-length): known coverage, estimated coverage at each lone theta
+# and as one array, at NEAR_WIDE_THETAS with n = 40, k = 35, xi = 1 and eta =
+# 1e306.  sqrt(n) times the arm 1e306 passes 2^1019, where coverage turns to
+# its overflow-safe route; these are the values computed before that route
+# existed, none of which overflowed.
+NEAR_WIDE_THETAS = (3e305, 7e305, 1.5e306, -3e306)
+NEAR_WIDE = {
+    ("hard", 5e305): ([1.0, 0.0, 1.0, 1.0],
+                      [0.8822284910791535, 0.2968689232921321, 0.9533575709992781,
+                       0.9999999854879345],
+                      [0.8822284910791536, 0.2968689232921321, 0.9533575709992779,
+                       0.9999999854879342]),
+    ("hard", 1e306): ([1.0, 1.0, 1.0, 1.0],
+                      [0.9999999999990001, 0.9999999999989999, 0.9999999999990001,
+                       0.999999999999],
+                      [0.9999999999990001, 0.9999999999989999, 0.9999999999990001,
+                       0.999999999999]),
+    ("soft", 5e305): ([1.0, 0.0, 0.0, 0.0],
+                      [0.8760684003236601, 0.08110460591209484, 1.450777169658271e-08, 0.0],
+                      [0.8760684003236601, 0.08110460591209484, 1.450777169658271e-08, 0.0]),
+    ("soft", 1e306): ([1.0, 1.0, 0.5, 0.5],
+                      [0.9969199546015339, 0.8920028095943875, 0.5233212217803839,
+                       0.5000000072533859],
+                      [0.9969199546015339, 0.8920028095943875, 0.5233212217803839,
+                       0.5000000072533859]),
+    ("asoft", 5e305): ([1.0, 0.0, 0.0, 1.0],
+                       [0.8762853265784942, 0.09368083442769513, 0.27113448818503383,
+                        0.9533575564117258],
+                       [0.8762853265784942, 0.09368083442769515, 0.27113448818503383,
+                        0.953357556411726]),
+    ("asoft", 1e306): ([1.0, 1.0, 1.0, 1.0],
+                       [0.9999999999990001, 0.999999999999, 0.9999999999990001,
+                        0.999999999999],
+                       [0.9999999999990001, 0.999999999999, 0.9999999999990001,
+                        0.999999999999]),
+}
+
+
+def test_arms_near_the_overflow_keep_their_values():
+    setup = ProblemSetup(n=40, k=35, xi=1.0, eta=1e306)
+    thetas = np.array(NEAR_WIDE_THETAS)
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        for (kind, half), (known, lone, batch) in NEAR_WIDE.items():
+            spec = IntervalSpec(half, half)
+            estimated = IntervalSpec(half, half, VarianceMode.ESTIMATED)
+            assert known_coverage(kind, thetas, 1.0, spec, setup).tolist() == known
+            assert [known_coverage(kind, t, 1.0, spec, setup) for t in thetas] == known
+            assert [unknown_coverage(kind, t, 1.0, estimated, setup)
+                    for t in NEAR_WIDE_THETAS] == lone
+            assert unknown_coverage(kind, thetas, 1.0, estimated, setup).tolist() == batch
+
+
 SIM_SHAPES = ((36, 35), (40, 35), (200, 5))
 SIM_ETAS = (1e-8, 0.05, 1e3)
 SIM_THETAS = (0.0, 5e-324, -1e-300, 0.3, -1e6, 1e200, 1e300, -1e300)
@@ -213,3 +274,37 @@ def test_solvers_and_search_give_values_in_range_or_typed_errors():
             check(lambda: min_coverage_search(kind, spec, setup)[0], 0.0, 1.0, errors,
                   ("min_coverage_search", *where))
     assert errors == []
+
+
+# find_root's relative tolerance
+ROOT_RTOL = 4.0 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("mode", list(VarianceMode))
+def test_half_lengths_reach_one_minus_alpha(mode):
+    """The solver's bracket starts at [lo, start] and doubles its upper end,
+    and Brent's tolerance is min(1e-10, 1e-8 of that end) plus ROOT_RTOL of
+    the root: at least floor, at most ceiling below."""
+    solve, infimum = ((solve_known_half_length, infimal_known_coverage)
+                      if mode is VarianceMode.KNOWN
+                      else (solve_unknown_half_length, lower_bound_unknown))
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        for (n, k), xi, eta, kind, alpha in itertools.product(
+                SOLVER_SHAPES, XIS, SOLVER_ETAS, EstimatorKind, SOLVER_ALPHAS):
+            setup = ProblemSetup(n=n, k=k, xi=xi, eta=eta)
+            target = 1.0 - alpha
+            lo = 0.5 * xi * eta if kind is EstimatorKind.HARD else 0.0
+            start = max(xi * eta, xi / setup.root_n)
+
+            def reach(a):
+                return infimum(kind, IntervalSpec(a, a, mode), setup)
+
+            a = solve(kind, alpha, setup)
+            floor = min(1e-10, 1e-8 * start) + ROOT_RTOL * a
+            ceiling = min(1e-10, 1e-8 * max(start, 2.0 * a)) + ROOT_RTOL * a
+            where = (kind.value, n, xi, eta, alpha, a)
+            if a - lo <= floor:
+                assert reach(a) >= target > reach(math.nextafter(a, 0.0)), where
+            else:
+                assert reach(max(a - ceiling, lo)) <= target <= reach(a + ceiling), where
