@@ -51,8 +51,9 @@ logger = logging.getLogger(__name__)
 _SEARCH_GRID_POINTS = 201
 _SEARCH_REFINE_TOL = 1e-6
 
-# Below this sqrt(n) arm / xi, rn * offset and arm * s stay finite up to
-# rho_m's cut (s < 7.2); at or above it, coverage takes _saturated_core.
+# Below this sqrt(n) arm / xi, rn * arm * s stays below 2^1022 up to rho_m's
+# cut (s < 7.2), and so does rn * offset unless eta or theta / (sigma xi) is
+# as large; at or above it, coverage takes _saturated_core.
 _WIDE = 2.0 ** 1019
 
 
@@ -118,12 +119,11 @@ def known_coverage(kind, theta_i: float, sigma: float, spec: IntervalSpec,
     if not (sigma > 0.0 and math.isfinite(sigma)):
         raise DomainError("sigma must be positive and finite")
 
-    reach_a, reach_b = spec.a / setup.xi, spec.b / setup.xi
-    core = _coverage_core if max(reach_a, reach_b) * setup.root_n < _WIDE else _saturated_core
+    rn, reach_a, reach_b = setup.root_n, spec.a / setup.xi, spec.b / setup.xi
+    core = _saturated_core if rn * reach_a >= _WIDE or rn * reach_b >= _WIDE else _coverage_core
 
     def law(theta):
-        return core(kind, _scaled(theta, sigma, setup.xi), reach_a, reach_b, setup.eta,
-                    setup.root_n), 0.0
+        return core(kind, _scaled(theta, sigma, setup.xi), reach_a, reach_b, setup.eta, rn), 0.0
 
     return _each(theta_i, law, "theta")[0]
 
