@@ -8,10 +8,10 @@ with probability at least 0.95 no matter what the true parameters are.
 Run:  python demos/03_interval_table.py
 """
 
-from threshcov import (VarianceMode, lower_bound_unknown, min_coverage_search,
-                       reference_setup, solve_known_half_length,
-                       solve_unknown_half_length, standard_ls_interval,
-                       upper_bound_unknown, IntervalSpec)
+from threshcov import (VarianceMode, coverage_lower_bound, coverage_upper_bound,
+                       min_coverage_search, reference_setup,
+                       solve_known_half_length, solve_unknown_half_length,
+                       standard_ls_interval, IntervalSpec)
 
 
 def main():
@@ -32,9 +32,9 @@ def main():
         for kind in ("hard", "soft", "asoft"):
             a = solve_unknown_half_length(kind, 0.05, setup)
             spec = IntervalSpec(a, a, VarianceMode.ESTIMATED)
-            lb = lower_bound_unknown(kind, spec, setup)
+            lb = coverage_lower_bound(kind, spec, setup)
             worst, _ = min_coverage_search(kind, spec, setup)
-            ub = upper_bound_unknown(spec, setup)
+            ub = coverage_upper_bound(spec, setup)
             print(f"{kind:>5s}  {eta:4.2f}   {a:.6f}    x{a / ls:4.2f}"
                   f"   {lb:.6f}    {worst:.6f}   {ub:.6f}")
     print()

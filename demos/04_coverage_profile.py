@@ -10,7 +10,7 @@ Run:  python demos/04_coverage_profile.py
 import numpy as np
 
 from threshcov import (IntervalSpec, SimulationPlan, VarianceMode,
-                       infimal_known_coverage, known_coverage,
+                       coverage_lower_bound, known_coverage,
                        min_coverage_search, reference_setup, simulate_coverage,
                        solve_unknown_half_length, unknown_coverage)
 
@@ -50,7 +50,7 @@ def main():
     print("Known-sigma intervals admit a closed-form infimum; the worst-case")
     print("search against it on the same problem:")
     spec_k = IntervalSpec(0.4, 0.4, VarianceMode.KNOWN)
-    closed = infimal_known_coverage("hard", spec_k, setup)
+    closed = coverage_lower_bound("hard", spec_k, setup)
     grid = np.linspace(0.0, 2.0, 2001)
     direct = min(known_coverage("hard", float(t), 1.0, spec_k, setup)
                  for t in grid)
@@ -62,7 +62,7 @@ def main():
     for arms in ((0.40, 0.40), (0.30, 0.50), (0.50, 0.30)):
         s = IntervalSpec(arms[0], arms[1], VarianceMode.KNOWN)
         print(f"  arms ({arms[0]:.2f}, {arms[1]:.2f}): infimal coverage "
-              f"{infimal_known_coverage('soft', s, setup):.6f}")
+              f"{coverage_lower_bound('soft', s, setup):.6f}")
 
 
 if __name__ == "__main__":

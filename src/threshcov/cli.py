@@ -26,14 +26,12 @@ import numpy as np
 
 from .coverage import (
     IntervalSpec,
-    _plain_coverage,
-    infimal_known_coverage,
-    lower_bound_unknown,
+    coverage_lower_bound,
+    coverage_upper_bound,
     min_coverage_search,
     solve_known_half_length,
     solve_unknown_half_length,
     unknown_coverage,
-    upper_bound_unknown,
 )
 from .estimators import EstimatorKind
 from .finite_sample import ScalingFactor, density_grid
@@ -135,8 +133,8 @@ def cmd_table1(args: argparse.Namespace) -> int:
             setup = _setup(args, eta)
             length = solve_unknown_half_length(kind, alpha, setup)
             spec = IntervalSpec(length, length, VarianceMode.ESTIMATED)
-            lower = lower_bound_unknown(kind, spec, setup)
-            upper = upper_bound_unknown(spec, setup)
+            lower = coverage_lower_bound(kind, spec, setup)
+            upper = coverage_upper_bound(spec, setup)
             min_cov = "" if args.fast else min_coverage_search(kind, spec, setup)[0]
             rows.append((kind.value, eta, length, lower, min_cov, upper))
     _emit(args, _csv_text(_TABLE_HEADER, rows))
@@ -200,9 +198,7 @@ def cmd_interval(args: argparse.Namespace) -> int:
     kind = EstimatorKind(args.kind)
     mode = VarianceMode(args.mode)
     setup = _setup(args)
-    solve, lower_bound = ((solve_known_half_length, infimal_known_coverage)
-                          if mode is VarianceMode.KNOWN
-                          else (solve_unknown_half_length, lower_bound_unknown))
+    solve = solve_known_half_length if mode is VarianceMode.KNOWN else solve_unknown_half_length
     half = solve(kind, args.alpha, setup)
     spec = IntervalSpec(half, half, mode)
     payload = {
@@ -210,8 +206,8 @@ def cmd_interval(args: argparse.Namespace) -> int:
         "mode": mode.value,
         "alpha": args.alpha,
         "half_length": half,
-        "lower_bound": lower_bound(kind, spec, setup),
-        "upper_bound": _plain_coverage(spec, setup),
+        "lower_bound": coverage_lower_bound(kind, spec, setup),
+        "upper_bound": coverage_upper_bound(spec, setup),
     }
     _emit(args, _json_text(payload))
     return EXIT_OK

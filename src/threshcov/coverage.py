@@ -8,9 +8,12 @@ zero) plus one active branch per sign, each a Gaussian interval probability
 after inverting the thresholding map.  Estimated-variance coverage averages
 the same expression over the law of sigma_hat / sigma.
 
-Worst-case coverage has one closed form: the known-variance infimum under
-Phi and, under the Student-t CDF T_m (m = n - k), a lower bound for estimated
-variance that a numerical search complements and that tends to it as m grows.
+Worst-case coverage has one closed form, ``coverage_lower_bound``: the
+known-variance infimum under Phi and, under the Student-t CDF T_m
+(m = n - k), a lower bound for estimated variance that a numerical search
+complements and that tends to it as m grows.  ``coverage_upper_bound`` is
+the z- or t-interval's coverage.  Both read the variance mode from the
+``IntervalSpec``.
 """
 
 from __future__ import annotations
@@ -34,12 +37,11 @@ from .special import integrate_halfline  # noqa: F401
 __all__ = [
     "IntervalSpec",
     "known_coverage",
-    "infimal_known_coverage",
     "solve_known_half_length",
     "unknown_coverage",
-    "lower_bound_unknown",
-    "upper_bound_unknown",
     "solve_unknown_half_length",
+    "coverage_lower_bound",
+    "coverage_upper_bound",
     "min_coverage_search",
     "simple_interval_infimal",
 ]
@@ -159,12 +161,27 @@ def _infimum(kind: EstimatorKind, a: float, b: float, setup: ProblemSetup, cdf) 
     return value
 
 
-def infimal_known_coverage(kind, spec: IntervalSpec, setup: ProblemSetup) -> float:
-    """Exact infimum over the parameter of the known-variance coverage."""
-    kind = EstimatorKind(kind)
-    if spec.mode is not VarianceMode.KNOWN:
-        raise DomainError("infimal_known_coverage needs a known-variance interval")
-    return _infimum(kind, spec.a, spec.b, setup, _variance_cdf(spec.mode, setup))
+def coverage_lower_bound(kind, spec: IntervalSpec, setup: ProblemSetup) -> float:
+    """Worst-case coverage over the parameter, as spec.mode picks: with known
+    variance the exact infimum; with estimated variance the guaranteed lower
+    bound, the same closed form under T_m, attained for soft thresholding and
+    for hard and adaptive soft a bound, clamped at zero."""
+    return _infimum(EstimatorKind(kind), spec.a, spec.b, setup,
+                    _variance_cdf(spec.mode, setup))
+
+
+def coverage_upper_bound(spec: IntervalSpec, setup: ProblemSetup) -> float:
+    """Coverage of [LS - c a, LS + c b], kind-independent: the z-interval's
+    with known variance, the t-interval's with estimated variance.
+
+    It bounds the worst-case coverage from above, as the distant-parameter
+    limit of hard and adaptive-soft coverage, where thresholding stops
+    binding.  Soft thresholding keeps its eta shift at any distance, so its
+    distant limit is lower: the infimum given by :func:`coverage_lower_bound`.
+    """
+    cdf = _variance_cdf(spec.mode, setup)
+    rn, xi = setup.root_n, setup.xi
+    return float(cdf(rn * spec.a / xi) - cdf(-rn * spec.b / xi))
 
 
 def _solve_half_length(kind, alpha: float, setup: ProblemSetup, mode: VarianceMode) -> float:
@@ -257,37 +274,6 @@ def unknown_coverage(kind, theta_i: float, sigma: float, spec: IntervalSpec,
     return _clamp_unit(*_each(theta_i, law, "theta"), "unknown_coverage")
 
 
-def lower_bound_unknown(kind, spec: IntervalSpec, setup: ProblemSetup) -> float:
-    """Guaranteed lower bound on the estimated-variance coverage, any theta:
-    the known-variance infimum under T_m.  Attained for soft thresholding;
-    for hard and adaptive soft a bound, clamped at zero."""
-    kind = EstimatorKind(kind)
-    if spec.mode is not VarianceMode.ESTIMATED:
-        raise DomainError("lower_bound_unknown needs an estimated-variance interval")
-    return _infimum(kind, spec.a, spec.b, setup, _variance_cdf(spec.mode, setup))
-
-
-def upper_bound_unknown(spec: IntervalSpec, setup: ProblemSetup) -> float:
-    """Upper bound on the infimal estimated-variance coverage, kind-independent.
-
-    This is the t-interval's coverage.  It is the distant-parameter limit of
-    hard and adaptive-soft coverage, where thresholding stops binding.  Soft
-    thresholding keeps its eta shift at any distance, so its distant limit
-    is lower: the exact infimum given by :func:`lower_bound_unknown`.
-    """
-    if spec.mode is not VarianceMode.ESTIMATED:
-        raise DomainError("upper_bound_unknown needs an estimated-variance interval")
-    return _plain_coverage(spec, setup)
-
-
-def _plain_coverage(spec: IntervalSpec, setup: ProblemSetup) -> float:
-    """Coverage of [LS - c a, LS + c a]: the z-interval under Phi, the
-    t-interval under T_m, as spec.mode picks through _variance_cdf."""
-    cdf = _variance_cdf(spec.mode, setup)
-    arg = setup.root_n * spec.a / setup.xi
-    return float(cdf(arg) - cdf(-arg))
-
-
 def solve_unknown_half_length(kind, alpha: float, setup: ProblemSetup) -> float:
     """Shortest symmetric estimated-variance half-length a (in units of
     sigma_hat) whose guaranteed lower bound equals 1 - alpha."""
@@ -345,7 +331,7 @@ def min_coverage_search(kind, spec: IntervalSpec, setup: ProblemSetup):
                                                        _SEARCH_REFINE_TOL * setup.xi)
     if values[best] < refined_value:
         refined_theta, refined_value = float(grid[best]), float(values[best])
-    tail = upper_bound_unknown(spec, setup)
+    tail = coverage_upper_bound(spec, setup)
     if tail < refined_value:
         return float(tail), math.inf
     return float(refined_value), float(refined_theta)
@@ -355,9 +341,8 @@ def simple_interval_infimal(kind, d: float, setup: ProblemSetup,
                             mode: VarianceMode) -> float:
     """Infimal coverage of the threshold-proportional interval with
     half-length d * c * xi * eta (c = sigma or sigma_hat by mode)."""
-    kind = EstimatorKind(kind)
     if not (d >= 0.0 and math.isfinite(d)):
         raise DomainError("d must be finite and nonnegative")
     a = d * setup.xi * setup.eta
     spec = IntervalSpec(a, a, mode)  # rejects an arm that overflowed
-    return _infimum(kind, a, a, setup, _variance_cdf(spec.mode, setup))
+    return coverage_lower_bound(kind, spec, setup)

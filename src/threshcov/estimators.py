@@ -4,7 +4,8 @@ All three replace the least-squares estimate of a component by zero when it
 falls at or below a data-scaled cutoff, and otherwise keep it (hard), shrink
 it by the cutoff (soft), or shrink it by cutoff^2 / estimate (adaptive soft,
 a nonnegative-garrote type rule).  The cutoff for component i is
-``c * xi_i * eta_i`` where c is sigma (known-variance rules) or sigma_hat.
+``c * xi_i * eta_i`` where c is the rule's sigma when it carries one (known
+variance), else sigma_hat.
 
 The inverse of each map (``_inverse``) is defined here once; the exact
 error laws, their conservative limits and the coverages all derive from it.
@@ -18,7 +19,7 @@ import math
 
 import numpy as np
 
-from .model import VarianceMode, compute_xi_all, ls_fit
+from .model import compute_xi_all, ls_fit
 from .special import DomainError
 
 __all__ = ["EstimatorKind", "ThresholdRule", "kernel", "estimate"]
@@ -137,28 +138,23 @@ class ThresholdRule:
     """A thresholding estimator: kind, per-component eta, and variance handling.
 
     eta may be a scalar (shared by all components) or a length-k vector.
-    Known-variance rules carry sigma; estimated rules use sigma_hat from the
-    fit and must not carry one.
+    A rule with sigma thresholds with that known sigma; one without uses
+    sigma_hat from the fit.
     """
 
     kind: EstimatorKind
     eta: float | np.ndarray
-    mode: VarianceMode = VarianceMode.ESTIMATED
     sigma: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "kind", EstimatorKind(self.kind))
-        object.__setattr__(self, "mode", VarianceMode(self.mode))
         eta_arr = np.asarray(self.eta, dtype=float)
         if eta_arr.ndim > 1:
             raise DomainError("eta must be a scalar or a vector")
         if np.any(eta_arr <= 0.0) or not np.all(np.isfinite(eta_arr)):
             raise DomainError("eta must be positive and finite")
-        if self.mode is VarianceMode.KNOWN:
-            if self.sigma is None or not (self.sigma > 0.0 and math.isfinite(self.sigma)):
-                raise DomainError("a known-variance rule needs sigma > 0")
-        elif self.sigma is not None:
-            raise DomainError("sigma is only meaningful for known-variance rules")
+        if self.sigma is not None and not (self.sigma > 0.0 and math.isfinite(self.sigma)):
+            raise DomainError("sigma must be positive and finite")
 
 
 def estimate(X, y, rule: ThresholdRule) -> np.ndarray:
@@ -168,7 +164,7 @@ def estimate(X, y, rule: ThresholdRule) -> np.ndarray:
     eta = np.asarray(rule.eta, dtype=float)
     if eta.ndim and eta.shape != xi.shape:
         raise DomainError(f"eta needs one value per component ({xi.size}), not {eta.size}")
-    if rule.mode is VarianceMode.ESTIMATED:
+    if rule.sigma is None:
         if sigma_hat_sq is None:
             raise DomainError("estimated-variance rules need n > k")
         scale = math.sqrt(sigma_hat_sq)

@@ -29,7 +29,7 @@ import math
 import numpy as np
 
 from .estimators import _SMALLEST_NORMAL, EstimatorKind, _inverse, _inverse_slope, _switch_points
-from .model import ProblemSetup, _is_integer
+from .model import ProblemSetup
 from .special import (
     DEFAULT_QUADRATURE,
     DomainError,
@@ -278,20 +278,15 @@ def mirror_check(kind, setup: ProblemSetup, theta_i: float, alpha, grid) -> floa
     return float(np.max(np.abs(direct - mirrored), initial=0.0))
 
 
-def density_grid(kind, setup: ProblemSetup, theta_i: float, alpha,
-                 lo: float = -4.0, hi: float = 4.0, count: int = 801):
+def density_grid(kind, setup: ProblemSetup, theta_i: float, alpha):
     """Equally spaced density evaluations plus the atom mass.
 
-    Returns (x values, density values, atom mass); the default 801-point
-    grid on [-4, 4] is the resolution used by the plotting commands.
+    Returns (x values, density values, atom mass) on the 801-point grid on
+    [-4, 4], the resolution used by the plotting commands.
     """
     kind = EstimatorKind(kind)
     a = ScalingFactor(alpha)
-    if not lo < hi:
-        raise DomainError("grid needs lo < hi")
-    if not (_is_integer(count) and count >= 2):
-        raise DomainError("grid needs an integer count of at least 2 points")
-    xs = np.linspace(lo, hi, count)
+    xs = np.linspace(-4.0, 4.0, 801)
     dens = tilde_density(kind, xs, setup, theta_i, a)
     mass = atom_mass(setup) if theta_i == 0.0 else 0.0
     return xs, dens, mass

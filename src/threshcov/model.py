@@ -151,18 +151,17 @@ def ls_fit(X, y) -> tuple[np.ndarray, float | None]:
 
 
 def standard_ls_interval(setup: ProblemSetup, mode: VarianceMode, alpha: float) -> float:
-    """Half-length of the classical two-sided LS interval at level 1 - alpha.
+    """Half-length of the classical two-sided LS interval at level 1 - alpha,
+    in units of c (sigma or sigma_hat), as every interval arm is.
 
-    Known sigma: (sigma xi / sqrt(n)) times the normal quantile.  Estimated:
-    the multiplier of sigma_hat solving the analogous Student-t equation,
-    which reduces to the t quantile; returned as the half-length per unit
-    sigma_hat, i.e. xi t_{m,1-alpha/2} / sqrt(n).
+    Known sigma: xi z_{1-alpha/2} / sqrt(n).  Estimated: the multiplier of
+    sigma_hat solving the analogous Student-t equation, which reduces to the
+    t quantile: xi t_{m,1-alpha/2} / sqrt(n).
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError("alpha must lie in (0, 1)")
-    mode = VarianceMode(mode)
-    if mode is VarianceMode.KNOWN:
-        return float(setup.sigma * setup.xi
-                     * std_normal_quantile(1.0 - 0.5 * alpha) / setup.root_n)
-    m = setup.require_estimated_variance()
-    return float(setup.xi * t_quantile(1.0 - 0.5 * alpha, m) / setup.root_n)
+    if VarianceMode(mode) is VarianceMode.KNOWN:
+        quantile = std_normal_quantile(1.0 - 0.5 * alpha)
+    else:
+        quantile = t_quantile(1.0 - 0.5 * alpha, setup.require_estimated_variance())
+    return float(setup.xi * quantile / setup.root_n)

@@ -25,10 +25,10 @@ from threshcov import (
     component_draws,
     conservative_limit_cdf,
     consistent_limit_cdf,
-    infimal_known_coverage,
+    coverage_lower_bound,
+    coverage_upper_bound,
     kernel,
     known_coverage,
-    lower_bound_unknown,
     min_coverage_search,
     mirror_check,
     reference_setup,
@@ -43,7 +43,6 @@ from threshcov import (
     tilde_cdf,
     tilde_density,
     unknown_coverage,
-    upper_bound_unknown,
 )
 from threshcov.coverage import _golden_section_min
 from threshcov.limits import ConservativeRegime, ConsistentRegime, weak_convergence_gaps
@@ -103,7 +102,7 @@ def test_criterion_02_table_upper_bounds():
         for eta in ETAS:
             setup = reference_setup(eta=eta)
             a = solve_unknown_half_length(kind, 0.05, setup)
-            got[(kind, eta)] = upper_bound_unknown(est_spec(a), setup)
+            got[(kind, eta)] = coverage_upper_bound(est_spec(a), setup)
     elapsed = time.perf_counter() - t0
     expected = {("hard", 0.05): 0.9595, ("hard", 0.5): 0.9965,
                 ("asoft", 0.05): 0.9591, ("asoft", 0.5): 0.9965}
@@ -252,7 +251,7 @@ def test_criterion_07_infimum_formula_vs_search():
     for kind in KINDS:
         for a in (0.25, 0.34, 0.6):
             spec = IntervalSpec(a, a)
-            closed = infimal_known_coverage(kind, spec, setup)
+            closed = coverage_lower_bound(kind, spec, setup)
             direct = direct_known_minimum(kind, spec, setup, known_coverage,
                                           _golden_section_min)
             if abs(closed - direct) > 1e-6:
@@ -282,8 +281,8 @@ def test_criterion_08_bound_sandwich():
         for kind in KINDS:
             a = solve_unknown_half_length(kind, 0.05, setup)
             spec = est_spec(a)
-            lb = lower_bound_unknown(kind, spec, setup)
-            ub = upper_bound_unknown(spec, setup)
+            lb = coverage_lower_bound(kind, spec, setup)
+            ub = coverage_upper_bound(spec, setup)
             top = a + setup.xi * setup.eta + 10.0 * setup.xi / setup.root_n
             grid_min = min(unknown_coverage(kind, float(t), 1.0, spec, setup)
                            for t in np.linspace(0.0, top, 101))
@@ -346,7 +345,7 @@ def test_criterion_09iii_variance_estimation_washes_out():
     gaps = {}
     for kind in KINDS:
         a = solve_known_half_length(kind, 0.01, setup)
-        known_inf = infimal_known_coverage(kind, IntervalSpec(a, a), setup)
+        known_inf = coverage_lower_bound(kind, IntervalSpec(a, a), setup)
         unknown_min, _ = min_coverage_search(kind, est_spec(a), setup)
         gaps[kind.value] = abs(known_inf - unknown_min)
     ok = all(g <= 0.01 for g in gaps.values())

@@ -17,9 +17,9 @@ from threshcov import (
     IntervalSpec,
     ProblemSetup,
     VarianceMode,
-    infimal_known_coverage,
+    coverage_lower_bound,
+    coverage_upper_bound,
     known_coverage,
-    lower_bound_unknown,
     min_coverage_search,
     reference_setup,
     simple_interval_infimal,
@@ -29,7 +29,6 @@ from threshcov import (
     std_normal_quantile,
     tilde_cdf,
     unknown_coverage,
-    upper_bound_unknown,
 )
 from threshcov import coverage
 from threshcov.coverage import _golden_section_min
@@ -77,12 +76,6 @@ class TestIntervalSpec:
             unknown_coverage("hard", 0.0, 1.0, known, SETUP)
         with pytest.raises(DomainError):
             known_coverage("hard", 0.0, 1.0, est, SETUP)
-        with pytest.raises(DomainError):
-            infimal_known_coverage("hard", est, SETUP)
-        with pytest.raises(DomainError):
-            lower_bound_unknown("hard", known, SETUP)
-        with pytest.raises(DomainError):
-            upper_bound_unknown(known, SETUP)
         with pytest.raises(DomainError):
             min_coverage_search("hard", known, SETUP)
 
@@ -164,7 +157,7 @@ class TestInfimalKnown:
     @pytest.mark.parametrize("arms", [(0.33, 0.33), (0.25, 0.45), (0.6, 0.6)])
     def test_matches_direct_search(self, kind, arms):
         spec = IntervalSpec(*arms)
-        closed = infimal_known_coverage(kind, spec, SETUP)
+        closed = coverage_lower_bound(kind, spec, SETUP)
         direct = direct_known_minimum(kind, spec, SETUP, known_coverage,
                                       _golden_section_min)
         assert closed == pytest.approx(direct, abs=1e-6)
@@ -173,7 +166,7 @@ class TestInfimalKnown:
         setup = reference_setup(eta=0.5)
         spec = IntervalSpec(0.2, 0.25)
         assert setup.xi * setup.eta > spec.a + spec.b
-        assert infimal_known_coverage("hard", spec, setup) == 0.0
+        assert coverage_lower_bound("hard", spec, setup) == 0.0
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("arms", [(0.1, 0.1), (0.08, 0.2), (0.25, 0.45)])
@@ -185,15 +178,15 @@ class TestInfimalKnown:
         a, b = arms
         huge = ProblemSetup(n=40, k=35, xi=1e308, eta=0.05)
         unit = ProblemSetup(n=40, k=35, eta=0.05)
-        got = infimal_known_coverage(kind, IntervalSpec(a * 1e308, b * 1e308), huge)
-        want = infimal_known_coverage(kind, IntervalSpec(a, b), unit)
+        got = coverage_lower_bound(kind, IntervalSpec(a * 1e308, b * 1e308), huge)
+        want = coverage_lower_bound(kind, IntervalSpec(a, b), unit)
         assert got == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_never_above_pointwise(self, kind):
         a = ROOTS_KNOWN[kind.value]
         spec = IntervalSpec(a, a)
-        inf_val = infimal_known_coverage(kind, spec, SETUP)
+        inf_val = coverage_lower_bound(kind, spec, SETUP)
         for theta in np.linspace(0.0, 1.0, 26):
             assert inf_val <= known_coverage(kind, float(theta), 1.0, spec,
                                              SETUP) + 1e-12
@@ -205,7 +198,7 @@ class TestKnownSolver:
         root = solve_known_half_length(kind, 0.05, SETUP)
         assert root == pytest.approx(ROOTS_KNOWN[kind.value], abs=1e-9)
         spec = IntervalSpec(root, root)
-        assert infimal_known_coverage(kind, spec, SETUP) == pytest.approx(
+        assert coverage_lower_bound(kind, spec, SETUP) == pytest.approx(
             0.95, abs=1e-9)
 
     @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.1])
@@ -314,13 +307,14 @@ class TestDistantParameter:
         a, b = arms
         rn, xi = self.SETUP.root_n, self.SETUP.xi
         expected = float(std_normal_cdf(rn * a / xi) - std_normal_cdf(-rn * b / xi))
+        assert coverage_upper_bound(IntervalSpec(a, b), self.SETUP) == expected
         for theta in self.FAR:
             got = known_coverage("hard", theta, 1.0, IntervalSpec(a, b), self.SETUP)
             assert got == pytest.approx(expected, abs=1e-12), theta
 
     def test_hard_unknown_equals_upper_bound(self):
         spec = est_spec(0.3)
-        expected = upper_bound_unknown(spec, self.SETUP)
+        expected = coverage_upper_bound(spec, self.SETUP)
         got = unknown_coverage("hard", np.array(self.FAR), 1.0, spec, self.SETUP)
         np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-11)
         assert unknown_coverage("hard", 1e16, 1.0, spec, self.SETUP) == pytest.approx(
@@ -377,7 +371,7 @@ class TestBounds:
         setup = reference_setup(eta=eta)
         a = solve_unknown_half_length(kind, 0.05, setup)
         assert a == pytest.approx(ROOTS_ESTIMATED[(kind.value, eta)], abs=1e-9)
-        assert lower_bound_unknown(kind, est_spec(a), setup) == pytest.approx(
+        assert coverage_lower_bound(kind, est_spec(a), setup) == pytest.approx(
             0.95, abs=1e-9)
 
     @pytest.mark.parametrize("eta", [0.05, 0.5])
@@ -386,8 +380,8 @@ class TestBounds:
         setup = reference_setup(eta=eta)
         a = ROOTS_ESTIMATED[(kind.value, eta)]
         spec = est_spec(a)
-        lb = lower_bound_unknown(kind, spec, setup)
-        ub = upper_bound_unknown(spec, setup)
+        lb = coverage_lower_bound(kind, spec, setup)
+        ub = coverage_upper_bound(spec, setup)
         grid_top = a + setup.xi * setup.eta + 10.0 * setup.xi / setup.root_n
         vals = [unknown_coverage(kind, float(t), 1.0, spec, setup)
                 for t in np.linspace(0.0, grid_top, 41)]
@@ -406,22 +400,22 @@ class TestBounds:
         for (kind, eta), expected in cells.items():
             setup = reference_setup(eta=eta)
             spec = est_spec(ROOTS_ESTIMATED[(kind, eta)])
-            assert upper_bound_unknown(spec, setup) == pytest.approx(
+            assert coverage_upper_bound(spec, setup) == pytest.approx(
                 expected, abs=1e-10)
 
     def test_upper_bound_degenerate(self):
-        assert upper_bound_unknown(est_spec(0.0), SETUP) == 0.0
+        assert coverage_upper_bound(est_spec(0.0), SETUP) == 0.0
 
     def test_hard_lower_bound_clamps(self):
         setup = reference_setup(eta=0.5)
-        assert lower_bound_unknown("hard", est_spec(0.01), setup) == 0.0
+        assert coverage_lower_bound("hard", est_spec(0.01), setup) == 0.0
 
     def test_soft_bound_attained(self):
         # the soft bound is the actual infimum: the search should land on it
         a = ROOTS_ESTIMATED[("soft", 0.05)]
         spec = est_spec(a)
         value, _ = min_coverage_search("soft", spec, SETUP)
-        assert value == pytest.approx(lower_bound_unknown("soft", spec, SETUP),
+        assert value == pytest.approx(coverage_lower_bound("soft", spec, SETUP),
                                       abs=1e-9)
 
 
@@ -437,8 +431,8 @@ class TestManyResidualDof:
     def test_bound_and_half_length_carry_over(self, kind, eta, m):
         setup = ProblemSetup(n=35 + m, k=35, eta=eta)
         a = solve_known_half_length(kind, 0.05, setup)
-        known = infimal_known_coverage(kind, IntervalSpec(a, a), setup)
-        assert m * abs(lower_bound_unknown(kind, est_spec(a), setup) - known) < 1.0
+        known = coverage_lower_bound(kind, IntervalSpec(a, a), setup)
+        assert m * abs(coverage_lower_bound(kind, est_spec(a), setup) - known) < 1.0
         a_est = solve_unknown_half_length(kind, 0.05, setup)
         assert m * abs(a_est - a) / a < 1.0
 

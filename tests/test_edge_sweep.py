@@ -51,9 +51,8 @@ from threshcov import (
     VarianceMode,
     conservative_limit_cdf,
     consistent_limit_cdf,
-    infimal_known_coverage,
+    coverage_lower_bound,
     known_coverage,
-    lower_bound_unknown,
     min_coverage_search,
     simulate_coverage,
     simulate_coverage_full,
@@ -285,9 +284,7 @@ def test_half_lengths_reach_one_minus_alpha(mode):
     """The solver's bracket starts at [lo, start] and doubles its upper end,
     and Brent's tolerance is min(1e-10, 1e-8 of that end) plus ROOT_RTOL of
     the root: at least floor, at most ceiling below."""
-    solve, infimum = ((solve_known_half_length, infimal_known_coverage)
-                      if mode is VarianceMode.KNOWN
-                      else (solve_unknown_half_length, lower_bound_unknown))
+    solve = solve_known_half_length if mode is VarianceMode.KNOWN else solve_unknown_half_length
     with warnings.catch_warnings(), np.errstate(all="raise"):
         warnings.simplefilter("error")
         for (n, k), xi, eta, kind, alpha in itertools.product(
@@ -298,7 +295,7 @@ def test_half_lengths_reach_one_minus_alpha(mode):
             start = max(xi * eta, xi / setup.root_n)
 
             def reach(a):
-                return infimum(kind, IntervalSpec(a, a, mode), setup)
+                return coverage_lower_bound(kind, IntervalSpec(a, a, mode), setup)
 
             a = solve(kind, alpha, setup)
             floor = min(1e-10, 1e-8 * start) + ROOT_RTOL * a

@@ -12,7 +12,6 @@ from threshcov import (
     DomainError,
     EstimatorKind,
     ThresholdRule,
-    VarianceMode,
     estimate,
     kernel,
 )
@@ -220,15 +219,12 @@ class TestSwitchPoints:
 
 
 class TestThresholdRule:
-    def test_known_needs_sigma(self):
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_sigma_positive_and_finite(self, bad):
         with pytest.raises(DomainError):
-            ThresholdRule(EstimatorKind.HARD, 0.05, VarianceMode.KNOWN)
-        rule = ThresholdRule(EstimatorKind.HARD, 0.05, VarianceMode.KNOWN, sigma=2.0)
+            ThresholdRule(EstimatorKind.HARD, 0.05, sigma=bad)
+        rule = ThresholdRule(EstimatorKind.HARD, 0.05, sigma=2.0)
         assert rule.sigma == 2.0
-
-    def test_estimated_forbids_sigma(self):
-        with pytest.raises(DomainError):
-            ThresholdRule(EstimatorKind.HARD, 0.05, VarianceMode.ESTIMATED, sigma=1.0)
 
     def test_eta_positive(self):
         with pytest.raises(DomainError):
@@ -241,15 +237,14 @@ class TestThresholdRule:
             ThresholdRule(EstimatorKind.SOFT, np.full((2, 3), 0.1))
 
     def test_accepts_labels(self):
-        rule = ThresholdRule("asoft", 0.1, "estimated")
-        assert rule.kind is EstimatorKind.ADAPTIVE_SOFT
-        assert rule.mode is VarianceMode.ESTIMATED
+        rule = ThresholdRule("asoft", 0.1)
+        assert rule.kind is EstimatorKind.ADAPTIVE_SOFT and rule.sigma is None
 
     def test_unknown_labels_raise_domain_error(self):
         with pytest.raises(DomainError, match="unknown estimator kind 'bogus'"):
             kernel("bogus", 1.0, 0.5)
-        with pytest.raises(DomainError, match="unknown variance mode 'bogus'"):
-            ThresholdRule("hard", 0.1, "bogus")
+        with pytest.raises(DomainError, match="unknown estimator kind 'bogus'"):
+            ThresholdRule("bogus", 0.1)
 
 
 def seeded_problem(seed=11, n=40, k=35):
@@ -293,14 +288,13 @@ class TestEstimate:
             estimate(X, y, ThresholdRule(EstimatorKind.HARD, np.array(eta)))
 
     @pytest.mark.parametrize("kind", list(EstimatorKind))
-    @pytest.mark.parametrize("mode", list(VarianceMode))
-    def test_against_plain_reimplementation(self, kind, mode):
+    @pytest.mark.parametrize("sigma", [1.3, None], ids=["known", "estimated"])
+    def test_against_plain_reimplementation(self, kind, sigma):
         # independent straight-line reimplementation via normal equations;
         # agreement expected to floating-point roundoff
         X, y = seeded_problem(seed=12)
         n, k = X.shape
-        sigma = 1.3 if mode is VarianceMode.KNOWN else None
-        rule = ThresholdRule(kind, 0.05, mode, sigma=sigma)
+        rule = ThresholdRule(kind, 0.05, sigma=sigma)
         got = estimate(X, y, rule)
 
         gram = X.T @ X
@@ -342,6 +336,5 @@ class TestEstimate:
         y = np.ones(5)
         with pytest.raises(DomainError):
             estimate(X, y, ThresholdRule(EstimatorKind.HARD, 0.1))
-        got = estimate(X, y, ThresholdRule(EstimatorKind.HARD, 0.1,
-                                           VarianceMode.KNOWN, sigma=1.0))
+        got = estimate(X, y, ThresholdRule(EstimatorKind.HARD, 0.1, sigma=1.0))
         assert got.shape == (5,)

@@ -306,17 +306,11 @@ class TestMirrorSymmetry:
 
 class TestBundles:
     def test_density_grid(self):
-        xs, dens, mass = density_grid("hard", SETUP, 0.0, ALPHA, count=41)
-        assert xs.shape == dens.shape == (41,)
+        xs, dens, mass = density_grid("hard", SETUP, 0.0, ALPHA)
+        assert xs.shape == dens.shape == (801,)
         assert xs[0] == -4.0 and xs[-1] == 4.0
         assert mass == pytest.approx(atom_mass(SETUP))
         assert np.all(dens >= 0.0)
-        with pytest.raises(DomainError):
-            density_grid("hard", SETUP, 0.0, ALPHA, lo=2.0, hi=-2.0)
-        with pytest.raises(DomainError):
-            density_grid("hard", SETUP, 0.0, ALPHA, count=1)
-        with pytest.raises(DomainError):
-            density_grid("hard", SETUP, 0.0, ALPHA, count=800.0)
 
 
 class TestMonteCarloAnchor:

@@ -7,9 +7,11 @@ import pytest
 
 from threshcov import (
     DomainError,
+    IntervalSpec,
     ProblemSetup,
     VarianceMode,
     compute_xi_all,
+    coverage_upper_bound,
     ls_fit,
     standard_ls_interval,
     synthetic_design,
@@ -171,10 +173,21 @@ class TestStandardInterval:
         s = reference_setup()
         assert standard_ls_interval(s, VarianceMode.KNOWN, 0.05) == pytest.approx(
             0.30992, abs=1e-4)
-        # closed form: sigma xi z_{0.975} / sqrt(n)
+        # closed form: xi z_{0.975} / sqrt(n), in units of sigma
         want = 1.959963984540054 / math.sqrt(40)
         assert standard_ls_interval(s, VarianceMode.KNOWN, 0.05) == pytest.approx(
             want, abs=1e-6)
+
+    @pytest.mark.parametrize("mode", list(VarianceMode))
+    @pytest.mark.parametrize("sigma", [1.0, 2.0])
+    @pytest.mark.parametrize("xi", [0.3, 1.0])
+    def test_half_length_in_units_of_c(self, mode, sigma, xi):
+        # every interval arm is in units of c (sigma or sigma_hat): the LS
+        # half-length gives the z- or t-interval exactly 1 - alpha coverage
+        s = ProblemSetup(n=40, k=35, xi=xi, sigma=sigma)
+        a = standard_ls_interval(s, mode, 0.05)
+        assert coverage_upper_bound(IntervalSpec(a, a, mode), s) == pytest.approx(
+            0.95, abs=1e-12)
 
     def test_estimated_value(self):
         s = reference_setup()

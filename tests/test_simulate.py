@@ -20,9 +20,9 @@ from threshcov import (
     chi_sq_quantile,
     component_draws,
     compute_xi_all,
+    coverage_lower_bound,
     kernel,
     known_coverage,
-    lower_bound_unknown,
     reference_setup,
     simulate_coverage,
     simulate_coverage_full,
@@ -604,7 +604,7 @@ class TestCoverageSimulation:
     def test_soft_guarantee_across_parameters(self):
         a = solve_unknown_half_length("soft", 0.05, SETUP)
         spec = est_spec(a)
-        target = lower_bound_unknown("soft", spec, SETUP)
+        target = coverage_lower_bound("soft", spec, SETUP)
         for i, theta in enumerate((0.0, 0.2, 0.42, 1.0, 3.0)):
             plan = SimulationPlan(setup=SETUP, theta=theta, reps=100_000,
                                   seed=100 + i)
