@@ -29,8 +29,8 @@ import numpy as np
 from .estimators import EstimatorKind, _inverse
 from .finite_sample import _mixture, _scale_free, _scaled
 from .model import ProblemSetup, VarianceMode
-from .special import (_ROOT_RTOL, BracketError, DomainError, _clamp_unit, _each,
-                      _std_normal_cdf, _t_cdf, _underflow_to_zero, find_root)
+from .special import (_ROOT_RTOL, BracketError, DomainError, _clamp_unit, _each, _saturating,
+                      _std_normal_cdf, _t_cdf, find_root)
 # unused here, but perfbench/tracing.py wraps this module's binding
 from .special import integrate_halfline  # noqa: F401
 
@@ -52,11 +52,6 @@ logger = logging.getLogger(__name__)
 # around the best one to this width times xi.
 _SEARCH_GRID_POINTS = 201
 _SEARCH_REFINE_TOL = 1e-6
-
-# Below this sqrt(n) arm / xi, rn * arm * s stays below 2^1022 up to rho_m's
-# cut (s < 7.2), and so does rn * offset unless eta or theta / (sigma xi) is
-# as large; at or above it, coverage takes _saturated_core.
-_WIDE = 2.0 ** 1019
 
 
 @dataclasses.dataclass(frozen=True)
@@ -86,27 +81,21 @@ def _coverage_core(kind: EstimatorKind, mu, reach_a, reach_b, eta, rn):
     W ~ N(mu, 1/rn^2), and the interval covers iff the thresholded value of
     W lands in [mu - reach_b, mu + reach_a], that is iff W - mu lies between
     the inverse map's open offset at the lower end and its closed offset at
-    the upper end.
+    the upper end.  Arms, thresholds and offsets that overflowed are +-inf,
+    where Phi is 0 or 1.  Where mu is infinite too (theta / (sigma xi)
+    overflowed), an infinite arm is taken at the largest double, so that
+    mu - arm is +-inf rather than NaN.
     """
+    if math.isinf(mu) if isinstance(mu, float) else np.isinf(mu).any():
+        reach_a, reach_b = (np.where(np.isinf(mu), np.minimum(reach, sys.float_info.max), reach)
+                            for reach in (reach_a, reach_b))
     hi = _inverse(kind, mu, reach_a, eta)
     lo = _inverse(kind, mu, -reach_b, eta, closed=False)
     return np.minimum(np.maximum(_std_normal_cdf(rn * hi) - _std_normal_cdf(rn * lo),
                                  0.0), 1.0)
 
 
-def _saturated_core(kind: EstimatorKind, mu, reach_a, reach_b, eta, rn, s=1.0):
-    """_coverage_core at arms reach * s, thresholds eta * s, for arms past
-    _WIDE: the same values, with arms and offsets that overflow going to
-    +-inf silently, where Phi is already 0 or 1.  Where mu is infinite too
-    (theta / (sigma xi) overflowed), an infinite arm is taken at the largest
-    double, so that mu - arm is +-inf rather than NaN."""
-    with np.errstate(over="ignore"):
-        arms = [np.where(np.isinf(mu), np.minimum(reach * s, sys.float_info.max), reach * s)
-                for reach in (reach_a, reach_b)]
-        return _coverage_core(kind, mu, *arms, eta * s, rn)
-
-
-@_underflow_to_zero
+@_saturating
 def known_coverage(kind, theta_i: float, sigma: float, spec: IntervalSpec,
                    setup: ProblemSetup) -> float:
     """Exact coverage at theta_i with known sigma.
@@ -122,10 +111,10 @@ def known_coverage(kind, theta_i: float, sigma: float, spec: IntervalSpec,
         raise DomainError("sigma must be positive and finite")
 
     rn, reach_a, reach_b = setup.root_n, spec.a / setup.xi, spec.b / setup.xi
-    core = _saturated_core if rn * reach_a >= _WIDE or rn * reach_b >= _WIDE else _coverage_core
 
     def law(theta):
-        return core(kind, _scaled(theta, sigma, setup.xi), reach_a, reach_b, setup.eta, rn), 0.0
+        mu = _scaled(theta, sigma, setup.xi)
+        return _coverage_core(kind, mu, reach_a, reach_b, setup.eta, rn), 0.0
 
     return _each(theta_i, law, "theta")[0]
 
@@ -199,14 +188,11 @@ def _solve_half_length(kind, alpha: float, setup: ProblemSetup, mode: VarianceMo
     # below xi eta / 2 the hard infimum is identically zero
     lo = 0.5 * setup.xi * setup.eta if kind is EstimatorKind.HARD else 0.0
     hi = max(setup.xi * setup.eta, setup.xi / setup.root_n)
-    for _ in range(200):
-        if hi < math.inf:
-            f_hi = _infimum(kind, hi, hi, setup, cdf) - target
-            if f_hi > 0.0:
-                break
-        hi *= 2.0
-    else:
-        raise BracketError("could not bracket the half-length equation")
+    # doubling stops at the largest double, a bracket unless even it falls short
+    while not (f_hi := _infimum(kind, hi, hi, setup, cdf) - target) > 0.0:
+        if hi == sys.float_info.max:
+            raise BracketError("could not bracket the half-length equation")
+        hi = min(2.0 * hi, sys.float_info.max)
     # 1e-10, or 1e-8 of the bracket where that is finer: a half-length on a
     # tiny scale xi max(eta, 1 / sqrt(n)) is resolved like any other
     tol = min(1e-10, 1e-8 * hi)
@@ -228,7 +214,7 @@ def solve_known_half_length(kind, alpha: float, setup: ProblemSetup) -> float:
     return _solve_half_length(kind, alpha, setup, VarianceMode.KNOWN)
 
 
-@_underflow_to_zero
+@_saturating
 def unknown_coverage(kind, theta_i: float, sigma: float, spec: IntervalSpec,
                      setup: ProblemSetup) -> float:
     """Exact coverage at theta_i with estimated variance.
@@ -247,11 +233,8 @@ def unknown_coverage(kind, theta_i: float, sigma: float, spec: IntervalSpec,
         raise DomainError("sigma must be positive and finite")
     m = setup.require_estimated_variance()
     rn, eta, reach = setup.root_n, setup.eta, spec.a / setup.xi
-    wide = reach * rn >= _WIDE
 
     def covered(s, mu):
-        if wide:
-            return _saturated_core(kind, mu, reach, reach, eta, rn, s)
         arm = reach * s
         return _coverage_core(kind, mu, arm, arm, eta * s, rn)
 
@@ -302,7 +285,7 @@ def _golden_section_min(f, lo: float, hi: float, tol: float):
     return mid, f(mid)
 
 
-@_underflow_to_zero
+@_saturating
 def min_coverage_search(kind, spec: IntervalSpec, setup: ProblemSetup):
     """Numerical minimum over the parameter of the estimated-variance coverage.
 

@@ -82,8 +82,9 @@ def _inverse(kind: EstimatorKind, mu, d, t, closed: bool = True):
     (or goes to the dead-zone edge +-t - mu), soft shifts d by t, and adaptive
     soft takes the root A +- B of w^2 - c w - t^2 = 0 shifted by mu, through
     the product (A - B)(A + B) = -(mu d + t^2) where A and +-B would cancel.
-    Where mu d or t^2 overflows, that quotient is taken term by term, and at
-    mu = +-inf it is d, the limit where the shrinkage t^2 / c vanishes.
+    Where mu d or t^2 overflows, that quotient is taken term by term; at
+    mu = +-inf it is d, the limit where the shrinkage t^2 / c vanishes, and
+    at t = inf, where every estimate is killed, the edge +-inf.
     """
     c = mu + d
     up = c >= 0.0 if closed else c > 0.0
@@ -99,8 +100,10 @@ def _inverse(kind: EstimatorKind, mu, d, t, closed: bool = True):
         num, den = mu * d + t * t, signed_b - big_a
         cancel = num / den
         if not (math.isfinite(num) if isinstance(num, float) else np.isfinite(num).all()):
+            # at t = inf every estimate is killed: t (t / den) is the edge signed_b
+            shift = np.where(np.isinf(t), signed_b, t * (t / den))
             cancel = np.where(np.isfinite(num), cancel,
-                              np.where(np.isinf(mu), d, d * (mu / den) + t * (t / den)))
+                              np.where(np.isinf(mu), d, d * (mu / den) + shift))
         return np.where((big_a >= 0.0) == up, big_a + signed_b, cancel)
 
 

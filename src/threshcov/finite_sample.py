@@ -39,9 +39,9 @@ from .special import (
     _rho_quantiles,
     _rho_upper,
     _rho_upper_weighted,
+    _saturating,
     _std_normal_cdf,
     _std_normal_pdf,
-    _underflow_to_zero,
     integrate_halfline,
     t_cdf,
     t_pdf,
@@ -52,7 +52,6 @@ __all__ = [
     "atom_mass",
     "tilde_cdf",
     "tilde_density",
-    "mirror_check",
     "density_grid",
 ]
 
@@ -136,25 +135,22 @@ def _scale_free(kind, x, scale, t, rn, m, closed=True, density=False, mu=0.0):
     """T_m(rn g1), g1 = _inverse(kind, mu, x / scale, t): the mixture over s
     where every offset is s g1, as at mu = 0 and mu = +-inf.  density=True
     gives its x-derivative rn g' t_m(rn g1) / scale, 0 where t_m underflows."""
-    with np.errstate(over="ignore"):
-        d = x / scale
-        if not (d.all() if isinstance(d, np.ndarray) else d):  # keep x != 0 off the atom
-            d = np.where((d == 0.0) & (x != 0.0), np.copysign(math.ulp(0.0), x), d)
-        arg = rn * _inverse(kind, mu, d, t, closed)
-        if not density:
-            return t_cdf(arg, m)
-        pdf = t_pdf(arg, m)
-        return np.where(pdf > 0.0, rn * _inverse_slope(kind, mu, d, t) * pdf / scale, 0.0)
+    d = x / scale
+    if not (d.all() if isinstance(d, np.ndarray) else d):  # keep x != 0 off the atom
+        d = np.where((d == 0.0) & (x != 0.0), np.copysign(math.ulp(0.0), x), d)
+    arg = rn * _inverse(kind, mu, d, t, closed)
+    if not density:
+        return t_cdf(arg, m)
+    pdf = t_pdf(arg, m)
+    return np.where(pdf > 0.0, rn * _inverse_slope(kind, mu, d, t) * pdf / scale, 0.0)
 
 
 def _scaled(theta, sigma: float, xi: float):
-    """theta / (sigma xi), inf where it overflows: silently, for arrays as
-    for floats.  Where sigma xi underflows to 0, theta / sigma / xi."""
+    """theta / (sigma xi), inf where it overflows (silently: every caller
+    runs under special._saturating).  Where sigma xi underflows to 0,
+    theta / sigma / xi."""
     unit = sigma * xi
-    if isinstance(theta, float):
-        return theta / unit if unit else theta / sigma / xi
-    with np.errstate(over="ignore"):
-        return theta / unit if unit else theta / sigma / xi
+    return theta / unit if unit else theta / sigma / xi
 
 
 def _error_law(kind, x, theta, sigma, xi, scale, eta, rn, m, density=False):
@@ -191,7 +187,7 @@ def _error_law(kind, x, theta, sigma, xi, scale, eta, rn, m, density=False):
     return _mixture(kind, mu, x / scale, eta, m, term, weighted=density)
 
 
-@_underflow_to_zero
+@_saturating
 def tilde_cdf(kind, x, setup: ProblemSetup, theta_i: float, alpha):
     """CDF of alpha (estimate_i - theta_i) / sigma_hat at x.
 
@@ -238,7 +234,7 @@ def _kill_kernel_term(x, q: float, setup: ProblemSetup, a: float):
         return np.where(side & (rho > 0.0), jacobian * rho * band, 0.0)
 
 
-@_underflow_to_zero
+@_saturating
 def tilde_density(kind, x, setup: ProblemSetup, theta_i: float, alpha):
     """Density of the absolutely continuous part at x (atom reported separately).
 
@@ -260,22 +256,6 @@ def tilde_density(kind, x, setup: ProblemSetup, theta_i: float, alpha):
         return np.maximum(0.0, out + _kill_kernel_term(xs, q, setup, a)), 0.0
 
     return _each(x, law, "density argument")[0]
-
-
-def mirror_check(kind, setup: ProblemSetup, theta_i: float, alpha, grid) -> float:
-    """Maximal deviation from the sign-flip relation over the grid.
-
-    Flipping the sign of the true component mirrors the error law:
-    F_{theta}(x) = 1 - F_{-theta}((-x)^-).  At continuity points of the
-    mirrored law this is 1 - F_{-theta}(-x); grid points should avoid the
-    atom when theta is zero.
-    """
-    kind = EstimatorKind(kind)
-    a = ScalingFactor(alpha)
-    grid = np.asarray(grid, dtype=float)
-    direct = tilde_cdf(kind, grid, setup, theta_i, a)
-    mirrored = 1.0 - tilde_cdf(kind, -grid, setup, -theta_i, a)
-    return float(np.max(np.abs(direct - mirrored), initial=0.0))
 
 
 def density_grid(kind, setup: ProblemSetup, theta_i: float, alpha):

@@ -26,8 +26,8 @@ import numpy as np
 from .estimators import EstimatorKind, _inverse
 from .finite_sample import ScalingFactor, _error_law, tilde_cdf
 from .model import ProblemSetup
-from .special import (DomainError, _check_dof, _clamp_unit, _each, _underflow_to_zero, chi_sq_cdf,
-                      std_normal_cdf)
+from .special import (DomainError, _check_dof, _clamp_unit, _each, _saturating,
+                      _underflow_to_zero, chi_sq_cdf, std_normal_cdf)
 # unused here, but perfbench/tracing.py wraps this module's binding
 from .special import integrate_halfline  # noqa: F401
 
@@ -98,7 +98,7 @@ class ConsistentRegime:
             object.__setattr__(self, "hard_aux", aux)
 
 
-@_underflow_to_zero
+@_saturating
 def conservative_limit_cdf(kind, x, regime: ConservativeRegime) -> float:
     """CDF of the conservative-regime limit law at x.
 

@@ -39,6 +39,9 @@ per-element calls within the reported error bound, not bitwise.  A round
 evaluates its integrand in blocks of consecutive nodes, so that large rounds
 keep their temporaries in cache; the blocks give one call's values bit for bit.
 Public analytic calls flush underflow to 0, whatever the caller's errstate.
+The exact laws and coverages, whose overflowing values all feed Phi, T_m
+or their densities, also let overflow saturate to +-inf, where those are 0
+or 1; invalid operations and division by zero still follow the caller.
 
 The package's accuracy targets are fixed: every law and coverage integrates
 to ``DEFAULT_QUADRATURE``, and half-length roots are found to 1e-10 (or to
@@ -132,7 +135,12 @@ DEFAULT_QUADRATURE = QuadratureConfig()
 logger = logging.getLogger(__name__)
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-_underflow_to_zero = np.errstate(under="ignore")  # decorates each public analytic call
+# Decorators of public calls: _saturating where every value that can
+# overflow feeds Phi, T_m or their densities, 0 or 1 at +-inf (the exact
+# laws, the coverages and t_pdf); _underflow_to_zero on the other calls
+# that can underflow.
+_underflow_to_zero = np.errstate(under="ignore")
+_saturating = np.errstate(under="ignore", over="ignore")
 
 
 def _check_dof(m) -> int:
@@ -277,7 +285,7 @@ def t_cdf(x, m):
     return out if out.ndim else float(out)
 
 
-@np.errstate(under="ignore", over="ignore")
+@_saturating
 def t_pdf(x, m):
     """Density of Student's t with m degrees of freedom; rejects NaN.  Past
     |x| = 1.3e154, where x^2 overflows, it is below the smallest normal

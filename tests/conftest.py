@@ -1,4 +1,5 @@
-"""Shared test helpers: analytic-CDF interpolation and exact KS distance."""
+"""Shared test helpers: the sign-flip check, analytic-CDF interpolation and
+exact KS distance."""
 
 from __future__ import annotations
 
@@ -6,6 +7,20 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from threshcov import atom_mass, tilde_cdf
+
+
+def mirror_check(kind, setup, theta_i, alpha, grid) -> float:
+    """Maximal deviation of tilde_cdf from the sign-flip relation over grid.
+
+    Flipping the sign of the true component mirrors the error law:
+    F_{theta}(x) = 1 - F_{-theta}((-x)^-).  At continuity points of the
+    mirrored law this is 1 - F_{-theta}(-x); grid points should avoid the
+    atom when theta is zero.
+    """
+    grid = np.asarray(grid, dtype=float)
+    direct = tilde_cdf(kind, grid, setup, theta_i, alpha)
+    mirrored = 1.0 - tilde_cdf(kind, -grid, setup, -theta_i, alpha)
+    return float(np.max(np.abs(direct - mirrored), initial=0.0))
 
 
 def analytic_cdf_interpolator(kind, setup, theta_i, alpha, core=(-5.0, 5.0),

@@ -30,7 +30,6 @@ from threshcov import (
     kernel,
     known_coverage,
     min_coverage_search,
-    mirror_check,
     reference_setup,
     simple_interval_infimal,
     simulate_coverage,
@@ -48,7 +47,7 @@ from threshcov.coverage import _golden_section_min
 from threshcov.limits import ConservativeRegime, ConsistentRegime, weak_convergence_gaps
 from threshcov.cli import main as cli_main
 
-from conftest import analytic_cdf_interpolator, direct_known_minimum, ks_distance
+from conftest import analytic_cdf_interpolator, direct_known_minimum, ks_distance, mirror_check
 
 KINDS = list(EstimatorKind)
 ETAS = (0.05, 0.5)

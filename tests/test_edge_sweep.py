@@ -8,9 +8,14 @@ with a scalar and with an array argument, under np.errstate(all="raise")
 and with every warning an error; so is the consistent limit law at zeta =
 theta / (xi eta), for m = n - k and m = inf.  A call must return finite
 values in range (a probability in [0, 1], a density >= 0) or raise
-DomainError or NumericsError: no overflow, no invalid operation and no NaN
-on the way.  The typed errors are listed: a change that turns a value into
-an error, or an error into a value, fails the sweep.
+DomainError or NumericsError: no invalid operation and no NaN on the way,
+and no overflow outside the exact laws and coverages.  Inside those
+(known_coverage, unknown_coverage, min_coverage_search, tilde_cdf,
+tilde_density and conservative_limit_cdf) overflow saturates to +-inf, as
+every overflowing value there feeds Phi, T_m or their densities, so the
+sweep's raise-on-overflow does not see into them; value assertions do.  The
+typed errors are listed: a change that turns a value into an error, or an
+error into a value, fails the sweep.
 
 The Monte Carlo entry points get a grid of their own, n <= 200 since the
 full-design path builds an n x k design: (n, k) in {(36, 35), (40, 35),
@@ -18,7 +23,11 @@ full-design path builds an n x k design: (n, k) in {(36, 35), (40, 35),
 0 and 5e-324 to +-1e300, and 257 replications, with both variance modes.
 
 Arms on the scale of a threshold of 1e306, where sqrt(n) arm nears the
-overflow, keep the coverage values that were computed without one.
+overflow, keep the coverage values that were computed without one.  At
+thresholds of 1e306, 1e308 and 1.7e308 with O(1) theta and arms, where eta
+s nears or passes the overflow along the rho_m mixture, every estimate is 0,
+and each law, coverage, solved length and searched worst case has a closed
+form that the calls must give.
 
 So do the half-length solvers, at alpha 0.05, 1 - 1e-12 and 1 - 2^-53, and
 the worst-case search, at the solved estimated-variance half-length and at
@@ -31,12 +40,14 @@ the shortest double whose infimal coverage reaches 1 - alpha.
 """
 
 import dataclasses
+import functools
 import itertools
 import math
 import warnings
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from threshcov import (
     ConservativeRegime,
@@ -68,6 +79,8 @@ XIS = (1e-10, 1.0, 1e10)
 DOFS = (1, 5, 995)
 TINY_SIGMA = 1e-315
 WIDE_ARMS = (1e308, 1.7e308)
+# find_root's relative tolerance
+ROOT_RTOL = 4.0 * np.finfo(float).eps
 
 
 def cells(seed):
@@ -149,9 +162,9 @@ def test_extremes_give_values_in_range_or_typed_errors(seed):
 
 # (kind, half-length): known coverage, estimated coverage at each lone theta
 # and as one array, at NEAR_WIDE_THETAS with n = 40, k = 35, xi = 1 and eta =
-# 1e306.  sqrt(n) times the arm 1e306 passes 2^1019, where coverage turns to
-# its overflow-safe route; these are the values computed before that route
-# existed, none of which overflowed.
+# 1e306.  sqrt(n) times the arm 1e306 nears the overflow; these are the
+# values computed before coverage let an overflow saturate, none of which
+# overflowed.
 NEAR_WIDE_THETAS = (3e305, 7e305, 1.5e306, -3e306)
 NEAR_WIDE = {
     ("hard", 5e305): ([1.0, 0.0, 1.0, 1.0],
@@ -198,6 +211,67 @@ def test_arms_near_the_overflow_keep_their_values():
             assert [unknown_coverage(kind, t, 1.0, estimated, setup)
                     for t in NEAR_WIDE_THETAS] == lone
             assert unknown_coverage(kind, thetas, 1.0, estimated, setup).tolist() == batch
+
+
+# Thresholds near the largest double, at n = 40, k = 35, xi = 1 and O(1)
+# theta, x and arms: the threshold kills every estimate, so known coverage is
+# 1{|theta| <= a}, estimated coverage P(s >= |theta| / a) = 1 - F(m (theta /
+# a)^2), F the chi-square CDF with m = 5, and the error alpha (0 - theta) /
+# s has CDF F(m (alpha theta / x)^2) at x < 0 (theta > 0) or its complement
+# at x > 0 (theta < 0).  A solved length is the double after eta, within
+# Brent's tolerance: at eta itself the infimal coverage is 1/2.
+HUGE_ETAS = (1e306, 1e308, 1.7e308)
+HUGE_THETAS = (0.0, 0.4, -1.3, 2.5)
+HUGE_XS = (-2.0, -0.3, 0.7, 3.0)
+HUGE_HALF = 1.1
+
+
+def killed_error_law(theta, x, alpha, m):
+    """CDF and density at x != 0 of -alpha theta / s, s ~ rho_m."""
+    if theta == 0.0 or x * theta > 0.0:
+        return float(x > 0.0), 0.0
+    u = m * (alpha * theta / x) ** 2
+    cdf = stats.chi2.cdf(u, m)
+    return (cdf if x < 0.0 else 1.0 - cdf), 2.0 * u / abs(x) * stats.chi2.pdf(u, m)
+
+
+@pytest.mark.parametrize("kind", list(EstimatorKind))
+@pytest.mark.parametrize("eta", HUGE_ETAS)
+def test_huge_thresholds_give_the_killed_values(eta, kind):
+    setup = ProblemSetup(n=40, k=35, xi=1.0, eta=eta)
+    m, alpha = setup.residual_dof, ScalingFactor.conservative(setup)
+    known = IntervalSpec(HUGE_HALF, HUGE_HALF)
+    estimated = IntervalSpec(HUGE_HALF, HUGE_HALF, VarianceMode.ESTIMATED)
+    thetas, xs = np.array(HUGE_THETAS), np.array(HUGE_XS)
+    covered = (np.abs(thetas) <= HUGE_HALF).astype(float)
+    estimated_want = stats.chi2.sf(m * (thetas / HUGE_HALF) ** 2, m)
+    laws = [np.array([killed_error_law(theta, x, alpha, m) for x in HUGE_XS]).T
+            for theta in HUGE_THETAS]
+    near = functools.partial(pytest.approx, rel=1e-9, abs=1e-9)
+    shortest = math.nextafter(eta, math.inf)
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        assert known_coverage(kind, thetas, 1.0, known, setup).tolist() == covered.tolist()
+        assert unknown_coverage(kind, thetas, 1.0, estimated, setup) == near(estimated_want)
+        for theta, cover, want, (cdf, density) in zip(HUGE_THETAS, covered, estimated_want,
+                                                      laws):
+            assert known_coverage(kind, theta, 1.0, known, setup) == cover
+            assert unknown_coverage(kind, theta, 1.0, estimated, setup) == near(want)
+            assert tilde_cdf(kind, xs, setup, theta, alpha) == near(cdf)
+            assert tilde_density(kind, xs, setup, theta, alpha) == near(density)
+            for x, c, d in zip(HUGE_XS, cdf, density):
+                assert tilde_cdf(kind, x, setup, theta, alpha) == near(c)
+                assert tilde_density(kind, x, setup, theta, alpha) == near(d)
+        for mode, solve in ((VarianceMode.KNOWN, solve_known_half_length),
+                            (VarianceMode.ESTIMATED, solve_unknown_half_length)):
+            a = solve(kind, 0.05, setup)
+            assert shortest <= a <= shortest + ROOT_RTOL * a, (mode, a)
+            assert coverage_lower_bound(kind, IntervalSpec(eta, eta, mode), setup) == 0.5
+            assert coverage_lower_bound(kind, IntervalSpec(a, a, mode), setup) == 1.0
+        value, theta = min_coverage_search(kind, estimated, setup)
+    # the infimum, approached as theta grows: 0 in double precision at theta
+    ratio = theta / HUGE_HALF  # its square overflows, silently on floats
+    assert value == 0.0 == stats.chi2.sf(m * ratio * ratio, m), theta
 
 
 SIM_SHAPES = ((36, 35), (40, 35), (200, 5))
@@ -273,10 +347,6 @@ def test_solvers_and_search_give_values_in_range_or_typed_errors():
             check(lambda: min_coverage_search(kind, spec, setup)[0], 0.0, 1.0, errors,
                   ("min_coverage_search", *where))
     assert errors == []
-
-
-# find_root's relative tolerance
-ROOT_RTOL = 4.0 * np.finfo(float).eps
 
 
 @pytest.mark.parametrize("mode", list(VarianceMode))

@@ -20,7 +20,6 @@ from threshcov import (
     VarianceMode,
     atom_mass,
     density_grid,
-    mirror_check,
     reference_setup,
     simulate_scaled_error_ecdf,
     t_cdf,
@@ -30,6 +29,8 @@ from threshcov import (
     unknown_coverage,
 )
 from threshcov import special
+
+from conftest import mirror_check
 
 SETUP = reference_setup()
 ALPHA = ScalingFactor.conservative(SETUP)
@@ -54,7 +55,6 @@ class TestScalingFactor:
         plan = SimulationPlan(setup=SETUP, theta=0.1, reps=10, seed=1)
         calls = [lambda: tilde_cdf("hard", 0.2, SETUP, 0.1, bad),
                  lambda: tilde_density("hard", 0.2, SETUP, 0.1, bad),
-                 lambda: mirror_check("hard", SETUP, 0.1, bad, [0.2]),
                  lambda: density_grid("hard", SETUP, 0.1, bad),
                  lambda: simulate_scaled_error_ecdf(plan, "hard", bad, [0.0])]
         for call in calls:

@@ -42,12 +42,16 @@ from threshcov import cli  # noqa: E402
 
 
 # Interval solves away from the reference eta and xi: a threshold far below
-# and far above the noise scale, each kind in both variance modes.
+# and far above the noise scale, each kind in both variance modes; then a
+# threshold of 1e308, whose half-length bracket ends at the largest double.
 OFF_REFERENCE = [
     ["interval", "--kind", kind, "--mode", mode, "--eta", eta,
      "--xi", "0.3", "--alpha", "0.01"]
     for eta in ("0.01", "2") for kind in ("hard", "soft", "asoft")
     for mode in ("known", "estimated")
+] + [
+    ["interval", "--kind", kind, "--mode", mode, "--eta", "1e308"]
+    for kind in ("hard", "soft", "asoft") for mode in ("known", "estimated")
 ]
 
 
