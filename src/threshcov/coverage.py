@@ -27,7 +27,7 @@ import sys
 import numpy as np
 
 from .estimators import EstimatorKind, _inverse
-from .finite_sample import _mixture, _scale_free, _scaled
+from .finite_sample import _mixture, _scale_free
 from .model import ProblemSetup, VarianceMode
 from .special import (_ROOT_RTOL, BracketError, DomainError, _clamp_unit, _each, _saturating,
                       _std_normal_cdf, _t_cdf, find_root)
@@ -82,7 +82,7 @@ def _coverage_core(kind: EstimatorKind, mu, reach_a, reach_b, eta, rn):
     W lands in [mu - reach_b, mu + reach_a], that is iff W - mu lies between
     the inverse map's open offset at the lower end and its closed offset at
     the upper end.  Arms, thresholds and offsets that overflowed are +-inf,
-    where Phi is 0 or 1.  Where mu is infinite too (theta / (sigma xi)
+    where Phi is 0 or 1.  Where mu is infinite too (theta / sigma / xi
     overflowed), an infinite arm is taken at the largest double, so that
     mu - arm is +-inf rather than NaN.
     """
@@ -113,7 +113,7 @@ def known_coverage(kind, theta_i: float, sigma: float, spec: IntervalSpec,
     rn, reach_a, reach_b = setup.root_n, spec.a / setup.xi, spec.b / setup.xi
 
     def law(theta):
-        mu = _scaled(theta, sigma, setup.xi)
+        mu = theta / sigma / setup.xi
         return _coverage_core(kind, mu, reach_a, reach_b, setup.eta, rn), 0.0
 
     return _each(theta_i, law, "theta")[0]
@@ -126,6 +126,13 @@ def _variance_cdf(mode: VarianceMode, setup: ProblemSetup):
     return functools.partial(_t_cdf, setup.require_estimated_variance())
 
 
+def _in_errors(arm: float, rn: float, xi: float) -> float:
+    """rn arm / xi, the arm in LS standard errors; dividing first only
+    where rn arm overflows keeps ordinary bits."""
+    wide = rn * arm
+    return wide / xi if wide < math.inf else rn * (arm / xi)
+
+
 def _infimum(kind: EstimatorKind, a: float, b: float, setup: ProblemSetup, cdf) -> float:
     """Infimum over the parameter of the coverage of [estimate - c a,
     estimate + c b]: exact under cdf = Phi, a bound under T_m (a == b),
@@ -136,8 +143,7 @@ def _infimum(kind: EstimatorKind, a: float, b: float, setup: ProblemSetup, cdf) 
     if kind is EstimatorKind.HARD:
         if xi * eta > a + b:
             return 0.0
-        # dividing first only where rn large overflows keeps ordinary bits
-        far = -rn * large / xi if rn * large < math.inf else -rn * (large / xi)
+        far = -_in_errors(large, rn, xi)
     elif kind is EstimatorKind.SOFT:
         far = rn * (-large / xi - eta)
     else:  # halved after dividing, as 2 xi and a + b = 2 a may overflow
@@ -170,7 +176,7 @@ def coverage_upper_bound(spec: IntervalSpec, setup: ProblemSetup) -> float:
     """
     cdf = _variance_cdf(spec.mode, setup)
     rn, xi = setup.root_n, setup.xi
-    return float(cdf(rn * spec.a / xi) - cdf(-rn * spec.b / xi))
+    return float(cdf(_in_errors(spec.a, rn, xi)) - cdf(-_in_errors(spec.b, rn, xi)))
 
 
 def _solve_half_length(kind, alpha: float, setup: ProblemSetup, mode: VarianceMode) -> float:
@@ -187,8 +193,9 @@ def _solve_half_length(kind, alpha: float, setup: ProblemSetup, mode: VarianceMo
 
     # below xi eta / 2 the hard infimum is identically zero
     lo = 0.5 * setup.xi * setup.eta if kind is EstimatorKind.HARD else 0.0
-    hi = max(setup.xi * setup.eta, setup.xi / setup.root_n)
-    # doubling stops at the largest double, a bracket unless even it falls short
+    # the upper end starts and doubles up to the largest double at most, a
+    # bracket unless the infimum there still falls short
+    hi = min(max(setup.xi * setup.eta, setup.xi / setup.root_n), sys.float_info.max)
     while not (f_hi := _infimum(kind, hi, hi, setup, cdf) - target) > 0.0:
         if hi == sys.float_info.max:
             raise BracketError("could not bracket the half-length equation")
@@ -241,8 +248,7 @@ def unknown_coverage(kind, theta_i: float, sigma: float, spec: IntervalSpec,
     def law(theta):
         lone = isinstance(theta, float)
         if lone and theta != 0.0:
-            return _mixture(kind, _scaled(theta, sigma, setup.xi), (reach, -reach), eta, m,
-                            covered)
+            return _mixture(kind, theta / sigma / setup.xi, (reach, -reach), eta, m, covered)
         at_zero = (_scale_free(kind, spec.a, setup.xi, eta, rn, m)
                    - _scale_free(kind, -spec.a, setup.xi, eta, rn, m, closed=False))
         if lone:
@@ -250,7 +256,7 @@ def unknown_coverage(kind, theta_i: float, sigma: float, spec: IntervalSpec,
         rest = theta != 0.0
         value, bound = np.full(theta.shape, at_zero), np.zeros(theta.shape)
         if rest.any():
-            value[rest], bound[rest] = _mixture(kind, _scaled(theta[rest], sigma, setup.xi),
+            value[rest], bound[rest] = _mixture(kind, theta[rest] / sigma / setup.xi,
                                                 np.array([reach, -reach]), eta, m, covered)
         return value, bound
 
@@ -304,7 +310,8 @@ def min_coverage_search(kind, spec: IntervalSpec, setup: ProblemSetup):
     def cov(theta):
         return unknown_coverage(kind, float(theta), 1.0, spec, setup)
 
-    theta_max = spec.a + setup.xi * setup.eta + 10.0 * setup.xi / setup.root_n
+    theta_max = min(spec.a + setup.xi * setup.eta + 10.0 * setup.xi / setup.root_n,
+                    sys.float_info.max)
     grid = np.linspace(0.0, theta_max, _SEARCH_GRID_POINTS)
     values = unknown_coverage(kind, grid, 1.0, spec, setup)
     best = int(np.argmin(values))

@@ -173,4 +173,6 @@ def estimate(X, y, rule: ThresholdRule) -> np.ndarray:
         scale = math.sqrt(sigma_hat_sq)
     else:
         scale = rule.sigma
-    return kernel(rule.kind, coef, scale * xi * eta)
+    with np.errstate(over="ignore"):  # an infinite cutoff kills, as the exact one would
+        cutoff = scale * xi * eta
+    return kernel(rule.kind, coef, cutoff)

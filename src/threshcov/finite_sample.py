@@ -31,7 +31,7 @@ import numpy as np
 from .estimators import _SMALLEST_NORMAL, EstimatorKind, _inverse, _inverse_slope, _switch_points
 from .model import ProblemSetup
 from .special import (
-    DEFAULT_QUADRATURE,
+    _RHO_TAIL_MASS,
     DomainError,
     _clamp_unit,
     _each,
@@ -103,11 +103,10 @@ def _mixture(kind, mu, slopes, eta, m, term, weighted=False):
     declares the switch points of _inverse at every slope column, and rho_m's
     quantiles (_rho_quantiles) as panel breakpoints, so the first round
     already resolves rho_m's bulk and lower tail.  The quadrature stops at
-    the s_max beyond which rho_m's mass is tail_mass_tol; weighted=True (for
-    densities, whose term grows like s) stops where E[s; s > s_max] is.
+    the s_max beyond which rho_m's mass is _RHO_TAIL_MASS; weighted=True
+    (for densities, whose term grows like s) stops where E[s; s > s_max] is.
     """
-    tol = DEFAULT_QUADRATURE.tail_mass_tol
-    upper = _rho_upper_weighted(m, tol) if weighted else _rho_upper(m, tol)
+    upper = (_rho_upper_weighted if weighted else _rho_upper)(m, _RHO_TAIL_MASS)
     if isinstance(slopes, np.ndarray):
         mu = np.asarray(mu, dtype=float)
         varying = mu if mu.ndim else slopes
@@ -145,27 +144,19 @@ def _scale_free(kind, x, scale, t, rn, m, closed=True, density=False, mu=0.0):
     return np.where(pdf > 0.0, rn * _inverse_slope(kind, mu, d, t) * pdf / scale, 0.0)
 
 
-def _scaled(theta, sigma: float, xi: float):
-    """theta / (sigma xi), inf where it overflows (silently: every caller
-    runs under special._saturating).  Where sigma xi underflows to 0,
-    theta / sigma / xi."""
-    unit = sigma * xi
-    return theta / unit if unit else theta / sigma / xi
-
-
-def _error_law(kind, x, theta, sigma, xi, scale, eta, rn, m, density=False):
+def _error_law(kind, x, theta, xi, scale, eta, rn, m, density=False):
     """(values, bounds) at the finite x (array or float) of the law of scale
-    (kernel(W, eta s) - mu) / s, W ~ N(mu, 1 / rn^2), mu = theta / (sigma
-    xi), s ~ rho_m: its CDF, or with density=True the density of its
-    continuous part without the kill term.  Two routes, taken on theta
-    rather than on a mu that may underflow.  Where every offset scales with
-    s, the law is the closed form _scale_free: at mu = +-inf (theta
-    infinite, or overflowing against sigma xi); at eta = 0, where the law
-    does not depend on mu and is taken at mu = +-inf, where every kind's
-    offset is d (at mu = 0, adaptive soft's offset is 0/0 for d =
+    (kernel(W, eta s) - mu) / s, W ~ N(mu, 1 / rn^2), mu = theta / xi with
+    theta in units of sigma, s ~ rho_m: its CDF, or with density=True the
+    density of its continuous part without the kill term.  Two routes,
+    taken on theta rather than on a mu that may underflow.  Where every
+    offset scales with s, the law is the closed form _scale_free: at mu =
+    +-inf (theta infinite, or overflowing against xi); at eta = 0, where
+    the law does not depend on mu and is taken at mu = +-inf, where every
+    kind's offset is d (at mu = 0, adaptive soft's offset is 0/0 for d =
     -5e-324); and at any other theta = 0.  Anything else is one rho_m
     mixture."""
-    mu = _scaled(float(theta), sigma, xi)
+    mu = float(theta) / xi  # inf where it overflows, silently on floats
     if theta == 0.0 or eta == 0.0 or math.isinf(mu):
         mu = 0.0 if theta == 0.0 and eta != 0.0 else math.copysign(math.inf, mu)
         return _scale_free(kind, x, scale, eta, rn, m, density=density, mu=mu), 0.0
@@ -200,8 +191,9 @@ def tilde_cdf(kind, x, setup: ProblemSetup, theta_i: float, alpha):
     if not math.isfinite(theta_i):
         raise DomainError("theta must be finite")
     m = setup.require_estimated_variance()
-    return _clamp_unit(*_each(x, lambda xs: _error_law(kind, xs, theta_i, setup.sigma, setup.xi,
-                                                       a * setup.xi, setup.eta, setup.root_n, m),
+    q = float(theta_i) / setup.sigma  # inf where it overflows, silently
+    return _clamp_unit(*_each(x, lambda xs: _error_law(kind, xs, q, setup.xi, a * setup.xi,
+                                                       setup.eta, setup.root_n, m),
                               "CDF argument", cdf=True), "tilde_cdf")
 
 
@@ -246,13 +238,13 @@ def tilde_density(kind, x, setup: ProblemSetup, theta_i: float, alpha):
     if not math.isfinite(theta_i):
         raise DomainError("theta must be finite")
     m = setup.require_estimated_variance()
+    q = float(theta_i) / setup.sigma  # inf where it overflows, silently
 
     def law(xs):
-        out, _ = _error_law(kind, xs, theta_i, setup.sigma, setup.xi, a * setup.xi,
-                            setup.eta, setup.root_n, m, density=True)
-        if theta_i == 0.0:  # the atom at x = 0 carries no density
+        out, _ = _error_law(kind, xs, q, setup.xi, a * setup.xi, setup.eta, setup.root_n, m,
+                            density=True)
+        if q == 0.0:  # the atom at x = 0 carries no density
             return np.where(xs != 0.0, out, 0.0), 0.0
-        q = float(theta_i) / setup.sigma  # inf where it overflows, silently
         return np.maximum(0.0, out + _kill_kernel_term(xs, q, setup, a)), 0.0
 
     return _each(x, law, "density argument")[0]

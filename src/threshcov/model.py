@@ -164,4 +164,6 @@ def standard_ls_interval(setup: ProblemSetup, mode: VarianceMode, alpha: float) 
         quantile = std_normal_quantile(1.0 - 0.5 * alpha)
     else:
         quantile = t_quantile(1.0 - 0.5 * alpha, setup.require_estimated_variance())
-    return float(setup.xi * quantile / setup.root_n)
+    # dividing first only where xi quantile overflows keeps ordinary bits
+    wide = setup.xi * quantile
+    return wide / setup.root_n if wide < math.inf else setup.xi * (quantile / setup.root_n)

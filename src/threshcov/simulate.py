@@ -265,8 +265,11 @@ def _sigma_hat_bracket(m: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _estimate(kind, setup: ProblemSetup, coef, scale):
     """The thresholded estimate of LS coefficients coef at interval scale
-    scale (sigma or sigma_hat)."""
-    return kernel(kind, coef, scale * setup.xi * setup.eta)
+    scale (sigma or sigma_hat).  A cutoff that overflows is inf, which kills
+    every estimate, as the exact cutoff would."""
+    with np.errstate(over="ignore"):
+        cutoff = scale * setup.xi * setup.eta
+    return kernel(kind, coef, cutoff)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)

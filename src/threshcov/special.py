@@ -109,23 +109,15 @@ class DomainError(ValueError):
 
 @dataclasses.dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and limits for the half-line quadrature.
-
-    ``tail_mass_tol`` is the probability mass of ``sqrt(chisq_m / m)`` that
-    may be discarded beyond the truncation point of a weighted integral;
-    callers convert it into a truncation point via :func:`rho_upper_limit`.
-    """
+    """Tolerances and limits for the half-line quadrature."""
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
     max_subdivisions: int = 4096
-    tail_mass_tol: float = 1e-12
 
     def __post_init__(self):
         if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
             raise DomainError("quadrature tolerances must be positive")
-        if not 0.0 < self.tail_mass_tol < 1.0:
-            raise DomainError("tail_mass_tol must lie in (0, 1)")
         if self.max_subdivisions < 1:
             raise DomainError("max_subdivisions must be at least 1")
 
@@ -269,6 +261,8 @@ def _rho_upper_weighted(m: int, tail_mass_tol: float) -> float:
 # Probabilities at which rho_m's quantiles cut every mixture's first panels:
 # its far lower tail, its bulk and its upper shoulder.
 _RHO_SEED_PROBS = (1e-9, 1e-3, 0.5, 0.999)
+# Mass of rho_m (of s rho_m for densities) every mixture discards past s_max.
+_RHO_TAIL_MASS = 1e-12
 
 
 @functools.lru_cache(maxsize=1024)
@@ -501,8 +495,8 @@ def integrate_halfline(f: Callable, breakpoints: Iterable = (), *, upper: float,
 
     ``breakpoints`` mark non-smooth points of f; values outside (0, upper)
     are ignored.  Weighted integrands pick ``upper`` from
-    :func:`rho_upper_limit` so that the discarded tail mass is below
-    ``cfg.tail_mass_tol``.  Raises :class:`NumericsError` (carrying the best
+    :func:`rho_upper_limit` so that the discarded tail mass is below a
+    tolerance of their own.  Raises :class:`NumericsError` (carrying the best
     estimate and its error bound) if the tolerance cannot be met within
     ``cfg.max_subdivisions`` panels.
 

@@ -27,7 +27,11 @@ overflow, keep the coverage values that were computed without one.  At
 thresholds of 1e306, 1e308 and 1.7e308 with O(1) theta and arms, where eta
 s nears or passes the overflow along the rho_m mixture, every estimate is 0,
 and each law, coverage, solved length and searched worst case has a closed
-form that the calls must give.
+form that the calls must give.  The Monte Carlo paths and `estimate` kill
+every estimate there too, also where the cutoff c xi eta overflows.  At
+scales xi of 1e307 and 1e308, every half-length is xi times its value at
+xi = 1 and every bound and searched worst case keeps its value; where xi
+eta passes the largest double, the solvers raise BracketError.
 
 So do the half-length solvers, at alpha 0.05, 1 - 1e-12 and 1 - 2^-53, and
 the worst-case search, at the solved estimated-variance half-length and at
@@ -43,6 +47,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -50,6 +55,7 @@ import pytest
 from scipy import stats
 
 from threshcov import (
+    BracketError,
     ConservativeRegime,
     ConsistentRegime,
     DomainError,
@@ -59,10 +65,14 @@ from threshcov import (
     ProblemSetup,
     ScalingFactor,
     SimulationPlan,
+    ThresholdRule,
     VarianceMode,
+    component_draws,
     conservative_limit_cdf,
     consistent_limit_cdf,
     coverage_lower_bound,
+    coverage_upper_bound,
+    estimate,
     known_coverage,
     min_coverage_search,
     simulate_coverage,
@@ -70,8 +80,12 @@ from threshcov import (
     simulate_scaled_error_ecdf,
     solve_known_half_length,
     solve_unknown_half_length,
+    standard_ls_interval,
+    std_normal_quantile,
+    synthetic_design,
     tilde_cdf,
     tilde_density,
+    uniform_field,
     unknown_coverage,
 )
 
@@ -274,6 +288,64 @@ def test_huge_thresholds_give_the_killed_values(eta, kind):
     assert value == 0.0 == stats.chi2.sf(m * ratio * ratio, m), theta
 
 
+# Scales near the largest double, at n = 40, k = 35 and O(1) eta: every
+# half-length is xi times its value at xi = 1, and every coverage its value
+# there, to within the 1e-10 tolerance of the xi = 1 root.  Where xi eta
+# passes the largest double, so does every length the infimum would accept.
+HUGE_XIS = (1e307, 1e308)
+HUGE_XI_ETAS = (0.05, 0.5)
+SOLVERS = {VarianceMode.KNOWN: solve_known_half_length,
+           VarianceMode.ESTIMATED: solve_unknown_half_length}
+
+
+def unit_scale_values(kind, eta, xi, mode):
+    """Half-length / xi, both bounds at it, the LS half-length / xi and,
+    with estimated variance, the searched minimum coverage."""
+    setup = ProblemSetup(n=40, k=35, xi=xi, eta=eta)
+    a = SOLVERS[mode](kind, 0.05, setup)
+    spec = IntervalSpec(a, a, mode)
+    values = [a / xi, coverage_lower_bound(kind, spec, setup), coverage_upper_bound(spec, setup),
+              standard_ls_interval(setup, mode, 0.05) / xi]
+    if mode is VarianceMode.ESTIMATED:
+        values.append(min_coverage_search(kind, spec, setup)[0])
+    return values
+
+
+def test_huge_scales_give_the_unit_scale_values():
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        for kind, eta, mode in itertools.product(EstimatorKind, HUGE_XI_ETAS, VarianceMode):
+            want = unit_scale_values(kind, eta, 1.0, mode)
+            for xi in HUGE_XIS:
+                got = unit_scale_values(kind, eta, xi, mode)
+                assert got == pytest.approx(want, rel=0.0, abs=1e-8), (kind, eta, mode, xi)
+
+
+@pytest.mark.parametrize("xi, eta", [(1e308, 2.0), (1e300, 1e10), (sys.float_info.max, 1.5)])
+def test_overflowing_thresholds_raise_bracket_errors(xi, eta):
+    setup = ProblemSetup(n=40, k=35, xi=xi, eta=eta)
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        for kind, solve in itertools.product(EstimatorKind, SOLVERS.values()):
+            with pytest.raises(BracketError, match="could not bracket"):
+                solve(kind, 0.05, setup)
+
+
+def test_largest_scale_search_lies_between_the_bounds():
+    """At xi = the largest double, soft's minimizer (2.38 xi at eta 0.5)
+    is not a double, so only the bounds are asserted: soft's search nears
+    its infimum, the lower bound, to the quadrature's 1e-10."""
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        for kind, eta in itertools.product(EstimatorKind, HUGE_XI_ETAS):
+            setup = ProblemSetup(n=40, k=35, xi=sys.float_info.max, eta=eta)
+            a = solve_unknown_half_length(kind, 0.05, setup)
+            spec = IntervalSpec(a, a, VarianceMode.ESTIMATED)
+            value, _ = min_coverage_search(kind, spec, setup)
+            lower, upper = coverage_lower_bound(kind, spec, setup), coverage_upper_bound(spec, setup)
+            assert lower - 1e-10 <= value <= upper, (kind, eta, lower, value, upper)
+
+
 SIM_SHAPES = ((36, 35), (40, 35), (200, 5))
 SIM_ETAS = (1e-8, 0.05, 1e3)
 SIM_THETAS = (0.0, 5e-324, -1e-300, 0.3, -1e6, 1e200, 1e300, -1e300)
@@ -310,6 +382,57 @@ def test_simulate_entry_points_give_values_in_range_or_typed_errors():
                        "DomainError")
                       for (n, _), eta, theta, kind, mode in itertools.product(
                           SIM_SHAPES, SIM_ETAS, (1e300, -1e300), EstimatorKind, VarianceMode)]
+
+
+# Thresholds near the largest double in the Monte Carlo paths, at n = 40,
+# k = 35 and xi = 1: the cutoff c xi eta kills every estimate, or overflows
+# to inf, which kills it too.  So every estimate is exactly 0, [0 - c a,
+# 0 + c a] covers iff |theta| <= c a, and the error is alpha (0 - theta) / c.
+# The fast paths read c from component_draws; the full path draws n
+# normals per replication from the same stream and fits them.
+SIM_HUGE_THETAS = (0.4, -1.3)
+
+
+def full_path_sigma_hats(plan):
+    """sigma_hat of each replication of simulate_coverage_full on the
+    default synthetic design, whose residuals do not depend on theta."""
+    setup = plan.setup
+    n = setup.n
+    X = synthetic_design(n, setup.k, setup.xi)
+    Z = std_normal_quantile(uniform_field(plan.seed, 0, plan.reps * n)).reshape(plan.reps, n)
+    Q = np.linalg.qr(X)[0]
+    resid = Z - (Z @ Q) @ Q.T
+    return np.sqrt((resid * resid).sum(axis=1) / setup.residual_dof)
+
+
+@pytest.mark.parametrize("eta", HUGE_ETAS)
+def test_huge_thresholds_kill_every_simulated_estimate(eta):
+    setup = ProblemSetup(n=40, k=35, xi=1.0, eta=eta)
+    alpha = ScalingFactor.conservative(setup)
+    grid = np.array([-math.inf, -4.0, -0.5, 0.0, 0.5, 4.0, math.inf])
+    rng = np.random.default_rng(3)
+    X = synthetic_design(setup.n, setup.k)
+    # sigma_hat near 3: sigma_hat xi eta overflows at eta = 1e308
+    y = X @ rng.uniform(-2.0, 2.0, setup.k) + 3.0 * rng.standard_normal(setup.n)
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        for theta, kind in itertools.product(SIM_HUGE_THETAS, EstimatorKind):
+            plan = SimulationPlan(setup=setup, theta=theta, reps=257, seed=7)
+            s_fast, s_full = component_draws(plan)[1], full_path_sigma_hats(plan)
+            for mode in VarianceMode:
+                spec = IntervalSpec(HUGE_HALF, HUGE_HALF, mode)
+                known = mode is VarianceMode.KNOWN
+                for run, s in ((simulate_coverage, s_fast), (simulate_coverage_full, s_full)):
+                    c = 1.0 if known else s
+                    want = np.mean(abs(theta) <= c * HUGE_HALF)
+                    assert run(plan, kind, spec)[0] == want, (run.__name__, mode, theta, kind)
+            res = simulate_scaled_error_ecdf(plan, kind, alpha, grid)
+            errors = alpha * (0.0 - theta) / s_fast
+            assert res.values.tolist() == [np.mean(errors <= g) for g in grid], (theta, kind)
+            assert res.zero_mass == 1.0
+            for sigma in (None, 1.0):
+                rule = ThresholdRule(kind, eta, sigma=sigma)
+                assert not estimate(X, y, rule).any(), (kind, sigma)
 
 
 SOLVER_SHAPES = ((36, 35), (40, 35), (10 ** 6, 35))

@@ -27,7 +27,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from threshcov import (
-    DEFAULT_QUADRATURE,
     ConservativeRegime,
     EstimatorKind,
     IntervalSpec,
@@ -47,10 +46,10 @@ from threshcov import (
 from threshcov.coverage import _coverage_core
 from threshcov.estimators import _inverse, _inverse_slope, _switch_points
 from threshcov.finite_sample import _mixture, _scale_free
-from threshcov.special import integrate_halfline, rho_upper_limit
+from threshcov.special import _RHO_TAIL_MASS, integrate_halfline, rho_upper_limit
 
 KINDS = list(EstimatorKind)
-TAIL = DEFAULT_QUADRATURE.tail_mass_tol
+TAIL = _RHO_TAIL_MASS
 REFERENCE = QuadratureConfig(abs_tol=1e-14, rel_tol=1e-12)
 
 # x as a label resolved against the cell's dead-zone edge a xi eta, or a float

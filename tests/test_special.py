@@ -252,8 +252,6 @@ class TestIntegrator:
         with pytest.raises(DomainError):
             QuadratureConfig(abs_tol=0.0)
         with pytest.raises(DomainError):
-            QuadratureConfig(tail_mass_tol=2.0)
-        with pytest.raises(DomainError):
             QuadratureConfig(max_subdivisions=0)
         assert DEFAULT_QUADRATURE.abs_tol <= 1e-8
 

@@ -6,7 +6,7 @@
 
 Runs each command of ``perfbench/workloads.artifact_tasks()`` and
 ``PROBE_ARTIFACTS`` (imported, never modified), plus ``table1 --fast
---check`` and the ``OFF_REFERENCE`` interval commands, through
+--check`` and the ``OFF_REFERENCE`` commands, through
 ``threshcov.cli.main`` in this one process, in that order.
 Each command runs twice: once to stdout and once with ``--out`` to a
 temporary file.  The exit code and the sha256 of stdout, stderr and the
@@ -44,6 +44,9 @@ from threshcov import cli  # noqa: E402
 # Interval solves away from the reference eta and xi: a threshold far below
 # and far above the noise scale, each kind in both variance modes; then a
 # threshold of 1e308, whose half-length bracket ends at the largest double.
+# Last, the scale xi = 1e308, where sqrt(n) a and xi eta near the overflow:
+# the table and each interval keep their xi = 1 coverages, and where xi eta
+# passes the largest double the solve fails to bracket (exit 2).
 OFF_REFERENCE = [
     ["interval", "--kind", kind, "--mode", mode, "--eta", eta,
      "--xi", "0.3", "--alpha", "0.01"]
@@ -52,7 +55,10 @@ OFF_REFERENCE = [
 ] + [
     ["interval", "--kind", kind, "--mode", mode, "--eta", "1e308"]
     for kind in ("hard", "soft", "asoft") for mode in ("known", "estimated")
-]
+] + [["table1", "--xi", "1e308"]] + [
+    ["interval", "--kind", kind, "--mode", mode, "--eta", "0.5", "--xi", "1e308"]
+    for kind in ("hard", "soft", "asoft") for mode in ("known", "estimated")
+] + [["interval", "--kind", "hard", "--eta", "2", "--xi", "1e308"]]
 
 
 def commands() -> list[list[str]]:
@@ -92,6 +98,7 @@ def digest(argv: list[str], tmp: Path, outputs: dict) -> dict:
     code, out, err = run(argv)
     outputs[" ".join(argv)] = out.decode("utf-8")
     path = tmp / "artifact.out"
+    path.unlink(missing_ok=True)  # a command that fails writes none
     file_code, file_out, file_err = run(argv + ["--out", str(path)])
     return {
         "exit": code,
@@ -100,7 +107,7 @@ def digest(argv: list[str], tmp: Path, outputs: dict) -> dict:
         "out_exit": file_code,
         "out_stdout_bytes": len(file_out),
         "out_stderr_sha256": sha256(file_err),
-        "out_file_sha256": sha256(path.read_bytes()),
+        "out_file_sha256": sha256(path.read_bytes() if path.exists() else b""),
     }
 
 
