@@ -85,17 +85,34 @@ def _inverse(kind: EstimatorKind, mu, d, t, closed: bool = True):
     Where mu d or t^2 overflows, that quotient is taken term by term; at
     mu = +-inf it is d, the limit where the shrinkage t^2 / c vanishes, and
     at t = inf, where every estimate is killed, the edge +-inf.
+
+    Python floats mu, d and t (a lone problem) run the same expressions in
+    Python arithmetic, np.hypot included, and return a float; where adaptive
+    soft's quotient needs the edge handling (mu d + t^2 not finite, a zero
+    denominator) they take the array body, which returns a 0-d array.
     """
     c = mu + d
     up = c >= 0.0 if closed else c > 0.0
+    lone = type(mu) is type(d) is type(t) is float
     if kind is EstimatorKind.HARD:
+        if lone:
+            return d if abs(c) > t else (t if up else -t) - mu
         return np.where(np.abs(c) > t, d, np.where(up, t, -t) - mu)
     if kind is EstimatorKind.SOFT:
+        if lone:
+            return d + t if up else d - t
         return np.where(up, d + t, d - t)
     big_a = 0.5 * (d - mu)
     big_b = np.hypot(0.5 * c, t)
-    signed_b = np.where(up, big_b, -big_b)
     # A + signed_b does not cancel where both terms share a sign
+    if lone:
+        signed_b = float(big_b) if up else -float(big_b)
+        if (big_a >= 0.0) == up:
+            return big_a + signed_b
+        num, den = mu * d + t * t, signed_b - big_a
+        if den and math.isfinite(num):
+            return num / den
+    signed_b = np.where(up, big_b, -big_b)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         num, den = mu * d + t * t, signed_b - big_a
         cancel = num / den
@@ -109,12 +126,19 @@ def _inverse(kind: EstimatorKind, mu, d, t, closed: bool = True):
 
 def _inverse_slope(kind: EstimatorKind, mu, d, t):
     """g'(mu + d), the slope of either :func:`_inverse`; soft's is 1.0, and
-    adaptive soft's tends to 1 as |c| grows, its value at c = +-inf."""
+    adaptive soft's tends to 1 as |c| grows, its value at c = +-inf.  Python
+    floats run on floats as in :func:`_inverse`, but for c = +-inf and a
+    zero denominator."""
     c = mu + d
+    lone = type(c) is type(t) is float
     if kind is EstimatorKind.HARD:
-        return np.where(np.abs(c) > t, 1.0, 0.0)
+        return (1.0 if abs(c) > t else 0.0) if lone else np.where(np.abs(c) > t, 1.0, 0.0)
     if kind is EstimatorKind.SOFT:
         return 1.0
+    if lone and not math.isinf(c):
+        hyp = float(np.hypot(0.5 * c, t))
+        if hyp:
+            return 0.5 + 0.25 * abs(c) / hyp
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(np.isinf(c), 1.0, 0.5 + 0.25 * np.abs(c) / np.hypot(0.5 * c, t))
 

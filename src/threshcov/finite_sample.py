@@ -42,6 +42,8 @@ from .special import (
     _saturating,
     _std_normal_cdf,
     _std_normal_pdf,
+    _t_cdf,
+    _t_pdf,
     integrate_halfline,
     t_cdf,
     t_pdf,
@@ -133,11 +135,19 @@ def _mixture(kind, mu, slopes, eta, m, term, weighted=False):
 def _scale_free(kind, x, scale, t, rn, m, closed=True, density=False, mu=0.0):
     """T_m(rn g1), g1 = _inverse(kind, mu, x / scale, t): the mixture over s
     where every offset is s g1, as at mu = 0 and mu = +-inf.  density=True
-    gives its x-derivative rn g' t_m(rn g1) / scale, 0 where t_m underflows."""
+    gives its x-derivative rn g' t_m(rn g1) / scale, 0 where t_m underflows.
+    A g1 that _inverse gave as a float other than NaN (a lone problem off
+    its edges) stays on floats, through the unchecked _t_cdf and _t_pdf."""
     d = x / scale
     if not (d.all() if isinstance(d, np.ndarray) else d):  # keep x != 0 off the atom
         d = np.where((d == 0.0) & (x != 0.0), np.copysign(math.ulp(0.0), x), d)
-    arg = rn * _inverse(kind, mu, d, t, closed)
+    g1 = _inverse(kind, mu, d, t, closed)
+    arg = rn * g1
+    if type(g1) is float and g1 == g1:
+        if not density:
+            return _t_cdf(m, arg)
+        pdf = _t_pdf(arg, m)
+        return rn * _inverse_slope(kind, mu, d, t) * pdf / scale if pdf > 0.0 else 0.0
     if not density:
         return t_cdf(arg, m)
     pdf = t_pdf(arg, m)
@@ -212,8 +222,10 @@ def _kill_kernel_term(x, q: float, setup: ProblemSetup, a: float):
     # to 0; the product tends to 0 there.  Where x * x itself underflows
     # (theta tiny enough that rho is still positive), the same Jacobian is
     # written s^2 / (a |q|), which stays finite.  Off the side rho is NaN.
+    # A lone x (on the side, so nonzero) stays a float, and each quotient is
+    # formed only on its branch: where a |q| underflows to 0, so does s, and
+    # rho is 0 or NaN there
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        x = np.float64(x) if lone else x  # numpy scalars keep to this errstate
         s_at_x = -a * q / x
         gamma = setup.root_n * q / setup.xi
         shift = a * setup.xi * setup.eta / x
@@ -221,6 +233,12 @@ def _kill_kernel_term(x, q: float, setup: ProblemSetup, a: float):
                 - _std_normal_cdf(-gamma * (1.0 - shift)))
         rho = _rho_pdf(s_at_x, setup.residual_dof)
         x_sq = x * x
+        if lone:
+            if not rho > 0.0:
+                return 0.0
+            jacobian = (a * abs(q) / x_sq if x_sq >= _SMALLEST_NORMAL
+                        else s_at_x * s_at_x / (a * abs(q)))
+            return float(jacobian * rho * band)
         jacobian = np.where(x_sq >= _SMALLEST_NORMAL, a * abs(q) / x_sq,
                             s_at_x * s_at_x / (a * abs(q)))
         return np.where(side & (rho > 0.0), jacobian * rho * band, 0.0)
@@ -244,6 +262,8 @@ def tilde_density(kind, x, setup: ProblemSetup, theta_i: float, alpha):
         out, _ = _error_law(kind, xs, q, setup.xi, a * setup.xi, setup.eta, setup.root_n, m,
                             density=True)
         if q == 0.0:  # the atom at x = 0 carries no density
+            if isinstance(xs, float):
+                return (out if xs != 0.0 else 0.0), 0.0
             return np.where(xs != 0.0, out, 0.0), 0.0
         return np.maximum(0.0, out + _kill_kernel_term(xs, q, setup, a)), 0.0
 

@@ -285,10 +285,15 @@ def t_pdf(x, m):
     |x| = 1.3e154, where x^2 overflows, it is below the smallest normal
     double and, like an underflow, 0 silently."""
     m = _check_dof(m)
-    x_arr = np.asarray(x, dtype=float)
-    out = np.exp(_t_log_norm(m) - 0.5 * (m + 1) * np.log1p(x_arr * x_arr / m))
-    out = _nan_checked(out, "t density")
+    out = _nan_checked(_t_pdf(np.asarray(x, dtype=float), m), "t density")
     return out if out.ndim else float(out)
+
+
+def _t_pdf(x, m: int):
+    """t_pdf unchecked: x not NaN, m a checked degree of freedom.  Past
+    |x| = 1.3e154, x * x overflows to inf (density 0), where every caller
+    saturates."""
+    return np.exp(_t_log_norm(m) - 0.5 * (m + 1) * np.log1p(x * x / m))
 
 
 @functools.lru_cache(maxsize=1024)
@@ -367,10 +372,12 @@ def _panel_rule(f, panels: np.ndarray, problem=None):
     |K21 - G10| error estimate, one column per panel).
 
     f is called on consecutive blocks of at most _BLOCK_PANELS panels' nodes;
-    the rule is one matmul over the whole table.  ``problem`` holds the batch
-    row of each panel; f receives the node array without it, the pair
-    (nodes, row of each node) with it: one argument, as perfbench/tracing.py
-    wraps integrands in a one-argument span.
+    a round of one block uses f's values as they come, and a longer one
+    copies them into one table.  The rule is one matmul over the whole
+    table, which it only reads.  ``problem`` holds the batch row of each
+    panel; f receives the node array without it, the pair (nodes, row of
+    each node) with it: one argument, as perfbench/tracing.py wraps
+    integrands in a one-argument span.
     """
     lo, hi = panels[0], panels[1]
     mid = 0.5 * (lo + hi)
@@ -378,15 +385,18 @@ def _panel_rule(f, panels: np.ndarray, problem=None):
     # one row per panel: its 10 Gauss nodes, then its 11 Kronrod nodes
     xs = (mid[:, None] + half[:, None] * _QK_X).ravel()
     rows = None if problem is None else np.repeat(problem, _QK_X.size)
-    vals = np.empty(xs.shape)
     step = _BLOCK_PANELS * _QK_X.size
+    vals = np.empty(xs.shape) if xs.size > step else None
     for start in range(0, xs.size, step):
         nodes = xs[start:start + step]
         block = np.asarray(f(nodes if rows is None else (nodes, rows[start:start + step])),
                            dtype=float)
-        if block.shape != vals[start:start + step].shape:
+        if block.shape != nodes.shape:
             raise DomainError("integrand must map an array to an array of the same shape")
-        vals[start:start + step] = block
+        if vals is None:
+            vals = block
+        else:
+            vals[start:start + step] = block
     vals = vals.reshape(len(lo), _QK_X.size)
     k21 = np.multiply(half, vals @ _QK_W, out=panels[2])
     err = np.subtract(k21, half * (vals[:, :_G10_W.size] @ _G10_W), out=panels[3])

@@ -13,7 +13,10 @@ runs every one of them once, in pool order, and compares each value with the
 recorded one within the benchmark's analytic tolerance.
 ``perfbench/workloads.py`` supplies the queries and the check; it is
 imported, never modified.  BLAS threads are pinned to 1, as in a benchmark
-run.
+run.  Besides each function's time per query, it prints that of the
+closed-form queries (every ``known_coverage``, and the theta = 0 rows of the
+three laws that otherwise integrate) apart from the quadrature ones (their
+theta != 0 rows), so a record shows which route a change moved.
 
 The tolerance lets a value move by rounding, so the script also hashes the
 float64 bits of all the values, in pool order, and compares that sha256
@@ -46,6 +49,17 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import workloads  # noqa: E402
 
+ROUTES = ("closed form", "quadrature")
+
+
+def route(func: str, nu: float) -> str | None:
+    """The route a query takes: every known_coverage and the theta = 0 rows
+    of the three laws that otherwise integrate take a closed form, their
+    other rows the quadrature; the solver takes neither alone."""
+    if func == "solve_unknown_half_length":
+        return None
+    return ROUTES[0] if func == "known_coverage" or nu == 0.0 else ROUTES[1]
+
 
 def main(argv=None) -> int:
     record = "--record" in (sys.argv[1:] if argv is None else argv)
@@ -56,16 +70,18 @@ def main(argv=None) -> int:
     bits = hashlib.sha256()
     for index in range(len(refs.pool)):
         outcome = workloads.run_task(workloads.query_task(refs.pool, index))
-        func = refs.pool[index][0]
-        seconds[func] += outcome.seconds
-        queries[func] += 1
+        func, nu = refs.pool[index][0], refs.pool[index][4]
+        for key in (func, route(func, nu)):
+            if key is not None:
+                seconds[key] += outcome.seconds
+                queries[key] += 1
         reason = workloads.check(outcome, refs)
         if reason is not None:
             failures.append(reason)
         # a raised query hashes as NaN, so it moves the digest too
         value = math.nan if outcome.error is not None else float(outcome.output)
         bits.update(struct.pack("<d", value))
-    for func in workloads.QUERY_FUNCS:
+    for func in workloads.QUERY_FUNCS + ROUTES:
         if queries[func]:
             print(f"check_query_pool: {func}: {queries[func]} queries, "
                   f"{1e3 * seconds[func] / queries[func]:.3f} ms per query")
@@ -73,7 +89,7 @@ def main(argv=None) -> int:
         print(f"check_query_pool: FAIL {reason}")
     if len(failures) > 20:
         print(f"check_query_pool: ... and {len(failures) - 20} more")
-    total = sum(queries.values())
+    total = len(refs.pool)
     print(f"check_query_pool: {total - len(failures)} of {total} recorded queries match")
     got = {"queries": total, "float64_sha256": bits.hexdigest()}
     if record:
