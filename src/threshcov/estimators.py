@@ -83,8 +83,9 @@ def _inverse(kind: EstimatorKind, mu, d, t, closed: bool = True):
     soft takes the root A +- B of w^2 - c w - t^2 = 0 shifted by mu, through
     the product (A - B)(A + B) = -(mu d + t^2) where A and +-B would cancel.
     Where mu d or t^2 overflows, that quotient is taken term by term; at
-    mu = +-inf it is d, the limit where the shrinkage t^2 / c vanishes, and
-    at t = inf, where every estimate is killed, the edge +-inf.
+    mu = +-inf the offset is d for every d, the limit where the shrinkage
+    t^2 / c vanishes, and at t = inf, where every estimate is killed, the
+    edge +-inf.
 
     Python floats mu, d and t (a lone problem) run the same expressions in
     Python arithmetic, np.hypot included, and return a float; where adaptive
@@ -105,9 +106,10 @@ def _inverse(kind: EstimatorKind, mu, d, t, closed: bool = True):
     big_a = 0.5 * (d - mu)
     big_b = np.hypot(0.5 * c, t)
     # A + signed_b does not cancel where both terms share a sign
+    added = (big_a >= 0.0) == up
     if lone:
         signed_b = float(big_b) if up else -float(big_b)
-        if (big_a >= 0.0) == up:
+        if added and not math.isinf(mu):
             return big_a + signed_b
         num, den = mu * d + t * t, signed_b - big_a
         if den and math.isfinite(num):
@@ -121,7 +123,10 @@ def _inverse(kind: EstimatorKind, mu, d, t, closed: bool = True):
             shift = np.where(np.isinf(t), signed_b, t * (t / den))
             cancel = np.where(np.isfinite(num), cancel,
                               np.where(np.isinf(mu), d, d * (mu / den) + shift))
-        return np.where((big_a >= 0.0) == up, big_a + signed_b, cancel)
+            # num is never finite at mu = +-inf, whose offset is d, also
+            # where d = -inf leaves A + B NaN
+            added = added & ~np.isinf(mu)
+        return np.where(added, big_a + signed_b, cancel)
 
 
 def _inverse_slope(kind: EstimatorKind, mu, d, t):

@@ -165,7 +165,20 @@ def _error_law(kind, x, theta, xi, scale, eta, rn, m, density=False):
     the law does not depend on mu and is taken at mu = +-inf, where every
     kind's offset is d (at mu = 0, adaptive soft's offset is 0/0 for d =
     -5e-324); and at any other theta = 0.  Anything else is one rho_m
-    mixture."""
+    mixture.  Where scale = alpha xi underflows to 0, the law is its limit
+    as the scale vanishes: x / scale is +-inf off x = 0, and at x = 0 the
+    CDF does not depend on the scale while a positive density grows past
+    every bound (inf)."""
+    if scale == 0.0:
+        if isinstance(x, float):
+            far = math.copysign(math.inf, x) if x else x
+        else:
+            far = np.where(x == 0.0, x, np.copysign(math.inf, x))
+        values, bounds = _error_law(kind, far, theta, xi, 1.0, eta, rn, m, density)
+        if density:
+            values = np.where((x == 0.0) & (values > 0.0), math.inf, values)
+            values = values if isinstance(x, np.ndarray) else float(values)
+        return values, bounds
     mu = float(theta) / xi  # inf where it overflows, silently on floats
     if theta == 0.0 or eta == 0.0 or math.isinf(mu):
         mu = 0.0 if theta == 0.0 and eta != 0.0 else math.copysign(math.inf, mu)

@@ -1,12 +1,12 @@
 """Gaussian linear regression scaffolding: y = X theta + u, u ~ N(0, sigma^2 I).
 
 ``compute_xi_all`` gives every component's standard-error scale
-``xi_i = sqrt(((X'X / n)^{-1})_{ii})`` through a QR factorization, never an
-explicit inverse.  ``ls_fit`` runs least squares with the unbiased residual
-variance estimate, and ``standard_ls_interval`` gives the classical z- and
-t-based half-lengths that the thresholded intervals are measured against.
-Component indexes are 1-based throughout, matching the usual numbering of
-regression coefficients.
+``xi_i = sqrt(((X'X / n)^{-1})_{ii})`` from the triangular factor R of
+X = QR, never from X'X.  ``ls_fit`` runs least squares with the unbiased
+residual variance estimate, and ``standard_ls_interval`` gives the classical
+z- and t-based half-lengths that the thresholded intervals are measured
+against.  Component indexes are 1-based throughout, matching the usual
+numbering of regression coefficients.
 """
 
 from __future__ import annotations
@@ -118,21 +118,16 @@ def _full_rank_qr(X: np.ndarray):
 
 
 def compute_xi_all(X) -> np.ndarray:
-    """xi_i for every component: row norms of R^{-T} scaled by sqrt(n)."""
-    from scipy.linalg import solve_triangular  # loaded on first use: slow to import
-
+    """xi_i for every component: row norms of R^{-1} scaled by sqrt(n)."""
     X = np.asarray(X, dtype=float)
     _, R = _full_rank_qr(X)
-    n, k = X.shape
-    rinv_t = solve_triangular(R, np.eye(k), trans="T", lower=False)
-    return np.sqrt(n * (rinv_t ** 2).sum(axis=0))
+    # R is triangular, so its LU factorization exchanges no rows
+    return np.sqrt(X.shape[0] * (np.linalg.inv(R) ** 2).sum(axis=1))
 
 
 def ls_fit(X, y) -> tuple[np.ndarray, float | None]:
     """Least squares via QR: (coefficients, unbiased sigma_hat^2), the latter
     None when n == k (no residual degrees of freedom)."""
-    from scipy.linalg import solve_triangular  # loaded on first use: slow to import
-
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     Q, R = _full_rank_qr(X)
@@ -141,7 +136,7 @@ def ls_fit(X, y) -> tuple[np.ndarray, float | None]:
         raise DomainError("response length must match the number of rows of X")
     if not np.isfinite(y).all():
         raise DomainError("response must be finite")
-    coef = solve_triangular(R, Q.T @ y, lower=False)
+    coef = np.linalg.solve(R, Q.T @ y)
     if n > k:
         resid = y - X @ coef
         sigma_hat_sq = float(resid @ resid) / (n - k)

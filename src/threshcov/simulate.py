@@ -562,7 +562,7 @@ def simulate_coverage_full(plan: SimulationPlan, kind, spec):
 
     Each chunk of floor(2^16 / |S|) replications computes only what the
     interval reads: the watched LS coefficient y' c (c = Q r, R' r = e_w,
-    from one triangular solve per cell) and, for estimated variance,
+    from one `numpy.linalg.solve` per cell) and, for estimated variance,
     sigma_hat through `_residual_scale`, both on the support S, the
     coordinates of y they read (all of them for a dense design or the
     residuals through Q).  Its words come from one Philox stream read in
@@ -573,8 +573,6 @@ def simulate_coverage_full(plan: SimulationPlan, kind, spec):
     different substream, so results agree statistically, not bitwise.
     Raises `DomainError` when X theta overflows.
     """
-    from scipy.linalg import solve_triangular  # loaded on first use: slow to import
-
     kind = EstimatorKind(kind)
     setup = plan.setup
     X = plan.design if plan.design is not None else synthetic_design(
@@ -586,7 +584,7 @@ def simulate_coverage_full(plan: SimulationPlan, kind, spec):
     watched = setup.component_index - 1
     # the watched LS coefficient is e_w' R^-1 Q' y = c' y with R' r = e_w,
     # and the watched xi is sqrt(n r'r)
-    row = solve_triangular(R, np.eye(setup.k)[watched], trans="T", lower=False)
+    row = np.linalg.solve(R.T, np.eye(setup.k)[watched])
     xi = math.sqrt(setup.n * float(row @ row))
     if abs(xi - setup.xi) > 1e-8 * max(1.0, setup.xi):
         raise DomainError("design xi of the watched component does not match setup.xi")

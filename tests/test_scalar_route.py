@@ -11,10 +11,13 @@ bits, compared as ``float.hex``.
 """
 
 import itertools
+import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from threshcov import (
     DomainError,
@@ -167,10 +170,48 @@ def test_kill_term_side(seed):
 @pytest.mark.parametrize("kind", KINDS)
 def test_infinite_mu_laws(kind):
     """theta / xi overflows, so the laws in x take the closed form at mu =
-    +-inf; at x = -+1e300, x / (alpha xi) overflows too, and adaptive soft's
-    offset is NaN, which both routes reject."""
+    +-inf, T_m(rn g1) with g1 = d for hard and adaptive soft and d +- eta
+    for soft.  At x = +-1e300, x / (alpha xi) = d overflows too (against
+    theta's sign, c = mu + d is NaN): every kind's CDF is 0 or 1 there and
+    its density 0."""
     setup = ProblemSetup(n=40, k=35, xi=1e-300)
+    m, rn = setup.residual_dof, setup.root_n
     for theta in (1e300, -1e300):
+        shift = math.copysign(setup.eta, theta) if kind is EstimatorKind.SOFT else 0.0
+        cdf = lambda x: tilde_cdf(kind, x, setup, theta, 1.0)
+        density = lambda x: tilde_density(kind, x, setup, theta, 1.0)
         for x in (0.0, 5e-324, 1e-300, -0.7e-300, 1e300, -1e300):
-            same_as_one_element_array(lambda x: tilde_cdf(kind, x, setup, theta, 1.0), x)
-            same_as_one_element_array(lambda x: tilde_density(kind, x, setup, theta, 1.0), x)
+            same_as_one_element_array(cdf, x)
+            same_as_one_element_array(density, x)
+            arg = rn * (x / setup.xi + shift)
+            assert cdf(x) == pytest.approx(stats.t.cdf(arg, m), rel=1e-12, abs=0.0)
+            want = rn * stats.t.pdf(arg, m) / setup.xi
+            assert density(x) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_underflowing_scale_laws(kind):
+    """alpha xi underflows to 0: both routes give the law's limit as the
+    scale vanishes, with no exception and no warning.  Off x = 0 that is
+    the law at x / (alpha xi) = +-inf, the same bits as at the smallest
+    scale 5e-324, where the quotient overflows; at x = 0 the CDF is the
+    same as there, and the density is inf where it is positive at scale 1
+    (0 at theta = 0, the atom)."""
+    setup = ProblemSetup(n=40, k=35, xi=1e-200)
+    for theta in (0.0, 0.3, -0.3, 1e-300):
+        for x in (1.0, -1.0, 0.0, -0.0, 1e-300, -5e-324):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                for law in (tilde_cdf, tilde_density):
+                    lone = law(kind, x, setup, theta, 1e-200)
+                    assert type(lone) is float
+                    assert bits(lone) == bits(law(kind, np.array([x]), setup, theta,
+                                                  1e-200)[0])
+                    if law is tilde_cdf and (x == 0.0 or abs(x) >= 1.0):
+                        assert bits(lone) == bits(law(kind, x, setup, theta, 5e-124))
+                    if law is tilde_density:
+                        # f(0) / scale, with f(0) the density at scale 1
+                        grows = x == 0.0 and law(kind, x, setup, theta, 1e200) > 0.0
+                        assert lone == (math.inf if grows else 0.0)
+                    elif x:
+                        assert abs(lone - (x > 0.0)) <= 1e-11

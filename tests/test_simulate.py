@@ -23,6 +23,7 @@ from threshcov import (
     coverage_lower_bound,
     kernel,
     known_coverage,
+    ls_fit,
     reference_setup,
     simulate_coverage,
     simulate_coverage_full,
@@ -786,6 +787,64 @@ def recorded_chunks(monkeypatch):
 
     monkeypatch.setattr(simulate, "_word_cells", recording)
     return rows
+
+
+def solve_designs():
+    """The dense, correlated, square and block designs of the full-path tests."""
+    for n, k, seed in ((60, 55, 115), (60, 3, 63), (36, 35, 71), (40, 35, 9), (40, 35, 8)):
+        yield dense_case(n, k, seed=seed)[0]
+    yield dense_case(60, 10, seed=7, col_scales=np.logspace(-6, 6, 10))[0]
+    yield correlated_design()
+    yield np.random.default_rng(9).standard_normal((5, 5))
+    yield block_case(((10, 10), (30, 25)), 12, seed=12)[0]
+    yield block_case(((30, 3), (30, 3)), 1, seed=1)[0]
+
+
+def scipy_solves(X, y):
+    """ls_fit's coefficients, every watched row R^-T e_w and compute_xi_all
+    through scipy's triangular solve, the route numpy's solves replaced."""
+    from scipy.linalg import solve_triangular
+
+    Q, R = np.linalg.qr(X)
+    n, k = X.shape
+    rows = solve_triangular(R, np.eye(k), trans="T", lower=False).T
+    return (solve_triangular(R, Q.T @ y, lower=False), rows[watched(k)],
+            np.sqrt(n * (rows ** 2).sum(axis=1)))
+
+
+def numpy_solves(X, y):
+    Q, R = np.linalg.qr(X)
+    k = X.shape[1]
+    # the watched row as simulate_coverage_full solves it
+    rows = np.array([np.linalg.solve(R.T, np.eye(k)[w]) for w in watched(k)])
+    return ls_fit(X, y)[0], rows, compute_xi_all(X)
+
+
+def watched(k):
+    """Every component, or for a large k its ends and middle."""
+    return range(k) if k <= 100 else [0, 1, k // 2, k - 1]
+
+
+class TestNumpySolves:
+    """numpy.linalg.solve (ls_fit's coefficients, the full path's watched
+    row) and compute_xi_all's inverse of R agree with scipy's triangular
+    solve: to 1e-12 relative on dense designs, bit for bit on the synthetic
+    design, whose R is diagonal, so every Monte Carlo count keeps its bits."""
+
+    def test_dense_designs(self):
+        for i, X in enumerate(solve_designs()):
+            y = np.random.default_rng(i).standard_normal(len(X))
+            for got, want in zip(numpy_solves(X, y), scipy_solves(X, y)):
+                scale = np.abs(want).max(axis=-1, keepdims=True)
+                assert np.all(np.abs(got - want) <= 1e-12 * scale), i
+
+    @pytest.mark.parametrize("n, k", [(40, 35), (1000, 995), (60, 3), (5, 5)])
+    @pytest.mark.parametrize("xi", [1.0, 0.37, 2.0])
+    def test_synthetic_design_bit_for_bit(self, n, k, xi):
+        X = synthetic_design(n, k, xi)
+        y = np.random.default_rng(n + k).standard_normal(n)
+        for got, want in zip(numpy_solves(X, y), scipy_solves(X, y)):
+            assert np.array_equal(got, want)
 
 
 class TestFullDesignReference:

@@ -671,6 +671,62 @@ class TestRhoCuts:
         assert s_max > rho_upper_limit(m, 1e-12)
 
 
+# One call of every public entry point and CLI command, then a check of the
+# scipy modules loaded (see TestRootFinding.test_no_scipy_optimize_import).
+RUNTIME_CALLS = """
+import runpy
+import sys
+import numpy as np
+import threshcov as tc
+from threshcov import cli
+
+setup = tc.reference_setup(eta=0.5)
+alpha = tc.ScalingFactor.conservative(setup)
+known = tc.IntervalSpec(0.5, 0.5)
+est = tc.IntervalSpec(0.5, 0.5, tc.VarianceMode.ESTIMATED)
+tc.tilde_cdf("hard", 0.3, setup, 0.1, alpha)
+tc.tilde_density("asoft", np.array([-0.3, 0.3]), setup, 0.1, alpha)
+tc.density_grid("soft", setup, 0.0, alpha)
+tc.atom_mass(setup)
+tc.known_coverage("soft", 0.1, 1.0, known, setup)
+tc.unknown_coverage("hard", 0.1, 1.0, est, setup)
+tc.solve_known_half_length("asoft", 0.05, setup)
+tc.solve_unknown_half_length("asoft", 0.05, setup)
+tc.coverage_lower_bound("hard", est, setup)
+tc.coverage_upper_bound(est, setup)
+tc.min_coverage_search("hard", est, setup)
+tc.conservative_limit_cdf("hard", 0.3, tc.ConservativeRegime(nu=1.0, e=2.0, m=5))
+tc.consistent_limit_cdf("soft", 0.3, tc.ConsistentRegime(zeta=0.5, m=5))
+rng = np.random.default_rng(3)
+X = rng.standard_normal((60, 3))
+y = X @ np.array([0.2, -0.4, 0.1]) + rng.standard_normal(60)
+tc.ls_fit(X, y)
+xi = tc.compute_xi_all(X)
+tc.estimate(X, y, tc.ThresholdRule("soft", 0.3))
+plan = tc.SimulationPlan(setup=setup, theta=0.1, reps=1000, seed=3)
+tc.simulate_coverage(plan, "hard", est)
+tc.simulate_scaled_error_ecdf(plan, "hard", alpha, [-1.0, 0.0, 1.0])
+tc.simulate_coverage_full(plan, "hard", est)
+dense = tc.ProblemSetup(n=60, k=3, xi=float(xi[0]), eta=0.2)
+tc.simulate_coverage_full(tc.SimulationPlan(setup=dense, theta=0.1, reps=1000, seed=4,
+                                            design=X), "asoft", est)
+for argv in (["table1", "--fast"], ["figure", "--which", "pdfH"],
+             ["figure", "--which", "covAS"], ["interval"], ["coverage_curve"],
+             ["limit_check", "--fast"]):
+    assert cli.main(argv) == 0, argv
+# python -m threshcov: the package's __main__ and its exit code
+sys.argv = ["threshcov", "interval", "--kind", "hard", "--eta", "0.5", "--mode", "estimated"]
+try:
+    runpy.run_module("threshcov", run_name="__main__")
+except SystemExit as exc:
+    assert not exc.code, exc.code
+else:
+    raise AssertionError("python -m threshcov did not exit")
+loaded = sorted(m for m in ("scipy.optimize", "scipy.linalg") if m in sys.modules)
+assert not loaded, loaded
+"""
+
+
 class TestRootFinding:
     def test_linear(self):
         assert find_root(lambda x: x - 1.0, 0.0, 2.0) == pytest.approx(1.0, abs=1e-12)
@@ -756,20 +812,13 @@ class TestRootFinding:
         assert 0.0 < info.value.error_bound < math.inf
         assert abs(info.value.estimate - 0.3) <= 2.0 * info.value.error_bound
 
-    @pytest.mark.parametrize("script", [
-        "import runpy, sys\n"
-        "sys.argv = ['threshcov', 'interval', '--kind', 'hard', '--eta', '0.5',"
-        " '--mode', 'estimated']\n"
-        "try:\n    runpy.run_module('threshcov', run_name='__main__')\n"
-        "except SystemExit as exc:\n    assert not exc.code, exc.code\n",
-        "import threshcov\n"
-        "threshcov.solve_unknown_half_length('asoft', 0.05, threshcov.reference_setup())\n",
-    ], ids=["cli-interval", "library-solve"])
-    def test_no_scipy_optimize_import(self, script):
-        # in a fresh interpreter, as this module itself imports scipy.optimize
+    def test_no_scipy_optimize_import(self):
+        """The runtime loads numpy and scipy.special only: after one call of
+        every public entry point and every CLI command, in a fresh
+        interpreter (this module itself imports scipy.optimize), neither
+        scipy.optimize nor scipy.linalg is loaded."""
         src = Path(__file__).resolve().parents[1] / "src"
         env = dict(os.environ, PYTHONPATH=str(src))
-        check = script + "assert 'scipy.optimize' not in sys.modules\n"
-        result = subprocess.run([sys.executable, "-c", "import sys\n" + check], env=env,
-                                capture_output=True, text=True, timeout=120)
+        result = subprocess.run([sys.executable, "-c", RUNTIME_CALLS], env=env,
+                                capture_output=True, text=True, timeout=300)
         assert result.returncode == 0, result.stderr

@@ -17,9 +17,8 @@ Per cell family (full-design cells split by variance mode) it also prints
 the mean milliseconds per cell and, per replication, the values passed to
 the inverse normal and to the inverse chi-square
 (``simulate.std_normal_quantile`` and ``simulate.chi_sq_quantile``, both
-wrapped here).  The lazy first-use work (the ``scipy.linalg`` import of the
-full-design path and the bracket tables) is done before the first cell,
-untimed.  The timings are not checked.  The inversion counts repeat exactly
+wrapped here).  The lazy first-use work (the bracket tables) is done
+before the first cell, untimed.  The timings are not checked.  The inversion counts repeat exactly
 from run to run, so the script hashes each cell's pair of counts, in cell
 order, and compares that sha256 with the one in ``tools/mc_inversions.json``.
 A replication that leaves the grid level is normal-inverted, and one that
@@ -60,11 +59,8 @@ from threshcov import simulate  # noqa: E402
 
 
 def warm_up() -> None:
-    """The lazy first-use work, untimed: the scipy.linalg import of the
-    full-design path and the bracket tables, whose building inverts 4097
-    values per table."""
-    import scipy.linalg  # noqa: F401
-
+    """The lazy first-use work, untimed: the bracket tables, whose building
+    inverts 4097 values per table."""
     simulate._z_midpoints()
     for m in workloads.DOF_SETUPS:
         simulate._sigma_hat_bracket(m)
