@@ -6,7 +6,9 @@ conditionally on nothing, the event that the thresholded estimate lands in
 [theta - c b, theta + c a] splits into the kill branch (estimate exactly
 zero) plus one active branch per sign, each a Gaussian interval probability
 after inverting the thresholding map.  Estimated-variance coverage averages
-the same expression over the law of sigma_hat / sigma.
+the same expression over the law of sigma_hat / sigma: at theta = 0, where
+every offset scales with s, it is the same closed form under T_m (m = n -
+k) in place of Phi (``_coverage_core`` takes either), else a ``_mixture``.
 
 Worst-case coverage has one closed form, ``coverage_lower_bound``: the
 known-variance infimum under Phi and, under the Student-t CDF T_m
@@ -20,15 +22,14 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import logging
 import math
 import sys
 
 import numpy as np
 
 from .estimators import EstimatorKind, _inverse
-from .finite_sample import _mixture, _scale_free
-from .model import ProblemSetup, VarianceMode
+from .finite_sample import _mixture
+from .model import ProblemSetup, VarianceMode, _scaled
 from .special import (_ROOT_RTOL, BracketError, DomainError, _clamp_unit, _each, _saturating,
                       _std_normal_cdf, _t_cdf, find_root)
 # unused here, but perfbench/tracing.py wraps this module's binding
@@ -45,8 +46,6 @@ __all__ = [
     "min_coverage_search",
     "simple_interval_infimal",
 ]
-
-logger = logging.getLogger(__name__)
 
 # The worst-case search scans this many equally spaced theta, then refines
 # around the best one to this width times xi.
@@ -75,24 +74,26 @@ class IntervalSpec:
             raise DomainError("estimated-variance intervals must be symmetric")
 
 
-def _coverage_core(kind: EstimatorKind, mu, reach_a, reach_b, eta, rn):
+def _coverage_core(kind: EstimatorKind, mu, reach_a, reach_b, eta, rn, cdf=_std_normal_cdf):
     """Coverage with everything on the scale W = LS estimate / (sigma xi).
 
     W ~ N(mu, 1/rn^2), and the interval covers iff the thresholded value of
     W lands in [mu - reach_b, mu + reach_a], that is iff W - mu lies between
     the inverse map's open offset at the lower end and its closed offset at
-    the upper end.  Arms, thresholds and offsets that overflowed are +-inf,
-    where Phi is 0 or 1.  Where mu is infinite too (theta / sigma / xi
-    overflowed), an infinite arm is taken at the largest double, so that
-    mu - arm is +-inf rather than NaN.  Python floats give a float, clipped
-    to [0, 1] as np.maximum and np.minimum clip (-0.0 to 0.0, NaN kept).
+    the upper end.  cdf is Phi, or T_m for estimated variance at mu = 0,
+    where both offsets scale with s.  Arms, thresholds and offsets that
+    overflowed are +-inf, where cdf is 0 or 1.  Where mu is infinite too
+    (theta / sigma / xi overflowed), an infinite arm is taken at the largest
+    double, so that mu - arm is +-inf rather than NaN.  Python floats give a
+    float, clipped to [0, 1] as np.maximum and np.minimum clip (-0.0 to
+    0.0, NaN kept).
     """
     if math.isinf(mu) if isinstance(mu, float) else np.isinf(mu).any():
         reach_a, reach_b = (np.where(np.isinf(mu), np.minimum(reach, sys.float_info.max), reach)
                             for reach in (reach_a, reach_b))
     hi = _inverse(kind, mu, reach_a, eta)
     lo = _inverse(kind, mu, -reach_b, eta, closed=False)
-    covered = _std_normal_cdf(rn * hi) - _std_normal_cdf(rn * lo)
+    covered = cdf(rn * hi) - cdf(rn * lo)
     if isinstance(covered, np.ndarray):
         return np.minimum(np.maximum(covered, 0.0), 1.0)
     return 0.0 if covered <= 0.0 else min(float(covered), 1.0)
@@ -129,13 +130,6 @@ def _variance_cdf(mode: VarianceMode, setup: ProblemSetup):
     return functools.partial(_t_cdf, setup.require_estimated_variance())
 
 
-def _in_errors(arm: float, rn: float, xi: float) -> float:
-    """rn arm / xi, the arm in LS standard errors; dividing first only
-    where rn arm overflows keeps ordinary bits."""
-    wide = rn * arm
-    return wide / xi if wide < math.inf else rn * (arm / xi)
-
-
 def _infimum(kind: EstimatorKind, a: float, b: float, setup: ProblemSetup, cdf) -> float:
     """Infimum over the parameter of the coverage of [estimate - c a,
     estimate + c b]: exact under cdf = Phi, a bound under T_m (a == b),
@@ -146,17 +140,13 @@ def _infimum(kind: EstimatorKind, a: float, b: float, setup: ProblemSetup, cdf) 
     if kind is EstimatorKind.HARD:
         if xi * eta > a + b:
             return 0.0
-        far = -_in_errors(large, rn, xi)
+        far = -_scaled(rn, large, xi)  # the arm in LS standard errors
     elif kind is EstimatorKind.SOFT:
         far = rn * (-large / xi - eta)
     else:  # halved after dividing, as 2 xi and a + b = 2 a may overflow
         half_sum = a / xi if a == b else 0.5 * ((a + b) / xi)
         far = rn * (0.5 * ((small - large) / xi) - math.hypot(half_sum, eta))
-    value = float(cdf(rn * (small / xi - eta)) - cdf(far))
-    if value < 0.0:
-        logger.debug("infimal coverage %g clamped to 0", value)
-        return 0.0
-    return value
+    return _clamp_unit(float(cdf(rn * (small / xi - eta)) - cdf(far)), 0.0, "infimal coverage")
 
 
 def coverage_lower_bound(kind, spec: IntervalSpec, setup: ProblemSetup) -> float:
@@ -179,7 +169,7 @@ def coverage_upper_bound(spec: IntervalSpec, setup: ProblemSetup) -> float:
     """
     cdf = _variance_cdf(spec.mode, setup)
     rn, xi = setup.root_n, setup.xi
-    return float(cdf(_in_errors(spec.a, rn, xi)) - cdf(-_in_errors(spec.b, rn, xi)))
+    return float(cdf(_scaled(rn, spec.a, xi)) - cdf(-_scaled(rn, spec.b, xi)))
 
 
 def _solve_half_length(kind, alpha: float, setup: ProblemSetup, mode: VarianceMode) -> float:
@@ -233,8 +223,7 @@ def unknown_coverage(kind, theta_i: float, sigma: float, spec: IntervalSpec,
     both the interval arms and the threshold scaled by s.  theta_i may be an
     array, integrated as one batch; a scalar theta_i gives a float.  Rows
     with theta_i = 0 skip the quadrature: both offsets then scale with s, so
-    the average is T_m(sqrt(n) hi) - T_m(sqrt(n) lo), hi and lo the closed
-    and open offsets at +-a / xi with s = 1.
+    the average is the known-variance closed form under T_m.
     """
     kind = EstimatorKind(kind)
     if spec.mode is not VarianceMode.ESTIMATED:
@@ -252,8 +241,8 @@ def unknown_coverage(kind, theta_i: float, sigma: float, spec: IntervalSpec,
         lone = isinstance(theta, float)
         if lone and theta != 0.0:
             return _mixture(kind, theta / sigma / setup.xi, (reach, -reach), eta, m, covered)
-        at_zero = (_scale_free(kind, spec.a, setup.xi, eta, rn, m)
-                   - _scale_free(kind, -spec.a, setup.xi, eta, rn, m, closed=False))
+        at_zero = _coverage_core(kind, 0.0, reach, reach, eta, rn,
+                                 _variance_cdf(spec.mode, setup))
         if lone:
             return at_zero, 0.0
         rest = theta != 0.0

@@ -68,6 +68,21 @@ def kernel(kind, z, t):
     return out if out.ndim else float(out)
 
 
+def _sum(a, b):
+    """a + b, silent at a = -b = +-inf (mu = +-inf: no branch of _inverse or
+    _inverse_slope takes that NaN); a finite float term rules it out cheaply."""
+    if type(a) is float and math.isfinite(a) or type(b) is float and math.isfinite(b):
+        return a + b
+    with np.errstate(invalid="ignore"):
+        return a + b
+
+
+def _cutoff(scale, xi, eta):
+    """The kernel's cutoff scale xi eta; inf where it overflows, which kills every estimate."""
+    with np.errstate(over="ignore"):
+        return scale * xi * eta
+
+
 def _inverse(kind: EstimatorKind, mu, d, t, closed: bool = True):
     """Inverse of the thresholding map at c = mu + d, measured from mu.
 
@@ -92,9 +107,9 @@ def _inverse(kind: EstimatorKind, mu, d, t, closed: bool = True):
     soft's quotient needs the edge handling (mu d + t^2 not finite, a zero
     denominator) they take the array body, which returns a 0-d array.
     """
-    c = mu + d
-    up = c >= 0.0 if closed else c > 0.0
     lone = type(mu) is type(d) is type(t) is float
+    c = mu + d if lone else _sum(mu, d)
+    up = c >= 0.0 if closed else c > 0.0
     if kind is EstimatorKind.HARD:
         if lone:
             return d if abs(c) > t else (t if up else -t) - mu
@@ -103,7 +118,7 @@ def _inverse(kind: EstimatorKind, mu, d, t, closed: bool = True):
         if lone:
             return d + t if up else d - t
         return np.where(up, d + t, d - t)
-    big_a = 0.5 * (d - mu)
+    big_a = 0.5 * (d - mu if lone else _sum(d, -mu))
     big_b = np.hypot(0.5 * c, t)
     # A + signed_b does not cancel where both terms share a sign
     added = (big_a >= 0.0) == up
@@ -131,21 +146,21 @@ def _inverse(kind: EstimatorKind, mu, d, t, closed: bool = True):
 
 def _inverse_slope(kind: EstimatorKind, mu, d, t):
     """g'(mu + d), the slope of either :func:`_inverse`; soft's is 1.0, and
-    adaptive soft's tends to 1 as |c| grows, its value at c = +-inf.  Python
-    floats run on floats as in :func:`_inverse`, but for c = +-inf and a
-    zero denominator."""
-    c = mu + d
+    adaptive soft's tends to 1 as |c| grows, its value at c = +-inf and at
+    mu = -d = +-inf, where the offset is d.  Python floats run on floats as
+    in :func:`_inverse`, but for c not finite and a zero denominator."""
+    c = _sum(mu, d)
     lone = type(c) is type(t) is float
     if kind is EstimatorKind.HARD:
         return (1.0 if abs(c) > t else 0.0) if lone else np.where(np.abs(c) > t, 1.0, 0.0)
     if kind is EstimatorKind.SOFT:
         return 1.0
-    if lone and not math.isinf(c):
+    if lone and math.isfinite(c):
         hyp = float(np.hypot(0.5 * c, t))
         if hyp:
             return 0.5 + 0.25 * abs(c) / hyp
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(np.isinf(c), 1.0, 0.5 + 0.25 * np.abs(c) / np.hypot(0.5 * c, t))
+        return np.where(np.isfinite(c), 0.5 + 0.25 * np.abs(c) / np.hypot(0.5 * c, t), 1.0)
 
 
 def _switch_points(kind: EstimatorKind, mu, slope, t):
@@ -202,6 +217,4 @@ def estimate(X, y, rule: ThresholdRule) -> np.ndarray:
         scale = math.sqrt(sigma_hat_sq)
     else:
         scale = rule.sigma
-    with np.errstate(over="ignore"):  # an infinite cutoff kills, as the exact one would
-        cutoff = scale * xi * eta
-    return kernel(rule.kind, coef, cutoff)
+    return kernel(rule.kind, coef, _cutoff(scale, xi, eta))

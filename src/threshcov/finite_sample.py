@@ -7,13 +7,14 @@ the density ``rho_m`` of s.  The mixture integrals are piecewise smooth in s
 with analytically known switch points; those are declared to the adaptive
 quadrature as panel breakpoints.  At theta = 0 every offset of the inverse
 map is s times its value g1 at s = 1, so the mixture is the Student-t law
-T_m(sqrt(n) g1) and needs no quadrature (``_scale_free``); the same holds
-where no threshold binds and where mu = theta / (sigma xi) is infinite.
-One routine, ``_mixture``, integrates every other such law, the
-estimated-variance coverage and the conservative limit law, which is this
-mixture at rn = 1.  ``_error_law`` gives every CDF and density by one of
-these two routes, and ``special._each`` states the argument contract of
-every public law.
+T_m(sqrt(n) g1) and needs no quadrature (``_scale_free``, the CDF and its
+density); the same holds where no threshold binds and where mu = theta /
+(sigma xi) is infinite.  One routine, ``_mixture``, integrates every other
+such law, the estimated-variance coverage at theta != 0 (at theta = 0 it
+is ``coverage._coverage_core`` under T_m) and the conservative limit law,
+which is this mixture at rn = 1.  ``_error_law`` gives every CDF and
+density by one of these two routes, and ``special._each`` states the
+argument contract of every public law.
 
 The law is mixed: when the true component is zero it has an atom at zero
 (the probability of thresholding to zero) plus an absolutely continuous
@@ -35,6 +36,7 @@ from .special import (
     DomainError,
     _clamp_unit,
     _each,
+    _nan_checked,
     _rho_pdf,
     _rho_quantiles,
     _rho_upper,
@@ -46,7 +48,6 @@ from .special import (
     _t_pdf,
     integrate_halfline,
     t_cdf,
-    t_pdf,
 )
 
 __all__ = [
@@ -135,23 +136,15 @@ def _mixture(kind, mu, slopes, eta, m, term, weighted=False):
 def _scale_free(kind, x, scale, t, rn, m, closed=True, density=False, mu=0.0):
     """T_m(rn g1), g1 = _inverse(kind, mu, x / scale, t): the mixture over s
     where every offset is s g1, as at mu = 0 and mu = +-inf.  density=True
-    gives its x-derivative rn g' t_m(rn g1) / scale, 0 where t_m underflows.
-    A g1 that _inverse gave as a float other than NaN (a lone problem off
-    its edges) stays on floats, through the unchecked _t_cdf and _t_pdf."""
+    gives its x-derivative rn g' t_m(rn g1) / scale, 0 where t_m underflows
+    (g' is finite).  A NaN rn g1 raises DomainError, as t_cdf does."""
     d = x / scale
     if not (d.all() if isinstance(d, np.ndarray) else d):  # keep x != 0 off the atom
         d = np.where((d == 0.0) & (x != 0.0), np.copysign(math.ulp(0.0), x), d)
-    g1 = _inverse(kind, mu, d, t, closed)
-    arg = rn * g1
-    if type(g1) is float and g1 == g1:
-        if not density:
-            return _t_cdf(m, arg)
-        pdf = _t_pdf(arg, m)
-        return rn * _inverse_slope(kind, mu, d, t) * pdf / scale if pdf > 0.0 else 0.0
+    arg = _nan_checked(rn * _inverse(kind, mu, d, t, closed), "t CDF")
     if not density:
-        return t_cdf(arg, m)
-    pdf = t_pdf(arg, m)
-    return np.where(pdf > 0.0, rn * _inverse_slope(kind, mu, d, t) * pdf / scale, 0.0)
+        return _t_cdf(m, arg)
+    return rn * _inverse_slope(kind, mu, d, t) * _t_pdf(arg, m) / scale
 
 
 def _error_law(kind, x, theta, xi, scale, eta, rn, m, density=False):
@@ -168,23 +161,19 @@ def _error_law(kind, x, theta, xi, scale, eta, rn, m, density=False):
     mixture.  Where scale = alpha xi underflows to 0, the law is its limit
     as the scale vanishes: x / scale is +-inf off x = 0, and at x = 0 the
     CDF does not depend on the scale while a positive density grows past
-    every bound (inf)."""
+    every bound (inf).  A lone x gives a float or a 0-d array."""
     if scale == 0.0:
-        if isinstance(x, float):
-            far = math.copysign(math.inf, x) if x else x
-        else:
-            far = np.where(x == 0.0, x, np.copysign(math.inf, x))
+        far = np.where(x == 0.0, x, np.copysign(math.inf, x))[()]
         values, bounds = _error_law(kind, far, theta, xi, 1.0, eta, rn, m, density)
-        if density:
-            values = np.where((x == 0.0) & (values > 0.0), math.inf, values)
-            values = values if isinstance(x, np.ndarray) else float(values)
-        return values, bounds
+        return np.where(density & (x == 0.0) & (values > 0.0), math.inf, values), bounds
     mu = float(theta) / xi  # inf where it overflows, silently on floats
     if theta == 0.0 or eta == 0.0 or math.isinf(mu):
         mu = 0.0 if theta == 0.0 and eta != 0.0 else math.copysign(math.inf, mu)
         return _scale_free(kind, x, scale, eta, rn, m, density=density, mu=mu), 0.0
+    # where 1 / scale overflows, the term's inf * 0 is NaN: divide the mixture by scale
+    tiny = density and math.isinf(1.0 / scale)
     if density:
-        dslope = 1.0 / scale
+        dslope = 1.0 if tiny else 1.0 / scale
         floor = abs(mu) * 2.0 ** -1000  # keeps mu / s finite
 
         def term(s, slope):
@@ -198,7 +187,8 @@ def _error_law(kind, x, theta, xi, scale, eta, rn, m, density=False):
         def term(s, slope):
             return _std_normal_cdf(rn * _inverse(kind, mu, slope * s, eta * s))
 
-    return _mixture(kind, mu, x / scale, eta, m, term, weighted=density)
+    values, bounds = _mixture(kind, mu, x / scale, eta, m, term, weighted=density)
+    return (values / scale, bounds / scale) if tiny else (values, bounds)
 
 
 @_saturating
@@ -227,17 +217,15 @@ def _kill_kernel_term(x, q: float, setup: ProblemSetup, a: float):
     event's mass spreads into a density carried by rho_m on the half-line
     opposite in sign to the true component.  Identical for all kinds.
     """
-    lone = isinstance(x, float)
+    x = np.float64(x)  # a lone x runs as a numpy scalar, an array as itself
     side = -math.copysign(1.0, q) * x > 0.0
-    if not (side if lone else side.any()):
+    if not np.count_nonzero(side):
         return 0.0
     # as x -> 0 the Jacobian a |q| / x^2 overflows where rho has underflowed
     # to 0; the product tends to 0 there.  Where x * x itself underflows
     # (theta tiny enough that rho is still positive), the same Jacobian is
-    # written s^2 / (a |q|), which stays finite.  Off the side rho is NaN.
-    # A lone x (on the side, so nonzero) stays a float, and each quotient is
-    # formed only on its branch: where a |q| underflows to 0, so does s, and
-    # rho is 0 or NaN there
+    # written s^2 / (a |q|), which stays finite.  Off the side rho is NaN,
+    # and where a |q| underflows to 0, so does s, and rho is 0 or NaN there
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         s_at_x = -a * q / x
         gamma = setup.root_n * q / setup.xi
@@ -246,15 +234,10 @@ def _kill_kernel_term(x, q: float, setup: ProblemSetup, a: float):
                 - _std_normal_cdf(-gamma * (1.0 - shift)))
         rho = _rho_pdf(s_at_x, setup.residual_dof)
         x_sq = x * x
-        if lone:
-            if not rho > 0.0:
-                return 0.0
-            jacobian = (a * abs(q) / x_sq if x_sq >= _SMALLEST_NORMAL
-                        else s_at_x * s_at_x / (a * abs(q)))
-            return float(jacobian * rho * band)
         jacobian = np.where(x_sq >= _SMALLEST_NORMAL, a * abs(q) / x_sq,
                             s_at_x * s_at_x / (a * abs(q)))
-        return np.where(side & (rho > 0.0), jacobian * rho * band, 0.0)
+        out = np.where(side & (rho > 0.0), jacobian * rho * band, 0.0)
+    return out if out.ndim else float(out)
 
 
 @_saturating
@@ -275,8 +258,6 @@ def tilde_density(kind, x, setup: ProblemSetup, theta_i: float, alpha):
         out, _ = _error_law(kind, xs, q, setup.xi, a * setup.xi, setup.eta, setup.root_n, m,
                             density=True)
         if q == 0.0:  # the atom at x = 0 carries no density
-            if isinstance(xs, float):
-                return (out if xs != 0.0 else 0.0), 0.0
             return np.where(xs != 0.0, out, 0.0), 0.0
         return np.maximum(0.0, out + _kill_kernel_term(xs, q, setup, a)), 0.0
 

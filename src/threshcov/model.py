@@ -159,6 +159,10 @@ def standard_ls_interval(setup: ProblemSetup, mode: VarianceMode, alpha: float) 
         quantile = std_normal_quantile(1.0 - 0.5 * alpha)
     else:
         quantile = t_quantile(1.0 - 0.5 * alpha, setup.require_estimated_variance())
-    # dividing first only where xi quantile overflows keeps ordinary bits
-    wide = setup.xi * quantile
-    return wide / setup.root_n if wide < math.inf else setup.xi * (quantile / setup.root_n)
+    return _scaled(setup.xi, quantile, setup.root_n)
+
+
+def _scaled(p: float, q: float, r: float) -> float:
+    """p q / r; dividing first only where p q overflows keeps ordinary bits."""
+    wide = p * q
+    return wide / r if wide < math.inf else p * (q / r)

@@ -84,7 +84,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .estimators import EstimatorKind, kernel
+from .estimators import EstimatorKind, _cutoff, kernel
 from .finite_sample import ScalingFactor
 from .model import ProblemSetup, VarianceMode, _full_rank_qr, _is_integer
 # unused here, but perfbench/tracing.py wraps this module's binding
@@ -265,11 +265,8 @@ def _sigma_hat_bracket(m: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _estimate(kind, setup: ProblemSetup, coef, scale):
     """The thresholded estimate of LS coefficients coef at interval scale
-    scale (sigma or sigma_hat).  A cutoff that overflows is inf, which kills
-    every estimate, as the exact cutoff would."""
-    with np.errstate(over="ignore"):
-        cutoff = scale * setup.xi * setup.eta
-    return kernel(kind, coef, cutoff)
+    scale (sigma or sigma_hat)."""
+    return kernel(kind, coef, _cutoff(scale, setup.xi, setup.eta))
 
 
 @dataclasses.dataclass(frozen=True, eq=False)

@@ -549,6 +549,8 @@ def _clamp_unit(value, bound, name: str):
 
     Scalars come back as floats, arrays as arrays.
     """
+    if isinstance(value, float) and 0.0 <= value <= 1.0:
+        return float(value)  # nothing to clip or log
     if isinstance(value, float) and not logger.isEnabledFor(logging.DEBUG):
         return float(min(max(value, 0.0), 1.0))  # numpy's NaN and -0.0 alike
     value = np.asarray(value, dtype=float)

@@ -11,10 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from threshcov import unknown_coverage, IntervalSpec, VarianceMode, reference_setup
+from threshcov import NumericsError, unknown_coverage, IntervalSpec, VarianceMode, reference_setup
 from threshcov import cli
 from threshcov.cli import (
     EXIT_CHECK_FAILED,
+    EXIT_NUMERICS,
     EXIT_OK,
     EXIT_USAGE,
     _csv_text,
@@ -174,6 +175,15 @@ class TestInterval:
         rc, out, err = run_cli(capsys, "interval", "--kind", "soft", "--mode", "known",
                                "--out", str(tmp_path))
         assert rc == EXIT_USAGE and out == "" and err.startswith("error:")
+
+    def test_numerical_failure_exit_code(self, capsys, monkeypatch):
+        def fails(args):
+            raise NumericsError("quadrature did not converge")
+
+        monkeypatch.setitem(cli._COMMANDS, "interval", fails)
+        rc, out, err = run_cli(capsys, "interval")
+        assert rc == EXIT_NUMERICS and out == ""
+        assert err == "numerical failure: quadrature did not converge\n"
 
 
 class TestCoverageCurve:

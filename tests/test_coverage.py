@@ -128,6 +128,10 @@ class TestKnownCoverage:
             known_coverage("hard", 0.0, 0.0, spec, SETUP)
         with pytest.raises(DomainError):
             known_coverage("hard", 0.0, math.inf, spec, SETUP)
+        estimated = IntervalSpec(0.3, 0.3, VarianceMode.ESTIMATED)
+        for sigma in (0.0, math.inf, math.nan):
+            with pytest.raises(DomainError, match="sigma"):
+                unknown_coverage("hard", 0.0, sigma, estimated, SETUP)
 
     def test_nan_theta_rejected(self):
         # the NaN window would otherwise read as coverage 0

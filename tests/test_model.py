@@ -39,6 +39,15 @@ class TestProblemSetup:
         with pytest.raises(DomainError):
             ProblemSetup(**bad)
 
+    @pytest.mark.parametrize("sigma", [0.0, math.inf, math.nan])
+    def test_sigma_must_be_positive_and_finite(self, sigma):
+        with pytest.raises(DomainError, match="sigma"):
+            ProblemSetup(n=40, k=35, sigma=sigma)
+
+    def test_unknown_variance_mode(self):
+        with pytest.raises(DomainError, match="bogus"):
+            VarianceMode("bogus")
+
     def test_numpy_integers_accepted(self):
         s = ProblemSetup(n=np.int64(40), k=np.int32(35), component_index=np.uint8(2))
         assert s.residual_dof == 5
@@ -103,6 +112,15 @@ class TestComputeXi:
         X = np.random.default_rng(3).standard_normal((8, 3))
         X[4, 1] = bad
         with pytest.raises(DomainError):
+            compute_xi_all(X)
+
+    def test_one_dimensional_design_rejected(self):
+        with pytest.raises(DomainError, match="two-dimensional"):
+            compute_xi_all(np.ones(6))
+
+    def test_fewer_rows_than_columns_rejected(self):
+        X = np.random.default_rng(3).standard_normal((3, 5))
+        with pytest.raises(DomainError, match="n >= k"):
             compute_xi_all(X)
 
 

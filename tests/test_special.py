@@ -244,6 +244,14 @@ class TestIntegrator:
         with pytest.raises(NumericsError):
             integrate_halfline(lambda s: np.full_like(s, math.nan), upper=1.0)
 
+    def test_integrand_of_the_wrong_shape_rejected(self):
+        with pytest.raises(DomainError, match="same shape"):
+            integrate_halfline(lambda s: np.ones(3), upper=1.0)
+
+    def test_infinite_truncation_point_rejected(self):
+        with pytest.raises(DomainError, match="truncation point"):
+            integrate_halfline(lambda s: np.ones_like(s), upper=math.inf)
+
     def test_zero_width(self):
         value, _ = integrate_halfline(lambda s: np.ones_like(s), upper=0.0)
         assert value == 0.0
@@ -811,6 +819,30 @@ class TestRootFinding:
         assert info.value.estimate == last
         assert 0.0 < info.value.error_bound < math.inf
         assert abs(info.value.estimate - 0.3) <= 2.0 * info.value.error_bound
+
+    def test_exhausted_iterations_ending_on_a_sign_change(self):
+        # here the last step crosses the root, so the previous iterate, not
+        # the older bracket end, bounds it from the other side
+        step = lambda x: -1.0 if x < 0.3 else 1.0
+        with pytest.raises(NumericsError) as info:
+            find_root(step, -1e300, 1e299, tol=1e-300)
+        last, _ = brentq(step, -1e300, 1e299, xtol=1e-300, maxiter=300,
+                         full_output=True, disp=False)
+        estimate, bound = info.value.estimate, info.value.error_bound
+        assert estimate == last
+        assert estimate - 2.0 * bound < 0.3 < estimate
+
+    def test_nonpositive_tolerance_rejected(self):
+        seen = []
+        for tol in (0.0, -1e-10, math.nan):
+            with pytest.raises(DomainError, match="tolerance"):
+                find_root(lambda x: seen.append(x) or x, -1.0, 1.0, tol)
+        assert seen == []
+
+    def test_root_at_the_upper_end(self):
+        seen = []
+        assert find_root(lambda x: seen.append(x) or x - 2.0, -1.0, 2.0) == 2.0
+        assert seen == [-1.0, 2.0]
 
     def test_no_scipy_optimize_import(self):
         """The runtime loads numpy and scipy.special only: after one call of
